@@ -34,7 +34,11 @@ fn main() {
         .get_str("conns")
         .map(|s| {
             s.split(',')
-                .map(|c| c.trim().parse().expect("--conns takes a comma-separated list"))
+                .map(|c| {
+                    c.trim()
+                        .parse()
+                        .expect("--conns takes a comma-separated list")
+                })
                 .collect()
         })
         .unwrap_or_else(|| vec![64, 256, 1024, 4096]);
@@ -90,7 +94,10 @@ fn main() {
         };
         let r = run_connscale(server.addr, &cfg).expect("connscale run");
         let kops = r.ops_per_sec / 1e3;
-        eprintln!("{n} conns: {kops:.1} kOps/s ({} reqs in {:.2}s)", r.requests, r.secs);
+        eprintln!(
+            "{n} conns: {kops:.1} kOps/s ({} reqs in {:.2}s)",
+            r.requests, r.secs
+        );
         let snap = cache.stats_snapshot();
         if snap.get("conn_rejected").unwrap_or(0) > 0 {
             eprintln!("error: server rejected connections during the {n}-conn row");

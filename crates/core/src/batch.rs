@@ -24,6 +24,10 @@
 //! durability checker validates the staged protocol (store → flush →
 //! publish → flush) over every batched window, and `crash_consistency.rs`
 //! sweeps crash fuses through batched schedules.
+//!
+//! Steps 3–4 are the kernel's `insert_run` / `remove_run`
+//! ([`crate::leafops`]); this file is steps 1–2 per tree variant: sort,
+//! find (and lock) each run's leaf, publish what the kernel reports.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -31,11 +35,9 @@ use std::sync::Arc;
 use fptree_htm::Abort;
 
 use crate::concurrent::{ConcKey, ConcurrentTree};
-use crate::groups::GroupMgr;
-use crate::inner::Node;
 use crate::keys::KeyKind;
 use crate::metrics::{Counter, Op};
-use crate::single::{Ctx, Outcome, SingleTree};
+use crate::single::SingleTree;
 
 /// Sorts batch input and drops duplicate keys, keeping the **first**
 /// occurrence — the outcome a loop of single `insert` calls produces.
@@ -46,59 +48,12 @@ fn sort_dedup<K: KeyKind>(entries: &[(K::Owned, u64)]) -> Vec<(K::Owned, u64)> {
     sorted
 }
 
-impl Ctx {
-    /// Stages `run` — sorted unique keys, none currently in the leaf, all
-    /// fitting its free slots — and commits the whole run with **one**
-    /// p-atomic bitmap write. Staged slot/fingerprint spans are flushed
-    /// with coalesced `persist` calls before the commit, so the checker
-    /// sees the canonical store → flush → publish → flush pattern.
-    pub(crate) fn insert_run_into_leaf<K: KeyKind>(&self, off: u64, run: &[(K::Owned, u64)]) {
-        debug_assert!(!run.is_empty());
-        let leaf = self.leaf(off);
-        let mut bm = leaf.bitmap();
-        let mut free = !bm & self.layout.full_bitmap();
-        debug_assert!(run.len() <= free.count_ones() as usize);
-        let mut slots = Vec::with_capacity(run.len());
-        for (key, value) in run {
-            let slot = free.trailing_zeros() as usize;
-            free &= free - 1;
-            K::write_slot(&self.pool, leaf.key_off(slot), key);
-            leaf.set_value(slot, *value);
-            if self.layout.fingerprints {
-                leaf.set_fingerprint(slot, K::fingerprint(key));
-            }
-            bm |= 1 << slot;
-            slots.push(slot);
-        }
-        leaf.persist_slots(&slots);
-        if self.layout.fingerprints {
-            leaf.persist_fingerprints(&slots);
-        }
-        // Commit point: every staged entry becomes valid at once.
-        leaf.commit_bitmap(bm);
-        self.metrics.inc(Counter::InsertBatchRuns);
-        self.metrics.add(Counter::InsertBatchKeys, run.len() as u64);
-    }
-
-    /// Clears `slots` with **one** p-atomic bitmap write, then releases the
-    /// key slots. Returns the committed bitmap (0 means the leaf emptied
-    /// and the caller must handle the structural unlink).
-    pub(crate) fn remove_run_from_leaf<K: KeyKind>(&self, off: u64, slots: &[usize]) -> u64 {
-        debug_assert!(!slots.is_empty());
-        let leaf = self.leaf(off);
-        let mut bm = leaf.bitmap();
-        for &slot in slots {
-            bm &= !(1 << slot);
-        }
-        leaf.commit_bitmap(bm);
-        for &slot in slots {
-            K::release_slot(&self.pool, leaf.key_off(slot));
-        }
-        self.metrics.inc(Counter::RemoveBatchRuns);
-        self.metrics
-            .add(Counter::RemoveBatchKeys, slots.len() as u64);
-        bm
-    }
+/// Sorted, deduplicated copy of a remove batch.
+fn sorted_keys<T: Ord + Clone>(keys: &[T]) -> Vec<T> {
+    let mut sorted = keys.to_vec();
+    sorted.sort();
+    sorted.dedup();
+    sorted
 }
 
 impl<K: KeyKind> SingleTree<K> {
@@ -127,137 +82,27 @@ impl<K: KeyKind> SingleTree<K> {
         let mut inserted = 0usize;
         let mut i = 0;
         while i < sorted.len() {
-            // Each call consumes a nonempty prefix; keys cut short by a
-            // mid-run split re-route through the freshly updated index.
-            let (consumed, n) = self.insert_run(&sorted[i..]);
-            inserted += n;
-            i += consumed;
+            // The run at the front of the rest: the longest sorted prefix
+            // routing to one leaf. The kernel consumes a nonempty prefix of
+            // it; keys cut short by a mid-run split re-route through the
+            // freshly updated index.
+            let rest = &sorted[i..];
+            let dest = self.root.find_leaf(&rest[0].0);
+            let mut t = 1;
+            while t < rest.len() && self.root.find_leaf(&rest[t].0) == dest {
+                t += 1;
+            }
+            let (ctx, groups) = (&self.ctx, &mut self.groups);
+            let r =
+                ctx.insert_run::<K>(dest, &rest[..t], |off| ctx.split_leaf::<K>(groups, off, 0));
+            if let Some((split_key, new_off)) = r.split {
+                self.publish_split(split_key, new_off);
+            }
+            self.len += r.inserted;
+            inserted += r.inserted;
+            i += r.consumed;
         }
         inserted
-    }
-
-    /// Applies the run at the front of `rest` — the longest sorted prefix
-    /// routing to one leaf — under a single descent: filters out present
-    /// keys, stages what fits, and splits at most once. Returns
-    /// `(consumed, inserted)`; consumption is always a nonempty prefix and
-    /// unconsumed keys re-route via the caller.
-    fn insert_run(&mut self, rest: &[(K::Owned, u64)]) -> (usize, usize) {
-        let dest = self.root.find_leaf(&rest[0].0);
-        let mut t = 1;
-        while t < rest.len() && self.root.find_leaf(&rest[t].0) == dest {
-            t += 1;
-        }
-        let run = &rest[..t];
-        let (ctx, groups, root) = (&self.ctx, &mut self.groups, &mut self.root);
-        let mut consumed = 0usize;
-        let mut count = 0usize;
-        let head = run[0].0.clone();
-        let mut leaf_op = |ctx: &Ctx, groups: &mut GroupMgr, off: u64| -> Outcome<K> {
-            let leaf = ctx.leaf(off);
-            // Staged runs reason about free slots and present keys from the
-            // slot array alone, so the append buffer must be compacted
-            // first (§5.12). No-op when the buffer is empty.
-            if leaf.wbuf_count() > 0 {
-                leaf.wbuf_fold::<K>();
-            }
-            let present: Vec<bool> = run
-                .iter()
-                .map(|(k, _)| leaf.find_slot::<K>(k).is_some())
-                .collect();
-            let fresh_total = present.iter().filter(|p| !**p).count();
-            if fresh_total == 0 {
-                consumed = t;
-                ctx.metrics.add(Counter::InsertExisting, t as u64);
-                return Outcome::Done(false);
-            }
-            let free = ctx.layout.m - leaf.count();
-            if fresh_total <= free {
-                let fresh: Vec<(K::Owned, u64)> = run
-                    .iter()
-                    .zip(&present)
-                    .filter(|(_, p)| !**p)
-                    .map(|(e, _)| e.clone())
-                    .collect();
-                ctx.insert_run_into_leaf::<K>(off, &fresh);
-                consumed = t;
-                count = fresh_total;
-                ctx.metrics
-                    .add(Counter::InsertExisting, (t - fresh_total) as u64);
-                return Outcome::Done(true);
-            }
-            if free > 0 {
-                // The run overflows a leaf that is not yet full: fill the
-                // free slots with the run's fresh prefix (one commit) and
-                // let the remainder re-route; `split_leaf` requires a full
-                // leaf, so the next round splits it.
-                let mut fill: Vec<(K::Owned, u64)> = Vec::with_capacity(free);
-                for (idx, entry) in run.iter().enumerate() {
-                    if present[idx] {
-                        consumed = idx + 1;
-                        continue;
-                    }
-                    if fill.len() == free {
-                        break;
-                    }
-                    fill.push(entry.clone());
-                    consumed = idx + 1;
-                }
-                ctx.insert_run_into_leaf::<K>(off, &fill);
-                count = fill.len();
-                let dups = present[..consumed].iter().filter(|p| **p).count();
-                ctx.metrics.add(Counter::InsertExisting, dups as u64);
-                return Outcome::Done(true);
-            }
-            // Overflow of a full leaf: split once, stage the fitting prefix
-            // of each half. Each half keeps at least ⌊m/2⌋ free slots
-            // (m ≥ 2), so at least one key lands and the caller's loop
-            // terminates.
-            let (split_key, new_off) = ctx.split_leaf::<K>(groups, off, 0);
-            let mut lo_free = ctx.layout.m - ctx.leaf(off).count();
-            let mut hi_free = ctx.layout.m - ctx.leaf(new_off).count();
-            let mut lo_take: Vec<(K::Owned, u64)> = Vec::new();
-            let mut hi_take: Vec<(K::Owned, u64)> = Vec::new();
-            for (idx, entry) in run.iter().enumerate() {
-                if present[idx] {
-                    consumed = idx + 1;
-                    continue;
-                }
-                let (cap, bucket) = if entry.0 > split_key {
-                    (&mut hi_free, &mut hi_take)
-                } else {
-                    (&mut lo_free, &mut lo_take)
-                };
-                if *cap == 0 {
-                    // Prefix rule: the rest re-routes via the caller.
-                    break;
-                }
-                *cap -= 1;
-                bucket.push(entry.clone());
-                consumed = idx + 1;
-            }
-            assert!(
-                consumed > 0,
-                "insert_batch: split produced no free slot (leaf capacity 1)"
-            );
-            if !lo_take.is_empty() {
-                ctx.insert_run_into_leaf::<K>(off, &lo_take);
-            }
-            if !hi_take.is_empty() {
-                ctx.insert_run_into_leaf::<K>(new_off, &hi_take);
-            }
-            count = lo_take.len() + hi_take.len();
-            let dups = present[..consumed].iter().filter(|p| **p).count();
-            ctx.metrics.add(Counter::InsertExisting, dups as u64);
-            Outcome::Split {
-                key: split_key,
-                right: Node::Leaf(new_off),
-                result: true,
-            }
-        };
-        let outcome = Self::descend(ctx, groups, root, &head, &mut leaf_op);
-        self.apply_root_outcome(outcome);
-        self.len += count;
-        (consumed, count)
     }
 
     /// Removes many keys, clearing each touched leaf's run with **one**
@@ -271,50 +116,20 @@ impl<K: KeyKind> SingleTree<K> {
         let _t = metrics.time_op(Op::Remove);
         let checked = Arc::clone(&self.ctx.pool);
         let _op = checked.begin_checked_op("remove_batch");
-        let mut sorted = keys.to_vec();
-        sorted.sort();
-        sorted.dedup();
+        let sorted = sorted_keys(keys);
         let mut removed = 0usize;
         let mut i = 0;
         while i < sorted.len() {
-            let (leaf_off, prev) = self.root.find_leaf_and_prev(&sorted[i]);
+            let (off, prev) = self.root.find_leaf_and_prev(&sorted[i]);
             let mut j = i + 1;
-            while j < sorted.len() && self.root.find_leaf(&sorted[j]) == leaf_off {
+            while j < sorted.len() && self.root.find_leaf(&sorted[j]) == off {
                 j += 1;
             }
-            let leaf = self.ctx.leaf(leaf_off);
-            // Compact buffered entries into slots so the per-key probes and
-            // the emptied-leaf (`bm == 0`) decision see every live key.
-            if leaf.wbuf_count() > 0 {
-                leaf.wbuf_fold::<K>();
-            }
-            let slots: Vec<usize> = sorted[i..j]
-                .iter()
-                .filter_map(|k| leaf.find_slot::<K>(k))
-                .collect();
-            metrics.add(Counter::RemoveMisses, ((j - i) - slots.len()) as u64);
-            if !slots.is_empty() {
-                let bm = self.ctx.remove_run_from_leaf::<K>(leaf_off, &slots);
-                removed += slots.len();
-                self.len -= slots.len();
-                if bm == 0 {
-                    let is_only_leaf = prev.is_none() && leaf.next().is_null();
-                    if !is_only_leaf {
-                        self.ctx
-                            .delete_leaf(Some(&mut self.groups), leaf_off, prev, 0);
-                        Self::remove_leaf_from_index(&mut self.root, &sorted[i]);
-                        // Collapse a single-child root chain.
-                        loop {
-                            match &mut self.root {
-                                Node::Inner(inner) if inner.children.len() == 1 => {
-                                    let only = inner.children.pop().expect("one child");
-                                    self.root = only;
-                                }
-                                _ => break,
-                            }
-                        }
-                    }
-                }
+            let r = self.ctx.remove_run::<K>(off, &sorted[i..j], false);
+            self.len -= r.removed;
+            removed += r.removed;
+            if r.emptied {
+                self.unlink_leaf(off, prev, &sorted[i]);
             }
             i = j;
         }
@@ -360,127 +175,30 @@ impl<K: ConcKey> ConcurrentTree<K> {
         let mut inserted = 0usize;
         let mut i = 0;
         while i < sorted.len() {
-            let (consumed, fresh) = self.insert_batch_run(&sorted[i..]);
-            inserted += fresh;
-            i += consumed;
+            // Lock the leaf covering the first remaining key, extend the
+            // run while subsequent keys route to the same (locked,
+            // range-stable) leaf, and apply it with one commit. The right
+            // leaf of a mid-run split is unreachable until `publish_split`,
+            // so both halves are staged first — the same exposure window as
+            // the single-insert split path.
+            let rest = &sorted[i..];
+            let off = self.lock_leaf_for_write(&rest[0].0);
+            let mut t = 1;
+            while t < rest.len() && self.covered_by(off, &rest[t].0) {
+                t += 1;
+            }
+            let r = self
+                .ctx
+                .insert_run::<K>(off, &rest[..t], |off| self.split_locked_leaf(off));
+            if let Some((split_key, new_off)) = &r.split {
+                self.publish_split(split_key, off, *new_off);
+            }
+            self.ctx.leaf(off).unlock_version();
+            self.len.fetch_add(r.inserted, Ordering::Relaxed);
+            inserted += r.inserted;
+            i += r.consumed;
         }
         inserted
-    }
-
-    /// Locks the leaf covering `rest[0]`, extends the run while subsequent
-    /// keys route to the same (locked, range-stable) leaf, and applies it
-    /// with one commit — splitting at most once and staging both halves
-    /// before the split is published. Returns `(consumed, inserted)`;
-    /// consumption is always a nonempty prefix, so the caller terminates.
-    fn insert_batch_run(&self, rest: &[(K::Owned, u64)]) -> (usize, usize) {
-        let off = self.lock_leaf_for_write(&rest[0].0);
-        let leaf = self.ctx.leaf(off);
-        // Compact the append buffer under the leaf lock so the staged-run
-        // free-slot and present-key math below sees slot-only state
-        // (§5.12). Optimistic readers racing the fold fail validation.
-        if leaf.wbuf_count() > 0 {
-            leaf.wbuf_fold::<K>();
-        }
-        let mut t = 1;
-        while t < rest.len() && self.covered_by(off, &rest[t].0) {
-            t += 1;
-        }
-        let run = &rest[..t];
-        let present: Vec<bool> = run
-            .iter()
-            .map(|(k, _)| leaf.find_slot::<K>(k).is_some())
-            .collect();
-        let fresh_total = present.iter().filter(|p| !**p).count();
-        if fresh_total == 0 {
-            leaf.unlock_version();
-            self.ctx.metrics.add(Counter::InsertExisting, t as u64);
-            return (t, 0);
-        }
-        let free = self.ctx.layout.m - leaf.count();
-        if fresh_total <= free {
-            let fresh: Vec<(K::Owned, u64)> = run
-                .iter()
-                .zip(&present)
-                .filter(|(_, p)| !**p)
-                .map(|(e, _)| e.clone())
-                .collect();
-            self.ctx.insert_run_into_leaf::<K>(off, &fresh);
-            leaf.unlock_version();
-            self.ctx
-                .metrics
-                .add(Counter::InsertExisting, (t - fresh_total) as u64);
-            self.len.fetch_add(fresh_total, Ordering::Relaxed);
-            return (t, fresh_total);
-        }
-        if free > 0 {
-            // The run overflows a leaf that is not yet full: fill the free
-            // slots with the run's fresh prefix (one commit) and let the
-            // remainder re-route; splitting requires a full leaf, so the
-            // next round splits it.
-            let mut fill: Vec<(K::Owned, u64)> = Vec::with_capacity(free);
-            let mut consumed = 0usize;
-            for (idx, entry) in run.iter().enumerate() {
-                if present[idx] {
-                    consumed = idx + 1;
-                    continue;
-                }
-                if fill.len() == free {
-                    break;
-                }
-                fill.push(entry.clone());
-                consumed = idx + 1;
-            }
-            self.ctx.insert_run_into_leaf::<K>(off, &fill);
-            leaf.unlock_version();
-            let dups = present[..consumed].iter().filter(|p| **p).count();
-            self.ctx.metrics.add(Counter::InsertExisting, dups as u64);
-            self.len.fetch_add(fill.len(), Ordering::Relaxed);
-            return (consumed, fill.len());
-        }
-        // Overflow of a full leaf: split once. The right leaf is
-        // unreachable until `publish_split`, so both halves are staged
-        // first — the same exposure window as the single-insert split path.
-        let (split_key, new_off) = self.split_locked_leaf(off);
-        let mut lo_free = self.ctx.layout.m - self.ctx.leaf(off).count();
-        let mut hi_free = self.ctx.layout.m - self.ctx.leaf(new_off).count();
-        let mut lo_take: Vec<(K::Owned, u64)> = Vec::new();
-        let mut hi_take: Vec<(K::Owned, u64)> = Vec::new();
-        let mut consumed = 0usize;
-        for (idx, entry) in run.iter().enumerate() {
-            if present[idx] {
-                consumed = idx + 1;
-                continue;
-            }
-            let (cap, bucket) = if entry.0 > split_key {
-                (&mut hi_free, &mut hi_take)
-            } else {
-                (&mut lo_free, &mut lo_take)
-            };
-            if *cap == 0 {
-                // Prefix rule: the rest re-routes through the updated index.
-                break;
-            }
-            *cap -= 1;
-            bucket.push(entry.clone());
-            consumed = idx + 1;
-        }
-        assert!(
-            consumed > 0,
-            "insert_batch: split produced no free slot (leaf capacity 1)"
-        );
-        if !lo_take.is_empty() {
-            self.ctx.insert_run_into_leaf::<K>(off, &lo_take);
-        }
-        if !hi_take.is_empty() {
-            self.ctx.insert_run_into_leaf::<K>(new_off, &hi_take);
-        }
-        self.publish_split(&split_key, off, new_off);
-        leaf.unlock_version();
-        let n = lo_take.len() + hi_take.len();
-        let dups = present[..consumed].iter().filter(|p| **p).count();
-        self.ctx.metrics.add(Counter::InsertExisting, dups as u64);
-        self.len.fetch_add(n, Ordering::Relaxed);
-        (consumed, n)
     }
 
     /// Concurrent batched remove: one p-atomic commit clears each touched
@@ -494,68 +212,26 @@ impl<K: ConcKey> ConcurrentTree<K> {
         }
         let _t = self.ctx.metrics.time_op(Op::Remove);
         let _op = self.ctx.pool.begin_checked_op("remove_batch");
-        let mut sorted = keys.to_vec();
-        sorted.sort();
-        sorted.dedup();
+        let sorted = sorted_keys(keys);
         let mut removed = 0usize;
         let mut i = 0;
         while i < sorted.len() {
-            let (consumed, n) = self.remove_batch_run(&sorted[i..]);
-            removed += n;
-            i += consumed;
+            let rest = &sorted[i..];
+            let off = self.lock_leaf_for_write(&rest[0]);
+            let mut t = 1;
+            while t < rest.len() && self.covered_by(off, &rest[t]) {
+                t += 1;
+            }
+            let r = self.ctx.remove_run::<K>(off, &rest[..t], true);
+            self.ctx.leaf(off).unlock_version();
+            self.len.fetch_sub(r.removed, Ordering::Relaxed);
+            removed += r.removed;
+            if let Some(last) = r.held_back {
+                removed += self.remove(&rest[last]) as usize;
+            }
+            i += t;
         }
         removed
-    }
-
-    /// Clears the run at the front of `rest` under one leaf lock. Returns
-    /// `(consumed, removed)`.
-    fn remove_batch_run(&self, rest: &[K::Owned]) -> (usize, usize) {
-        let off = self.lock_leaf_for_write(&rest[0]);
-        let leaf = self.ctx.leaf(off);
-        // Fold first: the probes and the `count() == slots.len()` emptied-
-        // leaf decision below are only correct against slot-only state.
-        if leaf.wbuf_count() > 0 {
-            leaf.wbuf_fold::<K>();
-        }
-        let mut t = 1;
-        while t < rest.len() && self.covered_by(off, &rest[t]) {
-            t += 1;
-        }
-        let run = &rest[..t];
-        let mut slots: Vec<usize> = Vec::new();
-        let mut last_found: Option<&K::Owned> = None;
-        for key in run {
-            if let Some(slot) = leaf.find_slot::<K>(key) {
-                slots.push(slot);
-                last_found = Some(key);
-            }
-        }
-        self.ctx
-            .metrics
-            .add(Counter::RemoveMisses, (t - slots.len()) as u64);
-        if slots.is_empty() {
-            leaf.unlock_version();
-            return (t, 0);
-        }
-        if leaf.count() == slots.len() {
-            // The run would empty the leaf. Keep the last found key so the
-            // leaf never empties under this lock alone, then remove it via
-            // the single-key path (which locks the predecessor as needed).
-            slots.pop();
-            if !slots.is_empty() {
-                self.ctx.remove_run_from_leaf::<K>(off, &slots);
-                self.len.fetch_sub(slots.len(), Ordering::Relaxed);
-            }
-            leaf.unlock_version();
-            let last = last_found.expect("run has at least one found key").clone();
-            let tail = self.remove(&last) as usize;
-            return (t, slots.len() + tail);
-        }
-        let n = slots.len();
-        self.ctx.remove_run_from_leaf::<K>(off, &slots);
-        leaf.unlock_version();
-        self.len.fetch_sub(n, Ordering::Relaxed);
-        (t, n)
     }
 }
 

@@ -10,9 +10,14 @@
 //!    for deletes of a dying leaf, its predecessor), decide whether a split
 //!    is needed, validate, commit;
 //! 2. outside: split (micro-logged) and/or modify the leaf, persist, commit
-//!    with one p-atomic bitmap write;
+//!    with one p-atomic bitmap write — the leaf-mutation kernel shared with
+//!    the single-threaded tree ([`crate::leafops`], DESIGN.md §5.14);
 //! 3. if the structure changed: a short exclusive section updates the
 //!    parents; finally the leaf locks are released.
+//!
+//! This file therefore holds only what differs from [`crate::single`]: the
+//! atomic inner nodes, the speculative locate-and-lock sections, and the
+//! exclusive index updates.
 //!
 //! ## Emulation-specific mechanics (see DESIGN.md §2)
 //!
@@ -27,7 +32,7 @@
 //!   word is a valid encoding, and the global validation rejects the
 //!   traversal whenever a structural writer overlapped it;
 //! * inner nodes and interned variable keys are retired to a graveyard
-//!   (freed at drop / rebuild), never mid-run, so optimistic readers can
+//!   (freed when the tree drops), never mid-run, so optimistic readers can
 //!   always dereference what they loaded.
 
 use std::cmp::Ordering as CmpOrdering;
@@ -38,7 +43,7 @@ use std::time::Instant;
 
 use crossbeam_queue::ArrayQueue;
 use fptree_htm::{Abort, SpecLock};
-use fptree_pmem::{PmemPool, RawPPtr};
+use fptree_pmem::PmemPool;
 use parking_lot::Mutex;
 
 use crate::api::Error;
@@ -46,10 +51,11 @@ use crate::config::TreeConfig;
 use crate::groups::GroupMgr;
 use crate::keys::{FixedKey, KeyKind, VarKey};
 use crate::layout::LeafLayout;
+use crate::leafops::{Ctx, WriteMode};
 use crate::meta::{TreeMeta, STATUS_READY};
 use crate::metrics::{Counter, Metrics, Op, RecoveryStats, Snapshot};
+use crate::recovery::{recover, stamp_build};
 use crate::scan::{ConcScan, ScanBounds};
-use crate::single::{Ctx, SingleTree};
 
 /// Traversal depth bound: a torn optimistic read can cycle; anything deeper
 /// than this is declared a conflict.
@@ -97,7 +103,7 @@ impl ConcKey for VarKey {
         }
         // SAFETY: non-zero encodings in inner-key slots are only ever
         // produced by `Interner::intern`, and interned buffers are not
-        // freed until the tree drops or rebuilds under the exclusive lock.
+        // freed until the tree drops.
         let buf = unsafe { &*(enc as *const Box<[u8]>) };
         (**buf).cmp(key.as_slice())
     }
@@ -119,10 +125,6 @@ impl Interner {
         let ptr = &*boxed as *const Box<[u8]> as u64;
         self.bufs.lock().push(boxed);
         ptr
-    }
-
-    fn clear(&self) {
-        self.bufs.lock().clear();
     }
 
     fn bytes(&self) -> usize {
@@ -167,14 +169,6 @@ fn enc_leaf_off(enc: u64) -> u64 {
     enc >> 1
 }
 
-/// Decision computed inside the speculative section of a delete.
-enum WriteDecision {
-    /// Leaf locked; plain in-leaf delete.
-    Leaf { off: u64 },
-    /// Leaf and its predecessor locked; the leaf will be unlinked.
-    LeafEmpty { off: u64, prev: Option<u64> },
-}
-
 /// A concurrent, persistent, hybrid SCM-DRAM B+-Tree (the paper's FPTreeC).
 ///
 /// All operations take `&self` and are safe to call from many threads.
@@ -205,7 +199,7 @@ pub struct ConcurrentTree<K: ConcKey> {
     pub(crate) ctx: Ctx,
     pub(crate) lock: SpecLock,
     root: AtomicU64,
-    /// Every CNode ever allocated; freed only on drop/rebuild. Boxed so
+    /// Every CNode ever allocated; freed only on drop. Boxed so
     /// node addresses stay stable while the Vec grows (optimistic readers
     /// hold raw pointers).
     #[allow(clippy::vec_box)]
@@ -233,13 +227,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
         let _op = checked.begin_checked_op("tree_create");
         let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
         let meta = TreeMeta::create(&pool, &cfg, K::SLOT_SIZE, K::IS_VAR, N_LOGS, owner_slot);
-        let ctx = Ctx {
-            pool,
-            cfg,
-            layout,
-            meta,
-            metrics: Arc::new(Metrics::new()),
-        };
+        let ctx = Ctx::new(pool, cfg, layout, meta);
         ctx.metrics.inc(Counter::LeafAllocs);
         let head = ctx
             .pool
@@ -265,75 +253,27 @@ impl<K: ConcKey> ConcurrentTree<K> {
     /// [`Self::open`] with an explicit recovery worker count (0 means the
     /// default); the recovered tree is identical for every `threads` value.
     pub fn open_with(pool: Arc<PmemPool>, owner_slot: u64, threads: usize) -> Result<Self, Error> {
-        let threads = if threads == 0 {
-            crate::config::default_recovery_threads()
+        let r = recover::<K>(pool, owner_slot, threads)?;
+        let mut t = Self::empty(r.ctx);
+        t.len.store(r.len, Ordering::Relaxed);
+        // Phase 4 — build the atomic index bottom-up, level by level.
+        let start = Instant::now();
+        let root = if r.entries.is_empty() {
+            leaf_enc(t.ctx.meta.head(&t.ctx.pool).offset)
         } else {
-            threads
-        };
-        let checked = Arc::clone(&pool);
-        let _op = checked.begin_checked_op("tree_open");
-        if owner_slot == 0 || !owner_slot.is_multiple_of(8) || !pool.in_bounds(owner_slot, 16) {
-            return Err(Error::corrupt("owner slot", owner_slot));
-        }
-        let owner: RawPPtr = pool.read_at(owner_slot);
-        if owner.is_null() {
-            return Err(Error::corrupt("no tree metadata at owner slot", owner_slot));
-        }
-        let meta = TreeMeta::open(&pool, owner.offset)?;
-        let (cfg, key_slot, var) = meta.stored_config(&pool);
-        if key_slot != K::SLOT_SIZE || var != K::IS_VAR {
-            return Err(Error::corrupt(
-                "tree was created with a different key kind",
-                meta.off,
-            ));
-        }
-        cfg.try_validate()
-            .map_err(|e| Error::corrupt(format!("stored configuration: {e}"), meta.off))?;
-        let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
-        let group_bytes = cfg
-            .leaf_group_size
-            .checked_mul(layout.size)
-            .and_then(|b| b.checked_add(crate::groups::GROUP_HEADER as usize));
-        if group_bytes.is_none_or(|b| b > pool.capacity()) {
-            return Err(Error::corrupt(
-                format!("stored leaf-group size {}", cfg.leaf_group_size),
-                meta.off,
-            ));
-        }
-        let ctx = Ctx {
-            pool,
-            cfg,
-            layout,
-            meta,
-            metrics: Arc::new(Metrics::new()),
-        };
-        ctx.metrics.inc(Counter::RecoveryRebuilds);
-
-        let t0 = Instant::now();
-        if meta.status(&ctx.pool) != STATUS_READY {
-            if meta.head(&ctx.pool).is_null() {
-                let head = ctx.pool.allocate(meta.head_slot(), layout.size)?;
-                ctx.zero_leaf(head);
-            } else {
-                let head = meta.head(&ctx.pool).offset;
-                ctx.check_leaf_ptr(head, "leaf-list head")?;
-                ctx.zero_leaf(head);
+            let fanout = t.ctx.cfg.inner_fanout;
+            let mut level: Vec<(K::Owned, u64)> = r
+                .entries
+                .into_iter()
+                .map(|(k, off)| (k, leaf_enc(off)))
+                .collect();
+            while level.len() > 1 {
+                level = t.build_level(&level, fanout, r.threads);
             }
-            meta.set_status(&ctx.pool, STATUS_READY);
-        }
-        for i in 0..meta.n_logs {
-            ctx.recover_split::<K>(i)?;
-        }
-        for i in 0..meta.n_logs {
-            ctx.recover_delete(i)?;
-        }
-        let replay_us = t0.elapsed().as_micros() as u64;
-
-        let mut t = Self::empty(ctx);
-        let mut stats = t.rebuild_with(threads)?;
-        stats.threads = threads;
-        stats.replay_us = replay_us;
-        t.recovery = Some(stats);
+            level[0].1
+        };
+        t.root.store(root, Ordering::Release);
+        t.recovery = stamp_build(r.stats, start);
         Ok(t)
     }
 
@@ -353,47 +293,6 @@ impl<K: ConcKey> ConcurrentTree<K> {
             recovery: None,
             _marker: std::marker::PhantomData,
         }
-    }
-
-    /// Rebuilds the volatile index from the audited leaf chain (recovery,
-    /// phases 2–4 of the pipeline shared with [`SingleTree`]). Not
-    /// thread-safe towards tree operations: callers own the tree.
-    fn rebuild_with(&self, threads: usize) -> Result<RecoveryStats, Error> {
-        let ctx = &self.ctx;
-        let mut stats = RecoveryStats::default();
-
-        let t = Instant::now();
-        let chain = SingleTree::<K>::harvest_chain(ctx, threads)?;
-        stats.harvest_us = t.elapsed().as_micros() as u64;
-        stats.leaves = chain.len() as u64;
-
-        let t = Instant::now();
-        let audits = SingleTree::<K>::audit_leaves(ctx, &chain, threads)?;
-        let (entries, _in_tree, len) = SingleTree::<K>::sweep(ctx, &chain, &audits);
-        stats.audit_us = t.elapsed().as_micros() as u64;
-        self.len.store(len, Ordering::Relaxed);
-
-        // Build the atomic index bottom-up, level by level.
-        let t = Instant::now();
-        self.nodes.lock().clear();
-        self.intern.clear();
-        if entries.is_empty() {
-            self.root
-                .store(leaf_enc(ctx.meta.head(&ctx.pool).offset), Ordering::Release);
-            stats.build_us = t.elapsed().as_micros() as u64;
-            return Ok(stats);
-        }
-        let fanout = ctx.cfg.inner_fanout;
-        let mut level: Vec<(K::Owned, u64)> = entries
-            .into_iter()
-            .map(|(k, off)| (k, leaf_enc(off)))
-            .collect();
-        while level.len() > 1 {
-            level = self.build_level(&level, fanout, threads);
-        }
-        self.root.store(level[0].1, Ordering::Release);
-        stats.build_us = t.elapsed().as_micros() as u64;
-        Ok(stats)
     }
 
     /// Packs one level's `(max_key, child_enc)` pairs into parent CNodes
@@ -449,8 +348,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
         let boxed = CNode::new(self.ctx.cfg.inner_fanout);
         let ptr = &*boxed as *const CNode;
         self.nodes.lock().push(boxed);
-        // SAFETY: boxes in `nodes` are only dropped when the tree drops or
-        // rebuilds, and rebuild is exclusive.
+        // SAFETY: boxes in `nodes` are only dropped when the tree drops.
         unsafe { &*ptr }
     }
 
@@ -469,21 +367,21 @@ impl<K: ConcKey> ConcurrentTree<K> {
                 return Ok(enc_leaf_off(enc));
             }
             // SAFETY: non-leaf encodings are addresses of CNodes owned by
-            // `self.nodes`, which only drops them on tree drop or under the
-            // exclusive rebuild lock.
+            // `self.nodes`, which only drops them when the tree drops.
             let node = unsafe { &*(enc as *const CNode) };
-            enc = self.child_of(node, key);
+            let idx = self.child_index(node, key);
+            enc = node.children[idx].load(Ordering::Acquire);
         }
         Err(Abort)
     }
 
-    /// One level of descent: binary search over the (clamped) key prefix.
-    fn child_of(&self, node: &CNode, key: &K::Owned) -> u64 {
+    /// One level of descent: index of the child covering `key`, by binary
+    /// search over the (clamped) key prefix.
+    fn child_index(&self, node: &CNode, key: &K::Owned) -> usize {
         let cap = self.ctx.cfg.inner_fanout;
         let count = node.count.load(Ordering::Acquire).clamp(1, cap + 1);
-        let nkeys = count - 1;
         let mut lo = 0usize;
-        let mut hi = nkeys;
+        let mut hi = count - 1;
         while lo < hi {
             let mid = (lo + hi) / 2;
             match K::cmp_encoded(node.keys[mid].load(Ordering::Acquire), key) {
@@ -491,11 +389,12 @@ impl<K: ConcKey> ConcurrentTree<K> {
                 _ => hi = mid,
             }
         }
-        node.children[lo].load(Ordering::Acquire)
+        lo
     }
 
     /// Optimistic descent also returning the predecessor leaf (Algorithm 5's
-    /// `FindLeafAndPrevLeaf`).
+    /// `FindLeafAndPrevLeaf`): the rightmost leaf of the nearest left
+    /// sibling subtree on the descent path.
     fn traverse_with_prev(&self, key: &K::Owned) -> Result<(u64, Option<u64>), Abort> {
         let mut enc = self.root.load(Ordering::Acquire);
         let mut left: Option<u64> = None;
@@ -511,24 +410,13 @@ impl<K: ConcKey> ConcurrentTree<K> {
                 return Ok((enc_leaf_off(enc), prev));
             }
             // SAFETY: as in `traverse` — CNodes live in `self.nodes` until
-            // drop/rebuild.
+            // the tree drops.
             let node = unsafe { &*(enc as *const CNode) };
-            let cap = self.ctx.cfg.inner_fanout;
-            let count = node.count.load(Ordering::Acquire).clamp(1, cap + 1);
-            let nkeys = count - 1;
-            let mut lo = 0usize;
-            let mut hi = nkeys;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                match K::cmp_encoded(node.keys[mid].load(Ordering::Acquire), key) {
-                    CmpOrdering::Less => lo = mid + 1,
-                    _ => hi = mid,
-                }
+            let idx = self.child_index(node, key);
+            if idx > 0 {
+                left = Some(node.children[idx - 1].load(Ordering::Acquire));
             }
-            if lo > 0 {
-                left = Some(node.children[lo - 1].load(Ordering::Acquire));
-            }
-            enc = node.children[lo].load(Ordering::Acquire);
+            enc = node.children[idx].load(Ordering::Acquire);
         }
         Err(Abort)
     }
@@ -542,7 +430,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
                 return Ok(enc_leaf_off(enc));
             }
             // SAFETY: as in `traverse` — CNodes live in `self.nodes` until
-            // drop/rebuild.
+            // the tree drops.
             let node = unsafe { &*(enc as *const CNode) };
             let cap = self.ctx.cfg.inner_fanout;
             let count = node.count.load(Ordering::Acquire).clamp(1, cap + 1);
@@ -630,107 +518,67 @@ impl<K: ConcKey> ConcurrentTree<K> {
         })
     }
 
+    /// Insert / update: lock → kernel → publish split → unlock → len.
+    fn write(&self, key: &K::Owned, value: u64, mode: WriteMode) -> bool {
+        let _t = self.ctx.metrics.time_op(mode.op());
+        let _op = self.ctx.pool.begin_checked_op(mode.label());
+        let off = self.lock_leaf_for_write(key);
+        let w = self
+            .ctx
+            .write_one::<K>(off, key, value, mode, |off| self.split_locked_leaf(off));
+        if let Some((split_key, new_off)) = &w.split {
+            // The right leaf is unreachable until here, so the kernel
+            // placed the key before any reader can see either half.
+            self.publish_split(split_key, off, *new_off);
+        }
+        self.ctx.leaf(off).unlock_version();
+        if w.applied && matches!(mode, WriteMode::Insert) {
+            self.len.fetch_add(1, Ordering::Relaxed);
+        }
+        w.applied
+    }
+
     /// Concurrent Insert (Algorithm 2). Returns false if the key exists.
     pub fn insert(&self, key: &K::Owned, value: u64) -> bool {
-        let _t = self.ctx.metrics.time_op(Op::Insert);
-        let _op = self.ctx.pool.begin_checked_op("insert");
-        let off = self.lock_leaf_for_write(key);
-        let leaf = self.ctx.leaf(off);
-        let live = leaf.wbuf_count();
-        if leaf.find_buffered::<K>(key, live).is_some() || leaf.find_slot::<K>(key).is_some() {
-            leaf.unlock_version();
-            self.ctx.metrics.inc(Counter::InsertExisting);
-            return false;
-        }
-        // Fast path (§5.12): one p-atomic entry publish instead of the
-        // slot + fingerprint + bitmap persist sequence. The room condition
-        // guarantees a later fold always finds enough free slots.
-        if live < self.ctx.layout.wbuf_entries && leaf.count() + live < self.ctx.layout.m {
-            leaf.wbuf_append::<K>(live, key, value);
-            leaf.unlock_version();
-            self.len.fetch_add(1, Ordering::Relaxed);
-            return true;
-        }
-        if live > 0 {
-            leaf.wbuf_fold::<K>();
-            if leaf.count() < self.ctx.layout.m {
-                leaf.wbuf_append::<K>(0, key, value);
-                leaf.unlock_version();
-                self.len.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-        if leaf.is_full() {
-            let (split_key, new_off) = self.split_locked_leaf(off);
-            let target = if *key > split_key { new_off } else { off };
-            if self.ctx.layout.wbuf_entries > 0 {
-                self.ctx.leaf(target).wbuf_append::<K>(0, key, value);
-            } else {
-                self.ctx.insert_into_leaf::<K>(target, key, value);
-            }
-            self.publish_split(&split_key, off, new_off);
-            leaf.unlock_version();
-        } else {
-            self.ctx.insert_into_leaf::<K>(off, key, value);
-            leaf.unlock_version();
-        }
-        self.len.fetch_add(1, Ordering::Relaxed);
-        true
+        self.write(key, value, WriteMode::Insert)
     }
 
     /// Concurrent Update (Algorithm 8). Returns false if the key is absent.
     pub fn update(&self, key: &K::Owned, value: u64) -> bool {
-        let _t = self.ctx.metrics.time_op(Op::Update);
-        let _op = self.ctx.pool.begin_checked_op("update");
-        let off = self.lock_leaf_for_write(key);
-        let leaf = self.ctx.leaf(off);
-        let live = leaf.wbuf_count();
-        if leaf.find_buffered::<K>(key, live).is_none() && leaf.find_slot::<K>(key).is_none() {
-            leaf.unlock_version();
-            self.ctx.metrics.inc(Counter::UpdateMisses);
-            return false;
-        }
-        // Buffered update (§5.12): a fresh appended entry shadows any older
-        // buffered entry or slot for the same key — probes are newest-first.
-        if live < self.ctx.layout.wbuf_entries && leaf.count() + live < self.ctx.layout.m {
-            leaf.wbuf_append::<K>(live, key, value);
-            leaf.unlock_version();
-            return true;
-        }
-        if live > 0 {
-            leaf.wbuf_fold::<K>();
-            if leaf.count() < self.ctx.layout.m {
-                leaf.wbuf_append::<K>(0, key, value);
-                leaf.unlock_version();
-                return true;
-            }
-        }
-        let slot = leaf
-            .find_slot::<K>(key)
-            .expect("folded key must occupy a slot");
-        if leaf.is_full() {
-            let (split_key, new_off) = self.split_locked_leaf(off);
-            let target = if *key > split_key { new_off } else { off };
-            let tslot = self
-                .ctx
-                .leaf(target)
-                .find_slot::<K>(key)
-                .expect("key must survive its leaf's split");
-            self.ctx.update_in_leaf::<K>(target, tslot, value);
-            self.publish_split(&split_key, off, new_off);
-            leaf.unlock_version();
-        } else {
-            self.ctx.update_in_leaf::<K>(off, slot, value);
-            leaf.unlock_version();
-        }
-        true
+        self.write(key, value, WriteMode::Update { expected: None })
+    }
+
+    /// Updates `key` to `value` only if its current value equals `expected`
+    /// — the compare-and-update a caching layer needs to replace a mapping
+    /// it read without clobbering (and leaking) a concurrent writer's fresh
+    /// value. Returns false if the key is absent or its value changed.
+    pub fn update_if(&self, key: &K::Owned, expected: u64, value: u64) -> bool {
+        let expected = Some(expected);
+        self.write(key, value, WriteMode::Update { expected })
     }
 
     /// Concurrent Delete (Algorithm 5). Returns false if the key is absent.
     pub fn remove(&self, key: &K::Owned) -> bool {
+        self.remove_guarded(key, None)
+    }
+
+    /// Removes `key` only if its current value equals `expected` — the
+    /// compare-and-remove an evictor needs: between deciding to evict and
+    /// removing, a concurrent `set` may have published a fresh value under
+    /// the same key, and unconditionally removing would drop that fresh
+    /// mapping. Returns false if the key is absent or its value changed.
+    pub fn remove_if(&self, key: &K::Owned, expected: u64) -> bool {
+        self.remove_guarded(key, Some(expected))
+    }
+
+    /// Remove: lock (leaf, and the predecessor of a dying leaf) → kernel →
+    /// unlink → unlock → len.
+    fn remove_guarded(&self, key: &K::Owned, expected: Option<u64>) -> bool {
         let _t = self.ctx.metrics.time_op(Op::Remove);
         let _op = self.ctx.pool.begin_checked_op("remove");
-        let decision = self.lock.execute(|tx| {
+        // `unlink` is `Some(prev)` when the leaf is dying and its
+        // predecessor (if any) is locked too: its next pointer will change.
+        let (off, unlink) = self.lock.execute(|tx| {
             let (off, prev) = self.traverse_with_prev(key)?;
             let leaf = self.ctx.leaf(off);
             let Some(v) = leaf.version() else {
@@ -744,88 +592,30 @@ impl<K: ConcKey> ConcurrentTree<K> {
             // any writer intervened since `v` was read.
             let dying = leaf.count() + leaf.wbuf_fresh_keys::<K>() == 1
                 && !(prev.is_none() && leaf.next().is_null());
-            if dying {
-                // Lock the predecessor too: its next pointer will change.
-                if let Some(p) = prev {
-                    let pl = self.ctx.leaf(p);
-                    let Some(pv) = pl.version() else {
-                        self.ctx.metrics.inc(Counter::LeafLockSpins);
-                        return Err(Abort);
-                    };
-                    if !pl.try_lock_version(pv) {
-                        self.ctx.metrics.inc(Counter::LeafLockSpins);
-                        return Err(Abort);
-                    }
-                }
-                if !leaf.try_lock_version(v) {
-                    if let Some(p) = prev {
-                        self.ctx.leaf(p).unlock_version();
-                    }
+            let prev_leaf = prev.filter(|_| dying).map(|p| self.ctx.leaf(p));
+            if let Some(pl) = &prev_leaf {
+                if !pl.version().is_some_and(|pv| pl.try_lock_version(pv)) {
                     self.ctx.metrics.inc(Counter::LeafLockSpins);
                     return Err(Abort);
                 }
-                if !tx.validate() {
-                    leaf.unlock_version();
-                    if let Some(p) = prev {
-                        self.ctx.leaf(p).unlock_version();
-                    }
-                    self.ctx.metrics.inc(Counter::SeqlockConflicts);
-                    return Err(Abort);
-                }
-                Ok(WriteDecision::LeafEmpty { off, prev })
-            } else {
-                if !leaf.try_lock_version(v) {
-                    self.ctx.metrics.inc(Counter::LeafLockSpins);
-                    return Err(Abort);
-                }
-                if !tx.validate() {
-                    leaf.unlock_version();
-                    self.ctx.metrics.inc(Counter::SeqlockConflicts);
-                    return Err(Abort);
-                }
-                Ok(WriteDecision::Leaf { off })
             }
+            if !leaf.try_lock_version(v) {
+                self.ctx.metrics.inc(Counter::LeafLockSpins);
+            } else if tx.validate() {
+                return Ok((off, dying.then_some(prev)));
+            } else {
+                leaf.unlock_version();
+                self.ctx.metrics.inc(Counter::SeqlockConflicts);
+            }
+            if let Some(pl) = &prev_leaf {
+                pl.unlock_version();
+            }
+            Err(Abort)
         });
 
-        match decision {
-            WriteDecision::Leaf { off } => {
-                let leaf = self.ctx.leaf(off);
-                // Fold under the lock: removal must clear a *slot* so the
-                // buffer's prefix-validity invariant survives (§5.12).
-                if leaf.wbuf_count() > 0 {
-                    leaf.wbuf_fold::<K>();
-                }
-                let Some(slot) = leaf.find_slot::<K>(key) else {
-                    leaf.unlock_version();
-                    self.ctx.metrics.inc(Counter::RemoveMisses);
-                    return false;
-                };
-                let bm = leaf.bitmap() & !(1 << slot);
-                leaf.commit_bitmap(bm);
-                K::release_slot(&self.ctx.pool, leaf.key_off(slot));
-                leaf.unlock_version();
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                true
-            }
-            WriteDecision::LeafEmpty { off, prev } => {
-                let leaf = self.ctx.leaf(off);
-                // The single live key may sit in the append buffer; fold it
-                // into a slot first so the unlink below empties the bitmap.
-                if leaf.wbuf_count() > 0 {
-                    leaf.wbuf_fold::<K>();
-                }
-                let Some(slot) = leaf.find_slot::<K>(key) else {
-                    leaf.unlock_version();
-                    if let Some(p) = prev {
-                        self.ctx.leaf(p).unlock_version();
-                    }
-                    self.ctx.metrics.inc(Counter::RemoveMisses);
-                    return false;
-                };
-                let bm = leaf.bitmap() & !(1 << slot);
-                leaf.commit_bitmap(bm);
-                K::release_slot(&self.ctx.pool, leaf.key_off(slot));
-
+        let r = self.ctx.remove_one::<K>(off, key, expected);
+        match unlink {
+            Some(prev) if r.emptied => {
                 // Inner nodes change inside an exclusive section (the paper
                 // does this inside the TSX transaction), making the leaf
                 // unreachable for new traversals.
@@ -834,177 +624,20 @@ impl<K: ConcKey> ConcurrentTree<K> {
                     self.remove_from_parents(key, leaf_enc(off));
                 }
                 // Persistent unlink + deallocation outside (Algorithm 6).
-                let li = self.take_log();
-                self.ctx.delete_leaf(None, off, prev, li);
-                self.log_queue.push(li).ok();
-                if let Some(p) = prev {
-                    self.ctx.leaf(p).unlock_version();
-                }
                 // The deleted leaf's lock dies with it (unreachable).
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                true
-            }
-        }
-    }
-
-    /// Updates `key` to `value` only if its current value equals `expected`
-    /// — the compare-and-update a caching layer needs to replace a mapping
-    /// it read without clobbering (and leaking) a concurrent writer's fresh
-    /// value. Returns false if the key is absent or its value changed.
-    pub fn update_if(&self, key: &K::Owned, expected: u64, value: u64) -> bool {
-        let _t = self.ctx.metrics.time_op(Op::Update);
-        let _op = self.ctx.pool.begin_checked_op("update");
-        let off = self.lock_leaf_for_write(key);
-        let leaf = self.ctx.leaf(off);
-        // Fold first (§5.12): the expected-value guard must compare against
-        // the *newest* value, which may sit in the append buffer; after the
-        // fold the slot array holds it.
-        if leaf.wbuf_count() > 0 {
-            leaf.wbuf_fold::<K>();
-        }
-        let slot = match leaf.find_slot::<K>(key) {
-            Some(s) if leaf.value(s) == expected => s,
-            _ => {
-                leaf.unlock_version();
-                self.ctx.metrics.inc(Counter::UpdateMisses);
-                return false;
-            }
-        };
-        if leaf.is_full() {
-            let (split_key, new_off) = self.split_locked_leaf(off);
-            let target = if *key > split_key { new_off } else { off };
-            let tslot = self
-                .ctx
-                .leaf(target)
-                .find_slot::<K>(key)
-                .expect("key must survive its leaf's split");
-            self.ctx.update_in_leaf::<K>(target, tslot, value);
-            self.publish_split(&split_key, off, new_off);
-            leaf.unlock_version();
-        } else {
-            self.ctx.update_in_leaf::<K>(off, slot, value);
-            leaf.unlock_version();
-        }
-        true
-    }
-
-    /// Removes `key` only if its current value equals `expected` — the
-    /// compare-and-remove an evictor needs: between deciding to evict and
-    /// removing, a concurrent `set` may have published a fresh value under
-    /// the same key, and unconditionally removing would drop that fresh
-    /// mapping. Returns false if the key is absent or its value changed.
-    pub fn remove_if(&self, key: &K::Owned, expected: u64) -> bool {
-        let _t = self.ctx.metrics.time_op(Op::Remove);
-        let _op = self.ctx.pool.begin_checked_op("remove");
-        let decision = self.lock.execute(|tx| {
-            let (off, prev) = self.traverse_with_prev(key)?;
-            let leaf = self.ctx.leaf(off);
-            let Some(v) = leaf.version() else {
-                self.ctx.metrics.inc(Counter::LeafLockSpins);
-                return Err(Abort);
-            };
-            // Distinct live-key count, as in `remove` (§5.12).
-            let dying = leaf.count() + leaf.wbuf_fresh_keys::<K>() == 1
-                && !(prev.is_none() && leaf.next().is_null());
-            if dying {
-                if let Some(p) = prev {
-                    let pl = self.ctx.leaf(p);
-                    let Some(pv) = pl.version() else {
-                        self.ctx.metrics.inc(Counter::LeafLockSpins);
-                        return Err(Abort);
-                    };
-                    if !pl.try_lock_version(pv) {
-                        self.ctx.metrics.inc(Counter::LeafLockSpins);
-                        return Err(Abort);
-                    }
-                }
-                if !leaf.try_lock_version(v) {
-                    if let Some(p) = prev {
-                        self.ctx.leaf(p).unlock_version();
-                    }
-                    self.ctx.metrics.inc(Counter::LeafLockSpins);
-                    return Err(Abort);
-                }
-                if !tx.validate() {
-                    leaf.unlock_version();
-                    if let Some(p) = prev {
-                        self.ctx.leaf(p).unlock_version();
-                    }
-                    self.ctx.metrics.inc(Counter::SeqlockConflicts);
-                    return Err(Abort);
-                }
-                Ok(WriteDecision::LeafEmpty { off, prev })
-            } else {
-                if !leaf.try_lock_version(v) {
-                    self.ctx.metrics.inc(Counter::LeafLockSpins);
-                    return Err(Abort);
-                }
-                if !tx.validate() {
-                    leaf.unlock_version();
-                    self.ctx.metrics.inc(Counter::SeqlockConflicts);
-                    return Err(Abort);
-                }
-                Ok(WriteDecision::Leaf { off })
-            }
-        });
-
-        match decision {
-            WriteDecision::Leaf { off } => {
-                let leaf = self.ctx.leaf(off);
-                // Fold first: the value guard must see the newest (possibly
-                // buffered) value, and removal must clear a slot (§5.12).
-                if leaf.wbuf_count() > 0 {
-                    leaf.wbuf_fold::<K>();
-                }
-                let slot = match leaf.find_slot::<K>(key) {
-                    Some(s) if leaf.value(s) == expected => s,
-                    _ => {
-                        leaf.unlock_version();
-                        self.ctx.metrics.inc(Counter::RemoveMisses);
-                        return false;
-                    }
-                };
-                let bm = leaf.bitmap() & !(1 << slot);
-                leaf.commit_bitmap(bm);
-                K::release_slot(&self.ctx.pool, leaf.key_off(slot));
-                leaf.unlock_version();
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                true
-            }
-            WriteDecision::LeafEmpty { off, prev } => {
-                let leaf = self.ctx.leaf(off);
-                // As in `remove`: the last live key may be buffered.
-                if leaf.wbuf_count() > 0 {
-                    leaf.wbuf_fold::<K>();
-                }
-                let slot = match leaf.find_slot::<K>(key) {
-                    Some(s) if leaf.value(s) == expected => s,
-                    _ => {
-                        leaf.unlock_version();
-                        if let Some(p) = prev {
-                            self.ctx.leaf(p).unlock_version();
-                        }
-                        self.ctx.metrics.inc(Counter::RemoveMisses);
-                        return false;
-                    }
-                };
-                let bm = leaf.bitmap() & !(1 << slot);
-                leaf.commit_bitmap(bm);
-                K::release_slot(&self.ctx.pool, leaf.key_off(slot));
-                {
-                    let _g = self.lock.write_lock();
-                    self.remove_from_parents(key, leaf_enc(off));
-                }
                 let li = self.take_log();
                 self.ctx.delete_leaf(None, off, prev, li);
                 self.log_queue.push(li).ok();
-                if let Some(p) = prev {
-                    self.ctx.leaf(p).unlock_version();
-                }
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                true
             }
+            _ => self.ctx.leaf(off).unlock_version(),
         }
+        if let Some(Some(p)) = unlink {
+            self.ctx.leaf(p).unlock_version();
+        }
+        if r.removed {
+            self.len.fetch_sub(1, Ordering::Relaxed);
+        }
+        r.removed
     }
 
     pub(crate) fn take_log(&self) -> usize {
@@ -1044,7 +677,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
             return;
         }
         // SAFETY: the root is not a leaf here; CNodes live in `self.nodes`
-        // until drop/rebuild, and we hold the exclusive lock.
+        // until the tree drops, and we hold the exclusive lock.
         let root_node = unsafe { &*(root as *const CNode) };
         if let Some((up_enc, right_enc)) =
             self.insert_entry_rec(root_node, split_key, key_enc, old_enc, new_enc)
@@ -1085,7 +718,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
         } else {
             assert!(!enc_is_leaf(child), "split target vanished from the index");
             // SAFETY: checked non-leaf; CNodes live in `self.nodes` until
-            // drop/rebuild, and we hold the exclusive lock.
+            // the tree drops, and we hold the exclusive lock.
             let child_node = unsafe { &*(child as *const CNode) };
             let pushed = self.insert_entry_rec(child_node, nav_key, key_enc, old_enc, new_enc)?;
             self.node_insert_at(node, idx, pushed.0, pushed.1);
@@ -1117,7 +750,11 @@ impl<K: ConcKey> ConcurrentTree<K> {
     fn split_cnode(&self, node: &CNode) -> (u64, u64) {
         self.ctx.metrics.inc(Counter::InnerSplits);
         let count = node.count.load(Ordering::Relaxed);
-        let mid = count / 2; // left keeps children[..mid]
+        // Left keeps children[..mid] — the same split point as
+        // `InnerNode::split` (keys[nkeys / 2] moves up), so both trees'
+        // indexes route every key, including gaps left by unlinked leaves,
+        // to the same leaf.
+        let mid = (count - 1) / 2 + 1;
         let promoted = node.keys[mid - 1].load(Ordering::Relaxed);
         let right = self.alloc_node();
         for i in mid..count {
@@ -1138,7 +775,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
         let root = self.root.load(Ordering::Relaxed);
         assert!(!enc_is_leaf(root), "cannot unlink the root leaf");
         // SAFETY: checked non-leaf; CNodes live in `self.nodes` until
-        // drop/rebuild, and we hold the exclusive lock.
+        // the tree drops, and we hold the exclusive lock.
         let root_node = unsafe { &*(root as *const CNode) };
         self.remove_entry_rec(root_node, nav_key, leaf);
         // Collapse single-child root chain.
@@ -1148,7 +785,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
                 break;
             }
             // SAFETY: checked non-leaf; CNodes live in `self.nodes` until
-            // drop/rebuild, and we hold the exclusive lock.
+            // the tree drops, and we hold the exclusive lock.
             let node = unsafe { &*(r as *const CNode) };
             if node.count.load(Ordering::Relaxed) == 1 {
                 let only = node.children[0].load(Ordering::Relaxed);
@@ -1178,7 +815,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
             false
         } else {
             // SAFETY: checked non-leaf; CNodes live in `self.nodes` until
-            // drop/rebuild, and we hold the exclusive lock.
+            // the tree drops, and we hold the exclusive lock.
             let child_node = unsafe { &*(child as *const CNode) };
             self.remove_entry_rec(child_node, nav_key, leaf)
         };
@@ -1261,62 +898,19 @@ impl<K: ConcKey> ConcurrentTree<K> {
 
     /// Leaf offsets in list order (quiescent contexts: tests, stats).
     pub fn leaf_offsets(&self) -> Vec<u64> {
-        let mut offs = Vec::new();
-        let mut cur = self.ctx.meta.head(&self.ctx.pool);
-        while !cur.is_null() {
-            offs.push(cur.offset);
-            cur = self.ctx.leaf(cur.offset).next();
-        }
-        offs
+        self.ctx.leaf_offsets()
     }
 
-    /// Structural consistency check (quiescent state only).
+    /// Structural consistency check (quiescent state only; see
+    /// `leafops::Ctx::check_leaf_chain` for the list of checks).
     pub fn check_consistency(&self) -> Result<(), String> {
-        let offs = self.leaf_offsets();
-        let mut prev_max: Option<K::Owned> = None;
-        let mut total = 0usize;
-        for (i, &off) in offs.iter().enumerate() {
-            let leaf = self.ctx.leaf(off);
-            if leaf.version().is_none() {
-                return Err(format!("leaf {i} left locked"));
-            }
-            let entries = leaf.collect_entries::<K>();
-            let mut merged = leaf.collect_merged::<K>();
-            merged.sort_by(|a, b| a.0.cmp(&b.0));
-            if merged.is_empty() && offs.len() > 1 {
-                return Err(format!("leaf {i} is empty but linked"));
-            }
-            if leaf.count() + leaf.wbuf_count() > self.ctx.layout.m {
-                return Err(format!("leaf {i}: buffer overcommits the slot array"));
-            }
-            total += merged.len();
-            for (slot, k) in &entries {
-                if self.ctx.layout.fingerprints && leaf.fingerprint(*slot) != K::fingerprint(k) {
-                    return Err(format!("leaf {i} slot {slot}: fingerprint mismatch"));
-                }
-            }
-            for (k, _) in &merged {
-                if self.get(k).is_none() {
-                    return Err(format!("leaf {i}: stored key not reachable via get"));
-                }
-                if let Some(pm) = &prev_max {
-                    if *k <= *pm {
-                        return Err(format!("leaf {i}: key order violates list order"));
-                    }
-                }
-            }
-            if let Some((max, _)) = merged.last() {
-                prev_max = Some(max.clone());
-            }
-        }
-        if total != self.len() {
-            return Err(format!("len {} != stored entries {}", self.len(), total));
-        }
-        Ok(())
+        self.ctx
+            .check_leaf_chain::<K>(self.len(), |k, off| self.traverse(k) == Ok(off))
     }
 
     /// Allocator-vs-tree agreement: every live block must be the metadata
-    /// block, a linked leaf, or a key blob owned by a valid slot.
+    /// block, a linked leaf, or a key blob owned by a valid slot or a live
+    /// append-buffer entry.
     pub fn leak_audit(&self) -> Result<(), String> {
         let live = self.ctx.pool.live_blocks().map_err(|e| e.to_string())?;
         let mut expected: HashSet<u64> = HashSet::new();
@@ -1324,23 +918,8 @@ impl<K: ConcKey> ConcurrentTree<K> {
         for off in self.leaf_offsets() {
             expected.insert(off);
             if K::IS_VAR {
-                let leaf = self.ctx.leaf(off);
-                let bm = leaf.bitmap();
-                for slot in 0..self.ctx.layout.m {
-                    if bm & (1 << slot) != 0 {
-                        let r = K::slot_ref(&self.ctx.pool, leaf.key_off(slot));
-                        if !r.is_null() {
-                            expected.insert(r.offset);
-                        }
-                    }
-                }
-                // Live append-buffer entries own their key blobs too.
-                for e in 0..leaf.wbuf_count() {
-                    let r = K::slot_ref(&self.ctx.pool, leaf.wbuf_key_off(e));
-                    if !r.is_null() {
-                        expected.insert(r.offset);
-                    }
-                }
+                let refs = self.ctx.owned_key_refs::<K>(off);
+                expected.extend(refs.iter().filter(|r| !r.is_null()).map(|r| r.offset));
             }
         }
         for (off, _) in &live {

@@ -218,7 +218,7 @@ impl BytesIndex for Locked<crate::FPTreeVar> {
 
 impl U64Index for crate::ConcurrentFPTree {
     fn insert(&self, key: u64, value: u64) -> bool {
-        ConcurrentFPTreeExt::insert(self, key, value)
+        crate::ConcurrentTree::insert(self, &key, value)
     }
     fn get(&self, key: u64) -> Option<u64> {
         crate::ConcurrentTree::get(self, &key)
@@ -250,17 +250,6 @@ impl U64Index for crate::ConcurrentFPTree {
     }
     fn metrics_snapshot(&self) -> Option<crate::metrics::Snapshot> {
         Some(crate::ConcurrentTree::metrics_snapshot(self))
-    }
-}
-
-/// Small helper to disambiguate the inherent methods.
-trait ConcurrentFPTreeExt {
-    fn insert(&self, key: u64, value: u64) -> bool;
-}
-
-impl ConcurrentFPTreeExt for crate::ConcurrentFPTree {
-    fn insert(&self, key: u64, value: u64) -> bool {
-        crate::ConcurrentTree::insert(self, &key, value)
     }
 }
 

@@ -146,8 +146,7 @@ impl<K: KeyKind> Node<K> {
 }
 
 /// Packs one level's `(max_key, node)` pairs into the parent level, `fanout`
-/// children per inner node — the shared kernel of the serial and parallel
-/// bulk builds.
+/// children per inner node — one worker's share of a bulk-build level.
 fn chunk_into_nodes<K: KeyKind>(
     level: Vec<(K::Owned, Node<K>)>,
     fanout: usize,
@@ -167,30 +166,11 @@ fn chunk_into_nodes<K: KeyKind>(
 
 /// Bulk-builds an index over `entries = [(max_key, leaf_off)]` (ascending by
 /// key) — exactly how recovery rebuilds inner nodes from the leaf list
-/// (Algorithm 9 / §6.2).
-pub(crate) fn build_from_leaves<K: KeyKind>(
-    entries: Vec<(K::Owned, u64)>,
-    fanout: usize,
-) -> Node<K> {
-    assert!(
-        !entries.is_empty(),
-        "cannot build an index over zero leaves"
-    );
-    let mut level: Vec<(K::Owned, Node<K>)> = entries
-        .into_iter()
-        .map(|(k, off)| (k, Node::Leaf(off)))
-        .collect();
-    while level.len() > 1 {
-        level = chunk_into_nodes::<K>(level, fanout);
-    }
-    level.pop().expect("one root remains").1
-}
-
-/// [`build_from_leaves`] with each level packed by a pool of `threads`
+/// (Algorithm 9 / §6.2) — with each level packed by a pool of `threads`
 /// workers. Segments are split only at multiples of `fanout`, so every
 /// worker produces exactly the nodes the serial chunking would — the
 /// resulting tree is identical for every thread count.
-pub(crate) fn build_from_leaves_parallel<K: KeyKind>(
+pub(crate) fn build_from_leaves<K: KeyKind>(
     entries: Vec<(K::Owned, u64)>,
     fanout: usize,
     threads: usize,
@@ -263,7 +243,7 @@ mod tests {
 
     #[test]
     fn build_single_leaf_is_bare() {
-        let root = build_from_leaves::<FixedKey>(vec![(10, 0)], 4);
+        let root = build_from_leaves::<FixedKey>(vec![(10, 0)], 4, 1);
         assert_eq!(root.as_leaf(), Some(0));
         assert_eq!(root.height(), 0);
     }
@@ -272,7 +252,7 @@ mod tests {
     fn build_and_search_many_leaves() {
         for fanout in [3usize, 4, 16] {
             for n in [1u64, 2, 5, 16, 65] {
-                let root = build_from_leaves::<FixedKey>(leaf_entries(n), fanout);
+                let root = build_from_leaves::<FixedKey>(leaf_entries(n), fanout, 1);
                 // Every key must route to its leaf: key k in (10i, 10(i+1)]
                 // lives in leaf i at offset 1000*i.
                 for k in 1..=(10 * n) {
@@ -287,7 +267,7 @@ mod tests {
 
     #[test]
     fn find_leaf_and_prev_returns_list_predecessor() {
-        let root = build_from_leaves::<FixedKey>(leaf_entries(10), 3);
+        let root = build_from_leaves::<FixedKey>(leaf_entries(10), 3, 1);
         // Key 35 lives in leaf 3 (offset 3000); its predecessor is leaf 2.
         let (leaf, prev) = root.find_leaf_and_prev(&35);
         assert_eq!(leaf, 3000);
@@ -323,10 +303,9 @@ mod tests {
     fn parallel_build_matches_serial_exactly() {
         for fanout in [3usize, 4, 16] {
             for n in [1u64, 2, 5, 16, 65, 257] {
-                let serial = build_from_leaves::<FixedKey>(leaf_entries(n), fanout);
+                let serial = build_from_leaves::<FixedKey>(leaf_entries(n), fanout, 1);
                 for threads in [1usize, 2, 3, 7, 64] {
-                    let par =
-                        build_from_leaves_parallel::<FixedKey>(leaf_entries(n), fanout, threads);
+                    let par = build_from_leaves::<FixedKey>(leaf_entries(n), fanout, threads);
                     assert_eq!(
                         shape(&par),
                         shape(&serial),
@@ -353,7 +332,7 @@ mod tests {
 
     #[test]
     fn extremes_and_height() {
-        let root = build_from_leaves::<FixedKey>(leaf_entries(30), 4);
+        let root = build_from_leaves::<FixedKey>(leaf_entries(30), 4, 1);
         assert_eq!(root.leftmost_leaf(), 0);
         assert_eq!(root.rightmost_leaf(), 29_000);
         assert!(root.height() >= 2);

@@ -34,8 +34,10 @@
 //! | [`config`] / [`layout`] | Table 1 node sizing, Figure 2 leaf layout |
 //! | [`keys`] | Appendix C variable-size keys |
 //! | [`meta`] | §5 micro-logs |
-//! | [`single`] | §5 base operations + recovery, §4.3 leaf groups |
-//! | [`concurrent`] | §4.4 Selective Concurrency, Algorithms 1–8 |
+//! | `leafops` (private) | §5 base operations inside one leaf — the mutation kernel both trees call — plus micro-logged split/unlink and the leak audits |
+//! | `recovery` (private) | Algorithm 9: the recovery driver both trees' `open` run |
+//! | [`single`] | index shell: DRAM inner nodes around the kernel, §4.3 leaf groups |
+//! | [`concurrent`] | index shell: §4.4 Selective Concurrency (speculative locate + leaf locks, Algorithms 1–8) around the kernel |
 //! | [`scan`] | ordered range scans over the unsorted leaf chain |
 //! | [`metrics`] | observability: op latencies, contention counters |
 //! | [`shard`] | keyspace-sharded multi-tree serving layer |
@@ -55,8 +57,10 @@ mod inner;
 pub mod keys;
 pub mod layout;
 pub mod leaf;
+mod leafops;
 pub mod meta;
 pub mod metrics;
+mod recovery;
 pub mod scan;
 pub mod shard;
 pub mod single;

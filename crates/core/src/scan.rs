@@ -35,8 +35,8 @@ use crate::concurrent::{ConcKey, ConcurrentTree};
 use crate::config::MAX_LEAF_CAPACITY;
 use crate::inner::Node;
 use crate::keys::KeyKind;
+use crate::leafops::Ctx;
 use crate::metrics::{Counter, Op, OpTimer};
-use crate::single::Ctx;
 
 /// Bounded retries of a leaf-chain hop before the scan falls back to a
 /// re-seek from the root (mirrors the HTM retry-then-fallback shape).
@@ -203,6 +203,78 @@ impl<K: KeyKind> LeafBuf<K> {
     }
 }
 
+/// What one [`gather`] learned about a leaf besides its buffered entries.
+struct Gathered {
+    /// Some key of the leaf lies past the upper bound: the walk ends here.
+    past_hi: bool,
+    /// Offset of the successor leaf, 0 at the end of the chain.
+    next: u64,
+    /// Order-preserving prefix of the leaf's minimum key across *all*
+    /// merged entries, bounds ignored — the value a predecessor's
+    /// successor sentinel wants.
+    min_enc: Option<u64>,
+}
+
+/// Gathers the merged entries of leaf `off` that lie inside `bounds` and
+/// strictly above `floor` into `buf` — the one leaf read behind both
+/// iterators. No validation: a concurrent caller validates the leaf
+/// version before letting the gather stand.
+fn gather<K: KeyKind>(
+    ctx: &Ctx,
+    off: u64,
+    bounds: &ScanBounds<K>,
+    floor: Option<&K::Owned>,
+    buf: &mut LeafBuf<K>,
+) -> Gathered {
+    let leaf = ctx.leaf(off);
+    leaf.touch_head();
+    leaf.touch_key_scan();
+    buf.clear();
+    let mut past_hi = false;
+    let mut min_enc: Option<u64> = None;
+    for (k, v) in leaf.collect_merged::<K>() {
+        let enc = K::prefix64(&k);
+        if min_enc.is_none_or(|m| enc < m) {
+            min_enc = Some(enc);
+        }
+        if bounds.past_hi(&k) {
+            past_hi = true;
+        } else if bounds.above_lo(&k) && floor.is_none_or(|l| k > *l) {
+            if buf.is_full() {
+                // Only a torn read (merged count never exceeds the slot
+                // capacity under a valid snapshot); the validation after
+                // this gather will discard the buffer anyway.
+                break;
+            }
+            buf.insert(k, v);
+        }
+    }
+    let next = leaf.next();
+    Gathered {
+        past_hi,
+        next: if next.is_null() { 0 } else { next.offset },
+        min_enc,
+    }
+}
+
+/// True when the walk can stop after leaf `off` without touching its
+/// successor's SCM-resident keys: the chain ends, the bound was passed, or
+/// the leaf's validated successor sentinel proves every remaining key lies
+/// past the upper bound.
+fn walk_ends<K: KeyKind>(ctx: &Ctx, off: u64, bounds: &ScanBounds<K>, g: &Gathered) -> bool {
+    if g.past_hi || g.next == 0 {
+        return true;
+    }
+    let blocked = ctx
+        .leaf(off)
+        .sentinel_succ_min()
+        .is_some_and(|enc| bounds.hop_blocked(enc));
+    if blocked {
+        ctx.metrics.inc(Counter::ScanSentinelStops);
+    }
+    blocked
+}
+
 // ------------------------------------------------------- single-threaded
 
 /// Sorted streaming iterator over a range of a `SingleTree`.
@@ -259,45 +331,19 @@ impl<K: KeyKind> Iterator for Scan<'_, K> {
                 return None;
             }
             let off = self.next_leaf;
-            let leaf = self.ctx.leaf(off);
-            leaf.touch_head();
-            leaf.touch_key_scan();
-            self.buf.clear();
-            let mut past_hi = false;
-            let mut min_enc: Option<u64> = None;
-            for (k, v) in leaf.collect_merged::<K>() {
-                let enc = K::prefix64(&k);
-                if min_enc.is_none_or(|m| enc < m) {
-                    min_enc = Some(enc);
-                }
-                if self.bounds.past_hi(&k) {
-                    past_hi = true;
-                } else if self.bounds.above_lo(&k) {
-                    self.buf.insert(k, v);
-                }
-            }
+            let g = gather(self.ctx, off, &self.bounds, None, &mut self.buf);
             // Refresh the predecessor's successor sentinel: this leaf's
             // minimum key is exactly what a future lookup or scan needs to
             // short-circuit a hop without touching these SCM-resident keys.
-            if let (true, Some(enc)) = (self.prev_leaf != 0, min_enc) {
-                self.ctx
-                    .leaf(self.prev_leaf)
-                    .sentinel_store(enc, off, leaf.version_word());
+            if let (true, Some(enc)) = (self.prev_leaf != 0, g.min_enc) {
+                let ver = self.ctx.leaf(off).version_word();
+                self.ctx.leaf(self.prev_leaf).sentinel_store(enc, off, ver);
             }
             self.prev_leaf = off;
-            let next = leaf.next();
-            self.next_leaf = if past_hi || next.is_null() {
-                0
-            } else if leaf
-                .sentinel_succ_min()
-                .is_some_and(|enc| self.bounds.hop_blocked(enc))
-            {
-                // The cached successor minimum proves every remaining key
-                // lies past the upper bound — stop without gathering it.
-                self.ctx.metrics.inc(Counter::ScanSentinelStops);
+            self.next_leaf = if walk_ends(self.ctx, off, &self.bounds, &g) {
                 0
             } else {
-                next.offset
+                g.next
             };
         }
     }
@@ -357,63 +403,18 @@ impl<'a, K: ConcKey> ConcScan<'a, K> {
         }
     }
 
-    /// True if `k` should be emitted: inside the bounds and strictly above
-    /// the monotonic floor.
-    fn accepts(&self, k: &K::Owned) -> bool {
-        self.bounds.above_lo(k) && self.last.as_ref().is_none_or(|l| k > l)
-    }
-
-    /// Gathers one leaf into `buf` (no validation — the caller validates
-    /// before committing). Returns `(past_hi, next_offset, min_enc)` where
-    /// `min_enc` is the order-preserving prefix of the leaf's minimum key
-    /// across *all* merged entries, bounds ignored — the value a
-    /// predecessor sentinel wants.
-    fn gather(&mut self, off: u64) -> (bool, u64, Option<u64>) {
-        let leaf = self.tree.ctx.leaf(off);
-        leaf.touch_head();
-        leaf.touch_key_scan();
-        self.buf.clear();
-        let mut past_hi = false;
-        let mut min_enc: Option<u64> = None;
-        for (k, v) in leaf.collect_merged::<K>() {
-            let enc = K::prefix64(&k);
-            if min_enc.is_none_or(|m| enc < m) {
-                min_enc = Some(enc);
-            }
-            if self.bounds.past_hi(&k) {
-                past_hi = true;
-            } else if self.accepts(&k) {
-                if self.buf.is_full() {
-                    // Only a torn read (merged count never exceeds the slot
-                    // capacity under a valid snapshot); the validation after
-                    // this gather will discard the buffer anyway.
-                    break;
-                }
-                self.buf.insert(k, v);
-            }
-        }
-        let next = leaf.next();
-        (
-            past_hi,
-            if next.is_null() { 0 } else { next.offset },
-            min_enc,
-        )
-    }
-
     /// Re-seek from the root inside a globally validated speculative
     /// section (the `get` protocol): traverse by the resume key, snapshot
     /// the leaf version, gather, then validate both the global lock and the
     /// leaf version before the gather is allowed to stand.
     fn step_seek(&mut self) {
-        // Split borrows: the closure needs `&mut self` for `gather` but the
-        // resume key is cloned out first.
         let resume = self
             .last
             .clone()
             .or_else(|| self.bounds.seek_key().cloned());
         let tree = self.tree;
         tree.ctx.metrics.inc(Counter::ScanSeeks);
-        let (off, ver, past_hi, next_off) = tree.lock.execute(|tx| {
+        let (off, ver, g) = tree.lock.execute(|tx| {
             let off = match &resume {
                 Some(k) => tree.traverse(k)?,
                 None => tree.ctx.meta.head(&tree.ctx.pool).offset,
@@ -422,37 +423,31 @@ impl<'a, K: ConcKey> ConcScan<'a, K> {
             let Some(ver) = leaf.version() else {
                 return Err(Abort); // leaf locked by a writer (or dying)
             };
-            let (past_hi, next_off, _) = self.gather(off);
+            let g = gather(
+                &tree.ctx,
+                off,
+                &self.bounds,
+                self.last.as_ref(),
+                &mut self.buf,
+            );
             if !tx.validate() || leaf.version_changed(ver) {
                 self.buf.clear();
                 return Err(Abort);
             }
-            Ok((off, ver, past_hi, next_off))
+            Ok((off, ver, g))
         });
-        self.advance_cursor(off, ver, past_hi, next_off);
+        self.advance_cursor(off, ver, &g);
     }
 
-    /// Shared cursor advance after a validated gather of leaf
-    /// `(off, ver)`. Consults the leaf's successor sentinel: a validated
-    /// cached minimum past the upper bound ends the walk without ever
-    /// touching the successor's SCM-resident keys.
-    fn advance_cursor(&mut self, off: u64, ver: u64, past_hi: bool, next_off: u64) {
-        self.cursor = if past_hi || next_off == 0 {
-            Cursor::Done
-        } else if self
-            .tree
-            .ctx
-            .leaf(off)
-            .sentinel_succ_min()
-            .is_some_and(|enc| self.bounds.hop_blocked(enc))
-        {
-            self.tree.ctx.metrics.inc(Counter::ScanSentinelStops);
+    /// Cursor advance after a validated gather `g` of leaf `(off, ver)`.
+    fn advance_cursor(&mut self, off: u64, ver: u64, g: &Gathered) {
+        self.cursor = if walk_ends(&self.tree.ctx, off, &self.bounds, g) {
             Cursor::Done
         } else {
             Cursor::Hop {
                 anchor_off: off,
                 anchor_ver: ver,
-                next_off,
+                next_off: g.next,
             }
         };
     }
@@ -464,7 +459,13 @@ impl<'a, K: ConcKey> ConcScan<'a, K> {
         for attempt in 0..HOP_RETRIES {
             let leaf = self.tree.ctx.leaf(next_off);
             if let Some(ver) = leaf.version() {
-                let (past_hi, succ, min_enc) = self.gather(next_off);
+                let g = gather(
+                    &self.tree.ctx,
+                    next_off,
+                    &self.bounds,
+                    self.last.as_ref(),
+                    &mut self.buf,
+                );
                 // Hand-over-hand: the anchor unchanged proves
                 // `anchor.next == next_off` held for this whole read, so the
                 // leaf we just gathered was the live successor — not a
@@ -476,10 +477,10 @@ impl<'a, K: ConcKey> ConcScan<'a, K> {
                     // The double validation proves (min_enc, next_off, ver)
                     // is a consistent successor snapshot for the anchor —
                     // exactly the sentinel contract, so refresh it.
-                    if let Some(enc) = min_enc {
+                    if let Some(enc) = g.min_enc {
                         anchor.sentinel_store(enc, next_off, ver);
                     }
-                    self.advance_cursor(next_off, ver, past_hi, succ);
+                    self.advance_cursor(next_off, ver, &g);
                     return;
                 }
                 self.buf.clear();

@@ -1,6 +1,10 @@
 //! The single-threaded FPTree (and PTree), generic over the key kind.
 //!
-//! Implements the paper's base operations (§5) and recovery:
+//! This file is the tree's *index shell*: the DRAM inner nodes and the
+//! operations' outer halves — locate the leaf, call the leaf-mutation
+//! kernel ([`crate::leafops`], DESIGN.md §5.14), publish a split or an
+//! unlink into the inner nodes, keep `len`. What the kernel and the shared
+//! recovery driver ([`crate::recovery`]) implement underneath:
 //!
 //! * **Find** — traverse DRAM inner nodes, fingerprint-scan one SCM leaf.
 //! * **Insert** — write KV + fingerprint, persist, then commit with one
@@ -23,21 +27,21 @@
 //! always finds a leaf; (2) after a split the new key is inserted into
 //! whichever half covers it (the paper's Algorithm 2 elides this choice).
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fptree_pmem::{PmemPool, RawPPtr};
+use fptree_pmem::PmemPool;
 
 use crate::api::Error;
 use crate::config::TreeConfig;
 use crate::groups::GroupMgr;
-use crate::inner::{build_from_leaves, build_from_leaves_parallel, InnerNode, Node};
+use crate::inner::{build_from_leaves, InnerNode, Node};
 use crate::keys::KeyKind;
 use crate::layout::LeafLayout;
-use crate::leaf::Leaf;
+use crate::leafops::{Ctx, WriteMode};
 use crate::meta::{TreeMeta, STATUS_READY};
 use crate::metrics::{Counter, Metrics, Op, RecoveryStats, Snapshot};
+use crate::recovery::{recover, stamp_build};
 use crate::scan::{Scan, ScanBounds};
 
 /// Memory footprint report (Figure 8).
@@ -53,387 +57,11 @@ pub struct MemoryUsage {
     pub inner_count: usize,
 }
 
-/// Shared immutable context: pool, configuration, layout, metadata handle,
-/// and the tree's observability registry.
-pub(crate) struct Ctx {
-    pub pool: Arc<PmemPool>,
-    pub cfg: TreeConfig,
-    pub layout: LeafLayout,
-    pub meta: TreeMeta,
-    pub metrics: Arc<Metrics>,
-}
-
-impl Ctx {
-    #[inline]
-    pub fn leaf(&self, off: u64) -> Leaf<'_> {
-        Leaf::new(&self.pool, &self.layout, off)
-    }
-
-    #[inline]
-    pub fn pptr(&self, off: u64) -> RawPPtr {
-        RawPPtr::new(self.pool.file_id(), off)
-    }
-
-    pub fn zero_leaf(&self, off: u64) {
-        let prior = self.leaf(off).version_word();
-        self.pool.write_bytes(off, &vec![0u8; self.layout.size]);
-        self.pool.persist(off, self.layout.size);
-        // A recycled offset must never validate sentinel records taken
-        // against its previous contents: restart the transient version
-        // word strictly above its old value (offset-reuse ABA).
-        self.leaf(off).restore_version_monotonic(prior);
-    }
-
-    /// Validates a persistent pointer that is supposed to reference a leaf
-    /// before it is dereferenced: 8-aligned with a whole leaf in bounds.
-    pub(crate) fn check_leaf_ptr(&self, off: u64, what: &str) -> Result<(), Error> {
-        if off == 0 || !off.is_multiple_of(8) || !self.pool.in_bounds(off, self.layout.size) {
-            return Err(Error::corrupt(format!("{what} is not a leaf"), off));
-        }
-        Ok(())
-    }
-
-    /// Writes one KV into a leaf with a free slot and p-atomically commits
-    /// it (the non-split insert path of Algorithm 2 / 14).
-    pub fn insert_into_leaf<K: KeyKind>(&self, off: u64, key: &K::Owned, value: u64) {
-        let leaf = self.leaf(off);
-        let slot = leaf
-            .first_zero_slot()
-            .expect("insert_into_leaf requires a free slot");
-        K::write_slot(&self.pool, leaf.key_off(slot), key);
-        leaf.set_value(slot, value);
-        if self.layout.fingerprints {
-            leaf.set_fingerprint(slot, K::fingerprint(key));
-        }
-        leaf.persist_slot(slot);
-        if self.layout.fingerprints {
-            leaf.persist_fingerprint(slot);
-        }
-        // Commit point: before this p-atomic write the entry is invisible.
-        leaf.commit_bitmap(leaf.bitmap() | (1 << slot));
-    }
-
-    /// In-place update (Algorithms 8 / 16): stage the new record in a free
-    /// slot, then one p-atomic bitmap write retires the old slot and
-    /// publishes the new one.
-    pub fn update_in_leaf<K: KeyKind>(&self, off: u64, old_slot: usize, value: u64) {
-        let leaf = self.leaf(off);
-        let new_slot = leaf
-            .first_zero_slot()
-            .expect("update_in_leaf requires a free slot");
-        // The key moves by copying the slot bytes: fixed keys copy the key
-        // itself, variable keys copy the persistent pointer (no realloc).
-        let mut slot_bytes = vec![0u8; self.layout.key_slot];
-        self.pool
-            .read_bytes(leaf.key_off(old_slot), &mut slot_bytes);
-        self.pool.write_bytes(leaf.key_off(new_slot), &slot_bytes);
-        leaf.set_value(new_slot, value);
-        if self.layout.fingerprints {
-            leaf.set_fingerprint(new_slot, leaf.fingerprint(old_slot));
-        }
-        leaf.persist_slot(new_slot);
-        if self.layout.fingerprints {
-            leaf.persist_fingerprint(new_slot);
-        }
-        let bm = (leaf.bitmap() & !(1 << old_slot)) | (1 << new_slot);
-        leaf.commit_bitmap(bm);
-        // The old slot no longer owns the key blob (Algorithm 16 line 16);
-        // until this reset, recovery's audit resolves the shared reference.
-        K::reset_slot(&self.pool, leaf.key_off(old_slot));
-    }
-
-    /// Splits a full leaf (Algorithm 3 + leaf groups), returning the split
-    /// key (max of the lower half) and the new right leaf.
-    pub fn split_leaf<K: KeyKind>(
-        &self,
-        groups: &mut GroupMgr,
-        off: u64,
-        log_idx: usize,
-    ) -> (K::Owned, u64) {
-        self.metrics.inc(Counter::LeafSplits);
-        self.metrics.inc(Counter::LeafAllocs);
-        let log = self.meta.split_log(log_idx);
-        log.set_first(&self.pool, self.pptr(off));
-        let new_off = groups.get_leaf(&self.pool, &self.layout, &self.meta, log.second_slot());
-        let split_key = self.split_copy_commit::<K>(off, new_off);
-        log.reset(&self.pool);
-        (split_key, new_off)
-    }
-
-    /// The body of a leaf split, shared between the forward path and
-    /// recovery redo (Algorithm 3 lines 6–14).
-    fn split_copy_commit<K: KeyKind>(&self, old: u64, new: u64) -> K::Owned {
-        // Splits only run on folded leaves (the write paths fold before
-        // splitting), so the copied buffer region holds only dead entries.
-        debug_assert_eq!(
-            self.leaf(old).wbuf_count(),
-            0,
-            "split requires a folded buffer"
-        );
-        // Copy the entire leaf content, then persist it. The transient
-        // tail of the head — lock word and sentinel record — must not be
-        // copied: the new leaf starts unlocked and record-free.
-        let prior = self.leaf(new).version_word();
-        let mut buf = vec![0u8; self.layout.size];
-        self.pool.read_bytes(old, &mut buf);
-        buf[self.layout.off_lock..self.layout.off_lock + 8].fill(0); // transient lock word
-        buf[self.layout.off_sentinel..self.layout.off_sentinel + crate::layout::SENTINEL_BYTES]
-            .fill(0);
-        self.pool.write_bytes(new, &buf);
-        self.pool.persist(new, self.layout.size);
-        // The new offset may be recycled: records about its previous life
-        // must not validate against this one.
-        self.leaf(new).restore_version_monotonic(prior);
-
-        // Choose the split: lower half stays, upper half moves.
-        let old_leaf = self.leaf(old);
-        let mut entries = old_leaf.collect_entries::<K>();
-        entries.sort_by(|a, b| a.1.cmp(&b.1));
-        let keep = entries.len().div_ceil(2);
-        let split_key = entries[keep - 1].1.clone();
-        let mut new_bm = 0u64;
-        for (slot, _) in &entries[keep..] {
-            new_bm |= 1 << slot;
-        }
-        let new_leaf = self.leaf(new);
-        new_leaf.commit_bitmap(new_bm);
-        old_leaf.commit_bitmap(self.layout.full_bitmap() ^ new_bm);
-        self.split_reset_dead_slots::<K>(old, new, new_bm);
-        old_leaf.set_next(self.pptr(new));
-        // The old leaf's successor changed: drop its stale sentinel and —
-        // since the split computed the new leaf's minimum — record a fresh
-        // one (enc = min of the moved upper half).
-        old_leaf.sentinel_clear();
-        if keep < entries.len() {
-            old_leaf.sentinel_store(K::prefix64(&entries[keep].1), new, new_leaf.version_word());
-        }
-        split_key
-    }
-
-    /// After a split, both leaves hold copies of every key slot; for
-    /// variable-size keys the *invalid* copies must be persistently nulled
-    /// so the recovery audit (Algorithm 17) can treat any non-null invalid
-    /// slot as a same-leaf question.
-    fn split_reset_dead_slots<K: KeyKind>(&self, old: u64, new: u64, new_bm: u64) {
-        if !K::IS_VAR {
-            return;
-        }
-        let old_leaf = self.leaf(old);
-        let new_leaf = self.leaf(new);
-        for slot in 0..self.layout.m {
-            if new_bm & (1 << slot) != 0 {
-                K::reset_slot(&self.pool, old_leaf.key_off(slot));
-            } else {
-                K::reset_slot(&self.pool, new_leaf.key_off(slot));
-            }
-        }
-    }
-
-    /// Replays split micro-log `log_idx` (Algorithm 4).
-    pub fn recover_split<K: KeyKind>(&self, log_idx: usize) -> Result<(), Error> {
-        let log = self.meta.split_log(log_idx);
-        let cur = log.first(&self.pool);
-        if cur.is_null() {
-            log.reset(&self.pool);
-            return Ok(());
-        }
-        self.check_leaf_ptr(cur.offset, "split-log current pointer")?;
-        let new = log.second(&self.pool);
-        if new.is_null() {
-            // Crashed before the new leaf was published: roll back.
-            log.reset(&self.pool);
-            return Ok(());
-        }
-        self.check_leaf_ptr(new.offset, "split-log new-leaf pointer")?;
-        let old_leaf = self.leaf(cur.offset);
-        if old_leaf.bitmap() == self.layout.full_bitmap() {
-            // Crashed before the old bitmap was halved: redo everything
-            // (FindSplitKey is deterministic, so this is idempotent).
-            self.split_copy_commit::<K>(cur.offset, new.offset);
-        } else {
-            // Old bitmap already halved: redo the tail only.
-            let new_bm = self.leaf(new.offset).bitmap();
-            old_leaf.commit_bitmap(self.layout.full_bitmap() ^ new_bm);
-            self.split_reset_dead_slots::<K>(cur.offset, new.offset, new_bm);
-            old_leaf.set_next(self.pptr(new.offset));
-        }
-        log.reset(&self.pool);
-        Ok(())
-    }
-
-    /// Unlinks (and frees) an empty leaf (Algorithm 6 + FreeLeaf).
-    ///
-    /// `groups = None` during recovery's cleanup walk: in group mode the
-    /// leaf is simply left free-in-group (rediscovered by the group
-    /// rebuild); without groups it is deallocated either way.
-    pub fn delete_leaf(
-        &self,
-        groups: Option<&mut GroupMgr>,
-        off: u64,
-        prev: Option<u64>,
-        log_idx: usize,
-    ) {
-        self.metrics.inc(Counter::LeafFrees);
-        let log = self.meta.delete_log(log_idx);
-        log.set_first(&self.pool, self.pptr(off));
-        let next = self.leaf(off).next();
-        if self.meta.head(&self.pool).offset == off {
-            self.meta.set_head(&self.pool, next);
-        } else {
-            let prev = prev.expect("non-head leaf must have a predecessor");
-            log.set_second(&self.pool, self.pptr(prev));
-            self.leaf(prev).set_next(next);
-            // The predecessor's sentinel referenced the unlinked leaf.
-            self.leaf(prev).sentinel_clear();
-        }
-        match groups {
-            Some(g) if g.enabled() => {
-                g.free_leaf(&self.pool, &self.layout, &self.meta, off);
-            }
-            _ if self.cfg.leaf_group_size > 1 => {
-                // Recovery cleanup in group mode: leave the leaf for the
-                // group rebuild to reclaim.
-            }
-            _ => {
-                self.pool.deallocate(log.first_slot());
-            }
-        }
-        log.reset(&self.pool);
-    }
-
-    /// Replays delete micro-log `log_idx` (Algorithm 7).
-    pub fn recover_delete(&self, log_idx: usize) -> Result<(), Error> {
-        let log = self.meta.delete_log(log_idx);
-        let cur = log.first(&self.pool);
-        if cur.is_null() {
-            log.reset(&self.pool);
-            return Ok(());
-        }
-        self.check_leaf_ptr(cur.offset, "delete-log current pointer")?;
-        let prev = log.second(&self.pool);
-        if !prev.is_null() {
-            self.check_leaf_ptr(prev.offset, "delete-log predecessor pointer")?;
-        }
-        let head = self.meta.head(&self.pool);
-        let group_mode = self.cfg.leaf_group_size > 1;
-        let finish = |log: &crate::meta::PairLog| {
-            if !group_mode {
-                self.pool.deallocate(log.first_slot());
-            }
-            log.reset(&self.pool);
-        };
-        if !prev.is_null() {
-            // Crashed between recording prev and finishing: redo the unlink.
-            let next = self.leaf(cur.offset).next();
-            self.leaf(prev.offset).set_next(next);
-            self.leaf(prev.offset).sentinel_clear();
-            finish(&log);
-        } else if head.offset == cur.offset {
-            // Head unlink not yet done.
-            self.meta.set_head(&self.pool, self.leaf(cur.offset).next());
-            finish(&log);
-        } else if !head.is_null() && self.leaf(cur.offset).next().offset == head.offset {
-            // Head already moved past us: only the free remained.
-            finish(&log);
-        } else {
-            // Nothing structural happened: roll back. (The leaf may be
-            // empty; the rebuild walk unlinks empty leaves.)
-            log.reset(&self.pool);
-        }
-        Ok(())
-    }
-
-    /// Leak audit for one leaf (Algorithm 17): every invalid slot must hold
-    /// a null key pointer; a non-null one is either a duplicate of a valid
-    /// slot's key in this leaf (interrupted update → reset) or an orphan
-    /// blob (interrupted insert/delete → deallocate).
-    pub fn audit_leaf<K: KeyKind>(&self, off: u64) -> Result<(), Error> {
-        if !K::IS_VAR {
-            return Ok(());
-        }
-        let leaf = self.leaf(off);
-        let bm = leaf.bitmap();
-        // Valid references: the valid slots plus the *live* append-buffer
-        // prefix — a fold interrupted after staging leaves slot copies of
-        // live buffered blobs, which must be reset, not released.
-        let live = leaf.wbuf_count();
-        let mut valid_refs: Vec<RawPPtr> = (0..self.layout.m)
-            .filter(|s| bm & (1 << s) != 0)
-            .map(|s| K::slot_ref(&self.pool, leaf.key_off(s)))
-            .collect();
-        valid_refs.extend((0..live).map(|i| K::slot_ref(&self.pool, leaf.wbuf_key_off(i))));
-        for slot in 0..self.layout.m {
-            if bm & (1 << slot) != 0 {
-                continue;
-            }
-            let key_off = leaf.key_off(slot);
-            if !K::slot_nonnull(&self.pool, key_off) {
-                continue;
-            }
-            let r = K::slot_ref(&self.pool, key_off);
-            if valid_refs.contains(&r) {
-                K::reset_slot(&self.pool, key_off);
-            } else if self.pool.looks_like_block(r) {
-                K::release_slot(&self.pool, key_off);
-            } else {
-                // A stale pointer that was never a live allocation: freeing
-                // it would corrupt the allocator, so reject the image.
-                return Err(Error::corrupt("orphan key blob pointer", r.offset));
-            }
-        }
-        Ok(())
-    }
-
-    /// Leak audit for a leaf's *dead* append-buffer entries, after the
-    /// live prefix has been folded into slots. A dead entry's key field is
-    /// either null, a duplicate of a valid slot's blob (folded winner or
-    /// crashed append of an existing key's update → reset), or an orphan
-    /// blob from a crashed append (allocated, but the entry publish never
-    /// landed → release).
-    pub fn audit_wbuf<K: KeyKind>(&self, off: u64) -> Result<(), Error> {
-        if !K::IS_VAR || self.layout.wbuf_entries == 0 {
-            return Ok(());
-        }
-        let leaf = self.leaf(off);
-        debug_assert_eq!(leaf.wbuf_count(), 0, "audit_wbuf requires a folded buffer");
-        let bm = leaf.bitmap();
-        let valid_refs: Vec<RawPPtr> = (0..self.layout.m)
-            .filter(|s| bm & (1 << s) != 0)
-            .map(|s| K::slot_ref(&self.pool, leaf.key_off(s)))
-            .collect();
-        for i in 0..self.layout.wbuf_entries {
-            let key_off = leaf.wbuf_key_off(i);
-            if !K::slot_nonnull(&self.pool, key_off) {
-                continue;
-            }
-            let r = K::slot_ref(&self.pool, key_off);
-            if valid_refs.contains(&r) {
-                K::reset_slot(&self.pool, key_off);
-            } else if self.pool.looks_like_block(r) {
-                K::release_slot(&self.pool, key_off);
-            } else {
-                return Err(Error::corrupt("orphan buffer blob pointer", r.offset));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Sorted streaming iterator over a [`SingleTree`]'s entries.
 ///
 /// Walks the persistent leaf list, buffering one leaf (sorted) at a time —
 /// O(leaf) memory regardless of tree size. A full-range [`Scan`].
 pub type TreeIter<'a, K> = Scan<'a, K>;
-
-/// Result of a mutating descent.
-pub(crate) enum Outcome<K: KeyKind> {
-    Done(bool),
-    Split {
-        key: K::Owned,
-        right: Node<K>,
-        result: bool,
-    },
-}
 
 /// A single-threaded hybrid SCM-DRAM persistent B+-Tree.
 ///
@@ -463,13 +91,7 @@ impl<K: KeyKind> SingleTree<K> {
         let _op = checked.begin_checked_op("tree_create");
         let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
         let meta = TreeMeta::create(&pool, &cfg, K::SLOT_SIZE, K::IS_VAR, 1, owner_slot);
-        let ctx = Ctx {
-            pool,
-            cfg,
-            layout,
-            meta,
-            metrics: Arc::new(Metrics::new()),
-        };
+        let ctx = Ctx::new(pool, cfg, layout, meta);
         let mut groups = GroupMgr::with_sanitize(cfg.leaf_group_size, K::IS_VAR);
         ctx.metrics.inc(Counter::LeafAllocs);
         let head = groups.get_leaf(&ctx.pool, &ctx.layout, &meta, meta.head_slot());
@@ -509,13 +131,7 @@ impl<K: KeyKind> SingleTree<K> {
         let _op = checked.begin_checked_op("bulk_load");
         let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
         let meta = TreeMeta::create(&pool, &cfg, K::SLOT_SIZE, K::IS_VAR, 1, owner_slot);
-        let ctx = Ctx {
-            pool,
-            cfg,
-            layout,
-            meta,
-            metrics: Arc::new(Metrics::new()),
-        };
+        let ctx = Ctx::new(pool, cfg, layout, meta);
         let mut groups = GroupMgr::with_sanitize(cfg.leaf_group_size, K::IS_VAR);
 
         let per_leaf = (layout.m * 7 / 10).max(1);
@@ -554,7 +170,7 @@ impl<K: KeyKind> SingleTree<K> {
             prev = Some(off);
         }
         meta.set_status(&ctx.pool, STATUS_READY);
-        let root = build_from_leaves::<K>(index_entries, cfg.inner_fanout);
+        let root = build_from_leaves::<K>(index_entries, cfg.inner_fanout, 1);
         SingleTree {
             ctx,
             groups,
@@ -608,462 +224,83 @@ impl<K: KeyKind> SingleTree<K> {
     /// parallel phases partition work in chain order and stitch the pieces
     /// back together serially.
     pub fn open_with(pool: Arc<PmemPool>, owner_slot: u64, threads: usize) -> Result<Self, Error> {
-        let threads = if threads == 0 {
-            crate::config::default_recovery_threads()
-        } else {
-            threads
-        };
-        let checked = Arc::clone(&pool);
-        let _op = checked.begin_checked_op("tree_open");
-        if owner_slot == 0 || !owner_slot.is_multiple_of(8) || !pool.in_bounds(owner_slot, 16) {
-            return Err(Error::corrupt("owner slot", owner_slot));
-        }
-        let owner: RawPPtr = pool.read_at(owner_slot);
-        if owner.is_null() {
-            return Err(Error::corrupt("no tree metadata at owner slot", owner_slot));
-        }
-        let meta = TreeMeta::open(&pool, owner.offset)?;
-        let (cfg, key_slot, var) = meta.stored_config(&pool);
-        if key_slot != K::SLOT_SIZE || var != K::IS_VAR {
-            return Err(Error::corrupt(
-                "tree was created with a different key kind",
-                meta.off,
-            ));
-        }
-        cfg.try_validate()
-            .map_err(|e| Error::corrupt(format!("stored configuration: {e}"), meta.off))?;
-        let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
-        // `try_validate` covers the per-leaf knobs; the group size is only
-        // bounded by the pool, so a garbage word here could overflow the
-        // group-walk arithmetic.
-        let group_bytes = cfg
-            .leaf_group_size
-            .checked_mul(layout.size)
-            .and_then(|b| b.checked_add(crate::groups::GROUP_HEADER as usize));
-        if group_bytes.is_none_or(|b| b > pool.capacity()) {
-            return Err(Error::corrupt(
-                format!("stored leaf-group size {}", cfg.leaf_group_size),
-                meta.off,
-            ));
-        }
-        let ctx = Ctx {
-            pool,
-            cfg,
-            layout,
-            meta,
-            metrics: Arc::new(Metrics::new()),
-        };
-        ctx.metrics.inc(Counter::RecoveryRebuilds);
-        let mut groups = GroupMgr::with_sanitize(cfg.leaf_group_size, K::IS_VAR);
-
-        if meta.status(&ctx.pool) != STATUS_READY {
-            // Crashed during initialization or bulk load (Algorithm 9
-            // lines 1–2): reclaim any partially built leaf chain, then
-            // re-initialize to an empty tree.
-            GroupMgr::recover_getleaf(&ctx.pool, &meta, &layout, cfg.leaf_group_size)?;
-            if meta.head(&ctx.pool).is_null() {
-                groups.rebuild(&ctx.pool, &layout, &meta, &HashSet::new())?;
-                let head = groups.try_get_leaf(&ctx.pool, &layout, &meta, meta.head_slot())?;
-                ctx.zero_leaf(head);
-            } else {
-                let head = meta.head(&ctx.pool).offset;
-                ctx.check_leaf_ptr(head, "leaf-list head")?;
-                if cfg.leaf_group_size <= 1 {
-                    // Without groups each chained leaf is an individual
-                    // allocation; deallocate the tail of a partial bulk
-                    // load through each predecessor's next field (which is
-                    // its owner pointer).
-                    let mut seen = HashSet::from([head]);
-                    let mut cur = head;
-                    loop {
-                        let next_slot = cur + layout.off_next as u64;
-                        let next: RawPPtr = ctx.pool.read_at(next_slot);
-                        if next.is_null() {
-                            break;
-                        }
-                        ctx.check_leaf_ptr(next.offset, "partially initialized leaf chain")?;
-                        if !seen.insert(next.offset) {
-                            return Err(Error::corrupt("leaf-list cycle", next.offset));
-                        }
-                        if !ctx.pool.looks_like_block(next) {
-                            return Err(Error::corrupt(
-                                "partially initialized leaf chain",
-                                next.offset,
-                            ));
-                        }
-                        cur = next.offset;
-                        ctx.pool.deallocate(next_slot);
-                    }
-                }
-                // Group-mode partial leaves stay inside their (linked)
-                // groups and are reclaimed as free by the group rebuild.
-                ctx.zero_leaf(head);
-            }
-            meta.set_status(&ctx.pool, STATUS_READY);
-            let head = meta.head(&ctx.pool).offset;
-            groups.rebuild(&ctx.pool, &layout, &meta, &HashSet::from([head]))?;
-            return Ok(SingleTree {
-                ctx,
-                groups,
-                root: Node::Leaf(head),
-                len: 0,
-                recovery: None,
-            });
-        }
-
-        // Phase 1 — replay micro-logs (serial: each log is a single record,
-        // and order matters — allocation logs first, so the split/delete
-        // replays see consistent group/leaf structures).
-        let t = Instant::now();
-        GroupMgr::recover_getleaf(&ctx.pool, &meta, &layout, cfg.leaf_group_size)?;
-        GroupMgr::recover_freeleaf(&ctx.pool, &meta)?;
-        for i in 0..meta.n_logs {
-            ctx.recover_split::<K>(i)?;
-        }
-        for i in 0..meta.n_logs {
-            ctx.recover_delete(i)?;
-        }
-        let replay_us = t.elapsed().as_micros() as u64;
-
-        // Phase 2 — harvest the on-chain leaf set (parallel over the group
-        // directory when there is one).
-        let t = Instant::now();
-        let chain = Self::harvest_chain(&ctx, threads)?;
-        let harvest_us = t.elapsed().as_micros() as u64;
-
-        // Phase 3 — reset locks and audit leaves across the worker pool,
-        // then serially unlink empties and restore the group free lists.
-        let t = Instant::now();
-        let audits = Self::audit_leaves(&ctx, &chain, threads)?;
-        let (entries, in_tree, len) = Self::sweep(&ctx, &chain, &audits);
-        groups.rebuild(&ctx.pool, &layout, &meta, &in_tree)?;
-        let audit_us = t.elapsed().as_micros() as u64;
-
+        let r = recover::<K>(pool, owner_slot, threads)?;
         // Phase 4 — bulk-build the DRAM inner nodes level by level.
         let t = Instant::now();
-        let root = if entries.is_empty() {
-            Node::Leaf(meta.head(&ctx.pool).offset)
+        let root = if r.entries.is_empty() {
+            Node::Leaf(r.ctx.meta.head(&r.ctx.pool).offset)
         } else {
-            build_from_leaves_parallel::<K>(entries, cfg.inner_fanout, threads)
-        };
-        let build_us = t.elapsed().as_micros() as u64;
-
-        let recovery = RecoveryStats {
-            threads,
-            replay_us,
-            harvest_us,
-            audit_us,
-            build_us,
-            leaves: chain.len() as u64,
+            build_from_leaves::<K>(r.entries, r.ctx.cfg.inner_fanout, r.threads)
         };
         Ok(SingleTree {
-            ctx,
-            groups,
+            recovery: stamp_build(r.stats, t),
+            ctx: r.ctx,
+            groups: r.groups,
             root,
-            len,
-            recovery: Some(recovery),
+            len: r.len,
         })
     }
 
-    /// Recovery phase 2: collects the linked leaf chain, validated.
-    ///
-    /// With a leaf-group directory the next pointers of *all* directory
-    /// leaves are harvested by the worker pool first (the directory gives
-    /// the random access the serial next-pointer walk lacks); the chain is
-    /// then stitched serially from the harvested map. Without groups there
-    /// is no directory, so the chain is walked serially.
-    pub(crate) fn harvest_chain(ctx: &Ctx, threads: usize) -> Result<Vec<u64>, Error> {
-        let head = ctx.meta.head(&ctx.pool);
-        if head.is_null() {
-            return Err(Error::corrupt(
-                "initialized tree must have a head leaf",
-                ctx.meta.head_slot(),
-            ));
-        }
-        let head = head.offset;
-        ctx.check_leaf_ptr(head, "leaf-list head")?;
-
-        let next_of: Option<HashMap<u64, u64>> = if ctx.cfg.leaf_group_size > 1 {
-            let directory = GroupMgr::walk_directory(
-                &ctx.pool,
-                &ctx.layout,
-                &ctx.meta,
-                ctx.cfg.leaf_group_size,
-            )?;
-            let leaves: Vec<u64> = directory
-                .iter()
-                .flat_map(|&g| {
-                    (0..ctx.cfg.leaf_group_size as u64)
-                        .map(move |i| g + crate::groups::GROUP_HEADER + i * ctx.layout.size as u64)
-                })
-                .collect();
-            let workers = threads.min(leaves.len()).max(1);
-            let mut map = HashMap::with_capacity(leaves.len());
-            if workers <= 1 {
-                map.extend(leaves.iter().map(|&l| (l, ctx.leaf(l).next().offset)));
-            } else {
-                let chunk = leaves.len().div_ceil(workers);
-                let parts = std::thread::scope(|s| {
-                    let handles: Vec<_> = leaves
-                        .chunks(chunk)
-                        .map(|part| {
-                            s.spawn(move || {
-                                part.iter()
-                                    .map(|&l| (l, ctx.leaf(l).next().offset))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(v) => v,
-                            // A worker panic is a crash-fuse (or a real bug),
-                            // never a recoverable error: re-raise it so the
-                            // payload reaches the caller unchanged.
-                            Err(p) => std::panic::resume_unwind(p),
-                        })
-                        .collect::<Vec<_>>()
-                });
-                for part in parts {
-                    map.extend(part);
-                }
-            }
-            Some(map)
-        } else {
-            None
-        };
-
-        // Stitch the chain in list order, catching cycles and escapes.
-        let mut chain = Vec::new();
-        let mut seen = HashSet::new();
-        let mut cur = head;
-        loop {
-            if !seen.insert(cur) {
-                return Err(Error::corrupt("leaf-list cycle", cur));
-            }
-            chain.push(cur);
-            let next = match &next_of {
-                Some(map) => *map.get(&cur).ok_or_else(|| {
-                    Error::corrupt("chained leaf outside the group directory", cur)
-                })?,
-                None => ctx.leaf(cur).next().offset,
-            };
-            if next == 0 {
-                return Ok(chain);
-            }
-            ctx.check_leaf_ptr(next, "leaf-list next pointer")?;
-            cur = next;
-        }
-    }
-
-    /// Recovery phase 3: resets locks and runs the Algorithm-17 leak audit
-    /// over every on-chain leaf, partitioned in chain order across the
-    /// worker pool. Audit mutations are leaf-local, so the partitioning
-    /// cannot change the outcome; each worker opens its own checked
-    /// operation because durability-checker attribution is per-thread.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn audit_leaves(
+    /// Publishes a leaf split into the volatile index: `right` becomes the
+    /// sibling after the child covering `key` (the split key, which stayed
+    /// in the old leaf). Returns the entry to push up when `node` itself
+    /// split — or, at a bare leaf, the new sibling for its parent to adopt.
+    fn index_insert(
         ctx: &Ctx,
-        chain: &[u64],
-        threads: usize,
-    ) -> Result<Vec<(usize, Option<K::Owned>)>, Error> {
-        let audit_one = |off: u64| -> Result<(usize, Option<K::Owned>), Error> {
-            ctx.metrics.inc(Counter::RecoveryLeaves);
-            let leaf = ctx.leaf(off);
-            leaf.reset_lock();
-            // Sentinels are transient like the lock: bytes surviving in the
-            // image are stale records from the crashed run — wipe them.
-            leaf.sentinel_clear();
-            // Order matters: the slot audit first (with live buffer
-            // entries among the valid references, so a crashed fold's
-            // staged copies are reset, not released), then the fold of
-            // live entries into slots, then the dead-entry audit for
-            // blobs a crashed append left behind. All three are
-            // leaf-local and deterministic, keeping parallel recovery
-            // bit-identical to serial.
-            ctx.audit_leaf::<K>(off)?;
-            leaf.wbuf_fold::<K>();
-            ctx.audit_wbuf::<K>(off)?;
-            Ok((leaf.count(), leaf.max_key::<K>()))
-        };
-        let workers = threads.min(chain.len()).max(1);
-        if workers <= 1 {
-            // Serial: runs under the caller's "tree_open" checked operation.
-            return chain.iter().map(|&off| audit_one(off)).collect();
-        }
-        let audit_one = &audit_one;
-        let chunk = chain.len().div_ceil(workers);
-        let parts = std::thread::scope(|s| {
-            let handles: Vec<_> = chain
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        let _op = ctx.pool.begin_checked_op("recovery_audit");
-                        part.iter()
-                            .map(|&off| audit_one(off))
-                            .collect::<Result<Vec<_>, Error>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(p) => std::panic::resume_unwind(p),
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut out = Vec::with_capacity(chain.len());
-        for part in parts {
-            out.extend(part?);
-        }
-        Ok(out)
-    }
-
-    /// Serial tail of recovery phase 3: unlinks empty leaves (replicating
-    /// the sequential walk's unlink order exactly — `is_last` here is the
-    /// serial walk's `next.is_null()`) and collects the survivors'
-    /// discriminators for the inner build.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn sweep(
-        ctx: &Ctx,
-        chain: &[u64],
-        audits: &[(usize, Option<K::Owned>)],
-    ) -> (Vec<(K::Owned, u64)>, HashSet<u64>, usize) {
-        let mut entries = Vec::new();
-        let mut in_tree = HashSet::new();
-        let mut len = 0usize;
-        let mut prev: Option<u64> = None;
-        for (i, (&off, (count, max))) in chain.iter().zip(audits).enumerate() {
-            let is_last = i + 1 == chain.len();
-            if *count == 0 && !(prev.is_none() && is_last) {
-                // Empty non-lone leaf: a rolled-back delete left it linked.
-                ctx.delete_leaf(None, off, prev, 0);
-                continue;
-            }
-            in_tree.insert(off);
-            if let Some(max) = max {
-                entries.push((max.clone(), off));
-            }
-            len += *count;
-            prev = Some(off);
-        }
-        (entries, in_tree, len)
-    }
-
-    pub(crate) fn descend<F>(
-        ctx: &Ctx,
-        groups: &mut GroupMgr,
         node: &mut Node<K>,
-        key: &K::Owned,
-        f: &mut F,
-    ) -> Outcome<K>
-    where
-        F: FnMut(&Ctx, &mut GroupMgr, u64) -> Outcome<K>,
-    {
-        match node {
-            Node::Leaf(off) => f(ctx, groups, *off),
-            Node::Inner(inner) => {
-                let idx = inner.child_index(key);
-                match Self::descend(ctx, groups, &mut inner.children[idx], key, f) {
-                    Outcome::Done(r) => Outcome::Done(r),
-                    Outcome::Split {
-                        key: sk,
-                        right,
-                        result,
-                    } => {
-                        inner.keys.insert(idx, sk);
-                        inner.children.insert(idx + 1, right);
-                        if inner.children.len() > ctx.cfg.inner_fanout {
-                            ctx.metrics.inc(Counter::InnerSplits);
-                            let (up, new_right) = inner.split();
-                            Outcome::Split {
-                                key: up,
-                                right: Node::Inner(new_right),
-                                result,
-                            }
-                        } else {
-                            Outcome::Done(result)
-                        }
-                    }
-                }
-            }
+        key: K::Owned,
+        right: Node<K>,
+    ) -> Option<(K::Owned, Node<K>)> {
+        let Node::Inner(inner) = node else {
+            return Some((key, right));
+        };
+        let idx = inner.child_index(&key);
+        let (up, right) = Self::index_insert(ctx, &mut inner.children[idx], key, right)?;
+        inner.keys.insert(idx, up);
+        inner.children.insert(idx + 1, right);
+        if inner.children.len() <= ctx.cfg.inner_fanout {
+            return None;
+        }
+        ctx.metrics.inc(Counter::InnerSplits);
+        let (up, new_right) = inner.split();
+        Some((up, Node::Inner(new_right)))
+    }
+
+    pub(crate) fn publish_split(&mut self, split_key: K::Owned, new_off: u64) {
+        let pushed = Self::index_insert(&self.ctx, &mut self.root, split_key, Node::Leaf(new_off));
+        if let Some((key, right)) = pushed {
+            let old = std::mem::replace(&mut self.root, Node::Leaf(0));
+            self.root = Node::Inner(Box::new(InnerNode {
+                keys: vec![key],
+                children: vec![old, right],
+            }));
         }
     }
 
-    pub(crate) fn apply_root_outcome(&mut self, outcome: Outcome<K>) -> bool {
-        match outcome {
-            Outcome::Done(r) => r,
-            Outcome::Split { key, right, result } => {
-                let old = std::mem::replace(&mut self.root, Node::Leaf(0));
-                self.root = Node::Inner(Box::new(InnerNode {
-                    keys: vec![key],
-                    children: vec![old, right],
-                }));
-                result
-            }
+    /// Insert / update: locate → kernel → publish split → len.
+    fn write(&mut self, key: &K::Owned, value: u64, mode: WriteMode) -> bool {
+        let metrics = Arc::clone(&self.ctx.metrics);
+        let _t = metrics.time_op(mode.op());
+        let checked = Arc::clone(&self.ctx.pool);
+        let _op = checked.begin_checked_op(mode.label());
+        let off = self.root.find_leaf(key);
+        let (ctx, groups) = (&self.ctx, &mut self.groups);
+        let w = ctx.write_one::<K>(off, key, value, mode, |off| {
+            ctx.split_leaf::<K>(groups, off, 0)
+        });
+        if let Some((split_key, new_off)) = w.split {
+            self.publish_split(split_key, new_off);
         }
+        if w.applied && matches!(mode, WriteMode::Insert) {
+            self.len += 1;
+        }
+        w.applied
     }
 
     /// Inserts `key → value`. Returns false (without modifying anything) if
     /// the key already exists.
     pub fn insert(&mut self, key: &K::Owned, value: u64) -> bool {
-        let metrics = Arc::clone(&self.ctx.metrics);
-        let _t = metrics.time_op(Op::Insert);
-        let checked = Arc::clone(&self.ctx.pool);
-        let _op = checked.begin_checked_op("insert");
-        let (ctx, groups, root) = (&self.ctx, &mut self.groups, &mut self.root);
-        let mut leaf_op = |ctx: &Ctx, groups: &mut GroupMgr, off: u64| -> Outcome<K> {
-            let leaf = ctx.leaf(off);
-            let live = leaf.wbuf_count();
-            if leaf.find_buffered::<K>(key, live).is_some() || leaf.find_slot::<K>(key).is_some() {
-                return Outcome::Done(false);
-            }
-            // Fast path (§5.12): one-publish append. The room check keeps
-            // the fold invariant `count + live <= m`, so compaction never
-            // needs a split.
-            if live < ctx.layout.wbuf_entries && leaf.count() + live < ctx.layout.m {
-                leaf.wbuf_append::<K>(live, key, value);
-                return Outcome::Done(true);
-            }
-            if live > 0 {
-                leaf.wbuf_fold::<K>();
-                if leaf.count() < ctx.layout.m {
-                    leaf.wbuf_append::<K>(0, key, value);
-                    return Outcome::Done(true);
-                }
-            }
-            if leaf.is_full() {
-                let (split_key, new_off) = ctx.split_leaf::<K>(groups, off, 0);
-                let target = if *key > split_key { new_off } else { off };
-                let tleaf = ctx.leaf(target);
-                if ctx.layout.wbuf_entries > 0 {
-                    // Both split halves start with an empty buffer (the
-                    // fold above emptied the old leaf's, and the copy's
-                    // entries are dead under the copied generation).
-                    tleaf.wbuf_append::<K>(0, key, value);
-                } else {
-                    ctx.insert_into_leaf::<K>(target, key, value);
-                }
-                Outcome::Split {
-                    key: split_key,
-                    right: Node::Leaf(new_off),
-                    result: true,
-                }
-            } else {
-                ctx.insert_into_leaf::<K>(off, key, value);
-                Outcome::Done(true)
-            }
-        };
-        let outcome = Self::descend(ctx, groups, root, key, &mut leaf_op);
-        let inserted = self.apply_root_outcome(outcome);
-        if inserted {
-            self.len += 1;
-        } else {
-            metrics.inc(Counter::InsertExisting);
-        }
-        inserted
+        self.write(key, value, WriteMode::Insert)
     }
 
     /// Looks up `key`.
@@ -1087,109 +324,47 @@ impl<K: KeyKind> SingleTree<K> {
 
     /// Updates the value of an existing key. Returns false if absent.
     pub fn update(&mut self, key: &K::Owned, value: u64) -> bool {
-        let metrics = Arc::clone(&self.ctx.metrics);
-        let _t = metrics.time_op(Op::Update);
-        let checked = Arc::clone(&self.ctx.pool);
-        let _op = checked.begin_checked_op("update");
-        let (ctx, groups, root) = (&self.ctx, &mut self.groups, &mut self.root);
-        let mut leaf_op = |ctx: &Ctx, groups: &mut GroupMgr, off: u64| -> Outcome<K> {
-            let leaf = ctx.leaf(off);
-            let live = leaf.wbuf_count();
-            if leaf.find_buffered::<K>(key, live).is_none() && leaf.find_slot::<K>(key).is_none() {
-                return Outcome::Done(false);
-            }
-            // Buffered update: append the new value — the newest entry
-            // shadows both older entries and the slot copy.
-            if live < ctx.layout.wbuf_entries && leaf.count() + live < ctx.layout.m {
-                leaf.wbuf_append::<K>(live, key, value);
-                return Outcome::Done(true);
-            }
-            if live > 0 {
-                leaf.wbuf_fold::<K>();
-                if leaf.count() < ctx.layout.m {
-                    leaf.wbuf_append::<K>(0, key, value);
-                    return Outcome::Done(true);
-                }
-            }
-            // Slot path: the buffer is empty, so the key sits in a slot.
-            let slot = leaf
-                .find_slot::<K>(key)
-                .expect("folded key must occupy a slot");
-            if leaf.is_full() {
-                let (split_key, new_off) = ctx.split_leaf::<K>(groups, off, 0);
-                let target = if *key > split_key { new_off } else { off };
-                let tslot = ctx
-                    .leaf(target)
-                    .find_slot::<K>(key)
-                    .expect("key must survive its leaf's split");
-                ctx.update_in_leaf::<K>(target, tslot, value);
-                Outcome::Split {
-                    key: split_key,
-                    right: Node::Leaf(new_off),
-                    result: true,
-                }
-            } else {
-                ctx.update_in_leaf::<K>(off, slot, value);
-                Outcome::Done(true)
-            }
-        };
-        let outcome = Self::descend(ctx, groups, root, key, &mut leaf_op);
-        let updated = self.apply_root_outcome(outcome);
-        if !updated {
-            metrics.inc(Counter::UpdateMisses);
-        }
-        updated
+        self.write(key, value, WriteMode::Update { expected: None })
     }
 
     /// Removes `key`. Returns false if absent.
     pub fn remove(&mut self, key: &K::Owned) -> bool {
         let metrics = Arc::clone(&self.ctx.metrics);
         let _t = metrics.time_op(Op::Remove);
-        let _op = self.ctx.pool.begin_checked_op("remove");
-        let (leaf_off, prev) = self.root.find_leaf_and_prev(key);
-        let leaf = self.ctx.leaf(leaf_off);
-        let live = leaf.wbuf_count();
-        if leaf.find_buffered::<K>(key, live).is_none() && leaf.find_slot::<K>(key).is_none() {
-            metrics.inc(Counter::RemoveMisses);
-            return false;
+        let checked = Arc::clone(&self.ctx.pool);
+        let _op = checked.begin_checked_op("remove");
+        let (off, prev) = self.root.find_leaf_and_prev(key);
+        let r = self.ctx.remove_one::<K>(off, key, None);
+        if r.removed {
+            self.len -= 1;
         }
-        // Fold first: buffer entries cannot be retired individually (the
-        // live prefix must stay contiguous), and a buffered value would
-        // shadow the slot removal.
-        if live > 0 {
-            leaf.wbuf_fold::<K>();
+        if r.emptied {
+            self.unlink_leaf(off, prev, key);
         }
-        let slot = leaf
-            .find_slot::<K>(key)
-            .expect("folded key must occupy a slot");
-        let bm = leaf.bitmap() & !(1 << slot);
-        leaf.commit_bitmap(bm);
-        K::release_slot(&self.ctx.pool, leaf.key_off(slot));
-        self.len -= 1;
-        if bm == 0 {
-            let is_only_leaf = prev.is_none() && leaf.next().is_null();
-            if !is_only_leaf {
-                self.ctx
-                    .delete_leaf(Some(&mut self.groups), leaf_off, prev, 0);
-                Self::remove_leaf_from_index(&mut self.root, key);
-                // Collapse a single-child root chain.
-                loop {
-                    match &mut self.root {
-                        Node::Inner(inner) if inner.children.len() == 1 => {
-                            let only = inner.children.pop().expect("one child");
-                            self.root = only;
-                        }
-                        _ => break,
-                    }
-                }
+        r.removed
+    }
+
+    /// Unlinks the emptied leaf `off` (covering `key`) from the persistent
+    /// chain and the volatile index — unless it is the tree's only leaf,
+    /// which is never deleted.
+    pub(crate) fn unlink_leaf(&mut self, off: u64, prev: Option<u64>, key: &K::Owned) {
+        if prev.is_none() && self.ctx.leaf(off).next().is_null() {
+            return;
+        }
+        self.ctx.delete_leaf(Some(&mut self.groups), off, prev, 0);
+        Self::remove_leaf_from_index(&mut self.root, key);
+        // Collapse a single-child root chain.
+        while let Node::Inner(inner) = &mut self.root {
+            if inner.children.len() != 1 {
+                break;
             }
+            self.root = inner.children.pop().expect("one child");
         }
-        true
     }
 
     /// Removes the (already unlinked) leaf covering `key` from the volatile
     /// index. Returns true if the subtree became empty (cascades).
-    pub(crate) fn remove_leaf_from_index(node: &mut Node<K>, key: &K::Owned) -> bool {
+    fn remove_leaf_from_index(node: &mut Node<K>, key: &K::Owned) -> bool {
         match node {
             Node::Leaf(_) => true,
             Node::Inner(inner) => {
@@ -1266,13 +441,7 @@ impl<K: KeyKind> SingleTree<K> {
 
     /// Leaf offsets in list order (tests, audits, stats).
     pub fn leaf_offsets(&self) -> Vec<u64> {
-        let mut offs = Vec::new();
-        let mut cur = self.ctx.meta.head(&self.ctx.pool);
-        while !cur.is_null() {
-            offs.push(cur.offset);
-            cur = self.ctx.leaf(cur.offset).next();
-        }
-        offs
+        self.ctx.leaf_offsets()
     }
 
     /// SCM/DRAM footprint (Figure 8).
@@ -1288,18 +457,7 @@ impl<K: KeyKind> SingleTree<K> {
         }
         if K::IS_VAR {
             for &off in &leaves {
-                let leaf = self.ctx.leaf(off);
-                let bm = leaf.bitmap();
-                for slot in 0..self.ctx.layout.m {
-                    if bm & (1 << slot) != 0 {
-                        let r = K::slot_ref(&self.ctx.pool, leaf.key_off(slot));
-                        if !r.is_null() {
-                            scm += 8 + self.ctx.pool.read_word(r.offset);
-                        }
-                    }
-                }
-                for i in 0..leaf.wbuf_count() {
-                    let r = K::slot_ref(&self.ctx.pool, leaf.wbuf_key_off(i));
+                for r in self.ctx.owned_key_refs::<K>(off) {
                     if !r.is_null() {
                         scm += 8 + self.ctx.pool.read_word(r.offset);
                     }
@@ -1318,76 +476,9 @@ impl<K: KeyKind> SingleTree<K> {
 
     /// Structural consistency check (tests): leaf list sorted and connected,
     /// fingerprints agree with keys, index routes every key to its leaf,
-    /// length matches.
+    /// length matches (see `leafops::Ctx::check_leaf_chain` for the list).
     pub fn check_consistency(&self) -> Result<(), String> {
-        let offs = self.leaf_offsets();
-        let mut prev_max: Option<K::Owned> = None;
-        let mut total = 0usize;
-        for (i, &off) in offs.iter().enumerate() {
-            let leaf = self.ctx.leaf(off);
-            let slot_entries = leaf.collect_entries::<K>();
-            // Merged view: distinct buffered keys (newest wins) + slots.
-            let merged = leaf.collect_merged::<K>();
-            if merged.is_empty() && offs.len() > 1 {
-                return Err(format!("leaf {i} is empty but linked"));
-            }
-            total += merged.len();
-            let mut keys: Vec<&K::Owned> = slot_entries.iter().map(|(_, k)| k).collect();
-            keys.sort();
-            keys.dedup();
-            if keys.len() != slot_entries.len() {
-                return Err(format!("leaf {i} holds duplicate keys"));
-            }
-            for (slot, k) in &slot_entries {
-                if self.ctx.layout.fingerprints && leaf.fingerprint(*slot) != K::fingerprint(k) {
-                    return Err(format!("leaf {i} slot {slot}: fingerprint mismatch"));
-                }
-                if K::IS_VAR && K::slot_ref(&self.ctx.pool, leaf.key_off(*slot)).is_null() {
-                    return Err(format!("leaf {i} slot {slot}: valid slot with null key"));
-                }
-            }
-            let live = leaf.wbuf_count();
-            if live > 0 {
-                let count = leaf.count();
-                if count + live > self.ctx.layout.m {
-                    return Err(format!(
-                        "leaf {i}: {count} slots + {live} buffered exceed capacity (fold invariant)"
-                    ));
-                }
-            }
-            for (k, _) in &merged {
-                if self.root.find_leaf(k) != off {
-                    return Err(format!("index routes a key of leaf {i} elsewhere"));
-                }
-                if let Some(pm) = &prev_max {
-                    if *k <= *pm {
-                        return Err(format!("leaf {i}: key order violates list order"));
-                    }
-                }
-            }
-            if let Some(max) = merged.iter().map(|(k, _)| k.clone()).max() {
-                prev_max = Some(max);
-            }
-            if K::IS_VAR {
-                let bm = leaf.bitmap();
-                for slot in 0..self.ctx.layout.m {
-                    if bm & (1 << slot) == 0 && K::slot_nonnull(&self.ctx.pool, leaf.key_off(slot))
-                    {
-                        return Err(format!("leaf {i} slot {slot}: dead slot references a key"));
-                    }
-                }
-                for e in live..self.ctx.layout.wbuf_entries {
-                    if K::slot_nonnull(&self.ctx.pool, leaf.wbuf_key_off(e)) {
-                        return Err(format!(
-                            "leaf {i} entry {e}: dead buffer entry references a key"
-                        ));
-                    }
-                }
-            }
-        }
-        if total != self.len {
-            return Err(format!("len {} != stored entries {}", self.len, total));
-        }
-        Ok(())
+        self.ctx
+            .check_leaf_chain::<K>(self.len, |k, off| self.root.find_leaf(k) == off)
     }
 }

@@ -4,8 +4,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fptree_core::concurrent::{ConcurrentFPTree, ConcurrentFPTreeVar, ConcurrentTree};
-use fptree_core::TreeConfig;
-use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
+use fptree_core::leaf::Leaf;
+use fptree_core::{FixedKey, KeyKind, LeafLayout, TreeConfig, VarKey};
+use fptree_pmem::{PmemPool, PoolOptions, RawPPtr, ROOT_SLOT};
 use rand::prelude::*;
 
 fn pool(mb: usize) -> Arc<PmemPool> {
@@ -430,4 +431,106 @@ fn agrees_with_single_threaded_tree() {
     assert_eq!(tc.len(), ts.len());
     tc.check_consistency().unwrap();
     ts.check_consistency().unwrap();
+}
+
+/// Regression: `check_consistency` used to skip checks the single-threaded
+/// tree performs. Both corruptions below are planted with raw `Leaf` writes
+/// and passed silently before the two checkers were unified.
+#[test]
+fn check_consistency_rejects_duplicate_slots_and_dead_slot_key_refs() {
+    // (a) The same key valid in two slots. The merged view dedups it, so
+    // neither the entry count nor reachability notices.
+    let cfg = small_cfg().with_wbuf_entries(0);
+    let t = ConcurrentFPTree::create(pool(8), cfg, ROOT_SLOT);
+    t.insert(&1, 10);
+    t.insert(&2, 20);
+    t.check_consistency().unwrap();
+    let layout = LeafLayout::new(t.config(), FixedKey::SLOT_SIZE);
+    let leaf = Leaf::new(t.pool(), &layout, t.leaf_offsets()[0]);
+    let dup = leaf.first_zero_slot().unwrap();
+    FixedKey::write_slot(t.pool(), leaf.key_off(dup), &1);
+    leaf.set_value(dup, 10);
+    leaf.set_fingerprint(dup, FixedKey::fingerprint(&1));
+    leaf.persist_slot(dup);
+    leaf.persist_fingerprint(dup);
+    leaf.commit_bitmap(leaf.bitmap() | (1 << dup));
+    let err = t.check_consistency().unwrap_err();
+    assert!(err.contains("duplicate keys"), "{err}");
+
+    // (b) A dead variable-key slot still referencing a key blob (what an
+    // un-audited crashed update leaves behind: a leak, or a double free
+    // once the live copy is removed).
+    let cfg = small_cfg().with_wbuf_entries(0);
+    let t = ConcurrentFPTreeVar::create(pool(8), cfg, ROOT_SLOT);
+    t.insert(&b"alpha".to_vec(), 1);
+    t.check_consistency().unwrap();
+    let layout = LeafLayout::new(t.config(), VarKey::SLOT_SIZE);
+    let leaf = Leaf::new(t.pool(), &layout, t.leaf_offsets()[0]);
+    let live = leaf.bitmap().trailing_zeros() as usize;
+    let blob: RawPPtr = t.pool().read_at(leaf.key_off(live));
+    let dead = leaf.first_zero_slot().unwrap();
+    t.pool().write_at(leaf.key_off(dead), &blob);
+    t.pool().persist(leaf.key_off(dead), VarKey::SLOT_SIZE);
+    let err = t.check_consistency().unwrap_err();
+    assert!(err.contains("dead slot references a key"), "{err}");
+}
+
+/// The expected-value guard compares against the merged newest value, so
+/// `update_if` takes the same path as `update` — for fixed-size keys the
+/// one-persist append, instead of force-folding first — and a stale
+/// `expected` writes nothing.
+#[test]
+fn update_if_appends_like_update_and_guards_on_the_buffered_value() {
+    let stats = |t: &ConcurrentFPTree| {
+        let s = t.pool().stats().snapshot();
+        (s.persist_calls, s.flushed_lines)
+    };
+    // Same leaf state, same entry index: one tree per flavour. Default
+    // leaves carry 8 buffer entries, plenty of room for these appends.
+    let fresh = || {
+        let t = ConcurrentFPTree::create(pool(8), TreeConfig::fptree_concurrent(), ROOT_SLOT);
+        t.insert(&7, 1);
+        t
+    };
+    let delta = |t: &ConcurrentFPTree, op: fn(&ConcurrentFPTree) -> bool| {
+        let before = stats(t);
+        assert!(op(t));
+        let after = stats(t);
+        (after.0 - before.0, after.1 - before.1)
+    };
+    let plain = delta(&fresh(), |t| t.update(&7, 2));
+    let t = fresh();
+    let guarded = delta(&t, |t| t.update_if(&7, 1, 2));
+    assert_eq!(plain.0, 1, "one entry publish, one persist");
+    assert_eq!(guarded, plain);
+    assert!(t.update_if(&7, 2, 3));
+    assert_eq!(t.get(&7), Some(3));
+
+    // The older buffered values 1 and 2 are stale: the newest is 3.
+    let before = stats(&t);
+    assert!(!t.update_if(&7, 1, 9));
+    assert!(!t.update_if(&7, 2, 9));
+    assert!(!t.remove_if(&7, 2));
+    assert_eq!(stats(&t), before, "a failed guard must not write");
+    assert_eq!(t.get(&7), Some(3));
+    assert!(t.remove_if(&7, 3));
+    assert_eq!(t.get(&7), None);
+    t.check_consistency().unwrap();
+
+    // Variable-size keys: appending an update would allocate a second key
+    // blob, so both flavours move the existing blob's pointer instead.
+    let t = ConcurrentFPTreeVar::create(pool(8), TreeConfig::fptree_concurrent_var(), ROOT_SLOT);
+    let key = b"alpha".to_vec();
+    t.insert(&key, 1);
+    let before = t.pool().stats().snapshot();
+    assert!(t.update(&key, 2));
+    assert!(t.update_if(&key, 2, 3));
+    let after = t.pool().stats().snapshot();
+    assert_eq!(
+        (after.allocs, after.deallocs),
+        (before.allocs, before.deallocs)
+    );
+    assert_eq!(t.get(&key), Some(3));
+    t.check_consistency().unwrap();
+    t.leak_audit().unwrap();
 }

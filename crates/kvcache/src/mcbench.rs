@@ -219,12 +219,10 @@ pub fn run_connscale(addr: SocketAddr, cfg: &ConnScaleConfig) -> io::Result<Conn
                         let sock = &mut socks[w as usize % per_thread];
                         // Homogeneous windows: all SETs or all GETs, so the
                         // response size is predictable without parsing.
-                        let is_set =
-                            cfg.set_every > 0 && w.is_multiple_of(cfg.set_every as u64);
+                        let is_set = cfg.set_every > 0 && w.is_multiple_of(cfg.set_every as u64);
                         let mut msg = Vec::with_capacity(cfg.pipeline * (cfg.value_size + 48));
                         for i in 0..cfg.pipeline {
-                            let key = (w * cfg.pipeline as u64 + i as u64) as usize
-                                % cfg.keyspace;
+                            let key = (w * cfg.pipeline as u64 + i as u64) as usize % cfg.keyspace;
                             if is_set {
                                 msg.extend_from_slice(
                                     format!("set key:{key:012} 0 0 {}\r\n", payload.len())
@@ -233,9 +231,7 @@ pub fn run_connscale(addr: SocketAddr, cfg: &ConnScaleConfig) -> io::Result<Conn
                                 msg.extend_from_slice(payload);
                                 msg.extend_from_slice(b"\r\n");
                             } else {
-                                msg.extend_from_slice(
-                                    format!("get key:{key:012}\r\n").as_bytes(),
-                                );
+                                msg.extend_from_slice(format!("get key:{key:012}\r\n").as_bytes());
                             }
                         }
                         sock.write_all(&msg)?;
@@ -250,18 +246,13 @@ pub fn run_connscale(addr: SocketAddr, cfg: &ConnScaleConfig) -> io::Result<Conn
                             while ends < cfg.pipeline {
                                 let n = sock.read(&mut resp)?;
                                 if n == 0 {
-                                    return Err(io::Error::other(
-                                        "server closed mid-window",
-                                    ));
+                                    return Err(io::Error::other("server closed mid-window"));
                                 }
                                 // A terminator can straddle reads: scan with
                                 // 4 bytes of carry-over.
                                 let carry = buf.len().saturating_sub(4);
                                 buf.extend_from_slice(&resp[..n]);
-                                ends += buf[carry..]
-                                    .windows(5)
-                                    .filter(|w| w == b"END\r\n")
-                                    .count();
+                                ends += buf[carry..].windows(5).filter(|w| w == b"END\r\n").count();
                                 if ends < cfg.pipeline && buf.len() > 8 {
                                     let keep = buf.len() - 4;
                                     buf.drain(..keep);

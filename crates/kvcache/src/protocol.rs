@@ -257,9 +257,7 @@ pub fn execute_into(cache: &dyn Cache, cmd: &Command, out: &mut Vec<u8>) {
                     }
                     out.extend_from_slice(b"END\r\n");
                 }
-                None => {
-                    out.extend_from_slice(b"SERVER_ERROR scan not supported by this index\r\n")
-                }
+                None => out.extend_from_slice(b"SERVER_ERROR scan not supported by this index\r\n"),
             }
         }
         Command::Stats { reset, shards } => {

@@ -15,8 +15,7 @@
 //! [`ServerBuilder::idle_timeout`] (`conn_idle_closed`); shutdown drains
 //! in-flight responses before closing.
 //!
-//! Construct servers with [`ServerBuilder`]; the positional [`serve`] /
-//! [`serve_with`] entry points remain as deprecated wrappers.
+//! Construct servers with [`ServerBuilder`].
 //!
 //! The mc-benchmark harness still defaults to in-process calls with a
 //! modeled network cost (see [`crate::mcbench`]) because the paper's
@@ -282,26 +281,10 @@ impl Drop for ServerHandle {
 
 impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerHandle").field("addr", &self.addr).finish_non_exhaustive()
+        f.debug_struct("ServerHandle")
+            .field("addr", &self.addr)
+            .finish_non_exhaustive()
     }
-}
-
-/// Starts a server for `cache` on `addr` with the default settings.
-#[deprecated(note = "use ServerBuilder::new(addr).serve(cache)")]
-pub fn serve(cache: Arc<dyn Cache>, addr: &str) -> io::Result<ServerHandle> {
-    ServerBuilder::new(addr).serve(cache)
-}
-
-/// Starts a server that serves at most `max_conns` connections at a time.
-#[deprecated(note = "use ServerBuilder::new(addr).max_connections(n).serve(cache)")]
-pub fn serve_with(
-    cache: Arc<dyn Cache>,
-    addr: &str,
-    max_conns: usize,
-) -> io::Result<ServerHandle> {
-    ServerBuilder::new(addr)
-        .max_connections(max_conns)
-        .serve(cache)
 }
 
 // ---------------------------------------------------------------------------
@@ -335,10 +318,7 @@ fn worker_loop(shared: &WorkerShared, cache: &dyn Cache) {
                 if let Some(w) = q.pop_front() {
                     break w;
                 }
-                q = shared
-                    .available
-                    .wait(q)
-                    .unwrap_or_else(|e| e.into_inner());
+                q = shared.available.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
         match work {
@@ -480,7 +460,8 @@ struct EventLoop {
 impl EventLoop {
     fn run(&mut self) {
         let mut events = Events::with_capacity(1024);
-        let tick = (self.cfg.idle_timeout / 4).clamp(Duration::from_millis(1), Duration::from_millis(100));
+        let tick =
+            (self.cfg.idle_timeout / 4).clamp(Duration::from_millis(1), Duration::from_millis(100));
         let mut draining: Option<Instant> = None;
         let mut next_sweep = Instant::now() + tick;
         loop {
@@ -517,8 +498,7 @@ impl EventLoop {
                 next_sweep = now + tick;
             }
             if self.stop.load(Ordering::SeqCst) {
-                let deadline =
-                    *draining.get_or_insert_with(|| Instant::now() + SHUTDOWN_DRAIN);
+                let deadline = *draining.get_or_insert_with(|| Instant::now() + SHUTDOWN_DRAIN);
                 // Stop accepting; in-flight work keeps draining until every
                 // connection has flushed or the deadline passes.
                 if let Some(mut l) = self.listener.take() {
@@ -558,9 +538,7 @@ impl EventLoop {
             };
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if self.active >= self.cfg.max_connections
-                        || self.stop.load(Ordering::SeqCst)
-                    {
+                    if self.active >= self.cfg.max_connections || self.stop.load(Ordering::SeqCst) {
                         self.metrics.inc(Counter::ConnRejected);
                         let mut stream = stream;
                         // Best-effort refusal: a fresh socket's send buffer
@@ -757,8 +735,8 @@ impl EventLoop {
                     self.metrics.add(Counter::BytesWritten, n as u64);
                     let mut left = n;
                     while left > 0 {
-                        let front_remaining = conn.out.front().expect("bytes queued").len()
-                            - conn.out_head;
+                        let front_remaining =
+                            conn.out.front().expect("bytes queued").len() - conn.out_head;
                         if left >= front_remaining {
                             left -= front_remaining;
                             conn.out_bytes -= front_remaining;
@@ -801,8 +779,7 @@ impl EventLoop {
             // the cap, not on the first freed byte.
             conn.stalled = false;
         }
-        let want_read =
-            !conn.closing && !conn.stalled && conn.buf.len() < self.cfg.max_frame_bytes;
+        let want_read = !conn.closing && !conn.stalled && conn.buf.len() < self.cfg.max_frame_bytes;
         let want_write = conn.out_bytes > 0;
         let want = match (want_read, want_write) {
             (true, true) => Some(Interest::READABLE | Interest::WRITABLE),
@@ -1091,22 +1068,6 @@ mod tests {
         assert!(ServerBuilder::new("not-an-address")
             .serve(Arc::clone(&cache) as Arc<dyn Cache>)
             .is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_serve() {
-        let cache = hash_cache();
-        let server = serve(Arc::clone(&cache) as Arc<dyn Cache>, "127.0.0.1:0").unwrap();
-        let mut client = Client::connect(server.addr).unwrap();
-        client.set("k", b"v").unwrap();
-        assert_eq!(client.get("k").unwrap(), Some(b"v".to_vec()));
-        server.shutdown();
-        let server =
-            serve_with(Arc::clone(&cache) as Arc<dyn Cache>, "127.0.0.1:0", 4).unwrap();
-        let mut client = Client::connect(server.addr).unwrap();
-        assert!(client.version().unwrap().starts_with("VERSION"));
-        server.shutdown();
     }
 
     #[test]
@@ -1400,7 +1361,11 @@ mod tests {
         let mut byte = [0u8; 1];
         while got.len() < want.len() {
             let n = stream.read(&mut byte).unwrap();
-            assert!(n > 0, "server closed early: {:?}", String::from_utf8_lossy(&got));
+            assert!(
+                n > 0,
+                "server closed early: {:?}",
+                String::from_utf8_lossy(&got)
+            );
             got.extend_from_slice(&byte[..n]);
         }
         assert_eq!(got, want);

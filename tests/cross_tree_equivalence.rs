@@ -148,6 +148,114 @@ fn apply_batch_to_oracle(oracle: &mut BTreeMap<u64, u64>, op: &BatchOp) -> usize
     }
 }
 
+/// A step of the kernel-equivalence stream: a single-key op or a batch.
+#[derive(Debug, Clone)]
+enum Step {
+    One(Op),
+    Batch(BatchOp),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        4 => op_strategy().prop_map(Step::One),
+        1 => batch_op_strategy().prop_map(Step::Batch),
+    ]
+}
+
+/// The one leaf-write asymmetry between the trees: a `remove_batch` run
+/// that empties its leaf is one bitmap commit on the single-threaded tree,
+/// but the concurrent tree cannot unlink under the leaf lock alone — it
+/// holds the run's last key back and removes it through the single-key
+/// path, which commits the bitmap once more (unless the run was that one
+/// key). Each commit is one persist of one line.
+const CONC_HOLDBACK_COMMITS_PER_EMPTIED_LEAF: u64 = 1;
+
+/// "One kernel": the same stream through `SingleTree` (leaf groups off) and
+/// `ConcurrentTree` must leave bit-equivalent leaf chains and, except for
+/// the constant above, issue the same persists, flushed lines and fences.
+fn assert_one_kernel<K: fptree_suite::core::ConcKey>(
+    steps: &[Step],
+    cfg: TreeConfig,
+    key: impl Fn(u32) -> K::Owned,
+) {
+    use fptree_suite::core::leaf::Leaf;
+    use fptree_suite::core::{ConcurrentTree, LeafLayout, SingleTree};
+    use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
+    use std::sync::Arc;
+
+    let cfg = small(cfg).with_leaf_group_size(0);
+    let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
+    // Per leaf in chain order: valid slots, live buffer entries, sorted
+    // merged entries.
+    let shapes = |pool: &PmemPool, offs: Vec<u64>| -> Vec<_> {
+        offs.into_iter()
+            .map(|off| {
+                let leaf = Leaf::new(pool, &layout, off);
+                let mut merged = leaf.collect_merged::<K>();
+                merged.sort();
+                (leaf.count(), leaf.wbuf_count(), merged)
+            })
+            .collect()
+    };
+    let new_pool = || Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
+    let (sp, cp) = (new_pool(), new_pool());
+    let mut s = SingleTree::<K>::create(Arc::clone(&sp), cfg, ROOT_SLOT);
+    let c = ConcurrentTree::<K>::create(Arc::clone(&cp), cfg, ROOT_SLOT);
+    // Deltas since `create`: the metadata blocks differ (1 vs 64 micro-log
+    // slots), the leaf writes must not.
+    sp.stats().reset();
+    cp.stats().reset();
+    let mut holdback_commits = 0u64;
+    for step in steps {
+        match step {
+            Step::One(Op::Insert(k, v)) => {
+                assert_eq!(s.insert(&key(*k), *v as u64), c.insert(&key(*k), *v as u64));
+            }
+            Step::One(Op::Update(k, v)) => {
+                assert_eq!(s.update(&key(*k), *v as u64), c.update(&key(*k), *v as u64));
+            }
+            Step::One(Op::Remove(k)) => assert_eq!(s.remove(&key(*k)), c.remove(&key(*k))),
+            Step::One(Op::Get(k)) => assert_eq!(s.get(&key(*k)), c.get(&key(*k))),
+            Step::One(Op::Range(lo, hi)) => {
+                assert_eq!(s.range(&key(*lo), &key(*hi)), c.range(&key(*lo), &key(*hi)));
+            }
+            Step::Batch(BatchOp::InsertBatch(entries)) => {
+                let e: Vec<(K::Owned, u64)> =
+                    entries.iter().map(|(k, v)| (key(*k), *v as u64)).collect();
+                assert_eq!(s.insert_batch(&e), c.insert_batch(&e));
+            }
+            Step::Batch(BatchOp::RemoveBatch(keys)) => {
+                let keys: Vec<K::Owned> = keys.iter().map(|k| key(*k)).collect();
+                let emptied = shapes(&sp, s.leaf_offsets())
+                    .iter()
+                    .filter(|(_, _, merged)| {
+                        merged.len() >= 2 && merged.iter().all(|(k, _)| keys.contains(k))
+                    })
+                    .count();
+                holdback_commits += emptied as u64 * CONC_HOLDBACK_COMMITS_PER_EMPTIED_LEAF;
+                assert_eq!(s.remove_batch(&keys), c.remove_batch(&keys));
+            }
+        }
+        assert_eq!(
+            shapes(&sp, s.leaf_offsets()),
+            shapes(&cp, c.leaf_offsets()),
+            "leaf chains diverge after {step:?}"
+        );
+        let (a, b) = (sp.stats().snapshot(), cp.stats().snapshot());
+        assert_eq!(
+            (b.persist_calls, b.flushed_lines, b.fences),
+            (
+                a.persist_calls + holdback_commits,
+                a.flushed_lines + holdback_commits,
+                a.fences
+            ),
+            "persistence counters diverge after {step:?}"
+        );
+    }
+    s.check_consistency().unwrap();
+    c.check_consistency().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -659,5 +767,22 @@ proptest! {
                 }
             });
         wb.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn single_and_concurrent_trees_run_one_leaf_kernel(
+        steps in proptest::collection::vec(step_strategy(), 40..160),
+    ) {
+        use fptree_suite::core::{FixedKey, VarKey};
+        assert_one_kernel::<FixedKey>(&steps, TreeConfig::fptree_concurrent(), |k| k as u64);
+        assert_one_kernel::<VarKey>(&steps, TreeConfig::fptree_concurrent_var(), |k| {
+            format!("key:{k:06}").into_bytes()
+        });
+        // No append buffer: every write takes the slot path.
+        assert_one_kernel::<FixedKey>(
+            &steps,
+            TreeConfig::fptree_concurrent().with_wbuf_entries(0),
+            |k| k as u64,
+        );
     }
 }
