@@ -2,14 +2,15 @@
 //! trees at an emulated 250 ns SCM latency.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use fptree_bench::{shuffled_keys, AnyTree, TreeKind};
+use fptree_bench::{build_u64, shuffled_keys, BenchTree, TreeKind};
+use fptree_core::U64Index;
 
 const N: usize = 20_000;
 const LATENCY: u64 = 250;
 
-fn warm_tree(kind: TreeKind) -> (AnyTree, Vec<u64>) {
+fn warm_tree(kind: TreeKind) -> (BenchTree<dyn U64Index>, Vec<u64>) {
     let keys = shuffled_keys(N, 41);
-    let mut t = AnyTree::build(kind, 512, LATENCY, 8);
+    let t = build_u64(kind, 512, LATENCY, 8);
     for &k in &keys {
         t.insert(k, k);
     }
@@ -38,13 +39,8 @@ fn bench_insert(c: &mut Criterion) {
     for kind in TreeKind::fig7_set() {
         g.bench_function(kind.name(), |b| {
             b.iter_batched(
-                || {
-                    (
-                        AnyTree::build(kind, 512, LATENCY, 8),
-                        shuffled_keys(2000, 43),
-                    )
-                },
-                |(mut t, keys)| {
+                || (build_u64(kind, 512, LATENCY, 8), shuffled_keys(2000, 43)),
+                |(t, keys)| {
                     for &k in &keys {
                         t.insert(k, k);
                     }
@@ -61,7 +57,7 @@ fn bench_update(c: &mut Criterion) {
     let mut g = c.benchmark_group("update_250ns");
     g.sample_size(20);
     for kind in TreeKind::fig7_set() {
-        let (mut t, keys) = warm_tree(kind);
+        let (t, keys) = warm_tree(kind);
         let mut i = 0usize;
         g.bench_function(kind.name(), |b| {
             b.iter(|| {

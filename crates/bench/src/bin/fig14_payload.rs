@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fptree_baselines::NVTreeC;
-use fptree_bench::{shuffled_keys, AnyTree, Args, Report, Row, TreeKind};
+use fptree_bench::{build_u64, shuffled_keys, Args, Report, Row, TreeKind};
 use fptree_core::keys::FixedKey;
 use fptree_core::{ConcurrentFPTree, TreeConfig};
 use fptree_pmem::{LatencyProfile, PmemPool, PoolOptions, ROOT_SLOT};
@@ -72,7 +72,7 @@ fn run(
     extra: &[u64],
     want_metrics: bool,
 ) -> [f64; 4] {
-    let mut t = AnyTree::build(kind, pool_mb, latency, payload);
+    let t = build_u64(kind, pool_mb, latency, payload);
     for &k in warm {
         t.insert(k, k);
     }

@@ -8,10 +8,9 @@
 //!
 //! Additionally benchmarks the real in-leaf probe (`Leaf::find_slot`) on a
 //! direct (zero-latency) pool, so the numbers are pure CPU cost: the same
-//! leaf bytes are probed through a SWAR-enabled layout view and a scalar
-//! byte-loop view (`--swar` / `--no-swar` restrict to one variant), and the
-//! charged SCM read lines per probe are re-baselined for the fingerprint
-//! and linear paths.
+//! leaf is probed by the SWAR word probe and by its scalar reference loop
+//! (`Leaf::find_slot_scalar`), and the charged SCM read lines per probe are
+//! re-baselined for the fingerprint and linear paths.
 
 use fptree_bench::{Args, Report, Row};
 use fptree_core::fingerprint::{
@@ -31,9 +30,6 @@ fn main() {
     let out = args.get_str("out");
     let trials: usize = args.get("trials", 400);
     let reps: usize = args.get("reps", 25);
-    // Default runs both variants; --swar / --no-swar narrow the comparison.
-    let run_swar = !args.flag("no-swar");
-    let run_scalar = !args.flag("swar");
 
     let mut report = Report::new("fig4_probes", "Figure 4: expected in-leaf key probes vs m");
     let mut m = 4usize;
@@ -83,15 +79,15 @@ fn main() {
     );
     anchors.emit(out);
 
-    swar_probe_bench(out, reps, run_swar, run_scalar);
+    swar_probe_bench(out, reps);
     charged_lines(out);
 }
 
 /// Wall-clock `find_slot` throughput, SWAR word-wise probe vs the scalar
-/// byte loop, over identical leaf bytes. Direct pool → zero modeled
-/// latency, so this isolates the probe's CPU cost. Half the probes hit,
-/// half miss (a miss scans every fingerprint — the SWAR sweet spot).
-fn swar_probe_bench(out: Option<&str>, reps: usize, run_swar: bool, run_scalar: bool) {
+/// byte loop, over the same leaf. Direct pool → zero modeled latency, so
+/// this isolates the probe's CPU cost. Half the probes hit, half miss (a
+/// miss scans every fingerprint — the SWAR sweet spot).
+fn swar_probe_bench(out: Option<&str>, reps: usize) {
     let mut report = Report::new(
         "fig4_swar",
         "find_slot throughput: SWAR word probe vs scalar byte loop (Mprobe/s)",
@@ -99,28 +95,21 @@ fn swar_probe_bench(out: Option<&str>, reps: usize, run_swar: bool, run_scalar: 
     let mut speedups = Vec::new();
     for m in [8usize, 16, 32, 64] {
         let pool = PmemPool::create(PoolOptions::direct(1 << 20)).unwrap();
-        let cfg_on = TreeConfig {
+        let cfg = TreeConfig {
             leaf_capacity: m,
             ..TreeConfig::fptree()
         };
-        let cfg_off = TreeConfig {
-            swar_probe: false,
-            ..cfg_on
-        };
-        // Same offsets either way — only the probe strategy differs, so
-        // both views read the exact same leaf bytes.
-        let lay_on = LeafLayout::new(&cfg_on, FixedKey::SLOT_SIZE);
-        let lay_off = LeafLayout::new(&cfg_off, FixedKey::SLOT_SIZE);
-        let off = pool.allocate(ROOT_SLOT, lay_on.size).unwrap();
-        pool.write_bytes(off, &vec![0u8; lay_on.size]);
-        let leaf = Leaf::new(&pool, &lay_on, off);
+        let layout = LeafLayout::new(&cfg, FixedKey::SLOT_SIZE);
+        let off = pool.allocate(ROOT_SLOT, layout.size).unwrap();
+        pool.write_bytes(off, &vec![0u8; layout.size]);
+        let leaf = Leaf::new(&pool, &layout, off);
         let keys: Vec<u64> = (0..m as u64).map(|i| i * 0x9E37_79B9 + 17).collect();
         for (slot, &k) in keys.iter().enumerate() {
             FixedKey::write_slot(&pool, leaf.key_off(slot), &k);
             leaf.set_value(slot, k ^ 0x5A);
             leaf.set_fingerprint(slot, FixedKey::fingerprint(&k));
         }
-        leaf.commit_bitmap(lay_on.full_bitmap());
+        leaf.commit_bitmap(layout.full_bitmap());
 
         let mut rng = StdRng::seed_from_u64(7);
         let probes: Vec<u64> = (0..4096)
@@ -133,40 +122,30 @@ fn swar_probe_bench(out: Option<&str>, reps: usize, run_swar: bool, run_scalar: 
             })
             .collect();
 
-        let time = |layout: &LeafLayout| -> f64 {
-            let view = Leaf::new(&pool, layout, off);
+        // Generic over the probe so each side is a direct, inlinable call.
+        fn time(probes: &[u64], reps: usize, probe: impl Fn(&u64) -> Option<usize>) -> f64 {
             let mut best = f64::INFINITY;
             for _ in 0..reps {
                 let t = Instant::now();
-                for k in &probes {
-                    std::hint::black_box(view.find_slot::<FixedKey>(k));
+                for k in probes {
+                    std::hint::black_box(probe(k));
                 }
                 best = best.min(t.elapsed().as_secs_f64());
             }
             probes.len() as f64 / best / 1e6
-        };
-
-        let mut row = Row::new(format!("m={m}"));
-        let swar = if run_swar { time(&lay_on) } else { 0.0 };
-        let scalar = if run_scalar { time(&lay_off) } else { 0.0 };
-        if run_swar {
-            row = row.field("swar_Mops", swar);
         }
-        if run_scalar {
-            row = row.field("scalar_Mops", scalar);
-        }
-        if run_swar && run_scalar {
-            let s = swar / scalar;
-            speedups.push(s);
-            row = row.field("speedup", s);
-        }
-        report.push(row);
+        let swar = time(&probes, reps, |k| leaf.find_slot::<FixedKey>(k));
+        let scalar = time(&probes, reps, |k| leaf.find_slot_scalar::<FixedKey>(k));
+        speedups.push(swar / scalar);
+        report.push(
+            Row::new(format!("m={m}"))
+                .field("swar_Mops", swar)
+                .field("scalar_Mops", scalar)
+                .field("speedup", swar / scalar),
+        );
     }
-    if !speedups.is_empty() {
-        // Geometric mean over leaf sizes: the CI smoke gate's single number.
-        let geo = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
-        report.push(Row::new("overall").field("swar_speedup", geo));
-    }
+    let geo = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
+    report.push(Row::new("overall").field("swar_speedup", geo));
     report.emit(out);
 }
 
@@ -175,11 +154,14 @@ fn swar_probe_bench(out: Option<&str>, reps: usize, run_swar: bool, run_scalar: 
 /// a second per-slot touch; a fingerprint hit additionally charges only
 /// the matched slot.
 fn charged_lines(out: Option<&str>) {
+    type Probe = for<'a, 'b> fn(&'a Leaf<'b>, &u64) -> Option<usize>;
+    const SWAR: Probe = |leaf, k| leaf.find_slot::<FixedKey>(k);
+    const SCALAR: Probe = |leaf, k| leaf.find_slot_scalar::<FixedKey>(k);
     let mut report = Report::new(
         "fig4_charged_lines",
         "charged SCM read lines per probe (hit vs miss)",
     );
-    let lines_for = |cfg: &TreeConfig, label: &str, report: &mut Report| {
+    let lines_for = |cfg: &TreeConfig, probe: Probe, label: &str, report: &mut Report| {
         let pool = PmemPool::create(PoolOptions::direct(1 << 20)).unwrap();
         let layout = LeafLayout::new(cfg, FixedKey::SLOT_SIZE);
         let off = pool.allocate(ROOT_SLOT, layout.size).unwrap();
@@ -196,12 +178,12 @@ fn charged_lines(out: Option<&str>) {
         leaf.commit_bitmap(layout.full_bitmap());
         pool.stats().reset();
         for k in &keys {
-            assert!(leaf.find_slot::<FixedKey>(k).is_some());
+            assert!(probe(&leaf, k).is_some());
         }
         let hit = pool.stats().snapshot().read_lines as f64 / keys.len() as f64;
         pool.stats().reset();
         for k in &keys {
-            assert!(leaf.find_slot::<FixedKey>(&(k | 1 << 63)).is_none());
+            assert!(probe(&leaf, &(k | 1 << 63)).is_none());
         }
         let miss = pool.stats().snapshot().read_lines as f64 / keys.len() as f64;
         report.push(
@@ -211,23 +193,12 @@ fn charged_lines(out: Option<&str>) {
         );
     };
     let m = 32usize;
-    lines_for(
-        &TreeConfig {
-            leaf_capacity: m,
-            ..TreeConfig::fptree()
-        },
-        "fingerprint(swar)",
-        &mut report,
-    );
-    lines_for(
-        &TreeConfig {
-            leaf_capacity: m,
-            swar_probe: false,
-            ..TreeConfig::fptree()
-        },
-        "fingerprint(scalar)",
-        &mut report,
-    );
+    let fp = TreeConfig {
+        leaf_capacity: m,
+        ..TreeConfig::fptree()
+    };
+    lines_for(&fp, SWAR, "fingerprint(swar)", &mut report);
+    lines_for(&fp, SCALAR, "fingerprint(scalar)", &mut report);
     lines_for(
         &TreeConfig {
             leaf_capacity: m,
@@ -235,6 +206,7 @@ fn charged_lines(out: Option<&str>) {
             split_arrays: false,
             ..TreeConfig::ptree()
         },
+        SWAR,
         "linear(interleaved)",
         &mut report,
     );

@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use fptree_bench::{
-    shuffled_keys, string_key, AnyTree, AnyTreeVar, Args, Report, Row, TreeKind, LATENCIES_NS,
+    build_bytes, build_u64, shuffled_keys, string_key, Args, Report, Row, TreeKind, LATENCIES_NS,
 };
 use fptree_pmem::StatsSnapshot;
 
@@ -20,7 +20,6 @@ fn main() {
     let verbose = args.flag("verbose");
     let want_metrics = args.flag("metrics");
     let batch: usize = args.get("batch", 0);
-    let no_wbuf = args.flag("no-wbuf");
     let out = args.get_str("out");
     let latencies: Vec<u64> = args
         .get_str("latencies")
@@ -41,7 +40,6 @@ fn main() {
             &warm,
             verbose,
             want_metrics,
-            no_wbuf,
             out,
         );
         return;
@@ -142,7 +140,7 @@ fn main() {
 /// Batched commits stage many slots per leaf behind one flush-span + one
 /// p-atomic bitmap publish, and at `--batch 1` the append buffer (§5.12)
 /// commits each key with a single publish, so both ends beat the
-/// pre-buffer per-key cost; `--no-wbuf` rebuilds that baseline.
+/// pre-buffer per-key cost.
 #[allow(clippy::too_many_arguments)]
 fn run_batch_mode(
     batch: usize,
@@ -153,7 +151,6 @@ fn run_batch_mode(
     warm: &[u64],
     verbose: bool,
     want_metrics: bool,
-    no_wbuf: bool,
     out: Option<&str>,
 ) {
     let mut report = Report::new(
@@ -170,11 +167,10 @@ fn run_batch_mode(
     let mut warm: Vec<u64> = warm.to_vec();
     warm.sort_unstable();
     let warm = &warm[..];
-    let wbuf = no_wbuf.then_some(0);
     for &latency in latencies {
         for kind in TreeKind::fig7_set() {
             let (insert_us, remove_us, ins, rem, snap) = if var_keys {
-                let mut t = AnyTreeVar::build_wbuf(kind, pool_mb * 2, latency, wbuf);
+                let t = build_bytes(kind, pool_mb * 2, latency);
                 if verbose {
                     fptree_bench::enable_pool_checker(t.pool());
                 }
@@ -204,7 +200,7 @@ fn run_batch_mode(
                 let rem = phase_delta(&mid, &after);
                 (insert_us, remove_us, ins, rem, t.metrics_snapshot())
             } else {
-                let mut t = AnyTree::build_wbuf(kind, pool_mb, latency, 8, wbuf);
+                let t = build_u64(kind, pool_mb, latency, 8);
                 if verbose {
                     fptree_bench::enable_pool_checker(t.pool());
                 }
@@ -279,7 +275,7 @@ fn run_fixed(
     verbose: bool,
     want_metrics: bool,
 ) -> [f64; 4] {
-    let mut t = AnyTree::build(kind, pool_mb, latency, 8);
+    let t = build_u64(kind, pool_mb, latency, 8);
     if verbose {
         fptree_bench::enable_pool_checker(t.pool());
     }
@@ -326,7 +322,7 @@ fn run_var(
     verbose: bool,
     want_metrics: bool,
 ) -> [f64; 4] {
-    let mut t = AnyTreeVar::build(kind, pool_mb * 2, latency);
+    let t = build_bytes(kind, pool_mb * 2, latency);
     if verbose {
         fptree_bench::enable_pool_checker(t.pool());
     }

@@ -5,7 +5,9 @@
 //! DRAM; the NV-Tree consumes an order of magnitude more DRAM and
 //! noticeably more SCM (padded, flagged entries); the wBTree uses no DRAM.
 
-use fptree_bench::{shuffled_keys, string_key, AnyTree, AnyTreeVar, Args, Report, Row, TreeKind};
+use fptree_bench::{
+    build_bytes, build_u64, shuffled_keys, string_key, Args, Report, Row, TreeKind,
+};
 
 fn main() {
     let args = Args::parse();
@@ -20,7 +22,7 @@ fn main() {
         &format!("Figure 8a: memory at {scale} fixed keys"),
     );
     for kind in TreeKind::fig7_set() {
-        let mut t = AnyTree::build(kind, pool_mb, 90, 8);
+        let t = build_u64(kind, pool_mb, 90, 8);
         for &k in &keys {
             t.insert(k, k);
         }
@@ -44,7 +46,7 @@ fn main() {
         &format!("Figure 8b: memory at {scale} var keys"),
     );
     for kind in TreeKind::fig7_set() {
-        let mut t = AnyTreeVar::build(kind, pool_mb * 2, 90);
+        let t = build_bytes(kind, pool_mb * 2, 90);
         for &k in &keys {
             t.insert(&string_key(k), k);
         }

@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use fptree_bench::{print_metrics, shuffled_keys, AnyTree, Args, Report, Row, TreeKind};
+use fptree_bench::{build_u64, print_metrics, shuffled_keys, Args, Report, Row, TreeKind};
 
 /// Range lengths measured (keys per scan).
 const RANGE_LENS: [usize; 3] = [10, 100, 1000];
@@ -47,7 +47,7 @@ fn main() {
     );
 
     for kind in kinds {
-        let mut t = AnyTree::build(kind, pool_mb, latency, 8);
+        let t = build_u64(kind, pool_mb, latency, 8);
         for &k in &warm {
             t.insert(k, k);
         }
@@ -57,18 +57,17 @@ fn main() {
         // and bumps its version — the scan's hop validation must retry.
         let stop = AtomicBool::new(false);
         row = std::thread::scope(|s| {
-            if writers > 0 {
-                if let Some(ct) = t.as_concurrent() {
-                    for w in 0..writers {
-                        let stop = &stop;
-                        s.spawn(move || {
-                            let mut i = w as u64;
-                            while !stop.load(Ordering::Relaxed) {
-                                ct.update(&(i % scale as u64), i);
-                                i = i.wrapping_add(writers as u64);
-                            }
-                        });
-                    }
+            if kind == TreeKind::FPTreeC {
+                for w in 0..writers {
+                    // The index itself is Sync; the handle around it is not.
+                    let (stop, t) = (&stop, &*t);
+                    s.spawn(move || {
+                        let mut i = w as u64;
+                        while !stop.load(Ordering::Relaxed) {
+                            t.update(i % scale as u64, i);
+                            i = i.wrapping_add(writers as u64);
+                        }
+                    });
                 }
             }
             for len in RANGE_LENS {
@@ -80,7 +79,8 @@ fn main() {
                 let elapsed = time(|| {
                     for i in 0..scans {
                         let start = (i * stride) as u64;
-                        produced += std::hint::black_box(t.scan_from(start, len)).len();
+                        let got = t.scan_from(start, len).expect("ordered index");
+                        produced += std::hint::black_box(got).len();
                     }
                 });
                 assert!(

@@ -2,8 +2,8 @@
 //! and figure of the FPTree paper's evaluation.
 //!
 //! Each `src/bin/*` binary reproduces one experiment (see DESIGN.md §4 for
-//! the index). This library provides the pieces they share: a unified
-//! handle over every evaluated tree ([`AnyTree`], [`AnyTreeVar`]), keyset
+//! the index). This library provides the pieces they share: every evaluated
+//! tree behind the index traits ([`build_u64`], [`build_bytes`]), keyset
 //! generation, a simple CLI parser, latency sweeps, and result emission
 //! (human table + JSON lines).
 
@@ -15,7 +15,7 @@ pub mod trees;
 pub use args::Args;
 pub use keys::{shuffled_keys, string_key};
 pub use report::{Report, Row};
-pub use trees::{AnyTree, AnyTreeVar, TreeKind};
+pub use trees::{build_bytes, build_u64, BenchTree, TreeKind};
 
 /// Paper SCM latency axis (ns): ext4-DAX DRAM point plus emulated points.
 pub const LATENCIES_NS: [u64; 4] = [90, 250, 450, 650];

@@ -1,11 +1,14 @@
-//! Unified handles over every evaluated tree, configured with the node
+//! Every evaluated tree behind the index traits, configured with the node
 //! sizes of Table 1.
 
 use std::sync::Arc;
 
+use fptree_baselines::adapters::Locked as LockedBaseline;
 use fptree_baselines::{NVTreeC, StxTree, WBTree};
 use fptree_core::keys::{FixedKey, VarKey};
-use fptree_core::{ConcurrentFPTree, SingleTree, TreeConfig};
+use fptree_core::{
+    BytesIndex, ConcKey, ConcurrentTree, KeyKind, Locked, SingleTree, TreeConfig, U64Index,
+};
 use fptree_pmem::{LatencyProfile, PmemPool, PoolOptions, ROOT_SLOT};
 
 /// The trees of the evaluation (§6.1).
@@ -50,398 +53,151 @@ impl TreeKind {
     }
 }
 
-fn make_pool(mb: usize, total_latency_ns: u64) -> Arc<PmemPool> {
-    Arc::new(
-        PmemPool::create(
-            PoolOptions::direct(mb << 20)
-                .with_latency(LatencyProfile::from_total(total_latency_ns)),
-        )
-        .expect("pool creation"),
-    )
+/// `(scm_bytes, dram_bytes)` of a tree, read on demand (Figure 8).
+type Footprint = Box<dyn Fn() -> (u64, u64)>;
+
+/// A tree under benchmark behind its index trait (`dyn U64Index` or
+/// `dyn BytesIndex`; the handle derefs to it), plus the two things the
+/// trait does not carry: the backing pool and the memory footprint.
+/// Single-threaded trees sit behind the global-lock `Locked` adapters, as
+/// the paper runs non-concurrent trees.
+pub struct BenchTree<I: ?Sized> {
+    index: Arc<I>,
+    pool: Option<Arc<PmemPool>>,
+    footprint: Footprint,
 }
 
-/// A fixed-size-key tree under benchmark, owning its pool.
-#[allow(clippy::large_enum_variant)] // a handful of handles, not hot data
-pub enum AnyTree {
-    FP(SingleTree<FixedKey>),
-    NV(NVTreeC<FixedKey>),
-    WB(WBTree<FixedKey>),
-    Stx(StxTree<u64>, Option<Arc<PmemPool>>),
-    FPC(ConcurrentFPTree),
-}
-
-impl AnyTree {
-    /// Builds a tree of `kind` with Table 1 node sizes, over a fresh pool
-    /// of `pool_mb` MiB emulating `latency_ns` total SCM latency.
-    /// `value_size` models larger payloads (Appendix A); pass 8 normally.
-    pub fn build(kind: TreeKind, pool_mb: usize, latency_ns: u64, value_size: usize) -> AnyTree {
-        Self::build_wbuf(kind, pool_mb, latency_ns, value_size, None)
-    }
-
-    /// [`AnyTree::build`] with an explicit per-leaf append-buffer size for
-    /// the FPTree variants (`Some(0)` disables the buffer — the `--no-wbuf`
-    /// baseline); `None` keeps each preset's default.
-    pub fn build_wbuf(
-        kind: TreeKind,
-        pool_mb: usize,
-        latency_ns: u64,
-        value_size: usize,
-        wbuf: Option<usize>,
-    ) -> AnyTree {
-        match kind {
-            TreeKind::FPTree => {
-                let pool = make_pool(pool_mb, latency_ns);
-                let mut cfg = TreeConfig::fptree().with_value_size(value_size);
-                if let Some(w) = wbuf {
-                    cfg = cfg.with_wbuf_entries(w);
-                }
-                AnyTree::FP(SingleTree::create(pool, cfg, ROOT_SLOT))
-            }
-            TreeKind::PTree => {
-                let pool = make_pool(pool_mb, latency_ns);
-                let mut cfg = TreeConfig::ptree().with_value_size(value_size);
-                if let Some(w) = wbuf {
-                    cfg = cfg.with_wbuf_entries(w);
-                }
-                AnyTree::FP(SingleTree::create(pool, cfg, ROOT_SLOT))
-            }
-            TreeKind::NVTree => {
-                let pool = make_pool(pool_mb, latency_ns);
-                AnyTree::NV(NVTreeC::create(pool, 32, 128, ROOT_SLOT))
-            }
-            TreeKind::WBTree => {
-                let pool = make_pool(pool_mb, latency_ns);
-                AnyTree::WB(WBTree::create(pool, 64, 32, ROOT_SLOT))
-            }
-            TreeKind::Stx => AnyTree::Stx(StxTree::with_capacities(16, 16), None),
-            TreeKind::FPTreeC => {
-                let pool = make_pool(pool_mb, latency_ns);
-                let mut cfg = TreeConfig::fptree_concurrent().with_value_size(value_size);
-                if let Some(w) = wbuf {
-                    cfg = cfg.with_wbuf_entries(w);
-                }
-                AnyTree::FPC(ConcurrentFPTree::create(pool, cfg, ROOT_SLOT))
-            }
+impl<I: ?Sized> BenchTree<I> {
+    /// `erase` is always `|t| t`: its signature is where the concrete
+    /// `Arc<T>` unsizes to the trait object.
+    fn new<T>((index, pool, footprint): Parts<T>, erase: fn(Arc<T>) -> Arc<I>) -> Self {
+        BenchTree {
+            index: erase(index),
+            pool,
+            footprint,
         }
     }
 
-    /// Inserts a key.
-    pub fn insert(&mut self, k: u64, v: u64) -> bool {
-        match self {
-            AnyTree::FP(t) => t.insert(&k, v),
-            AnyTree::NV(t) => t.insert(&k, v),
-            AnyTree::WB(t) => t.insert(&k, v),
-            AnyTree::Stx(t, _) => t.insert(&k, v),
-            AnyTree::FPC(t) => t.insert(&k, v),
-        }
-    }
-
-    /// Point lookup.
-    pub fn get(&self, k: u64) -> Option<u64> {
-        match self {
-            AnyTree::FP(t) => t.get(&k),
-            AnyTree::NV(t) => t.get(&k),
-            AnyTree::WB(t) => t.get(&k),
-            AnyTree::Stx(t, _) => t.get(&k),
-            AnyTree::FPC(t) => t.get(&k),
-        }
-    }
-
-    /// Updates an existing key.
-    pub fn update(&mut self, k: u64, v: u64) -> bool {
-        match self {
-            AnyTree::FP(t) => t.update(&k, v),
-            AnyTree::NV(t) => t.update(&k, v),
-            AnyTree::WB(t) => t.update(&k, v),
-            AnyTree::Stx(t, _) => t.update(&k, v),
-            AnyTree::FPC(t) => t.update(&k, v),
-        }
-    }
-
-    /// Removes a key.
-    pub fn remove(&mut self, k: u64) -> bool {
-        match self {
-            AnyTree::FP(t) => t.remove(&k),
-            AnyTree::NV(t) => t.remove(&k),
-            AnyTree::WB(t) => t.remove(&k),
-            AnyTree::Stx(t, _) => t.remove(&k),
-            AnyTree::FPC(t) => t.remove(&k),
-        }
-    }
-
-    /// Batched insert (`--batch`): FPTree variants take the amortized
-    /// one-commit-per-leaf-run path; baselines without a batch API loop.
-    pub fn insert_batch(&mut self, entries: &[(u64, u64)]) -> usize {
-        match self {
-            AnyTree::FP(t) => t.insert_batch(entries),
-            AnyTree::FPC(t) => t.insert_batch(entries),
-            _ => entries.iter().filter(|(k, v)| self.insert(*k, *v)).count(),
-        }
-    }
-
-    /// Batched remove; baselines without a batch API loop.
-    pub fn remove_batch(&mut self, keys: &[u64]) -> usize {
-        match self {
-            AnyTree::FP(t) => t.remove_batch(keys),
-            AnyTree::FPC(t) => t.remove_batch(keys),
-            _ => keys.iter().filter(|k| self.remove(**k)).count(),
-        }
-    }
-
-    /// Ordered range scan: up to `count` pairs with keys `>= start`.
-    pub fn scan_from(&self, start: u64, count: usize) -> Vec<(u64, u64)> {
-        match self {
-            AnyTree::FP(t) => t.scan(start..).take(count).collect(),
-            AnyTree::NV(t) => t.scan_from(&start, count),
-            AnyTree::WB(t) => t.scan_from(&start, count),
-            AnyTree::Stx(t, _) => t.scan_from(&start, count),
-            AnyTree::FPC(t) => t.scan(start..).take(count).collect(),
-        }
+    /// The backing pool; None for the DRAM-only STXTree.
+    pub fn pool(&self) -> Option<&Arc<PmemPool>> {
+        self.pool.as_ref()
     }
 
     /// `(scm_bytes, dram_bytes)` footprint (Figure 8).
     pub fn memory(&self) -> (u64, u64) {
-        match self {
-            AnyTree::FP(t) => {
-                let m = t.memory_usage();
-                (m.scm_bytes, m.dram_bytes)
-            }
-            AnyTree::NV(t) => {
-                let (scm, dram, _) = t.memory_usage();
-                (scm, dram)
-            }
-            AnyTree::WB(t) => {
-                // All SCM: the allocator's live bytes.
-                let stats = t.pool().alloc_stats().expect("walk");
-                (stats.live_bytes, 0)
-            }
-            AnyTree::Stx(t, _) => (0, t.memory_bytes(8) as u64),
-            AnyTree::FPC(t) => {
-                let stats = t.pool().alloc_stats().expect("walk");
-                (stats.live_bytes, t.dram_bytes() as u64)
-            }
-        }
-    }
-
-    /// The backing pool, if any.
-    pub fn pool(&self) -> Option<&Arc<PmemPool>> {
-        t_pool(self)
-    }
-
-    /// The tree's observability snapshot (`--metrics`); None for baselines
-    /// that carry no registry.
-    pub fn metrics_snapshot(&self) -> Option<fptree_core::Snapshot> {
-        match self {
-            AnyTree::FP(t) => Some(t.metrics_snapshot()),
-            AnyTree::FPC(t) => Some(t.metrics_snapshot()),
-            _ => None,
-        }
-    }
-
-    /// The concurrent FPTree handle, when this is one — lets benchmarks
-    /// drive writers from other threads while the main thread scans.
-    pub fn as_concurrent(&self) -> Option<&ConcurrentFPTree> {
-        match self {
-            AnyTree::FPC(t) => Some(t),
-            _ => None,
-        }
+        (self.footprint)()
     }
 }
 
-fn t_pool(t: &AnyTree) -> Option<&Arc<PmemPool>> {
-    match t {
-        AnyTree::FP(t) => Some(t.pool()),
-        AnyTree::NV(t) => Some(t.pool()),
-        AnyTree::WB(t) => Some(t.pool()),
-        AnyTree::Stx(_, p) => p.as_ref(),
-        AnyTree::FPC(t) => Some(t.pool()),
+impl<I: ?Sized> std::ops::Deref for BenchTree<I> {
+    type Target = I;
+    fn deref(&self) -> &I {
+        &self.index
     }
 }
 
-/// A variable-size-key tree under benchmark.
-#[allow(clippy::large_enum_variant)]
-pub enum AnyTreeVar {
-    FP(SingleTree<VarKey>),
-    NV(NVTreeC<VarKey>),
-    WB(WBTree<VarKey>),
-    Stx(StxTree<Vec<u8>>),
-    FPC(fptree_core::concurrent::ConcurrentFPTreeVar),
+fn make_pool(mb: usize, total_latency_ns: u64) -> Arc<PmemPool> {
+    let latency = LatencyProfile::from_total(total_latency_ns);
+    let opts = PoolOptions::direct(mb << 20).with_latency(latency);
+    Arc::new(PmemPool::create(opts).expect("pool creation"))
 }
 
-impl AnyTreeVar {
-    /// Builds the variable-size-key variant of `kind` (Table 1 sizes).
-    pub fn build(kind: TreeKind, pool_mb: usize, latency_ns: u64) -> AnyTreeVar {
-        Self::build_wbuf(kind, pool_mb, latency_ns, None)
-    }
+/// What every constructor arm yields before its tree is type-erased.
+type Parts<T> = (Arc<T>, Option<Arc<PmemPool>>, Footprint);
 
-    /// [`AnyTreeVar::build`] with an explicit append-buffer size for the
-    /// FPTree variants (`Some(0)` disables); `None` keeps preset defaults.
-    pub fn build_wbuf(
-        kind: TreeKind,
-        pool_mb: usize,
-        latency_ns: u64,
-        wbuf: Option<usize>,
-    ) -> AnyTreeVar {
-        match kind {
-            TreeKind::FPTree => {
-                let pool = make_pool(pool_mb, latency_ns);
-                let mut cfg = TreeConfig::fptree_var();
-                if let Some(w) = wbuf {
-                    cfg = cfg.with_wbuf_entries(w);
-                }
-                AnyTreeVar::FP(SingleTree::create(pool, cfg, ROOT_SLOT))
-            }
-            TreeKind::PTree => {
-                let pool = make_pool(pool_mb, latency_ns);
-                let mut cfg = TreeConfig::ptree_var();
-                if let Some(w) = wbuf {
-                    cfg = cfg.with_wbuf_entries(w);
-                }
-                AnyTreeVar::FP(SingleTree::create(pool, cfg, ROOT_SLOT))
-            }
-            TreeKind::NVTree => {
-                let pool = make_pool(pool_mb, latency_ns);
-                AnyTreeVar::NV(NVTreeC::create(pool, 32, 128, ROOT_SLOT))
-            }
-            TreeKind::WBTree => {
-                let pool = make_pool(pool_mb, latency_ns);
-                AnyTreeVar::WB(WBTree::create(pool, 64, 32, ROOT_SLOT))
-            }
-            TreeKind::Stx => AnyTreeVar::Stx(StxTree::with_capacities(8, 8)),
-            TreeKind::FPTreeC => {
-                let pool = make_pool(pool_mb, latency_ns);
-                let mut cfg = TreeConfig::fptree_concurrent_var();
-                if let Some(w) = wbuf {
-                    cfg = cfg.with_wbuf_entries(w);
-                }
-                AnyTreeVar::FPC(fptree_core::concurrent::ConcurrentFPTreeVar::create(
-                    pool, cfg, ROOT_SLOT,
-                ))
-            }
-        }
-    }
+/// Allocator-live SCM bytes plus `dram` — the footprint of the trees that
+/// do not account their own SCM (the all-SCM wBTree passes `dram` = 0).
+fn live_bytes(pool: &PmemPool, dram: u64) -> (u64, u64) {
+    (pool.alloc_stats().expect("walk").live_bytes, dram)
+}
 
-    /// Inserts a key.
-    pub fn insert(&mut self, k: &[u8], v: u64) -> bool {
-        let key = k.to_vec();
-        match self {
-            AnyTreeVar::FP(t) => t.insert(&key, v),
-            AnyTreeVar::NV(t) => t.insert(&key, v),
-            AnyTreeVar::WB(t) => t.insert(&key, v),
-            AnyTreeVar::Stx(t) => t.insert(&key, v),
-            AnyTreeVar::FPC(t) => t.insert(&key, v),
-        }
-    }
+fn single<K: KeyKind>(pool: Arc<PmemPool>, cfg: TreeConfig) -> Parts<Locked<SingleTree<K>>> {
+    let tree = SingleTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+    let t = Arc::new(Locked::new(tree));
+    let tree = Arc::clone(&t);
+    let footprint = move || {
+        let m = tree.0.lock().memory_usage();
+        (m.scm_bytes, m.dram_bytes)
+    };
+    (t, Some(pool), Box::new(footprint))
+}
 
-    /// Point lookup.
-    pub fn get(&self, k: &[u8]) -> Option<u64> {
-        let key = k.to_vec();
-        match self {
-            AnyTreeVar::FP(t) => t.get(&key),
-            AnyTreeVar::NV(t) => t.get(&key),
-            AnyTreeVar::WB(t) => t.get(&key),
-            AnyTreeVar::Stx(t) => t.get(&key),
-            AnyTreeVar::FPC(t) => t.get(&key),
-        }
-    }
+fn concurrent<K: ConcKey>(pool: Arc<PmemPool>, cfg: TreeConfig) -> Parts<ConcurrentTree<K>> {
+    let t = Arc::new(ConcurrentTree::create(Arc::clone(&pool), cfg, ROOT_SLOT));
+    let tree = Arc::clone(&t);
+    let footprint = move || live_bytes(tree.pool(), tree.dram_bytes() as u64);
+    (t, Some(pool), Box::new(footprint))
+}
 
-    /// Updates an existing key.
-    pub fn update(&mut self, k: &[u8], v: u64) -> bool {
-        let key = k.to_vec();
-        match self {
-            AnyTreeVar::FP(t) => t.update(&key, v),
-            AnyTreeVar::NV(t) => t.update(&key, v),
-            AnyTreeVar::WB(t) => t.update(&key, v),
-            AnyTreeVar::Stx(t) => t.update(&key, v),
-            AnyTreeVar::FPC(t) => t.update(&key, v),
-        }
-    }
+fn nvtree<K: KeyKind>(pool: Arc<PmemPool>) -> Parts<NVTreeC<K>> {
+    let t = Arc::new(NVTreeC::create(Arc::clone(&pool), 32, 128, ROOT_SLOT));
+    let tree = Arc::clone(&t);
+    let footprint = move || {
+        let (scm, dram, _) = tree.memory_usage();
+        (scm, dram)
+    };
+    (t, Some(pool), Box::new(footprint))
+}
 
-    /// Removes a key.
-    pub fn remove(&mut self, k: &[u8]) -> bool {
-        let key = k.to_vec();
-        match self {
-            AnyTreeVar::FP(t) => t.remove(&key),
-            AnyTreeVar::NV(t) => t.remove(&key),
-            AnyTreeVar::WB(t) => t.remove(&key),
-            AnyTreeVar::Stx(t) => t.remove(&key),
-            AnyTreeVar::FPC(t) => t.remove(&key),
-        }
-    }
+fn wbtree<K: KeyKind>(pool: Arc<PmemPool>) -> Parts<LockedBaseline<WBTree<K>>> {
+    let tree = WBTree::create(Arc::clone(&pool), 64, 32, ROOT_SLOT);
+    let t = Arc::new(LockedBaseline::new(tree));
+    let walked = Arc::clone(&pool);
+    (t, Some(pool), Box::new(move || live_bytes(&walked, 0)))
+}
 
-    /// Batched insert (`--batch`): FPTree variants take the amortized
-    /// one-commit-per-leaf-run path; baselines without a batch API loop.
-    pub fn insert_batch(&mut self, entries: &[(Vec<u8>, u64)]) -> usize {
-        match self {
-            AnyTreeVar::FP(t) => t.insert_batch(entries),
-            AnyTreeVar::FPC(t) => t.insert_batch(entries),
-            _ => entries.iter().filter(|(k, v)| self.insert(k, *v)).count(),
-        }
-    }
+fn stx<K: Ord + Clone + 'static>(cap: usize) -> Parts<LockedBaseline<StxTree<K>>> {
+    let t = Arc::new(LockedBaseline::new(StxTree::with_capacities(cap, cap)));
+    let tree = Arc::clone(&t);
+    let key_bytes = std::mem::size_of::<K>();
+    let footprint = move || (0, tree.0.lock().memory_bytes(key_bytes) as u64);
+    (t, None, Box::new(footprint))
+}
 
-    /// Batched remove; baselines without a batch API loop.
-    pub fn remove_batch(&mut self, keys: &[Vec<u8>]) -> usize {
-        match self {
-            AnyTreeVar::FP(t) => t.remove_batch(keys),
-            AnyTreeVar::FPC(t) => t.remove_batch(keys),
-            _ => keys.iter().filter(|k| self.remove(k)).count(),
-        }
+/// Table 1 configuration of the FPTree-family kinds (baselines take none).
+fn table1(kind: TreeKind, var_keys: bool) -> TreeConfig {
+    match (kind, var_keys) {
+        (TreeKind::PTree, false) => TreeConfig::ptree(),
+        (TreeKind::PTree, true) => TreeConfig::ptree_var(),
+        (TreeKind::FPTreeC, false) => TreeConfig::fptree_concurrent(),
+        (TreeKind::FPTreeC, true) => TreeConfig::fptree_concurrent_var(),
+        (_, false) => TreeConfig::fptree(),
+        (_, true) => TreeConfig::fptree_var(),
     }
+}
 
-    /// Ordered range scan: up to `count` pairs with keys `>= start`.
-    pub fn scan_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-        let key = start.to_vec();
-        match self {
-            AnyTreeVar::FP(t) => t.scan(key..).take(count).collect(),
-            AnyTreeVar::NV(t) => t.scan_from(&key, count),
-            AnyTreeVar::WB(t) => t.scan_from(&key, count),
-            AnyTreeVar::Stx(t) => t.scan_from(&key, count),
-            AnyTreeVar::FPC(t) => t.scan(key..).take(count).collect(),
+/// Builds the fixed-key tree of `kind` with Table 1 node sizes, over a
+/// fresh pool of `pool_mb` MiB emulating `latency_ns` total SCM latency.
+/// `value_size` models larger payloads (Appendix A); pass 8 normally.
+pub fn build_u64(
+    kind: TreeKind,
+    pool_mb: usize,
+    latency_ns: u64,
+    value_size: usize,
+) -> BenchTree<dyn U64Index> {
+    let pool = || make_pool(pool_mb, latency_ns);
+    let cfg = table1(kind, false).with_value_size(value_size);
+    match kind {
+        TreeKind::FPTree | TreeKind::PTree => {
+            BenchTree::new(single::<FixedKey>(pool(), cfg), |t| t)
         }
+        TreeKind::NVTree => BenchTree::new(nvtree::<FixedKey>(pool()), |t| t),
+        TreeKind::WBTree => BenchTree::new(wbtree::<FixedKey>(pool()), |t| t),
+        TreeKind::Stx => BenchTree::new(stx::<u64>(16), |t| t),
+        TreeKind::FPTreeC => BenchTree::new(concurrent::<FixedKey>(pool(), cfg), |t| t),
     }
+}
 
-    /// `(scm_bytes, dram_bytes)` footprint.
-    pub fn memory(&self) -> (u64, u64) {
-        match self {
-            AnyTreeVar::FP(t) => {
-                let m = t.memory_usage();
-                (m.scm_bytes, m.dram_bytes)
-            }
-            AnyTreeVar::NV(t) => {
-                let (scm, dram, _) = t.memory_usage();
-                (scm, dram)
-            }
-            AnyTreeVar::WB(t) => {
-                let stats = t.pool().alloc_stats().expect("walk");
-                (stats.live_bytes, 0)
-            }
-            AnyTreeVar::Stx(t) => (0, t.memory_bytes(24) as u64),
-            AnyTreeVar::FPC(t) => {
-                let stats = t.pool().alloc_stats().expect("walk");
-                (stats.live_bytes, t.dram_bytes() as u64)
-            }
-        }
-    }
-
-    /// The backing pool, if any.
-    pub fn pool(&self) -> Option<&Arc<PmemPool>> {
-        match self {
-            AnyTreeVar::FP(t) => Some(t.pool()),
-            AnyTreeVar::NV(t) => Some(t.pool()),
-            AnyTreeVar::WB(t) => Some(t.pool()),
-            AnyTreeVar::Stx(_) => None,
-            AnyTreeVar::FPC(t) => Some(t.pool()),
-        }
-    }
-
-    /// The tree's observability snapshot (`--metrics`); None for baselines
-    /// that carry no registry.
-    pub fn metrics_snapshot(&self) -> Option<fptree_core::Snapshot> {
-        match self {
-            AnyTreeVar::FP(t) => Some(t.metrics_snapshot()),
-            AnyTreeVar::FPC(t) => Some(t.metrics_snapshot()),
-            _ => None,
-        }
+/// Builds the variable-size-key variant of `kind` (Table 1 sizes).
+pub fn build_bytes(kind: TreeKind, pool_mb: usize, latency_ns: u64) -> BenchTree<dyn BytesIndex> {
+    let pool = || make_pool(pool_mb, latency_ns);
+    let cfg = table1(kind, true);
+    match kind {
+        TreeKind::FPTree | TreeKind::PTree => BenchTree::new(single::<VarKey>(pool(), cfg), |t| t),
+        TreeKind::NVTree => BenchTree::new(nvtree::<VarKey>(pool()), |t| t),
+        TreeKind::WBTree => BenchTree::new(wbtree::<VarKey>(pool()), |t| t),
+        TreeKind::Stx => BenchTree::new(stx::<Vec<u8>>(8), |t| t),
+        TreeKind::FPTreeC => BenchTree::new(concurrent::<VarKey>(pool(), cfg), |t| t),
     }
 }
 
@@ -449,17 +205,19 @@ impl AnyTreeVar {
 mod tests {
     use super::*;
 
+    const ALL: [TreeKind; 6] = [
+        TreeKind::FPTree,
+        TreeKind::PTree,
+        TreeKind::NVTree,
+        TreeKind::WBTree,
+        TreeKind::Stx,
+        TreeKind::FPTreeC,
+    ];
+
     #[test]
     fn every_kind_builds_and_round_trips() {
-        for kind in [
-            TreeKind::FPTree,
-            TreeKind::PTree,
-            TreeKind::NVTree,
-            TreeKind::WBTree,
-            TreeKind::Stx,
-            TreeKind::FPTreeC,
-        ] {
-            let mut t = AnyTree::build(kind, 64, 90, 8);
+        for kind in ALL {
+            let t = build_u64(kind, 64, 90, 8);
             for i in 0..500u64 {
                 assert!(t.insert(i, i + 1), "{:?} insert {i}", kind);
             }
@@ -470,30 +228,26 @@ mod tests {
             assert!(t.remove(8));
             assert_eq!(t.get(7), Some(70));
             assert_eq!(t.get(8), None);
-            let s = t.scan_from(100, 5);
+            let s = t.scan_from(100, 5).unwrap();
             let expect: Vec<_> = (100..105).map(|i| (i, i + 1)).collect();
             assert_eq!(s, expect, "{:?} scan_from", kind);
             // Scan over the deleted key 8: skipped, not counted.
             assert_eq!(
-                t.scan_from(7, 3),
+                t.scan_from(7, 3).unwrap(),
                 vec![(7, 70), (9, 10), (10, 11)],
                 "{:?} scan over hole",
                 kind
             );
+            assert_eq!(t.pool().is_some(), kind != TreeKind::Stx);
+            let (scm, dram) = t.memory();
+            assert!(scm + dram > 0, "{:?} footprint", kind);
         }
     }
 
     #[test]
     fn every_var_kind_builds_and_round_trips() {
-        for kind in [
-            TreeKind::FPTree,
-            TreeKind::PTree,
-            TreeKind::NVTree,
-            TreeKind::WBTree,
-            TreeKind::Stx,
-            TreeKind::FPTreeC,
-        ] {
-            let mut t = AnyTreeVar::build(kind, 128, 90);
+        for kind in ALL {
+            let t = build_bytes(kind, 128, 90);
             for i in 0..300u64 {
                 let k = crate::keys::string_key(i);
                 assert!(t.insert(&k, i), "{:?} insert {i}", kind);

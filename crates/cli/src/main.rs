@@ -300,18 +300,17 @@ fn open_or_create(path: &str, shards: usize) -> CliTree {
     } else if shards > 1 {
         let pools = create_pools(shards, PoolOptions::direct(POOL_SIZE / shards))
             .unwrap_or_else(|e| fail(&format!("creating shard pools: {e}")));
-        let tree = ShardedTreeVar::create(
-            pools.clone(),
-            TreeConfig::fptree_concurrent_var(),
-            ROOT_SLOT,
-        );
+        let cfg = TreeConfig::fptree_concurrent_var();
+        let tree = ShardedTreeVar::try_create(pools.clone(), cfg, ROOT_SLOT)
+            .unwrap_or_else(|e| fail(&format!("creating tree: {e}")));
         CliTree::Sharded { pools, tree }
     } else {
         let pool = Arc::new(
             PmemPool::create(PoolOptions::direct(POOL_SIZE))
                 .unwrap_or_else(|e| fail(&format!("creating pool: {e}"))),
         );
-        let tree = FPTreeVar::create(Arc::clone(&pool), TreeConfig::fptree_var(), ROOT_SLOT);
+        let tree = FPTreeVar::try_create(Arc::clone(&pool), TreeConfig::fptree_var(), ROOT_SLOT)
+            .unwrap_or_else(|e| fail(&format!("creating tree: {e}")));
         CliTree::Single { pool, tree }
     }
 }

@@ -1,54 +1,37 @@
-//! The redesigned public facade: a validating [`TreeBuilder`] and a typed
-//! [`Error`] replacing the positional-`TreeConfig`-plus-panic construction
-//! paths.
+//! The typed [`Error`] of every fallible path, the byte-string key limit,
+//! and the one pre-flight check behind the `try_create` constructors.
 //!
-//! The original constructors (`FPTree::create(pool, cfg, owner_slot)` and
-//! friends) take positional arguments and panic on misconfiguration or pool
-//! exhaustion. This module keeps them working as thin wrappers but routes
-//! new code through a fluent builder that validates the configuration *and*
-//! the pool sizing before any persistent state is touched, and reports
-//! failures as a typed [`Error`] instead of a `String` or a panic:
+//! `SingleTree::try_create`, `ConcurrentTree::try_create` and
+//! `Sharded::try_create` validate the configuration *and* the pool sizing
+//! before any persistent state is touched, so misuse surfaces as an
+//! [`Error`] instead of a panic deep in the layout or allocator code; the
+//! positional `create` constructors are those plus `expect`.
 //!
 //! ```
 //! use std::sync::Arc;
-//! use fptree_pmem::{PmemPool, PoolOptions};
-//! use fptree_core::TreeBuilder;
+//! use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
+//! use fptree_core::{Error, FPTree, TreeConfig};
 //!
-//! let pool = Arc::new(PmemPool::create(PoolOptions::direct(32 << 20)).unwrap());
-//! let mut tree = TreeBuilder::new().leaf_capacity(32).build(pool).unwrap();
-//! tree.insert(&7, 700);
-//! assert_eq!(tree.get(&7), Some(700));
+//! let pool = Arc::new(PmemPool::create(PoolOptions::direct(8 << 10)).unwrap());
+//! let err = FPTree::try_create(pool, TreeConfig::fptree(), ROOT_SLOT).err().unwrap();
+//! assert!(matches!(err, Error::PoolFull { .. }));
 //! ```
 
 use std::fmt;
-use std::sync::Arc;
 
-use fptree_pmem::{AllocError, PmemPool, BLOCK_HEADER_SIZE, ROOT_SLOT, USER_BASE};
+use fptree_pmem::{AllocError, PmemPool, BLOCK_HEADER_SIZE, USER_BASE};
 
-use crate::concurrent::{ConcurrentFPTree, ConcurrentFPTreeVar};
 use crate::config::TreeConfig;
 use crate::keys::KeyKind;
 use crate::layout::LeafLayout;
 use crate::meta::TreeMeta;
-use crate::single::{FPTree as FPTreeInner, FPTreeVar as FPTreeVarInner};
-
-/// Fixed-size (u64) key tree built by [`TreeBuilder::build`] — an alias of
-/// [`crate::FPTree`] under the facade's naming.
-pub type FpTree = FPTreeInner;
-/// Variable-size key tree built by [`TreeBuilder::build_var`].
-pub type FpTreeVar = FPTreeVarInner;
-/// Concurrent fixed-size key tree built by [`TreeBuilder::build_concurrent`].
-pub type FpTreeC = ConcurrentFPTree;
-/// Concurrent variable-size key tree built by
-/// [`TreeBuilder::build_concurrent_var`].
-pub type FpTreeCVar = ConcurrentFPTreeVar;
 
 /// Maximum accepted key length in bytes on the byte-string index seams —
 /// memcached's key limit, so the kvcache wire protocol round-trips with
 /// external memcached clients.
 pub const MAX_KEY_BYTES: usize = 250;
 
-/// Typed error for the facade's fallible paths.
+/// Typed error for the crate's fallible paths.
 #[derive(Debug)]
 pub enum Error {
     /// The [`TreeConfig`] violates a structural invariant.
@@ -209,459 +192,40 @@ pub fn check_key(key: &[u8]) -> Result<(), Error> {
     Ok(())
 }
 
-/// Fluent, validating constructor for every tree variant.
-///
-/// Starts from the paper's FPTree preset ([`TreeConfig::fptree`], or
-/// [`TreeConfig::fptree_concurrent`] via [`TreeBuilder::concurrent`]) and
-/// lets callers override individual knobs. [`TreeBuilder::build`] validates
-/// both the configuration and the pool sizing *before* touching persistent
-/// state, so misuse surfaces as a typed [`Error`] instead of a panic deep in
-/// the layout or allocator code.
-#[derive(Debug, Clone)]
-pub struct TreeBuilder {
-    cfg: TreeConfig,
-    owner_slot: u64,
-    recovery_threads: usize,
-    shards: usize,
-}
-
-impl Default for TreeBuilder {
-    fn default() -> Self {
-        Self::new()
+/// Pre-flight for the `try_create` constructors: validates `cfg` and that
+/// `pool` can hold the tree's initial footprint — the metadata block with
+/// `n_logs` micro-log pairs plus the first leaf (or leaf group) — before
+/// any persistent write. Allocations are costed as the allocator serves
+/// them: rounded up to a power-of-two size class behind a block header.
+pub(crate) fn check_create<K: KeyKind>(
+    cfg: &TreeConfig,
+    pool: &PmemPool,
+    n_logs: usize,
+) -> Result<(), Error> {
+    cfg.try_validate().map_err(Error::InvalidConfig)?;
+    let layout = LeafLayout::new(cfg, K::SLOT_SIZE);
+    let first_alloc = if cfg.leaf_group_size > 1 {
+        // A leaf group: 64-byte header plus the member leaves.
+        64 + cfg.leaf_group_size * layout.size
+    } else {
+        layout.size
+    };
+    let block = |size: usize| BLOCK_HEADER_SIZE + size.next_power_of_two().max(64) as u64;
+    let required = block(TreeMeta::byte_size(n_logs)) + block(first_alloc);
+    let available = (pool.capacity() as u64).saturating_sub(USER_BASE);
+    if required > available {
+        return Err(Error::PoolFull {
+            required,
+            available,
+            shard: None,
+        });
     }
-}
-
-impl TreeBuilder {
-    /// A builder preloaded with the paper's single-threaded FPTree preset.
-    pub fn new() -> TreeBuilder {
-        TreeBuilder {
-            cfg: TreeConfig::fptree(),
-            owner_slot: ROOT_SLOT,
-            recovery_threads: crate::config::default_recovery_threads(),
-            shards: 1,
-        }
-    }
-
-    /// A builder preloaded with the paper's concurrent FPTree preset.
-    pub fn concurrent() -> TreeBuilder {
-        TreeBuilder {
-            cfg: TreeConfig::fptree_concurrent(),
-            owner_slot: ROOT_SLOT,
-            recovery_threads: crate::config::default_recovery_threads(),
-            shards: 1,
-        }
-    }
-
-    /// A builder starting from an explicit configuration.
-    pub fn from_config(cfg: TreeConfig) -> TreeBuilder {
-        TreeBuilder {
-            cfg,
-            owner_slot: ROOT_SLOT,
-            recovery_threads: crate::config::default_recovery_threads(),
-            shards: 1,
-        }
-    }
-
-    /// Sets entries per leaf (1..=64).
-    pub fn leaf_capacity(mut self, m: usize) -> TreeBuilder {
-        self.cfg.leaf_capacity = m;
-        self
-    }
-
-    /// Sets the maximum children per inner node.
-    pub fn inner_fanout(mut self, f: usize) -> TreeBuilder {
-        self.cfg.inner_fanout = f;
-        self
-    }
-
-    /// Sets bytes reserved per value (multiple of 8, at least 8).
-    pub fn value_size(mut self, v: usize) -> TreeBuilder {
-        self.cfg.value_size = v;
-        self
-    }
-
-    /// Toggles in-leaf key fingerprints (off reproduces the PTree).
-    pub fn fingerprints(mut self, on: bool) -> TreeBuilder {
-        self.cfg.fingerprints = on;
-        self
-    }
-
-    /// Toggles split key/value arrays (the PTree leaf layout).
-    pub fn split_arrays(mut self, on: bool) -> TreeBuilder {
-        self.cfg.split_arrays = on;
-        self
-    }
-
-    /// Toggles the SWAR word-wise fingerprint probe and the transient
-    /// successor sentinels it feeds (off restores the scalar byte loop).
-    pub fn swar_probe(mut self, on: bool) -> TreeBuilder {
-        self.cfg.swar_probe = on;
-        self
-    }
-
-    /// Sets leaves per amortized allocation group (0 disables grouping;
-    /// forced to 0 by the concurrent build paths).
-    pub fn leaf_group_size(mut self, g: usize) -> TreeBuilder {
-        self.cfg.leaf_group_size = g;
-        self
-    }
-
-    /// Sets the pool slot that will own the tree's metadata pointer
-    /// (defaults to [`fptree_pmem::ROOT_SLOT`]).
-    pub fn owner_slot(mut self, slot: u64) -> TreeBuilder {
-        self.owner_slot = slot;
-        self
-    }
-
-    /// Sets the worker count for the parallel recovery pipeline used by the
-    /// `open_*` methods (defaults to the machine's available parallelism;
-    /// 0 restores the default, 1 recovers serially).
-    pub fn recovery_threads(mut self, n: usize) -> TreeBuilder {
-        self.recovery_threads = if n == 0 {
-            crate::config::default_recovery_threads()
-        } else {
-            n
-        };
-        self
-    }
-
-    /// Sets the shard count for the sharded build/open paths (at least 1;
-    /// 0 is coerced to 1). Ignored by the unsharded builders.
-    pub fn shards(mut self, n: usize) -> TreeBuilder {
-        self.shards = n.max(1);
-        self
-    }
-
-    /// The configuration as currently assembled (not yet validated).
-    pub fn config(&self) -> &TreeConfig {
-        &self.cfg
-    }
-
-    /// Validates the configuration and the pool's ability to hold the
-    /// tree's initial footprint (metadata block + first leaf or group).
-    fn check<K: KeyKind>(&self, cfg: &TreeConfig, pool: &PmemPool) -> Result<(), Error> {
-        cfg.try_validate().map_err(Error::InvalidConfig)?;
-        let layout = LeafLayout::new(cfg, K::SLOT_SIZE);
-        let n_logs = if cfg.leaf_group_size > 1 { 1 } else { 64 };
-        let first_alloc = if cfg.leaf_group_size > 1 {
-            // A leaf group: 64-byte header plus the member leaves.
-            64 + cfg.leaf_group_size * layout.size
-        } else {
-            layout.size
-        };
-        let required = (TreeMeta::byte_size(n_logs) + first_alloc) as u64 + 2 * BLOCK_HEADER_SIZE;
-        let available = (pool.capacity() as u64).saturating_sub(USER_BASE);
-        if required > available {
-            return Err(Error::PoolFull {
-                required,
-                available,
-                shard: None,
-            });
-        }
-        Ok(())
-    }
-
-    /// Builds a single-threaded fixed-key tree ([`FpTree`]).
-    pub fn build(&self, pool: Arc<PmemPool>) -> Result<FpTree, Error> {
-        self.check::<crate::keys::FixedKey>(&self.cfg, &pool)?;
-        Ok(FPTreeInner::create(pool, self.cfg, self.owner_slot))
-    }
-
-    /// Builds a single-threaded variable-key tree ([`FpTreeVar`]).
-    pub fn build_var(&self, pool: Arc<PmemPool>) -> Result<FpTreeVar, Error> {
-        self.check::<crate::keys::VarKey>(&self.cfg, &pool)?;
-        Ok(FPTreeVarInner::create(pool, self.cfg, self.owner_slot))
-    }
-
-    /// Builds a single-threaded fixed-key tree pre-populated from
-    /// `entries` via the paper's bulk-load path: leaves are packed to a
-    /// 70% fill factor with sequential writes and one flush/fence set per
-    /// leaf instead of per key. Entries are sorted here; the first
-    /// occurrence of a duplicated key wins, matching
-    /// [`SingleTree::insert_batch`](crate::SingleTree::insert_batch).
-    pub fn bulk_load(&self, pool: Arc<PmemPool>, entries: &[(u64, u64)]) -> Result<FpTree, Error> {
-        self.check::<crate::keys::FixedKey>(&self.cfg, &pool)?;
-        let mut sorted = entries.to_vec();
-        sorted.sort_by_key(|e| e.0);
-        sorted.dedup_by(|next, kept| next.0 == kept.0);
-        Ok(FPTreeInner::bulk_load(
-            pool,
-            self.cfg,
-            self.owner_slot,
-            &sorted,
-        ))
-    }
-
-    /// Builds a single-threaded variable-key tree pre-populated from
-    /// `entries`; see [`TreeBuilder::bulk_load`]. Fails with
-    /// [`Error::KeyTooLarge`] if any key exceeds [`MAX_KEY_BYTES`].
-    pub fn bulk_load_var(
-        &self,
-        pool: Arc<PmemPool>,
-        entries: &[(Vec<u8>, u64)],
-    ) -> Result<FpTreeVar, Error> {
-        self.check::<crate::keys::VarKey>(&self.cfg, &pool)?;
-        for (key, _) in entries {
-            check_key(key)?;
-        }
-        let mut sorted = entries.to_vec();
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
-        sorted.dedup_by(|next, kept| next.0 == kept.0);
-        Ok(FPTreeVarInner::bulk_load(
-            pool,
-            self.cfg,
-            self.owner_slot,
-            &sorted,
-        ))
-    }
-
-    /// Builds a concurrent fixed-key tree ([`FpTreeC`]); leaf grouping is
-    /// forced off (groups are a central synchronization point, §5).
-    pub fn build_concurrent(&self, pool: Arc<PmemPool>) -> Result<FpTreeC, Error> {
-        let mut cfg = self.cfg;
-        cfg.leaf_group_size = 0;
-        self.check::<crate::keys::FixedKey>(&cfg, &pool)?;
-        Ok(ConcurrentFPTree::create(pool, cfg, self.owner_slot))
-    }
-
-    /// Builds a concurrent variable-key tree ([`FpTreeCVar`]); leaf grouping
-    /// is forced off.
-    pub fn build_concurrent_var(&self, pool: Arc<PmemPool>) -> Result<FpTreeCVar, Error> {
-        let mut cfg = self.cfg;
-        cfg.leaf_group_size = 0;
-        self.check::<crate::keys::VarKey>(&cfg, &pool)?;
-        Ok(ConcurrentFPTreeVar::create(pool, cfg, self.owner_slot))
-    }
-
-    /// Opens (recovers) the single-threaded fixed-key tree owned by this
-    /// builder's owner slot, running the recovery pipeline on
-    /// [`TreeBuilder::recovery_threads`] workers. The persisted
-    /// configuration wins; the builder's config knobs are ignored.
-    pub fn open(&self, pool: Arc<PmemPool>) -> Result<FpTree, Error> {
-        FPTreeInner::open_with(pool, self.owner_slot, self.recovery_threads)
-    }
-
-    /// Opens (recovers) the single-threaded variable-key tree at the owner
-    /// slot; see [`TreeBuilder::open`].
-    pub fn open_var(&self, pool: Arc<PmemPool>) -> Result<FpTreeVar, Error> {
-        FPTreeVarInner::open_with(pool, self.owner_slot, self.recovery_threads)
-    }
-
-    /// Opens (recovers) the concurrent fixed-key tree at the owner slot;
-    /// see [`TreeBuilder::open`].
-    pub fn open_concurrent(&self, pool: Arc<PmemPool>) -> Result<FpTreeC, Error> {
-        ConcurrentFPTree::open_with(pool, self.owner_slot, self.recovery_threads)
-    }
-
-    /// Opens (recovers) the concurrent variable-key tree at the owner slot;
-    /// see [`TreeBuilder::open`].
-    pub fn open_concurrent_var(&self, pool: Arc<PmemPool>) -> Result<FpTreeCVar, Error> {
-        ConcurrentFPTreeVar::open_with(pool, self.owner_slot, self.recovery_threads)
-    }
-
-    /// Validates that `pools` matches [`TreeBuilder::shards`] and that every
-    /// pool can hold a shard's initial footprint (shard-annotated errors).
-    fn check_sharded<K: KeyKind>(
-        &self,
-        cfg: &TreeConfig,
-        pools: &[Arc<PmemPool>],
-    ) -> Result<(), Error> {
-        if pools.is_empty() || pools.len() != self.shards {
-            return Err(Error::InvalidConfig(format!(
-                "sharded build needs exactly shards()={} pools, got {}",
-                self.shards,
-                pools.len()
-            )));
-        }
-        for (i, pool) in pools.iter().enumerate() {
-            self.check::<K>(cfg, pool).map_err(|e| e.with_shard(i))?;
-        }
-        Ok(())
-    }
-
-    /// Builds a keyspace-sharded concurrent fixed-key tree
-    /// ([`crate::ShardedTree`]) over `pools` — one independent tree, pool,
-    /// and micro-log set per shard, keys routed by Fibonacci hash. `pools`
-    /// must have exactly [`TreeBuilder::shards`] members (see
-    /// [`fptree_pmem::create_pools`]).
-    pub fn build_sharded(
-        &self,
-        pools: Vec<Arc<PmemPool>>,
-    ) -> Result<crate::shard::ShardedTree, Error> {
-        let mut cfg = self.cfg;
-        cfg.leaf_group_size = 0;
-        self.check_sharded::<crate::keys::FixedKey>(&cfg, &pools)?;
-        Ok(crate::shard::Sharded::create(pools, cfg, self.owner_slot))
-    }
-
-    /// Builds a keyspace-sharded concurrent variable-key tree
-    /// ([`crate::ShardedTreeVar`]); see [`TreeBuilder::build_sharded`].
-    pub fn build_sharded_var(
-        &self,
-        pools: Vec<Arc<PmemPool>>,
-    ) -> Result<crate::shard::ShardedTreeVar, Error> {
-        let mut cfg = self.cfg;
-        cfg.leaf_group_size = 0;
-        self.check_sharded::<crate::keys::VarKey>(&cfg, &pools)?;
-        Ok(crate::shard::Sharded::create(pools, cfg, self.owner_slot))
-    }
-
-    /// Opens (recovers) a sharded fixed-key tree: every shard recovers
-    /// *concurrently*, each shard's recovery pipeline running on its share
-    /// of [`TreeBuilder::recovery_threads`]. The shard count comes from
-    /// `pools.len()` — the on-disk shard-file family is authoritative
-    /// ([`fptree_pmem::load_pools`]), not the builder's `shards()` knob.
-    pub fn open_sharded(
-        &self,
-        pools: Vec<Arc<PmemPool>>,
-    ) -> Result<crate::shard::ShardedTree, Error> {
-        crate::shard::Sharded::open_with(pools, self.owner_slot, self.recovery_threads)
-    }
-
-    /// Opens (recovers) a sharded variable-key tree; see
-    /// [`TreeBuilder::open_sharded`].
-    pub fn open_sharded_var(
-        &self,
-        pools: Vec<Arc<PmemPool>>,
-    ) -> Result<crate::shard::ShardedTreeVar, Error> {
-        crate::shard::Sharded::open_with(pools, self.owner_slot, self.recovery_threads)
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fptree_pmem::PoolOptions;
-
-    fn pool(bytes: usize) -> Arc<PmemPool> {
-        Arc::new(PmemPool::create(PoolOptions::direct(bytes)).unwrap())
-    }
-
-    #[test]
-    fn builder_rejects_zero_capacity_leaves() {
-        let err = match TreeBuilder::new().leaf_capacity(0).build(pool(8 << 20)) {
-            Err(e) => e,
-            Ok(_) => panic!("zero-capacity build must fail"),
-        };
-        match err {
-            Error::InvalidConfig(msg) => assert!(msg.contains("leaf capacity"), "{msg}"),
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn builder_rejects_misaligned_value_size() {
-        let err = match TreeBuilder::new().value_size(12).build(pool(8 << 20)) {
-            Err(e) => e,
-            Ok(_) => panic!("misaligned value size must fail"),
-        };
-        assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
-    }
-
-    #[test]
-    fn builder_rejects_undersized_pool() {
-        // 8 KiB cannot hold metadata + a 16-leaf group of 56-entry leaves.
-        let err = match TreeBuilder::new().build(pool(8 << 10)) {
-            Err(e) => e,
-            Ok(_) => panic!("undersized pool must fail"),
-        };
-        match err {
-            Error::PoolFull {
-                required,
-                available,
-                shard,
-            } => {
-                assert!(required > available, "{required} vs {available}");
-                assert_eq!(shard, None);
-            }
-            other => panic!("expected PoolFull, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn builder_builds_working_trees() {
-        let mut tree = TreeBuilder::new()
-            .leaf_capacity(8)
-            .leaf_group_size(0)
-            .build(pool(8 << 20))
-            .unwrap();
-        for i in 0..100u64 {
-            assert!(tree.insert(&i, i * 10));
-        }
-        assert_eq!(tree.get(&42), Some(420));
-        assert_eq!(tree.len(), 100);
-        tree.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn builder_concurrent_forces_groups_off() {
-        let tree = TreeBuilder::concurrent()
-            .leaf_group_size(16)
-            .build_concurrent(pool(16 << 20))
-            .unwrap();
-        assert_eq!(tree.config().leaf_group_size, 0);
-        assert!(tree.insert(&1, 1));
-        assert_eq!(tree.get(&1), Some(1));
-    }
-
-    #[test]
-    fn builder_bulk_load_sorts_and_dedups() {
-        // Unsorted input with an in-batch duplicate: first occurrence wins.
-        let entries: Vec<(u64, u64)> = vec![(30, 3), (10, 1), (20, 2), (10, 99)];
-        let tree = TreeBuilder::new()
-            .leaf_capacity(8)
-            .leaf_group_size(0)
-            .bulk_load(pool(8 << 20), &entries)
-            .unwrap();
-        assert_eq!(tree.len(), 3);
-        assert_eq!(tree.get(&10), Some(1));
-        assert_eq!(tree.get(&20), Some(2));
-        assert_eq!(tree.get(&30), Some(3));
-        tree.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn builder_bulk_load_var_rejects_oversized_keys() {
-        let entries = vec![(vec![0u8; MAX_KEY_BYTES + 1], 1)];
-        let err = match TreeBuilder::new()
-            .leaf_group_size(0)
-            .bulk_load_var(pool(8 << 20), &entries)
-        {
-            Err(e) => e,
-            Ok(_) => panic!("oversized key must fail"),
-        };
-        assert!(matches!(err, Error::KeyTooLarge { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn builder_sharded_builds_and_validates() {
-        let pools = fptree_pmem::create_pools(4, PoolOptions::direct(16 << 20)).unwrap();
-        let tree = TreeBuilder::concurrent()
-            .shards(4)
-            .build_sharded(pools)
-            .unwrap();
-        assert_eq!(tree.shard_count(), 4);
-        for k in 0..500u64 {
-            assert!(tree.insert(&k, k));
-        }
-        assert_eq!(tree.len(), 500);
-
-        // Pool count must match the shards() knob.
-        let pools = fptree_pmem::create_pools(2, PoolOptions::direct(16 << 20)).unwrap();
-        let err = TreeBuilder::concurrent()
-            .shards(4)
-            .build_sharded(pools)
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
-
-        // Undersized pools fail with the shard named.
-        let pools = fptree_pmem::create_pools(2, PoolOptions::direct(8 << 10)).unwrap();
-        let err = TreeBuilder::concurrent()
-            .shards(2)
-            .build_sharded(pools)
-            .unwrap_err();
-        assert_eq!(err.shard(), Some(0), "{err:?}");
-    }
 
     #[test]
     fn check_key_enforces_memcached_limit() {

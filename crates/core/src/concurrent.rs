@@ -46,7 +46,7 @@ use fptree_htm::{Abort, SpecLock};
 use fptree_pmem::PmemPool;
 use parking_lot::Mutex;
 
-use crate::api::Error;
+use crate::api::{check_create, Error};
 use crate::config::TreeConfig;
 use crate::groups::GroupMgr;
 use crate::keys::{FixedKey, KeyKind, VarKey};
@@ -218,11 +218,22 @@ pub type ConcurrentFPTreeVar = ConcurrentTree<VarKey>;
 
 impl<K: ConcKey> ConcurrentTree<K> {
     /// Creates a fresh concurrent tree (leaf groups are never used: they
-    /// would be a central synchronization point, §5).
+    /// would be a central synchronization point, §5). Panics where
+    /// [`Self::try_create`] errs.
     pub fn create(pool: Arc<PmemPool>, cfg: TreeConfig, owner_slot: u64) -> Self {
+        Self::try_create(pool, cfg, owner_slot).expect("creating concurrent tree")
+    }
+
+    /// [`Self::create`], rejecting an invalid `cfg` or a pool too small for
+    /// the tree's initial footprint before any persistent write.
+    pub fn try_create(
+        pool: Arc<PmemPool>,
+        cfg: TreeConfig,
+        owner_slot: u64,
+    ) -> Result<Self, Error> {
         let mut cfg = cfg;
         cfg.leaf_group_size = 0;
-        cfg.validate();
+        check_create::<K>(&cfg, &pool, N_LOGS)?;
         let checked = Arc::clone(&pool);
         let _op = checked.begin_checked_op("tree_create");
         let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
@@ -237,7 +248,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
         meta.set_status(&ctx.pool, STATUS_READY);
         let t = Self::empty(ctx);
         t.root.store(leaf_enc(head), Ordering::Release);
-        t
+        Ok(t)
     }
 
     /// Opens (recovers) a concurrent tree: Algorithm 9 — replay micro-logs,

@@ -45,15 +45,6 @@ pub struct TreeConfig {
     /// fold into regular slots only on overflow or split; 0 disables
     /// buffering (every write takes the slot/fingerprint/bitmap path).
     pub wbuf_entries: usize,
-    /// Data-parallel probe fast paths (default on): the fingerprint scan
-    /// compares 8 fingerprints per word (SWAR — no intrinsics, stable
-    /// Rust) instead of byte-at-a-time, and leaves cache a transient
-    /// sentinel record of their successor's minimum key so failed lookups
-    /// and scan hops short-circuit without touching the next leaf's
-    /// SCM-resident keys. Off falls back to the scalar byte loop
-    /// (identical probe order and charged SCM lines — the differential
-    /// proptests pin the equivalence).
-    pub swar_probe: bool,
 }
 
 impl TreeConfig {
@@ -67,7 +58,6 @@ impl TreeConfig {
             split_arrays: false,
             leaf_group_size: 16,
             wbuf_entries: 8,
-            swar_probe: true,
         }
     }
 
@@ -82,7 +72,6 @@ impl TreeConfig {
             split_arrays: false,
             leaf_group_size: 0,
             wbuf_entries: 8,
-            swar_probe: true,
         }
     }
 
@@ -97,7 +86,6 @@ impl TreeConfig {
             split_arrays: true,
             leaf_group_size: 16,
             wbuf_entries: 0,
-            swar_probe: true,
         }
     }
 
@@ -155,12 +143,6 @@ impl TreeConfig {
         self
     }
 
-    /// Enables or disables the SWAR probe + sentinel fast paths.
-    pub fn with_swar_probe(mut self, on: bool) -> Self {
-        self.swar_probe = on;
-        self
-    }
-
     /// Number of entries an ordered scan buffers per leaf: exactly the leaf
     /// capacity. The scan subsystem's fixed gather buffer is dimensioned by
     /// [`MAX_LEAF_CAPACITY`], so every valid configuration fits
@@ -170,7 +152,7 @@ impl TreeConfig {
     }
 
     /// Validates invariants, returning the violation message instead of
-    /// panicking (the [`crate::api::TreeBuilder`] error path).
+    /// panicking (the `try_create` error path).
     pub fn try_validate(&self) -> Result<(), String> {
         if !(1..=MAX_LEAF_CAPACITY).contains(&self.leaf_capacity) {
             return Err(format!(
@@ -262,22 +244,5 @@ mod tests {
     #[should_panic(expected = "write buffer")]
     fn validate_rejects_oversized_wbuf() {
         TreeConfig::fptree().with_wbuf_entries(65).validate();
-    }
-
-    #[test]
-    fn swar_probe_defaults_on_everywhere_and_toggles() {
-        for cfg in [
-            TreeConfig::fptree(),
-            TreeConfig::fptree_concurrent(),
-            TreeConfig::ptree(),
-            TreeConfig::fptree_var(),
-            TreeConfig::fptree_concurrent_var(),
-            TreeConfig::ptree_var(),
-        ] {
-            assert!(cfg.swar_probe, "SWAR fast paths default on");
-        }
-        let off = TreeConfig::fptree().with_swar_probe(false);
-        assert!(!off.swar_probe);
-        off.validate();
     }
 }

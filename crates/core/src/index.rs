@@ -181,19 +181,10 @@ impl BytesIndex for Locked<crate::FPTreeVar> {
         self.0.lock().remove(&key.to_vec())
     }
     fn remove_if(&self, key: &[u8], expected: u64) -> bool {
-        // One guard across the compare and the remove makes this atomic.
-        let mut tree = self.0.lock();
-        match tree.get(&key.to_vec()) {
-            Some(v) if v == expected => tree.remove(&key.to_vec()),
-            _ => false,
-        }
+        self.0.lock().remove_if(&key.to_vec(), expected)
     }
     fn update_if(&self, key: &[u8], expected: u64, value: u64) -> bool {
-        let mut tree = self.0.lock();
-        match tree.get(&key.to_vec()) {
-            Some(v) if v == expected => tree.update(&key.to_vec(), value),
-            _ => false,
-        }
+        self.0.lock().update_if(&key.to_vec(), expected, value)
     }
     fn insert_batch(&self, entries: &[(Vec<u8>, u64)]) -> usize {
         self.0.lock().insert_batch(entries)

@@ -47,6 +47,12 @@ pub trait KeyKind: 'static {
     /// One-byte fingerprint.
     fn fingerprint(key: &Self::Owned) -> u8;
 
+    /// Rejects keys the index seams refuse: byte strings longer than
+    /// [`crate::MAX_KEY_BYTES`]. Fixed-size keys always pass.
+    fn check_len(_key: &Self::Owned) -> Result<(), crate::Error> {
+        Ok(())
+    }
+
     /// Writes `key` into the slot at `slot_off`. Any *out-of-line* data it
     /// creates (the variable-key blob, and its owner pointer in the slot)
     /// is persisted before returning; the slot region itself is persisted
@@ -200,6 +206,10 @@ impl KeyKind for VarKey {
     #[inline]
     fn fingerprint(key: &Vec<u8>) -> u8 {
         fingerprint_bytes(key)
+    }
+
+    fn check_len(key: &Vec<u8>) -> Result<(), crate::Error> {
+        crate::api::check_key(key)
     }
 
     fn write_slot(pool: &PmemPool, slot_off: u64, key: &Vec<u8>) {

@@ -42,8 +42,6 @@ pub struct LeafLayout {
     pub fingerprints: bool,
     /// Whether keys and values form separate arrays (PTree).
     pub split_arrays: bool,
-    /// Whether the SWAR probe + sentinel fast paths are enabled.
-    pub swar_probe: bool,
     /// Offset of the validity bitmap (always 0; 8-byte p-atomic word).
     pub off_bitmap: usize,
     /// Offset of the fingerprint array (m bytes; unused if disabled).
@@ -56,9 +54,7 @@ pub struct LeafLayout {
     /// minimum key (order-preserving 8-byte encoding), the successor's
     /// offset and observed version, and a checksummed tag. Populated by
     /// scans, validated on every read, never persisted deliberately —
-    /// recovery clears it alongside the lock word. Present in the layout
-    /// even when `swar_probe` is off (the flag only gates the code paths),
-    /// so the same leaf bytes can be read under either setting.
+    /// recovery clears it alongside the lock word.
     pub off_sentinel: usize,
     /// Offset of the KV area.
     pub off_kv: usize,
@@ -104,7 +100,6 @@ impl LeafLayout {
             value_size: cfg.value_size,
             fingerprints: cfg.fingerprints,
             split_arrays: cfg.split_arrays,
-            swar_probe: cfg.swar_probe,
             off_bitmap,
             off_fps,
             off_next,
@@ -208,7 +203,6 @@ mod tests {
         assert_eq!(l.off_sentinel, l.off_lock + 8);
         assert_eq!(l.off_kv, l.off_sentinel + SENTINEL_BYTES);
         assert_eq!(l.off_sentinel % 8, 0);
-        assert!(l.swar_probe);
     }
 
     #[test]
@@ -299,7 +293,6 @@ mod tests {
                     split_arrays: split,
                     leaf_group_size: 0,
                     wbuf_entries: 4,
-                    swar_probe: true,
                 };
                 for ks in [8usize, 16] {
                     let l = LeafLayout::new(&cfg, ks);

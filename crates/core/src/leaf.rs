@@ -274,9 +274,6 @@ impl<'a> Leaf<'a> {
     /// version word read `succ_ver` (even). Racing stores may interleave
     /// fields; the checksum makes any mixed record read as invalid.
     pub fn sentinel_store(&self, enc: u64, succ_off: u64, succ_ver: u64) {
-        if !self.layout.swar_probe {
-            return;
-        }
         let tag = self.sentinel_word(3);
         tag.store(0, Ordering::Relaxed);
         self.sentinel_word(0).store(enc, Ordering::Relaxed);
@@ -313,9 +310,6 @@ impl<'a> Leaf<'a> {
     /// recycling of the successor bumps it). Charges no SCM read latency:
     /// everything consulted is transient or metadata.
     pub fn sentinel_succ_min(&self) -> Option<u64> {
-        if !self.layout.swar_probe {
-            return None;
-        }
         let (enc, succ_off, succ_ver) = self.sentinel_read()?;
         let next = self.next();
         if next.is_null() || next.offset != succ_off {
@@ -532,13 +526,13 @@ impl<'a> Leaf<'a> {
     /// Searches the leaf for `key`, returning its slot.
     ///
     /// With fingerprints: scan the fingerprint array and probe only matching
-    /// slots (expected one probe, §4.2). Under `swar_probe` the scan is
-    /// data-parallel: fingerprints load eight at a time, a SWAR match mask
-    /// against the broadcast probe byte ANDs with the validity bitmap, and
-    /// candidates iterate via `trailing_zeros` — same candidates, same
-    /// order, same charged lines as the byte loop (the differential tests
-    /// pin this). Without fingerprints: linear scan of the key area. Read
-    /// latency is charged per the access pattern.
+    /// slots (expected one probe, §4.2). The scan is data-parallel:
+    /// fingerprints load eight at a time, a SWAR match mask against the
+    /// broadcast probe byte ANDs with the validity bitmap, and candidates
+    /// iterate via `trailing_zeros` — same candidates, same order, same
+    /// charged lines as the byte loop of [`Leaf::find_slot_scalar`] (the
+    /// differential tests pin this). Without fingerprints: linear scan of
+    /// the key area. Read latency is charged per the access pattern.
     pub fn find_slot<K: KeyKind>(&self, key: &K::Owned) -> Option<usize> {
         let bitmap = self.bitmap();
         self.touch_head();
@@ -546,27 +540,12 @@ impl<'a> Leaf<'a> {
             let fp = K::fingerprint(key);
             let mut fps = [0u8; crate::config::MAX_LEAF_CAPACITY];
             self.read_fingerprints(&mut fps);
-            if self.layout.swar_probe {
-                let mut cand = fp_match_mask(&fps[..self.layout.m], fp) & bitmap;
-                while cand != 0 {
-                    let slot = cand.trailing_zeros() as usize;
-                    cand &= cand - 1;
-                    self.touch_slot(slot);
-                    K::touch_key(self.pool, self.key_off(slot));
-                    if K::slot_matches(self.pool, self.key_off(slot), key) {
-                        return Some(slot);
-                    }
-                }
-            } else {
-                #[allow(clippy::needless_range_loop)] // slot indexes bitmap too
-                for slot in 0..self.layout.m {
-                    if bitmap & (1 << slot) != 0 && fps[slot] == fp {
-                        self.touch_slot(slot);
-                        K::touch_key(self.pool, self.key_off(slot));
-                        if K::slot_matches(self.pool, self.key_off(slot), key) {
-                            return Some(slot);
-                        }
-                    }
+            let mut cand = fp_match_mask(&fps[..self.layout.m], fp) & bitmap;
+            while cand != 0 {
+                let slot = cand.trailing_zeros() as usize;
+                cand &= cand - 1;
+                if self.probe_slot::<K>(slot, key) {
+                    return Some(slot);
                 }
             }
             None
@@ -591,6 +570,32 @@ impl<'a> Leaf<'a> {
             }
             None
         }
+    }
+
+    /// Charges and performs the key comparison at a fingerprint hit.
+    #[inline]
+    fn probe_slot<K: KeyKind>(&self, slot: usize, key: &K::Owned) -> bool {
+        self.touch_slot(slot);
+        K::touch_key(self.pool, self.key_off(slot));
+        K::slot_matches(self.pool, self.key_off(slot), key)
+    }
+
+    /// Reference implementation of [`Leaf::find_slot`]'s fingerprint scan:
+    /// the byte-at-a-time loop the SWAR probe replaced. Differential tests
+    /// and the probe microbenchmark run both over the same leaf bytes.
+    #[doc(hidden)]
+    pub fn find_slot_scalar<K: KeyKind>(&self, key: &K::Owned) -> Option<usize> {
+        if !self.layout.fingerprints {
+            return self.find_slot::<K>(key);
+        }
+        let bitmap = self.bitmap();
+        self.touch_head();
+        let fp = K::fingerprint(key);
+        let mut fps = [0u8; crate::config::MAX_LEAF_CAPACITY];
+        self.read_fingerprints(&mut fps);
+        (0..self.layout.m).find(|&slot| {
+            bitmap & (1 << slot) != 0 && fps[slot] == fp && self.probe_slot::<K>(slot, key)
+        })
     }
 
     /// Collects every valid `(slot, key)` pair (splits, scans, recovery),
@@ -1221,12 +1226,7 @@ mod tests {
     #[test]
     fn swar_and_scalar_probes_agree_on_same_bytes() {
         let (pool, layout, off) = setup();
-        // Same geometry, different probe engine: the SWAR flag changes
-        // behavior, not layout, so one leaf serves both views.
-        let scalar_layout = LeafLayout::new(&TreeConfig::fptree().with_swar_probe(false), 8);
-        assert_eq!(scalar_layout.off_kv, layout.off_kv);
         let leaf = Leaf::new(&pool, &layout, off);
-        let scalar = Leaf::new(&pool, &scalar_layout, off);
         for i in 0..layout.m {
             let k = (i as u64) * 977;
             insert_fixed(&leaf, i, k, k + 1);
@@ -1237,7 +1237,7 @@ mod tests {
             let a = leaf.find_slot::<FixedKey>(&probe);
             let la = pool.stats().snapshot().read_lines;
             pool.stats().reset();
-            let b = scalar.find_slot::<FixedKey>(&probe);
+            let b = leaf.find_slot_scalar::<FixedKey>(&probe);
             let lb = pool.stats().snapshot().read_lines;
             assert_eq!(a, b, "probe {probe}");
             assert_eq!(la, lb, "charged lines for probe {probe}");

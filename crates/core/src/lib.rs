@@ -41,7 +41,7 @@
 //! | [`scan`] | ordered range scans over the unsorted leaf chain |
 //! | [`metrics`] | observability: op latencies, contention counters |
 //! | [`shard`] | keyspace-sharded multi-tree serving layer |
-//! | [`api`] | builder + typed-error facade over both tree variants |
+//! | [`api`] | the typed [`Error`], the key-length limit, and the pre-flight check behind every `try_create` |
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -65,7 +65,7 @@ pub mod scan;
 pub mod shard;
 pub mod single;
 
-pub use api::{Error, FpTree, FpTreeC, FpTreeCVar, FpTreeVar, TreeBuilder, MAX_KEY_BYTES};
+pub use api::{Error, MAX_KEY_BYTES};
 pub use concurrent::{ConcKey, ConcurrentFPTree, ConcurrentFPTreeVar, ConcurrentTree};
 pub use config::TreeConfig;
 pub use index::{BytesIndex, Locked, U64Index};

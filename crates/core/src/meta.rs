@@ -49,6 +49,9 @@ const M_LOGS: u64 = 256;
 const FLAG_FINGERPRINTS: u64 = 1;
 const FLAG_SPLIT_ARRAYS: u64 = 2;
 const FLAG_VAR_KEYS: u64 = 4;
+/// Legacy: once selected the SWAR probe + sentinels over a scalar mode.
+/// Still written (images stay byte-identical to older builds'), never read:
+/// there is one probe, and every layout carries the sentinel region.
 const FLAG_SWAR_PROBE: u64 = 8;
 
 /// Handle over a tree's persistent metadata block.
@@ -89,7 +92,7 @@ impl TreeMeta {
         pool.write_word(off + M_STATUS, STATUS_INITIALIZING);
         pool.write_word(off + M_LEAF_CAP, cfg.leaf_capacity as u64);
         pool.write_word(off + M_VALUE_SIZE, cfg.value_size as u64);
-        let mut flags = 0;
+        let mut flags = FLAG_SWAR_PROBE;
         if cfg.fingerprints {
             flags |= FLAG_FINGERPRINTS;
         }
@@ -98,9 +101,6 @@ impl TreeMeta {
         }
         if var_keys {
             flags |= FLAG_VAR_KEYS;
-        }
-        if cfg.swar_probe {
-            flags |= FLAG_SWAR_PROBE;
         }
         pool.write_word(off + M_FLAGS, flags);
         pool.write_word(off + M_GROUP_SIZE, cfg.leaf_group_size as u64);
@@ -151,7 +151,6 @@ impl TreeMeta {
             split_arrays: flags & FLAG_SPLIT_ARRAYS != 0,
             leaf_group_size: pool.read_word(self.off + M_GROUP_SIZE) as usize,
             wbuf_entries: pool.read_word(self.off + M_WBUF_ENTRIES) as usize,
-            swar_probe: flags & FLAG_SWAR_PROBE != 0,
         };
         let key_slot = pool.read_word(self.off + M_KEY_SLOT) as usize;
         (cfg, key_slot, flags & FLAG_VAR_KEYS != 0)

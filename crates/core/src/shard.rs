@@ -113,9 +113,8 @@ pub fn bytes_shard(key: &[u8], n: usize) -> usize {
 
 /// A hash-sharded family of [`ConcurrentTree`]s behaving as one index.
 ///
-/// Built via [`crate::TreeBuilder::shards`] + `build_sharded*` /
-/// `open_sharded*`, or directly from a vector of pools. See the module
-/// docs for the invariants.
+/// Built by [`Sharded::try_create`] / [`Sharded::open`] from a vector of
+/// pools, one shard per pool. See the module docs for the invariants.
 pub struct Sharded<K: ConcKey> {
     shards: Vec<ConcurrentTree<K>>,
 }
@@ -137,16 +136,35 @@ impl<K: ConcKey> Sharded<K>
 where
     K::Owned: ShardKey,
 {
-    /// Creates a fresh sharded tree, one shard per pool (panics if `pools`
-    /// is empty; use the builder for validated construction). Every shard
-    /// uses the same `owner_slot` within its own pool.
+    /// Creates a fresh sharded tree, one shard per pool. Every shard uses
+    /// the same `owner_slot` within its own pool. Panics where
+    /// [`Sharded::try_create`] errs.
     pub fn create(pools: Vec<Arc<PmemPool>>, cfg: TreeConfig, owner_slot: u64) -> Sharded<K> {
-        assert!(!pools.is_empty(), "sharded tree needs at least one pool");
+        Self::try_create(pools, cfg, owner_slot).expect("creating sharded tree")
+    }
+
+    /// [`Sharded::create`], rejecting an empty pool list
+    /// ([`Error::InvalidConfig`]) and whatever
+    /// [`ConcurrentTree::try_create`] rejects, with the shard named (shards
+    /// ahead of the failing one have been created in their pools by then).
+    pub fn try_create(
+        pools: Vec<Arc<PmemPool>>,
+        cfg: TreeConfig,
+        owner_slot: u64,
+    ) -> Result<Sharded<K>, Error> {
+        if pools.is_empty() {
+            return Err(Error::InvalidConfig(
+                "sharded tree needs at least one pool".into(),
+            ));
+        }
         let shards = pools
             .into_iter()
-            .map(|pool| ConcurrentTree::create(pool, cfg, owner_slot))
-            .collect();
-        Sharded { shards }
+            .enumerate()
+            .map(|(i, pool)| {
+                ConcurrentTree::try_create(pool, cfg, owner_slot).map_err(|e| e.with_shard(i))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Sharded { shards })
     }
 
     /// Opens (recovers) a sharded tree with the default worker budget; see

@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use fptree_pmem::PmemPool;
 
-use crate::api::Error;
+use crate::api::{check_create, Error};
 use crate::config::TreeConfig;
 use crate::groups::GroupMgr;
 use crate::inner::{build_from_leaves, InnerNode, Node};
@@ -84,9 +84,19 @@ pub type FPTreeVar = SingleTree<crate::keys::VarKey>;
 impl<K: KeyKind> SingleTree<K> {
     /// Creates a fresh tree, publishing its metadata block into the owner
     /// pointer at `owner_slot` (use [`fptree_pmem::ROOT_SLOT`] for the
-    /// pool's primary object).
+    /// pool's primary object). Panics where [`Self::try_create`] errs.
     pub fn create(pool: Arc<PmemPool>, cfg: TreeConfig, owner_slot: u64) -> Self {
-        cfg.validate();
+        Self::try_create(pool, cfg, owner_slot).expect("creating tree")
+    }
+
+    /// [`Self::create`], rejecting an invalid `cfg` or a pool too small for
+    /// the tree's initial footprint before any persistent write.
+    pub fn try_create(
+        pool: Arc<PmemPool>,
+        cfg: TreeConfig,
+        owner_slot: u64,
+    ) -> Result<Self, Error> {
+        check_create::<K>(&cfg, &pool, 1)?;
         let checked = Arc::clone(&pool);
         let _op = checked.begin_checked_op("tree_create");
         let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
@@ -97,13 +107,13 @@ impl<K: KeyKind> SingleTree<K> {
         let head = groups.get_leaf(&ctx.pool, &ctx.layout, &meta, meta.head_slot());
         ctx.zero_leaf(head);
         meta.set_status(&ctx.pool, STATUS_READY);
-        SingleTree {
+        Ok(SingleTree {
             ctx,
             groups,
             root: Node::Leaf(head),
             len: 0,
             recovery: None,
-        }
+        })
     }
 
     /// Bulk-loads sorted, unique `(key, value)` entries at ~70% leaf fill —
@@ -113,20 +123,38 @@ impl<K: KeyKind> SingleTree<K> {
     /// All-or-nothing: the metadata stays in the INITIALIZING state until
     /// the load completes, so a crash mid-load recovers to an empty tree
     /// (partial leaves are reclaimed by the init-crash path of `open`).
+    /// Panics where [`Self::try_bulk_load`] errs.
     pub fn bulk_load(
         pool: Arc<PmemPool>,
         cfg: TreeConfig,
         owner_slot: u64,
         entries: &[(K::Owned, u64)],
     ) -> Self {
-        cfg.validate();
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "bulk_load requires sorted unique keys"
-        );
-        if entries.is_empty() {
-            return Self::create(pool, cfg, owner_slot);
+        Self::try_bulk_load(pool, cfg, owner_slot, entries).expect("bulk-loading tree")
+    }
+
+    /// [`Self::bulk_load`], rejecting what [`Self::try_create`] rejects plus
+    /// unsorted or duplicated keys ([`Error::InvalidConfig`] — leaves built
+    /// from them would misroute) and over-long byte-string keys
+    /// ([`Error::KeyTooLarge`]), all before any persistent write.
+    pub fn try_bulk_load(
+        pool: Arc<PmemPool>,
+        cfg: TreeConfig,
+        owner_slot: u64,
+        entries: &[(K::Owned, u64)],
+    ) -> Result<Self, Error> {
+        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(Error::InvalidConfig(
+                "bulk load requires sorted unique keys".into(),
+            ));
         }
+        for (key, _) in entries {
+            K::check_len(key)?;
+        }
+        if entries.is_empty() {
+            return Self::try_create(pool, cfg, owner_slot);
+        }
+        check_create::<K>(&cfg, &pool, 1)?;
         let checked = Arc::clone(&pool);
         let _op = checked.begin_checked_op("bulk_load");
         let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
@@ -171,13 +199,13 @@ impl<K: KeyKind> SingleTree<K> {
         }
         meta.set_status(&ctx.pool, STATUS_READY);
         let root = build_from_leaves::<K>(index_entries, cfg.inner_fanout, 1);
-        SingleTree {
+        Ok(SingleTree {
             ctx,
             groups,
             root,
             len: entries.len(),
             recovery: None,
-        }
+        })
     }
 
     /// Sorted streaming iterator over all entries (leaf list order).
@@ -327,14 +355,31 @@ impl<K: KeyKind> SingleTree<K> {
         self.write(key, value, WriteMode::Update { expected: None })
     }
 
+    /// Updates `key` to `value` only if it is currently mapped to `expected`
+    /// (one leaf probe; a failed guard writes nothing).
+    pub fn update_if(&mut self, key: &K::Owned, expected: u64, value: u64) -> bool {
+        let expected = Some(expected);
+        self.write(key, value, WriteMode::Update { expected })
+    }
+
     /// Removes `key`. Returns false if absent.
     pub fn remove(&mut self, key: &K::Owned) -> bool {
+        self.remove_guarded(key, None)
+    }
+
+    /// Removes `key` only if it is currently mapped to `expected` (one leaf
+    /// probe; a failed guard writes nothing).
+    pub fn remove_if(&mut self, key: &K::Owned, expected: u64) -> bool {
+        self.remove_guarded(key, Some(expected))
+    }
+
+    fn remove_guarded(&mut self, key: &K::Owned, expected: Option<u64>) -> bool {
         let metrics = Arc::clone(&self.ctx.metrics);
         let _t = metrics.time_op(Op::Remove);
         let checked = Arc::clone(&self.ctx.pool);
         let _op = checked.begin_checked_op("remove");
         let (off, prev) = self.root.find_leaf_and_prev(key);
-        let r = self.ctx.remove_one::<K>(off, key, None);
+        let r = self.ctx.remove_one::<K>(off, key, expected);
         if r.removed {
             self.len -= 1;
         }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use fptree_core::concurrent::{ConcurrentFPTree, ConcurrentTree};
 use fptree_core::keys::FixedKey;
 use fptree_core::{FPTree, FPTreeVar, TreeConfig};
-use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
+use fptree_pmem::{PmemPool, PoolOptions, RawPPtr, ROOT_SLOT};
 use rand::prelude::*;
 
 fn pool(mb: usize) -> Arc<PmemPool> {
@@ -476,26 +476,42 @@ fn sentinel_short_circuits_bounded_rescans() {
              ({stops_before} -> {stops_after})"
         );
     }
+}
 
-    // Scalar fallback: sentinels are disabled with the SWAR probe, so the
-    // same double-scan stays correct and never records a sentinel stop.
-    let p2 = pool(8);
-    let mut t2 = FPTree::create(
-        Arc::clone(&p2),
-        small_cfg().with_swar_probe(false),
-        ROOT_SLOT,
-    );
+#[test]
+fn legacy_probe_flag_is_ignored_on_open() {
+    // Meta flag bit 3 once selected the SWAR probe + sentinels over a
+    // scalar mode. It is still written, never read: an image with the bit
+    // cleared must open in the one mode that exists, sentinels included.
+    let p = Arc::new(PmemPool::create(PoolOptions::tracked(8 << 20)).unwrap());
+    let mut t = FPTree::create(Arc::clone(&p), small_cfg(), ROOT_SLOT);
     for i in 0..64u64 {
-        assert!(t2.insert(&i, i + 7));
+        assert!(t.insert(&i, i + 7));
     }
-    let _ = t2.scan(10..=19).collect::<Vec<_>>();
-    assert_eq!(t2.scan(10..=19).collect::<Vec<_>>(), expect);
-    assert_eq!(
-        t2.metrics_snapshot()
-            .get("scan_sentinel_stops")
-            .unwrap_or(0),
-        0
-    );
+    let gets: Vec<Option<u64>> = (0..70u64).map(|k| t.get(&k)).collect();
+    let full: Vec<(u64, u64)> = t.scan(..).collect();
+    drop(t);
+
+    let meta: RawPPtr = p.read_at(ROOT_SLOT);
+    let flags_off = meta.offset + 24;
+    let flags = p.read_word(flags_off);
+    assert_ne!(flags & 8, 0, "bit 3 keeps being written");
+    p.write_word(flags_off, flags & !8);
+    p.persist(flags_off, 8);
+    let p = Arc::new(PmemPool::reopen(p.clean_image(), PoolOptions::tracked(0)).unwrap());
+    assert_eq!(p.read_word(flags_off) & 8, 0);
+
+    let t = FPTree::open(Arc::clone(&p), ROOT_SLOT).unwrap();
+    assert_eq!((0..70u64).map(|k| t.get(&k)).collect::<Vec<_>>(), gets);
+    assert_eq!(t.scan(..).collect::<Vec<_>>(), full);
+    t.check_consistency().unwrap();
+    let expect: Vec<(u64, u64)> = (10..=19u64).map(|i| (i, i + 7)).collect();
+    assert_eq!(t.scan(10..=19).collect::<Vec<_>>(), expect);
+    assert_eq!(t.scan(10..=19).collect::<Vec<_>>(), expect);
+    if fptree_core::Metrics::enabled() {
+        let stops = t.metrics_snapshot().get("scan_sentinel_stops").unwrap_or(0);
+        assert!(stops > 0, "rescan after reopen recorded no sentinel stop");
+    }
 }
 
 #[test]

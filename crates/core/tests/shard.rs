@@ -1,11 +1,11 @@
 //! Integration tests for the keyspace-sharded tree: scan equivalence with
-//! an unsharded tree, builder validation and PoolFull shard context, fill
+//! an unsharded tree, `try_create` validation and PoolFull shard context, fill
 //! statistics, batch equivalence, and the save/load/recovery round-trip
 //! through the shard-file family.
 
 use std::sync::Arc;
 
-use fptree_core::{ShardedTree, ShardedTreeVar, TreeBuilder, TreeConfig};
+use fptree_core::{Error, ShardedTree, ShardedTreeVar, TreeConfig};
 use fptree_pmem::{
     create_pools, load_pools, save_pools, shard_file_count, PmemPool, PoolOptions, ROOT_SLOT,
 };
@@ -82,24 +82,29 @@ fn sharded_batches_match_unsharded_loop() {
     many.leak_audit().unwrap();
 }
 
-/// Builder-validated sharded construction: pool-count mismatches are
-/// rejected, and an undersized pool reports which shard is too small.
+/// Validated sharded construction: an empty pool list is rejected, and an
+/// undersized pool reports which shard is too small.
 #[test]
-fn builder_rejects_mismatched_or_undersized_pools() {
-    let b = TreeBuilder::concurrent().shards(3);
-    assert!(
-        b.build_sharded(pools(2, 8)).is_err(),
-        "2 pools for 3 shards"
-    );
-    let t = b.build_sharded(pools(3, 8)).unwrap();
+fn try_create_rejects_empty_or_undersized_pools() {
+    let cfg = TreeConfig::fptree_concurrent();
+    let t = ShardedTree::try_create(pools(3, 16), cfg, ROOT_SLOT).unwrap();
     assert_eq!(t.shard_count(), 3);
+    let err = ShardedTree::try_create(Vec::new(), cfg, ROOT_SLOT).unwrap_err();
+    assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
 
-    // Pools below the minimum footprint: the error names shard 0 (checked
+    // Pools below the initial footprint: the error names shard 0 (checked
     // first) so operators know which file to grow.
-    // (the pool layer itself may refuse pools this small)
-    if let Ok(p) = create_pools(3, PoolOptions::direct(1 << 12)) {
-        let err = b.build_sharded(p).unwrap_err();
-        assert_eq!(err.shard(), Some(0), "error must carry the shard index");
+    let tiny = create_pools(3, PoolOptions::direct(8 << 10)).unwrap();
+    match ShardedTree::try_create(tiny, cfg, ROOT_SLOT).unwrap_err() {
+        Error::PoolFull {
+            required,
+            available,
+            shard,
+        } => {
+            assert!(required > available, "{required} vs {available}");
+            assert_eq!(shard, Some(0), "error must carry the shard index");
+        }
+        other => panic!("expected PoolFull, got {other:?}"),
     }
 }
 
@@ -148,7 +153,7 @@ fn save_load_recover_roundtrip_via_shard_files() {
     assert_eq!(shard_file_count(&base), 3);
     {
         let ps = load_pools(&base, PoolOptions::direct(0)).unwrap();
-        let t = TreeBuilder::concurrent().open_sharded(ps).unwrap();
+        let t = ShardedTree::open(ps, ROOT_SLOT).unwrap();
         assert_eq!(t.shard_count(), 3);
         assert_eq!(t.len(), 4000);
         for k in 0..4000u64 {
@@ -179,7 +184,7 @@ fn save_load_recover_roundtrip_via_shard_files() {
     }
     {
         let ps = load_pools(&base_var, PoolOptions::direct(0)).unwrap();
-        let t = TreeBuilder::concurrent().open_sharded_var(ps).unwrap();
+        let t = ShardedTreeVar::open(ps, ROOT_SLOT).unwrap();
         assert_eq!(t.len(), 1500);
         for k in 0..1500 {
             assert_eq!(t.get(&key(k)), Some(k));

@@ -3,7 +3,10 @@
 
 use std::sync::Arc;
 
-use fptree_core::{FPTree, FPTreeVar, SingleTree, TreeConfig};
+use fptree_core::{
+    ConcurrentFPTree, ConcurrentTree, Error, FPTree, FPTreeVar, FixedKey, SingleTree, TreeConfig,
+    VarKey, MAX_KEY_BYTES,
+};
 use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
 use rand::prelude::*;
 
@@ -727,4 +730,151 @@ fn buffered_max_key_survives_split_and_recovery() {
         assert_eq!(t2.get(&i), Some(i * 3), "get {i} after rebuild routing");
     }
     t2.check_consistency().unwrap();
+}
+
+#[test]
+fn try_create_rejects_bad_config_and_undersized_pools() {
+    // (`.err()`: the trees are not `Debug`, so no `unwrap_err`.)
+    let cfg = TreeConfig::fptree();
+    let bad = cfg.with_leaf_capacity(0);
+    match FPTree::try_create(direct_pool(8), bad, ROOT_SLOT).err() {
+        Some(Error::InvalidConfig(msg)) => assert!(msg.contains("leaf capacity"), "{msg}"),
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+    // 8 KiB cannot hold metadata + a 16-leaf group of 56-entry leaves; the
+    // check runs before any allocation.
+    let tiny = Arc::new(PmemPool::create(PoolOptions::direct(8 << 10)).unwrap());
+    match FPTree::try_create(Arc::clone(&tiny), cfg, ROOT_SLOT).err() {
+        Some(Error::PoolFull {
+            required,
+            available,
+            shard,
+        }) => {
+            assert!(required > available, "{required} vs {available}");
+            assert_eq!(shard, None);
+        }
+        other => panic!("expected PoolFull, got {other:?}"),
+    }
+    assert!(tiny.live_blocks().unwrap().is_empty());
+}
+
+#[test]
+fn try_create_is_exact_at_every_pool_size() {
+    // The footprint check must agree with the allocator: at every pool
+    // size a fresh pool either is refused (nothing allocated) or yields a
+    // working tree — `create` on a checked pool can never hit its `expect`.
+    // (Fixed keys: the first insert lands in the first leaf, no allocation.)
+    let grouped = TreeConfig::fptree();
+    let plain = grouped.with_leaf_group_size(0);
+    let refused = |p: &PmemPool, e: Error, bytes: usize| {
+        assert!(matches!(e, Error::PoolFull { .. }), "{bytes} B: {e:?}");
+        assert!(p.live_blocks().unwrap().is_empty(), "{bytes} B");
+    };
+    let (mut built, mut total) = (0, 0);
+    for bytes in (8usize << 10..72 << 10).step_by(64) {
+        let pool = || Arc::new(PmemPool::create(PoolOptions::direct(bytes)).unwrap());
+        for cfg in [grouped, plain] {
+            let p = pool();
+            match FPTree::try_create(Arc::clone(&p), cfg, ROOT_SLOT) {
+                Ok(mut t) => assert!(t.insert(&7, 1), "{bytes} B"),
+                Err(e) => refused(&p, e, bytes),
+            }
+        }
+        let p = pool();
+        total += 1;
+        match ConcurrentFPTree::try_create(Arc::clone(&p), plain, ROOT_SLOT) {
+            Ok(t) => built += usize::from(t.insert(&7, 1)),
+            Err(e) => refused(&p, e, bytes),
+        }
+    }
+    // The sweep straddles the boundary: both outcomes were exercised.
+    assert!(0 < built && built < total, "{built} of {total} built");
+}
+
+#[test]
+fn try_bulk_load_rejects_bad_input_before_writing() {
+    let cfg = small_cfg();
+    let fresh = direct_pool(8).stats().snapshot().persist_calls;
+    let untouched = |pool: &PmemPool| {
+        assert!(pool.live_blocks().unwrap().is_empty(), "blocks leaked");
+        assert_eq!(pool.stats().snapshot().persist_calls, fresh);
+    };
+    // Release builds used to accept these silently (the guard was a
+    // debug_assert) and build leaves whose discriminators misroute.
+    for bad in [
+        vec![(30u64, 3u64), (10, 1), (20, 2)],
+        vec![(10, 1), (20, 2), (20, 99)],
+    ] {
+        let pool = direct_pool(8);
+        let err = FPTree::try_bulk_load(Arc::clone(&pool), cfg, ROOT_SLOT, &bad).err();
+        assert!(matches!(err, Some(Error::InvalidConfig(_))), "{err:?}");
+        untouched(&pool);
+    }
+    let pool = direct_pool(8);
+    let long = vec![(vec![b'a'; 10], 1), (vec![b'k'; MAX_KEY_BYTES + 1], 2)];
+    let err = FPTreeVar::try_bulk_load(Arc::clone(&pool), cfg, ROOT_SLOT, &long).err();
+    let too_large = matches!(err, Some(Error::KeyTooLarge { len: 251, max: 250 }));
+    assert!(too_large, "{err:?}");
+    untouched(&pool);
+
+    // Sorted unique input still loads, at the key-length limit included.
+    let ok = vec![(vec![b'a'; 10], 1), (vec![b'k'; MAX_KEY_BYTES], 2)];
+    let t = FPTreeVar::try_bulk_load(pool, cfg, ROOT_SLOT, &ok).unwrap();
+    assert_eq!(t.len(), 2);
+    assert_eq!(t.get(&ok[1].0), Some(2));
+    t.check_consistency().unwrap();
+}
+
+/// Drives the guarded ops on a single tree and a concurrent tree side by
+/// side: same answers on hits and misses, and a failed guard persists
+/// nothing on the single tree.
+fn guarded_ops_match_concurrent<K: fptree_core::ConcKey>(
+    mk: impl Fn(u64) -> K::Owned,
+    wbuf: usize,
+) {
+    let cfg = small_cfg().with_wbuf_entries(wbuf);
+    let pool = direct_pool(16);
+    let mut s = SingleTree::<K>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+    let c = ConcurrentTree::<K>::create(direct_pool(16), cfg, ROOT_SLOT);
+    for i in 0..40u64 {
+        assert!(s.insert(&mk(i), i));
+        assert!(c.insert(&mk(i), i));
+    }
+    let persists = || pool.stats().snapshot().persist_calls;
+    for i in 0..44u64 {
+        let k = mk(i);
+        // Wrong expectation (or absent key): both refuse, nothing persists.
+        let before = persists();
+        assert!(!s.update_if(&k, i + 1, 777), "wbuf {wbuf} key {i}");
+        assert!(!s.remove_if(&k, i + 1), "wbuf {wbuf} key {i}");
+        assert_eq!(persists(), before, "failed guard persisted (key {i})");
+        assert!(!c.update_if(&k, i + 1, 777));
+        assert!(!c.remove_if(&k, i + 1));
+        assert_eq!(s.get(&k), c.get(&k));
+
+        // Right expectation: both apply; the guard then sees the new value.
+        let present = i < 40;
+        assert_eq!(s.update_if(&k, i, i + 100), present, "wbuf {wbuf} key {i}");
+        assert_eq!(c.update_if(&k, i, i + 100), present);
+        assert_eq!(s.get(&k), present.then_some(i + 100));
+        assert_eq!(s.get(&k), c.get(&k));
+        if i % 2 == 0 {
+            assert!(!s.remove_if(&k, i), "stale value must not remove");
+            assert_eq!(s.remove_if(&k, i + 100), present);
+            assert_eq!(c.remove_if(&k, i + 100), present);
+            assert_eq!(s.get(&k), None);
+        }
+    }
+    assert_eq!(s.len(), c.len());
+    assert_eq!(s.len(), 20);
+    s.check_consistency().unwrap();
+    c.check_consistency().unwrap();
+}
+
+#[test]
+fn update_if_and_remove_if_match_the_concurrent_tree() {
+    for wbuf in [0usize, 8] {
+        guarded_ops_match_concurrent::<FixedKey>(|i| i * 7, wbuf);
+        guarded_ops_match_concurrent::<VarKey>(|i| format!("key:{i:05}").into_bytes(), wbuf);
+    }
 }

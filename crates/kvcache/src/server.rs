@@ -79,9 +79,8 @@ const SHUTDOWN_DRAIN: Duration = Duration::from_secs(2);
 const LISTENER_TOKEN: Token = Token(usize::MAX);
 const WAKER_TOKEN: Token = Token(usize::MAX - 1);
 
-/// Builds and starts the event-loop server (mirrors the
-/// `fptree_core::TreeBuilder` facade: fluent settings, validation up
-/// front, one terminal call).
+/// Builds and starts the event-loop server: fluent settings, validation
+/// up front, one terminal call.
 ///
 /// ```no_run
 /// # use std::sync::Arc;

@@ -630,93 +630,36 @@ proptest! {
             }
         }
 
-        // The SWAR word probe and the scalar byte loop must agree on every
-        // (bitmap, keyset, probe) — same slot or same absence — and charge
-        // the same SCM lines; layouts differ only in probe strategy, so both
-        // views read identical leaf bytes.
-        let cfg_on = TreeConfig {
+        // The SWAR word probe and its scalar reference loop must agree on
+        // every (bitmap, keyset, probe) — same slot or same absence — and
+        // charge the same SCM lines, over the same leaf bytes.
+        let cfg = TreeConfig {
             leaf_capacity: m,
             wbuf_entries: wbuf,
             ..TreeConfig::fptree()
         };
-        let cfg_off = TreeConfig { swar_probe: false, ..cfg_on };
-        let lay_on = LeafLayout::new(&cfg_on, FixedKey::SLOT_SIZE);
-        let lay_off = LeafLayout::new(&cfg_off, FixedKey::SLOT_SIZE);
+        let layout = LeafLayout::new(&cfg, FixedKey::SLOT_SIZE);
         let pool = PmemPool::create(PoolOptions::direct(1 << 20)).unwrap();
-        let off = pool.allocate(ROOT_SLOT, lay_on.size).unwrap();
-        pool.write_bytes(off, &vec![0u8; lay_on.size]);
+        let off = pool.allocate(ROOT_SLOT, layout.size).unwrap();
+        pool.write_bytes(off, &vec![0u8; layout.size]);
 
-        let swar = Leaf::new(&pool, &lay_on, off);
+        let leaf = Leaf::new(&pool, &layout, off);
         for (slot, k) in keys.iter().take(m).enumerate() {
-            FixedKey::write_slot(&pool, swar.key_off(slot), k);
-            swar.set_value(slot, k + 1000);
-            swar.set_fingerprint(slot, FixedKey::fingerprint(k));
+            FixedKey::write_slot(&pool, leaf.key_off(slot), k);
+            leaf.set_value(slot, k + 1000);
+            leaf.set_fingerprint(slot, FixedKey::fingerprint(k));
         }
-        swar.commit_bitmap(bitmap & lay_on.full_bitmap());
+        leaf.commit_bitmap(bitmap & layout.full_bitmap());
 
-        let scalar = Leaf::new(&pool, &lay_off, off);
         for k in probes.iter().chain(keys.iter().take(m)) {
             pool.stats().reset();
-            let a = swar.find_slot::<FixedKey>(k);
+            let a = leaf.find_slot::<FixedKey>(k);
             let la = pool.stats().snapshot().read_lines;
             pool.stats().reset();
-            let b = scalar.find_slot::<FixedKey>(k);
+            let b = leaf.find_slot_scalar::<FixedKey>(k);
             let lb = pool.stats().snapshot().read_lines;
             prop_assert_eq!(a, b, "probe {} diverged (m={}, bitmap={:#x})", k, m, bitmap);
             prop_assert_eq!(la, lb, "probe {} charged different lines", k);
-        }
-        // The recovery discriminator reuses the same word-wise machinery.
-        prop_assert_eq!(swar.max_key::<FixedKey>(), scalar.max_key::<FixedKey>());
-    }
-
-    #[test]
-    fn scalar_probe_trees_agree(
-        ops in proptest::collection::vec(op_strategy(), 50..250),
-        wbuf in prop_oneof![Just(0usize), Just(8usize)],
-    ) {
-        use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
-        use std::sync::Arc;
-
-        // The swar_probe=false fallback (scalar byte loop, sentinels
-        // disabled) must keep identical map semantics on both tree
-        // variants; the default-on path is covered by all_trees_agree.
-        {
-            let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-            let mut t = fptree_suite::core::FPTree::create(
-                pool,
-                small(TreeConfig::fptree())
-                    .with_swar_probe(false)
-                    .with_wbuf_entries(wbuf),
-                ROOT_SLOT,
-            );
-            check(&format!("fptree-scalar-wbuf{wbuf}"), &ops, |c| match c {
-                Call::Insert(k, v) => Resp::Bool(t.insert(&k, v)),
-                Call::Update(k, v) => Resp::Bool(t.update(&k, v)),
-                Call::Remove(k) => Resp::Bool(t.remove(&k)),
-                Call::Get(k) => Resp::Val(t.get(&k)),
-                Call::Range(lo, hi) => Resp::Scan(Some(t.range(&lo, &hi))),
-                Call::ScanAll => Resp::Scan(Some(t.scan(..).collect())),
-            });
-            t.check_consistency().unwrap();
-        }
-        {
-            let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-            let t = fptree_suite::core::ConcurrentFPTree::create(
-                pool,
-                small(TreeConfig::fptree_concurrent())
-                    .with_swar_probe(false)
-                    .with_wbuf_entries(wbuf),
-                ROOT_SLOT,
-            );
-            check(&format!("fptree-c-scalar-wbuf{wbuf}"), &ops, |c| match c {
-                Call::Insert(k, v) => Resp::Bool(t.insert(&k, v)),
-                Call::Update(k, v) => Resp::Bool(t.update(&k, v)),
-                Call::Remove(k) => Resp::Bool(t.remove(&k)),
-                Call::Get(k) => Resp::Val(t.get(&k)),
-                Call::Range(lo, hi) => Resp::Scan(Some(t.range(&lo, &hi))),
-                Call::ScanAll => Resp::Scan(Some(t.scan(..).collect())),
-            });
-            t.check_consistency().unwrap();
         }
     }
 
