@@ -1,6 +1,6 @@
 //! The FPTree protocol lints.
 //!
-//! Five lints, mirroring the disciplines PAPER.md §4–5 demand:
+//! Six lints, mirroring the disciplines PAPER.md §4–5 demand:
 //!
 //! * `pmem-store-outside-checked-op` — a raw pool store primitive reachable
 //!   from outside every `begin_checked_op` RAII window (interprocedural
@@ -16,6 +16,10 @@
 //!   and friends) outside the blessed `leaf.rs` implementation.
 //! * `unsafe-without-safety` — an `unsafe` keyword with no `SAFETY:` comment
 //!   on the same line or in the contiguous comment/attribute block above.
+//! * `transient-store` — any pool store or publish primitive targeting a
+//!   *transient* leaf word (lock, successor sentinel, buffer digest): those
+//!   live outside the persistence domain and are written through
+//!   `atomic_u64`/`atomic_u8` only, never staged, published or flushed.
 
 use std::collections::{HashMap, HashSet};
 
@@ -27,16 +31,18 @@ pub const LINT_RAW_PUBLISH: &str = "raw-publish";
 pub const LINT_FLUSH_ORDER: &str = "flush-order";
 pub const LINT_LOCK: &str = "lock-discipline";
 pub const LINT_UNSAFE: &str = "unsafe-without-safety";
+pub const LINT_TRANSIENT: &str = "transient-store";
 /// Suppression-hygiene error: an `analyzer:allow` with no written reason.
 pub const LINT_BAD_ALLOW: &str = "bad-allow";
 
 /// All suppressible lint ids.
-pub const ALL_LINTS: [&str; 5] = [
+pub const ALL_LINTS: [&str; 6] = [
     LINT_CHECKED_OP,
     LINT_RAW_PUBLISH,
     LINT_FLUSH_ORDER,
     LINT_LOCK,
     LINT_UNSAFE,
+    LINT_TRANSIENT,
 ];
 
 /// Severity of a finding.
@@ -130,6 +136,10 @@ const COMMIT_KEYWORDS: [&str; 9] = [
     "wbuf_entry_off",
 ];
 
+/// First-argument substrings identifying transient leaf words: the lock
+/// word, the successor sentinel (§5.13) and the buffer digest (§5.16).
+const TRANSIENT_KEYWORDS: [&str; 3] = ["off_lock", "off_sentinel", "off_digest"];
+
 /// The window opener.
 const OPENER: &str = "begin_checked_op";
 
@@ -184,30 +194,60 @@ fn fn_eligible(f: &FnInfo, scope: FileScope) -> bool {
     scope.protocol && !f.is_test && !(scope.pool_file && POOL_PRIMS.contains(&f.name.as_str()))
 }
 
+/// Calls accepted by `targets` in lint-eligible functions whose first
+/// argument names one of `keywords`, with the function and the keyword.
+fn stores_naming<'a>(
+    file: &'a ParsedFile,
+    scope: FileScope,
+    targets: fn(&Call) -> bool,
+    keywords: &'a [&'a str],
+) -> impl Iterator<Item = (&'a FnInfo, &'a Call, &'a str)> {
+    file.fns
+        .iter()
+        .filter(move |f| fn_eligible(f, scope))
+        .flat_map(move |f| {
+            f.calls
+                .iter()
+                .filter(move |c| targets(c))
+                .filter_map(move |c| {
+                    let arg = c.arg0.to_ascii_lowercase();
+                    let kw = keywords.iter().find(|kw| arg.contains(**kw))?;
+                    Some((f, c, *kw))
+                })
+        })
+}
+
 /// Lint 2: plain store into a commit word.
 pub fn lint_raw_publish(file: &ParsedFile, scope: FileScope, out: &mut Vec<Finding>) {
-    for f in &file.fns {
-        if !fn_eligible(f, scope) {
-            continue;
-        }
-        for c in &f.calls {
-            if !is_raw_store(c) {
-                continue;
-            }
-            let arg = c.arg0.to_ascii_lowercase();
-            if let Some(kw) = COMMIT_KEYWORDS.iter().find(|kw| arg.contains(*kw)) {
-                out.push(Finding::err(
-                    LINT_RAW_PUBLISH,
-                    &file.rel,
-                    c.line,
-                    format!(
-                        "plain `{}` targets commit word `{}` in `{}`; p-atomic commit \
-                         records must go through write_publish_word/write_publish_at",
-                        c.name, kw, f.name
-                    ),
-                ));
-            }
-        }
+    for (f, c, kw) in stores_naming(file, scope, is_raw_store, &COMMIT_KEYWORDS) {
+        out.push(Finding::err(
+            LINT_RAW_PUBLISH,
+            &file.rel,
+            c.line,
+            format!(
+                "plain `{}` targets commit word `{}` in `{}`; p-atomic commit \
+                 records must go through write_publish_word/write_publish_at",
+                c.name, kw, f.name
+            ),
+        ));
+    }
+}
+
+/// Lint 6: a persistence-API store into a transient leaf word.
+pub fn lint_transient_store(file: &ParsedFile, scope: FileScope, out: &mut Vec<Finding>) {
+    let any_store = |c: &Call| is_raw_store(c) || is_publish(c);
+    for (f, c, kw) in stores_naming(file, scope, any_store, &TRANSIENT_KEYWORDS) {
+        out.push(Finding::err(
+            LINT_TRANSIENT,
+            &file.rel,
+            c.line,
+            format!(
+                "`{}` targets transient word `{}` in `{}`; lock, sentinel and \
+                 digest words are out of the persistence domain and go through \
+                 pool atomics (atomic_u64/atomic_u8) only",
+                c.name, kw, f.name
+            ),
+        ));
     }
 }
 
@@ -479,6 +519,7 @@ pub fn run_all(files: &[(ParsedFile, FileScope)]) -> Vec<Finding> {
     lint_checked_op(files, &mut out);
     for (file, scope) in files {
         lint_raw_publish(file, *scope, &mut out);
+        lint_transient_store(file, *scope, &mut out);
         lint_flush_order(file, *scope, &mut out);
         lint_lock_discipline(file, *scope, &mut out);
         lint_unsafe_safety(file, &mut out);

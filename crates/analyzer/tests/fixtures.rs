@@ -65,6 +65,16 @@ fn raw_publish_clean() {
 }
 
 #[test]
+fn transient_store_seeded_violation() {
+    expect("transient_store_bad1.rs", &[("transient-store", 5)]);
+}
+
+#[test]
+fn transient_store_clean() {
+    expect("transient_store_good.rs", &[]);
+}
+
+#[test]
 fn flush_order_seeded_violations() {
     expect("flush_order_bad1.rs", &[("flush-order", 6)]);
     expect("flush_order_bad2.rs", &[("flush-order", 7)]);

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! | bitmap (8) | fingerprints (m) | pad | next PPtr (16) | lock (1) + pad |
-//! | sentinel (32, transient) | KV area |
+//! | sentinel (16, transient) | buffer digest (16, transient) | KV area |
 //! ```
 //!
 //! With m = 56 and fixed keys, bitmap + fingerprints exactly fill the first
@@ -19,14 +19,24 @@
 //! persistent append buffer (§5.12): an 8-byte generation word, then W
 //! entries of `| tag (8) | key slot | value |`. Single-key writes land here
 //! with one multi-word publish; the tag embeds a checksum over the entry and
-//! the leaf generation, so recovery self-validates each entry.
+//! the leaf generation, so recovery self-validates each entry. The live
+//! entries' fingerprints and their count are mirrored in the transient
+//! buffer digest beside the sentinel (§5.16): `ceil(W/8)` fingerprint words
+//! and a tag word, 16 bytes for W ≤ 8, which is what every preset uses.
 
 use crate::config::TreeConfig;
 use fptree_pmem::CACHE_LINE;
 
-/// Bytes of the transient per-leaf sentinel record (4 words: successor min
-/// key encoding, successor offset, successor version, checksummed tag).
-pub const SENTINEL_BYTES: usize = 32;
+/// Bytes of the transient per-leaf sentinel record (2 words: successor min
+/// key encoding, and a tag checksumming it with the successor's offset and
+/// version, which a reader re-derives from `next` and the live successor).
+pub const SENTINEL_BYTES: usize = 16;
+
+/// Transient bytes reserved after the sentinel record in every leaf. The
+/// sentinel was four words before the buffer digest existed; the two it
+/// gave up are exactly the digest of a W ≤ 8 buffer, so `off_kv` — and with
+/// it every persistent offset of an existing pool image — did not move.
+const DIGEST_MIN_BYTES: usize = 16;
 
 /// Byte offsets of every leaf field, precomputed from a [`TreeConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,12 +60,17 @@ pub struct LeafLayout {
     pub off_next: usize,
     /// Offset of the one-byte transient lock.
     pub off_lock: usize,
-    /// Offset of the 32-byte transient sentinel record: the successor's
-    /// minimum key (order-preserving 8-byte encoding), the successor's
-    /// offset and observed version, and a checksummed tag. Populated by
-    /// scans, validated on every read, never persisted deliberately —
-    /// recovery clears it alongside the lock word.
+    /// Offset of the 16-byte transient sentinel record: the successor's
+    /// minimum key (order-preserving 8-byte encoding) and a tag that
+    /// checksums it with the successor's offset and observed version.
+    /// Populated by scans, validated on every read, never persisted
+    /// deliberately — recovery clears it alongside the lock word.
     pub off_sentinel: usize,
+    /// Offset of the transient append-buffer digest: `digest_fp_words()`
+    /// words holding the live entries' fingerprint bytes, then the tag word
+    /// `| checksum (48) | live (8) | marker (8) |`. Written by whoever
+    /// changes the buffer, only read by lookups, rebuilt by recovery.
+    pub off_digest: usize,
     /// Offset of the KV area.
     pub off_kv: usize,
     /// Entries in the persistent append buffer (0 = no buffer).
@@ -81,8 +96,14 @@ impl LeafLayout {
         let off_lock = off_next + 16;
         // Transient sentinel record after the lock word (both 8-aligned).
         let off_sentinel = off_lock + 8;
-        // KV area 8-byte aligned after the sentinel record.
-        let off_kv = off_sentinel + SENTINEL_BYTES;
+        let off_digest = off_sentinel + SENTINEL_BYTES;
+        let digest_len = if cfg.wbuf_entries > 0 {
+            8 * (cfg.wbuf_entries.div_ceil(8) + 1)
+        } else {
+            0
+        };
+        // KV area 8-byte aligned after the transient words.
+        let off_kv = off_digest + digest_len.max(DIGEST_MIN_BYTES);
         let kv_len = m * (key_slot + cfg.value_size);
         // The KV area is a whole number of 8-byte fields, so off_wbuf (and
         // every buffer entry: 8-byte tag + key slot + value) stays 8-aligned,
@@ -105,6 +126,7 @@ impl LeafLayout {
             off_next,
             off_lock,
             off_sentinel,
+            off_digest,
             off_kv,
             wbuf_entries: cfg.wbuf_entries,
             off_wbuf,
@@ -143,6 +165,13 @@ impl LeafLayout {
         } else {
             8
         }
+    }
+
+    /// Words of fingerprint bytes in the buffer digest (the tag word
+    /// follows them).
+    #[inline]
+    pub fn digest_fp_words(&self) -> usize {
+        self.wbuf_entries.div_ceil(8)
     }
 
     /// Bytes per append-buffer entry: tag word + key slot + value.
@@ -199,41 +228,74 @@ mod tests {
         assert_eq!(l.head_len(), 64);
         assert_eq!(l.off_next, 64);
         assert_eq!(l.size % CACHE_LINE, 0);
-        // Transient tail of the head: lock word then the sentinel record.
+        // Transient tail of the head: lock word, sentinel record, digest.
         assert_eq!(l.off_sentinel, l.off_lock + 8);
-        assert_eq!(l.off_kv, l.off_sentinel + SENTINEL_BYTES);
+        assert_eq!(l.off_digest, l.off_sentinel + SENTINEL_BYTES);
+        assert_eq!(l.off_kv, l.off_digest + 8 * (l.digest_fp_words() + 1));
         assert_eq!(l.off_sentinel % 8, 0);
+    }
+
+    /// The digest took its 16 bytes from the sentinel record, so no preset
+    /// leaf grew and no persistent field moved: pool images written before
+    /// the digest existed keep opening.
+    #[test]
+    fn preset_sizes_and_kv_offsets_are_pinned() {
+        let presets = [
+            (TreeConfig::fptree(), 8, 1216, 120),
+            (TreeConfig::fptree_concurrent(), 8, 1408, 128),
+            (TreeConfig::fptree_var(), 16, 1728, 120),
+            (TreeConfig::fptree_concurrent_var(), 16, 1984, 128),
+            (TreeConfig::ptree(), 8, 576, 64),
+            (TreeConfig::ptree_var(), 16, 832, 64),
+        ];
+        for (cfg, key_slot, size, off_kv) in presets {
+            let l = LeafLayout::new(&cfg, key_slot);
+            assert_eq!((l.size, l.off_kv), (size, off_kv), "{cfg:?}");
+        }
+        // Every W <= 8 shares the two-word digest; a larger buffer grows
+        // the transient area by one word per eight entries.
+        let at = |w| LeafLayout::new(&TreeConfig::fptree().with_wbuf_entries(w), 8).off_kv;
+        assert!((0..=8).all(|w| at(w) == 120));
+        assert_eq!((at(9), at(16), at(64)), (128, 128, 176));
     }
 
     #[test]
     fn interleaved_offsets_do_not_overlap() {
-        let cfg = TreeConfig::fptree()
-            .with_leaf_capacity(16)
-            .with_value_size(24);
-        let l = LeafLayout::new(&cfg, 8);
-        let mut spans: Vec<(usize, usize)> = vec![
-            (l.off_bitmap, 8),
-            (l.off_fps, 16),
-            (l.off_next, 16),
-            (l.off_lock, 8),
-            (l.off_sentinel, SENTINEL_BYTES),
-        ];
-        for i in 0..16 {
-            spans.push((l.key_off(i), 8));
-            spans.push((l.val_off(i), 24));
+        // W = 8 is the presets' two-word digest; 20 and 64 grow it.
+        for wbuf in [8usize, 20, 64] {
+            let cfg = TreeConfig::fptree()
+                .with_leaf_capacity(16)
+                .with_value_size(24)
+                .with_wbuf_entries(wbuf);
+            let l = LeafLayout::new(&cfg, 8);
+            let mut spans: Vec<(usize, usize)> = vec![
+                (l.off_bitmap, 8),
+                (l.off_fps, 16),
+                (l.off_next, 16),
+                (l.off_lock, 8),
+                (l.off_sentinel, SENTINEL_BYTES),
+            ];
+            // Digest: the fingerprint words, then the tag word.
+            for w in 0..=l.digest_fp_words() {
+                spans.push((l.off_digest + 8 * w, 8));
+            }
+            for i in 0..16 {
+                spans.push((l.key_off(i), 8));
+                spans.push((l.val_off(i), 24));
+            }
+            assert_eq!(l.wbuf_entries, wbuf);
+            spans.push((l.wbuf_gen_off(), 8));
+            for i in 0..l.wbuf_entries {
+                spans.push((l.wbuf_entry_off(i), 8));
+                spans.push((l.wbuf_key_off(i), 8));
+                spans.push((l.wbuf_val_off(i), 24));
+            }
+            spans.sort();
+            for w in spans.windows(2) {
+                assert!(w[0].0 + w[0].1 <= w[1].0, "overlap: {:?} {:?}", w[0], w[1]);
+            }
+            assert!(spans.last().unwrap().0 + spans.last().unwrap().1 <= l.size);
         }
-        assert_eq!(l.wbuf_entries, 8);
-        spans.push((l.wbuf_gen_off(), 8));
-        for i in 0..l.wbuf_entries {
-            spans.push((l.wbuf_entry_off(i), 8));
-            spans.push((l.wbuf_key_off(i), 8));
-            spans.push((l.wbuf_val_off(i), 24));
-        }
-        spans.sort();
-        for w in spans.windows(2) {
-            assert!(w[0].0 + w[0].1 <= w[1].0, "overlap: {:?} {:?}", w[0], w[1]);
-        }
-        assert!(spans.last().unwrap().0 + spans.last().unwrap().1 <= l.size);
     }
 
     #[test]

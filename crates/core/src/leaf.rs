@@ -7,13 +7,43 @@
 //! algorithms call `persist` exactly where the paper does, which is what the
 //! crash-consistency tests verify.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use fptree_pmem::{PmemPool, RawPPtr, CACHE_LINE};
 
+use crate::config::MAX_LEAF_CAPACITY;
 use crate::fingerprint::fp_match_mask;
 use crate::keys::KeyKind;
 use crate::layout::LeafLayout;
+
+/// One round of the multiplicative mix chain behind every checksummed tag
+/// in a leaf (buffer entries, sentinel record, buffer digest).
+#[inline]
+fn mix(h: u64, v: u64) -> u64 {
+    let x = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^ (x >> 32)
+}
+
+/// The live prefix of a leaf's append buffer as one operation sees it
+/// ([`Leaf::wbuf_view`]): how many entries are live, and their fingerprints.
+#[derive(Clone, Copy)]
+pub struct WbufView {
+    /// Number of live buffer entries.
+    pub live: usize,
+    /// `fps[i]` is live entry `i`'s fingerprint; zero from `live` on.
+    fps: [u8; MAX_LEAF_CAPACITY],
+    /// The view came from the checksum walk, which charged the whole live
+    /// prefix: a probe under it charges no entry again.
+    walked: bool,
+}
+
+impl WbufView {
+    const EMPTY: WbufView = WbufView {
+        live: 0,
+        fps: [0u8; MAX_LEAF_CAPACITY],
+        walked: false,
+    };
+}
 
 /// A view over one leaf node in persistent memory.
 #[derive(Clone, Copy)]
@@ -176,7 +206,7 @@ impl<'a> Leaf<'a> {
 
     /// The 8-byte transient version-lock word.
     #[inline]
-    pub fn vlock_ref(&self) -> &std::sync::atomic::AtomicU64 {
+    pub fn vlock_ref(&self) -> &AtomicU64 {
         self.pool.atomic_u64(self.off + self.layout.off_lock as u64)
     }
 
@@ -237,23 +267,23 @@ impl<'a> Leaf<'a> {
     // ------------------------------------------------------------ sentinel
     //
     // Transient successor sentinel (Boosting-with-Sentinels adapted to the
-    // FPTree leaf chain): four 8-byte words after the lock word caching
-    // `(succ_min_prefix, succ_off, succ_version, checksummed tag)` — the
-    // successor leaf's minimum key as an order-preserving 8-byte prefix,
-    // plus enough identity to detect staleness. A failed lookup whose key
-    // provably orders at or beyond the successor's minimum returns without
-    // touching any SCM-resident key or fingerprint line; scan hops use the
-    // same record to skip re-seeks. Like the lock word the region is pure
-    // scratch: accessed only through atomics, never persisted deliberately,
-    // wiped by recovery. A record is a *hint* — every read revalidates the
-    // checksum, the live next pointer, and the successor's version word, so
-    // a stale or torn record degrades to a normal probe, never a wrong
-    // answer.
+    // FPTree leaf chain): two 8-byte words after the lock word caching
+    // `(succ_min_prefix, tag)` — the successor leaf's minimum key as an
+    // order-preserving 8-byte prefix, and a tag that checksums it together
+    // with the successor's offset and version word as they were when the
+    // record was taken. A failed lookup whose key provably orders at or
+    // beyond the successor's minimum returns without touching any
+    // SCM-resident key or fingerprint line; scan hops use the same record
+    // to skip re-seeks. Like the lock word the region is pure scratch:
+    // accessed only through atomics, never persisted deliberately, wiped by
+    // recovery. A record is a *hint* — every read recomputes the tag from
+    // the live next pointer and the successor's live version word, so a
+    // stale or torn record degrades to a normal probe, never a wrong answer.
 
-    /// Transient sentinel word `i` (0..4) as an atomic.
+    /// Transient sentinel word `i` (0 = prefix, 1 = tag) as an atomic.
     #[inline]
-    fn sentinel_word(&self, i: usize) -> &std::sync::atomic::AtomicU64 {
-        debug_assert!(i < 4);
+    fn sentinel_word(&self, i: usize) -> &AtomicU64 {
+        debug_assert!(i < 2);
         self.pool
             .atomic_u64(self.off + (self.layout.off_sentinel + 8 * i) as u64)
     }
@@ -261,11 +291,6 @@ impl<'a> Leaf<'a> {
     /// Checksummed tag over a sentinel record; bit 0 is always set so a
     /// zeroed region reads as "no record".
     fn sentinel_tag(enc: u64, succ_off: u64, succ_ver: u64) -> u64 {
-        #[inline]
-        fn mix(h: u64, v: u64) -> u64 {
-            let x = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            x ^ (x >> 32)
-        }
         mix(mix(mix(0xC0FF_EE11, enc), succ_off), succ_ver) | 1
     }
 
@@ -274,11 +299,9 @@ impl<'a> Leaf<'a> {
     /// version word read `succ_ver` (even). Racing stores may interleave
     /// fields; the checksum makes any mixed record read as invalid.
     pub fn sentinel_store(&self, enc: u64, succ_off: u64, succ_ver: u64) {
-        let tag = self.sentinel_word(3);
+        let tag = self.sentinel_word(1);
         tag.store(0, Ordering::Relaxed);
         self.sentinel_word(0).store(enc, Ordering::Relaxed);
-        self.sentinel_word(1).store(succ_off, Ordering::Relaxed);
-        self.sentinel_word(2).store(succ_ver, Ordering::Relaxed);
         tag.store(
             Self::sentinel_tag(enc, succ_off, succ_ver),
             Ordering::Release,
@@ -288,41 +311,33 @@ impl<'a> Leaf<'a> {
     /// Drops any sentinel record (chain surgery: split, unlink, recovery).
     #[inline]
     pub fn sentinel_clear(&self) {
-        self.sentinel_word(3).store(0, Ordering::Release);
+        self.sentinel_word(1).store(0, Ordering::Release);
     }
 
-    /// Reads the raw record if its checksum validates.
-    fn sentinel_read(&self) -> Option<(u64, u64, u64)> {
-        let tag = self.sentinel_word(3).load(Ordering::Acquire);
+    /// The successor's minimum-key prefix, if a sentinel record exists and
+    /// still proves it: the tag matches the checksum over the recorded
+    /// prefix, the successor the live next pointer references, and that
+    /// successor's live version word (even — any modification, rewrite, or
+    /// recycling of the successor bumps it; any chain surgery changes the
+    /// offset). Charges no SCM read latency: everything consulted is
+    /// transient or metadata.
+    pub fn sentinel_succ_min(&self) -> Option<u64> {
+        let tag = self.sentinel_word(1).load(Ordering::Acquire);
         if tag == 0 {
             return None;
         }
         let enc = self.sentinel_word(0).load(Ordering::Relaxed);
-        let succ_off = self.sentinel_word(1).load(Ordering::Relaxed);
-        let succ_ver = self.sentinel_word(2).load(Ordering::Relaxed);
-        (tag == Self::sentinel_tag(enc, succ_off, succ_ver)).then_some((enc, succ_off, succ_ver))
-    }
-
-    /// The successor's minimum-key prefix, if a sentinel record exists and
-    /// still proves it: the checksum validates, the live next pointer still
-    /// references the recorded successor, and the successor's version word
-    /// is unchanged (even and equal — any modification, rewrite, or
-    /// recycling of the successor bumps it). Charges no SCM read latency:
-    /// everything consulted is transient or metadata.
-    pub fn sentinel_succ_min(&self) -> Option<u64> {
-        let (enc, succ_off, succ_ver) = self.sentinel_read()?;
         let next = self.next();
-        if next.is_null() || next.offset != succ_off {
-            return None;
-        }
-        if succ_ver & 1 != 0
+        let succ_off = next.offset;
+        if next.is_null()
             || !succ_off.is_multiple_of(8)
             || succ_off + self.layout.size as u64 > self.pool.capacity() as u64
         {
             return None;
         }
         let succ = Leaf::new(self.pool, self.layout, succ_off);
-        (succ.vlock_ref().load(Ordering::Acquire) == succ_ver).then_some(enc)
+        let succ_ver = succ.vlock_ref().load(Ordering::Acquire);
+        (succ_ver & 1 == 0 && tag == Self::sentinel_tag(enc, succ_off, succ_ver)).then_some(enc)
     }
 
     /// True if a validated sentinel proves `key` cannot live in this leaf:
@@ -534,11 +549,16 @@ impl<'a> Leaf<'a> {
     /// differential tests pin this). Without fingerprints: linear scan of
     /// the key area. Read latency is charged per the access pattern.
     pub fn find_slot<K: KeyKind>(&self, key: &K::Owned) -> Option<usize> {
-        let bitmap = self.bitmap();
         self.touch_head();
+        self.find_slot_headed::<K>(key)
+    }
+
+    /// [`Leaf::find_slot`] for a caller that already charged the head.
+    fn find_slot_headed<K: KeyKind>(&self, key: &K::Owned) -> Option<usize> {
+        let bitmap = self.bitmap();
         if self.layout.fingerprints {
             let fp = K::fingerprint(key);
-            let mut fps = [0u8; crate::config::MAX_LEAF_CAPACITY];
+            let mut fps = [0u8; MAX_LEAF_CAPACITY];
             self.read_fingerprints(&mut fps);
             let mut cand = fp_match_mask(&fps[..self.layout.m], fp) & bitmap;
             while cand != 0 {
@@ -591,7 +611,7 @@ impl<'a> Leaf<'a> {
         let bitmap = self.bitmap();
         self.touch_head();
         let fp = K::fingerprint(key);
-        let mut fps = [0u8; crate::config::MAX_LEAF_CAPACITY];
+        let mut fps = [0u8; MAX_LEAF_CAPACITY];
         self.read_fingerprints(&mut fps);
         (0..self.layout.m).find(|&slot| {
             bitmap & (1 << slot) != 0 && fps[slot] == fp && self.probe_slot::<K>(slot, key)
@@ -627,7 +647,7 @@ impl<'a> Leaf<'a> {
                 max = Some(k);
             }
         }
-        for i in 0..self.wbuf_count() {
+        for i in 0..self.wbuf_view().live {
             let k = K::read_slot(self.pool, self.wbuf_key_off(i));
             if max.as_ref().is_none_or(|m| k > *m) {
                 max = Some(k);
@@ -686,37 +706,32 @@ impl<'a> Leaf<'a> {
     }
 
     /// Tag word for an entry: 48-bit checksum over the generation, index,
-    /// fingerprint and payload, above the fingerprint byte and a nonzero
-    /// marker byte (so a zeroed leaf has an empty buffer).
-    fn wbuf_tag_for(gen: u64, idx: usize, fp: u8, payload: &[u8]) -> u64 {
-        #[inline]
-        fn mix(h: u64, v: u64) -> u64 {
-            let x = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            x ^ (x >> 32)
-        }
-        debug_assert!(payload.len().is_multiple_of(8));
-        let mut h = mix(mix(0x5BF0_3635, gen), ((idx as u64) << 8) | fp as u64);
-        for w in payload.chunks_exact(8) {
-            h = mix(h, u64::from_le_bytes(w.try_into().unwrap()));
-        }
-        (h & !0xFFFFu64) | ((fp as u64) << 8) | 1
+    /// fingerprint and payload words, above the fingerprint byte and a
+    /// nonzero marker byte (so a zeroed leaf has an empty buffer).
+    fn wbuf_tag_for(gen: u64, idx: usize, fp: u8, payload: impl Iterator<Item = u64>) -> u64 {
+        let h = mix(mix(0x5BF0_3635, gen), ((idx as u64) << 8) | fp as u64);
+        (payload.fold(h, mix) & !0xFFFFu64) | ((fp as u64) << 8) | 1
     }
 
     /// Validates entry `i` against the current generation: recomputes the
-    /// tag checksum from the stored payload bytes.
+    /// tag checksum from the stored payload words, streamed from the pool.
     pub fn wbuf_entry_valid(&self, i: usize) -> bool {
         let l = self.layout;
         let tag = self.pool.read_word(self.off + l.wbuf_entry_off(i) as u64);
         if tag == 0 {
             return false;
         }
-        let plen = l.key_slot + l.value_size;
-        let mut payload = vec![0u8; plen];
-        self.pool.read_bytes(self.wbuf_key_off(i), &mut payload);
-        tag == Self::wbuf_tag_for(self.wbuf_gen(), i, (tag >> 8) as u8, &payload)
+        let base = self.wbuf_key_off(i);
+        let payload =
+            (0..(l.key_slot + l.value_size) as u64 / 8).map(|w| self.pool.read_word(base + 8 * w));
+        tag == Self::wbuf_tag_for(self.wbuf_gen(), i, (tag >> 8) as u8, payload)
     }
 
-    /// Number of live buffer entries (length of the valid prefix).
+    /// Number of live buffer entries (length of the valid prefix), by
+    /// walking the entries and validating each checksum. Operations take
+    /// the count from [`Leaf::wbuf_view`]; the walk is its fallback, the
+    /// recovery audit's source of truth, and the reference the structural
+    /// checker and the tests hold the digest against. Charges nothing.
     pub fn wbuf_count(&self) -> usize {
         if self.layout.wbuf_entries == 0 {
             return 0;
@@ -728,17 +743,27 @@ impl<'a> Leaf<'a> {
         n
     }
 
-    /// Appends `(key, value)` as entry `idx` with ONE publish + ONE
-    /// persist. The key slot is staged first (for variable-size keys the
-    /// allocator publishes the blob pointer into the entry's key field,
-    /// per the leak-prevention interface), then the whole entry — tag,
-    /// key slot, value — commits as a single multi-word publish; the
-    /// checksummed tag is the commit record.
+    /// Appends `(key, value)` as entry `idx` — the current live count —
+    /// with ONE publish + ONE persist. The key slot is staged first (for
+    /// variable-size keys the allocator publishes the blob pointer into
+    /// the entry's key field, per the leak-prevention interface), then the
+    /// whole entry — tag, key slot, value — commits as a single multi-word
+    /// publish; the checksummed tag is the commit record. The transient
+    /// digest is extended afterwards.
     pub fn wbuf_append<K: KeyKind>(&self, idx: usize, key: &K::Owned, value: u64) {
         let l = self.layout;
         debug_assert!(idx < l.wbuf_entries);
         K::write_slot(self.pool, self.wbuf_key_off(idx), key);
-        let mut entry = vec![0u8; l.wbuf_entry_size()];
+        // The image of every preset's entry (24 or 32 bytes) fits the
+        // stack; only Appendix-A payload sweeps take the heap.
+        let (mut stack, mut heap) = ([0u8; 64], Vec::new());
+        let entry = match l.wbuf_entry_size() {
+            n if n <= stack.len() => &mut stack[..n],
+            n => {
+                heap.resize(n, 0);
+                &mut heap[..]
+            }
+        };
         self.pool
             .read_bytes(self.wbuf_key_off(idx), &mut entry[8..8 + l.key_slot]);
         entry[8 + l.key_slot..8 + l.key_slot + 8].copy_from_slice(&value.to_le_bytes());
@@ -746,55 +771,236 @@ impl<'a> Leaf<'a> {
             *b = 0xA5; // payload body convention, as Leaf::set_value
         }
         let fp = K::fingerprint(key);
-        let tag = Self::wbuf_tag_for(self.wbuf_gen(), idx, fp, &entry[8..]);
+        let payload = entry[8..]
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        let tag = Self::wbuf_tag_for(self.wbuf_gen(), idx, fp, payload);
         entry[..8].copy_from_slice(&tag.to_le_bytes());
         let eoff = self.off + l.wbuf_entry_off(idx) as u64;
         // analyzer:allow(flush-order) — the staged key slot lies inside the
         // publish span and is re-written by the publish image itself, so the
         // single persist below makes both durable together.
-        self.pool.write_publish_bytes(eoff, &entry);
+        self.pool.write_publish_bytes(eoff, entry);
         self.pool.persist(eoff, l.wbuf_entry_size());
+        self.digest_push(idx, fp);
         // An append is a commit point like the bitmap: invalidate sentinel
         // records other leaves hold about this one.
         self.version_bump();
     }
 
-    /// Searches the live buffer prefix for `key`, newest entry first
-    /// (newer appends shadow older ones and slot copies). Charges the SCM
-    /// read cost of the scanned region.
-    pub fn find_buffered<K: KeyKind>(&self, key: &K::Owned, live: usize) -> Option<usize> {
-        if live == 0 {
-            return None;
-        }
-        let l = self.layout;
+    // ------------------------------------------------------ buffer digest
+    //
+    // A transient mirror of the live buffer prefix beside the sentinel
+    // (§5.16): the live entries' fingerprint bytes in `ceil(W/8)` words and
+    // a tag word `| checksum (48) | live (8) | marker (8) |` whose checksum
+    // covers the leaf offset, the fingerprint words and the count. With it
+    // a lookup learns the live count and which entries can hold its key
+    // from two atomic loads, and touches the buffer region only at a
+    // fingerprint match. Like the sentinel it lives out of the persistence
+    // domain: pool atomics only, never flushed, rewritten from the walk by
+    // recovery's audit. Unlike the sentinel it is *maintained*: whoever
+    // changes the buffer — `wbuf_append`, `wbuf_fold`, leaf initialization —
+    // holds the leaf exclusively and rewrites it; lookups only ever read
+    // it. A lookup that stored a digest it rebuilt could overwrite the
+    // newer one of an append it raced, and nothing would correct that.
+    // An all-zero region (a leaf built by hand) is "no digest", not "empty":
+    // a tag that does not verify sends the reader down the validated walk.
+
+    /// Transient digest word `i`: fingerprint words first, then the tag.
+    #[inline]
+    fn digest_word(&self, i: usize) -> &AtomicU64 {
+        debug_assert!(i <= self.layout.digest_fp_words());
         self.pool
-            .touch_read(self.off + l.off_wbuf as u64, 8 + live * l.wbuf_entry_size());
-        let fp = K::fingerprint(key);
-        (0..live).rev().find(|&i| {
-            self.wbuf_fp(i) == fp && K::slot_matches(self.pool, self.wbuf_key_off(i), key)
-        })
+            .atomic_u64(self.off + (self.layout.off_digest + 8 * i) as u64)
     }
 
-    /// Merged point lookup: the live buffer (newest first), then the
-    /// slots. Returns the logical value. A validated successor sentinel
-    /// short-circuits keys that provably order past this leaf without
-    /// touching any SCM-resident key line.
+    /// Start of the digest checksum chain: bound to this leaf's offset, so
+    /// digest bytes copied from another leaf never verify here.
+    #[inline]
+    fn digest_seed(&self) -> u64 {
+        mix(0xD16E_57AB, self.off)
+    }
+
+    /// Tag word closing the chain `h` over the fingerprint words: bit 0 is
+    /// always set, so a zeroed region never verifies.
+    #[inline]
+    fn digest_tag(h: u64, live: usize) -> u64 {
+        (mix(h, live as u64) & !0xFFFFu64) | ((live as u64) << 8) | 1
+    }
+
+    /// Writes the digest: `fps[..live]` are the live entries' fingerprints
+    /// in entry order. The caller holds the leaf exclusively. Racing
+    /// readers see the tag zeroed or a mixed record that fails its
+    /// checksum, and walk.
+    pub(crate) fn digest_store(&self, fps: &[u8], live: usize) {
+        if !self.has_wbuf() {
+            return;
+        }
+        debug_assert!(live <= self.layout.wbuf_entries && live <= fps.len());
+        let words = self.layout.digest_fp_words();
+        let mut bytes = [0u8; MAX_LEAF_CAPACITY];
+        bytes[..live].copy_from_slice(&fps[..live]);
+        let tag = self.digest_word(words);
+        tag.store(0, Ordering::Relaxed);
+        let mut h = self.digest_seed();
+        for (w, chunk) in bytes.chunks_exact(8).take(words).enumerate() {
+            let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+            self.digest_word(w).store(word, Ordering::Relaxed);
+            h = mix(h, word);
+        }
+        // Release: a reader that acquires this tag sees the words above.
+        tag.store(Self::digest_tag(h, live), Ordering::Release);
+    }
+
+    /// Reads the digest if its tag verifies.
+    fn digest_read(&self) -> Option<WbufView> {
+        let words = self.layout.digest_fp_words();
+        let tag = self.digest_word(words).load(Ordering::Acquire);
+        if tag == 0 {
+            return None;
+        }
+        let mut view = WbufView {
+            live: (tag >> 8) as u8 as usize,
+            ..WbufView::EMPTY
+        };
+        let mut h = self.digest_seed();
+        for (w, chunk) in view.fps.chunks_exact_mut(8).take(words).enumerate() {
+            let word = self.digest_word(w).load(Ordering::Relaxed);
+            chunk.copy_from_slice(&word.to_le_bytes());
+            h = mix(h, word);
+        }
+        (view.live <= self.layout.wbuf_entries && tag == Self::digest_tag(h, view.live))
+            .then_some(view)
+    }
+
+    /// The validated walk as a view (charges nothing, like `wbuf_count`).
+    fn wbuf_walk(&self) -> WbufView {
+        let mut view = WbufView {
+            live: self.wbuf_count(),
+            walked: true,
+            ..WbufView::EMPTY
+        };
+        for (i, fp) in view.fps[..view.live].iter_mut().enumerate() {
+            *fp = self.wbuf_fp(i);
+        }
+        view
+    }
+
+    /// The live buffer prefix — its length and fingerprints — from the
+    /// digest, or from the validated walk when the digest does not verify;
+    /// the walk is charged what it read: the generation word, the live
+    /// entries and the entry that ended the prefix. Every operation sizes
+    /// and probes the buffer through this.
+    pub fn wbuf_view(&self) -> WbufView {
+        let l = self.layout;
+        if !self.has_wbuf() {
+            return WbufView::EMPTY;
+        }
+        // Debug builds hold every digest read against the walk, which
+        // makes each test that reads a leaf a differential test. The
+        // comparison only stands if no writer was active around both reads.
+        let stable = cfg!(debug_assertions).then(|| self.version_word());
+        let Some(view) = self.digest_read() else {
+            let view = self.wbuf_walk();
+            let read = (view.live + 1).min(l.wbuf_entries);
+            self.pool
+                .touch_read(self.off + l.off_wbuf as u64, 8 + read * l.wbuf_entry_size());
+            return view;
+        };
+        if let Some(v) = stable {
+            let walk = self.wbuf_walk();
+            if v & 1 == 0 && self.version_word() == v {
+                debug_assert_eq!(
+                    (view.live, &view.fps[..view.live]),
+                    (walk.live, &walk.fps[..walk.live]),
+                    "buffer digest of leaf {:#x} disagrees with the walk",
+                    self.off
+                );
+            }
+        }
+        view
+    }
+
+    /// Extends the digest with entry `idx`'s fingerprint. A digest that
+    /// does not describe `idx` live entries — none yet, on a leaf built by
+    /// hand — is recollected by the walk, which by now ends at entry `idx`.
+    fn digest_push(&self, idx: usize, fp: u8) {
+        let mut fps = match self.digest_read() {
+            Some(view) if view.live == idx => view.fps,
+            _ => self.wbuf_walk().fps,
+        };
+        fps[idx] = fp;
+        self.digest_store(&fps, idx + 1);
+    }
+
+    /// Rewrites the digest from the validated walk (recovery's audit: a
+    /// crash image may carry any digest bytes, stale or torn).
+    pub(crate) fn digest_rebuild(&self) {
+        let walk = self.wbuf_walk();
+        self.digest_store(&walk.fps, walk.live);
+    }
+
+    /// Crash-test hook: overwrites the digest with one that verifies and
+    /// claims `delta` more (or fewer) live entries than the walk finds —
+    /// the stale record an image can carry, which the audit must not
+    /// believe.
+    #[doc(hidden)]
+    pub fn digest_forge(&self, delta: isize) {
+        let mut walk = self.wbuf_walk();
+        let claimed = walk
+            .live
+            .saturating_add_signed(delta)
+            .min(self.layout.wbuf_entries);
+        walk.fps[walk.live.min(claimed)..claimed].fill(0x5A);
+        self.digest_store(&walk.fps, claimed);
+    }
+
+    /// Merged point lookup under `view`: buffer entries whose digest
+    /// fingerprint matches, newest first (newer appends shadow older ones
+    /// and slot copies), then the slots. Returns the key's newest logical
+    /// value. Charges the head — every leaf access reads it; the digest
+    /// sits in its transient tail — then the buffer region only at a
+    /// matching entry (a walked view already paid for the whole prefix),
+    /// then what the slot probe inspects.
+    pub(crate) fn find_merged<K: KeyKind>(&self, key: &K::Owned, view: &WbufView) -> Option<u64> {
+        let l = self.layout;
+        self.touch_head();
+        let mut cand = match view.live {
+            0 => 0,
+            live => {
+                fp_match_mask(&view.fps[..live], K::fingerprint(key)) & (u64::MAX >> (64 - live))
+            }
+        };
+        while cand != 0 {
+            let i = 63 - cand.leading_zeros() as usize;
+            cand &= !(1 << i);
+            if !view.walked {
+                self.pool
+                    .touch_read(self.off + l.wbuf_entry_off(i) as u64, l.wbuf_entry_size());
+            }
+            K::touch_key(self.pool, self.wbuf_key_off(i));
+            if K::slot_matches(self.pool, self.wbuf_key_off(i), key) {
+                return Some(self.wbuf_value(i));
+            }
+        }
+        self.find_slot_headed::<K>(key).map(|s| self.value(s))
+    }
+
+    /// Merged point lookup. A validated successor sentinel short-circuits
+    /// keys that provably order past this leaf without touching any
+    /// SCM-resident line; otherwise [`Leaf::find_merged`] under the digest.
     pub fn find_merged_value<K: KeyKind>(&self, key: &K::Owned) -> Option<u64> {
         if self.sentinel_excludes::<K>(key) {
             return None;
         }
-        let live = self.wbuf_count();
-        if let Some(i) = self.find_buffered::<K>(key, live) {
-            return Some(self.wbuf_value(i));
-        }
-        self.find_slot::<K>(key).map(|s| self.value(s))
+        self.find_merged::<K>(key, &self.wbuf_view())
     }
 
     /// Collects the merged `(key, value)` view: every distinct key in the
     /// buffer (newest wins) and the slots (shadowed by the buffer). The
     /// result is unsorted, like [`Leaf::collect_entries`].
     pub fn collect_merged<K: KeyKind>(&self) -> Vec<(K::Owned, u64)> {
-        let live = self.wbuf_count();
+        let live = self.wbuf_view().live;
         let mut out: Vec<(K::Owned, u64)> = Vec::new();
         for i in (0..live).rev() {
             let k = K::read_slot(self.pool, self.wbuf_key_off(i));
@@ -813,7 +1019,7 @@ impl<'a> Leaf<'a> {
     /// Number of distinct buffered keys not already present in a slot —
     /// how many slots a fold of the current buffer would consume.
     pub fn wbuf_fresh_keys<K: KeyKind>(&self) -> usize {
-        let live = self.wbuf_count();
+        let live = self.wbuf_view().live;
         let mut fresh = 0;
         for i in (0..live).rev() {
             let k = K::read_slot(self.pool, self.wbuf_key_off(i));
@@ -838,7 +1044,7 @@ impl<'a> Leaf<'a> {
     /// owner) and must have ensured `count + live <= m` — the append
     /// invariant — so staging never needs a split.
     pub fn wbuf_fold<K: KeyKind>(&self) {
-        let live = self.wbuf_count();
+        let live = self.wbuf_view().live;
         if live == 0 {
             return;
         }
@@ -913,6 +1119,7 @@ impl<'a> Leaf<'a> {
         self.pool
             .write_publish_word(goff, self.wbuf_gen().wrapping_add(1));
         self.pool.persist(goff, 8);
+        self.digest_store(&[], 0);
         // Release what the fold made unreachable. Updated keys' old slots
         // hold a *different* blob than the staged copy, so release (the
         // allocator nulls the owner word persistently); same for shadowed
@@ -1388,7 +1595,212 @@ mod tests {
         assert_eq!(leaf.wbuf_count(), 1);
         assert!(leaf.wbuf_entry_valid(0));
         assert!(!leaf.wbuf_entry_valid(1));
+        // Only a crash tears an entry, and recovery's audit then rewrites
+        // the digest from the walk before any lookup runs.
+        leaf.digest_rebuild();
+        assert_eq!(leaf.wbuf_view().live, 1);
         assert_eq!(leaf.find_merged_value::<FixedKey>(&42), Some(420));
         assert_eq!(leaf.find_merged_value::<FixedKey>(&43), None);
+    }
+
+    /// Lines `f` charges.
+    fn lines_of<T>(pool: &PmemPool, f: impl FnOnce() -> T) -> (T, u64) {
+        let before = pool.stats().snapshot().read_lines;
+        let out = f();
+        (out, pool.stats().snapshot().read_lines - before)
+    }
+
+    /// Cache lines the byte range covers.
+    fn span_lines(off: u64, len: usize) -> u64 {
+        (off + len as u64 - 1) / CACHE_LINE as u64 - off / CACHE_LINE as u64 + 1
+    }
+
+    /// A key absent from the leaf whose fingerprint none of `present` has.
+    fn key_without_collision(present: &[u64]) -> u64 {
+        use crate::keys::KeyKind;
+        (1u64 << 40..)
+            .find(|k| {
+                present
+                    .iter()
+                    .all(|p| FixedKey::fingerprint(p) != FixedKey::fingerprint(k))
+            })
+            .expect("256 fingerprints, a handful taken")
+    }
+
+    #[test]
+    fn merged_probe_charges_the_lines_it_inspects() {
+        let (pool, layout, off) = setup();
+        let leaf = Leaf::new(&pool, &layout, off);
+        let head = span_lines(off, layout.head_len());
+        let present = [7u64, 8, 42, 43, 44];
+        insert_fixed(&leaf, 0, 7, 70);
+        insert_fixed(&leaf, 1, 8, 80);
+        for (i, k) in [42u64, 43, 44].iter().enumerate() {
+            leaf.wbuf_append::<FixedKey>(i, k, k * 10);
+        }
+        // Buffered hit: the head, then — the digest names the entry —
+        // that entry's span and nothing else. The newest entry and the
+        // oldest cost the same.
+        for (i, k) in [42u64, 43, 44].iter().enumerate() {
+            let entry = span_lines(
+                off + layout.wbuf_entry_off(i) as u64,
+                layout.wbuf_entry_size(),
+            );
+            let (got, lines) = lines_of(&pool, || leaf.find_merged_value::<FixedKey>(k));
+            assert_eq!(got, Some(k * 10));
+            assert_eq!(lines, head + entry, "buffered hit on entry {i}");
+        }
+        // Slot hit: head + the slot.
+        let slot = span_lines(leaf.key_off(1), layout.key_slot + layout.value_size);
+        let (got, lines) = lines_of(&pool, || leaf.find_merged_value::<FixedKey>(&8));
+        assert_eq!(got, Some(80));
+        assert_eq!(lines, head + slot, "slot hit");
+        // Miss without a fingerprint collision: the head only.
+        let absent = key_without_collision(&present);
+        let (got, lines) = lines_of(&pool, || leaf.find_merged_value::<FixedKey>(&absent));
+        assert_eq!(got, None);
+        assert_eq!(lines, head, "miss");
+        // The walk the digest replaced: without a digest (tag zeroed, as on
+        // a leaf built by hand) the same lookups charge the walked prefix —
+        // generation word, three live entries, the entry ending the prefix —
+        // before the head, and never less than the digest path.
+        pool.atomic_u64(off + (layout.off_digest + 8) as u64)
+            .store(0, Ordering::Relaxed);
+        let walked = span_lines(
+            off + layout.off_wbuf as u64,
+            8 + 4 * layout.wbuf_entry_size(),
+        );
+        let (got, lines) = lines_of(&pool, || leaf.find_merged_value::<FixedKey>(&44));
+        assert_eq!(
+            (got, lines),
+            (Some(440), walked + head),
+            "walked buffered hit"
+        );
+        let (got, lines) = lines_of(&pool, || leaf.find_merged_value::<FixedKey>(&absent));
+        assert_eq!((got, lines), (None, walked + head), "walked miss");
+        // An empty buffer costs a lookup the head and its slot, as a leaf
+        // without a buffer does.
+        leaf.wbuf_fold::<FixedKey>();
+        let (got, lines) = lines_of(&pool, || leaf.find_merged_value::<FixedKey>(&absent));
+        assert_eq!((got, lines), (None, head), "miss on an empty buffer");
+        // A miss the successor sentinel excludes reads nothing at all.
+        let soff = pool.allocate(ROOT_SLOT, layout.size).unwrap();
+        pool.write_bytes(soff, &vec![0u8; layout.size]);
+        leaf.set_next(RawPPtr::new(pool.file_id(), soff));
+        let succ = Leaf::new(&pool, &layout, soff);
+        leaf.sentinel_store(1 << 39, soff, succ.version_word());
+        let (got, lines) = lines_of(&pool, || leaf.find_merged_value::<FixedKey>(&absent));
+        assert_eq!((got, lines), (None, 0), "sentinel-excluded miss");
+    }
+
+    #[test]
+    fn digest_follows_appends_and_folds() {
+        use crate::keys::KeyKind;
+        let (pool, layout, off) = setup();
+        let leaf = Leaf::new(&pool, &layout, off);
+        // A zeroed region is "no digest": the view comes from the walk.
+        assert!(leaf.digest_read().is_none());
+        assert!(leaf.wbuf_view().walked);
+        // The first append creates it; later ones extend it.
+        for (i, k) in [5u64, 6, 5].iter().enumerate() {
+            leaf.wbuf_append::<FixedKey>(i, k, 100 + i as u64);
+            let view = leaf.digest_read().expect("appends maintain the digest");
+            assert_eq!(view.live, i + 1);
+            assert_eq!(view.fps[i], FixedKey::fingerprint(k));
+            assert!(view.fps[i + 1..].iter().all(|&b| b == 0));
+        }
+        assert_eq!(leaf.find_merged_value::<FixedKey>(&5), Some(102));
+        // The fold's generation bump empties it.
+        leaf.wbuf_fold::<FixedKey>();
+        let view = leaf.digest_read().expect("a fold leaves an empty digest");
+        assert_eq!((view.live, view.walked), (0, false));
+        assert_eq!(leaf.find_merged_value::<FixedKey>(&5), Some(102));
+        // Without a digest an append at idx > 0 recollects the older
+        // entries' fingerprints from their tags.
+        leaf.wbuf_append::<FixedKey>(0, &9, 900);
+        leaf.digest_word(layout.digest_fp_words())
+            .store(0, Ordering::Relaxed);
+        leaf.wbuf_append::<FixedKey>(1, &10, 1000);
+        let view = leaf.digest_read().expect("recollected");
+        assert_eq!(
+            &view.fps[..2],
+            &[FixedKey::fingerprint(&9), FixedKey::fingerprint(&10)]
+        );
+        assert_eq!(view.live, leaf.wbuf_count());
+    }
+
+    #[test]
+    fn digest_that_does_not_verify_is_ignored() {
+        let (pool, layout, off) = setup();
+        let leaf = Leaf::new(&pool, &layout, off);
+        leaf.wbuf_append::<FixedKey>(0, &42, 420);
+        leaf.wbuf_append::<FixedKey>(1, &43, 430);
+        let words = layout.digest_fp_words();
+        let good: Vec<u64> = (0..=words)
+            .map(|w| leaf.digest_word(w).load(Ordering::Relaxed))
+            .collect();
+        // A flipped fingerprint byte, a wrong count, a count past W: none
+        // verifies, all fall back to the walk and still answer.
+        for (w, bad) in [
+            (0, good[0] ^ 0xFF),
+            (words, good[words] + (1 << 8)),
+            (words, good[words] | (0xFF << 8)),
+        ] {
+            leaf.digest_word(w).store(bad, Ordering::Relaxed);
+            assert!(leaf.digest_read().is_none());
+            assert_eq!(leaf.wbuf_view().live, 2);
+            assert_eq!(leaf.find_merged_value::<FixedKey>(&43), Some(430));
+            leaf.digest_word(w).store(good[w], Ordering::Relaxed);
+            assert!(leaf.digest_read().is_some());
+        }
+        // The checksum is bound to the leaf: the same words at another
+        // offset (a leaf copied byte for byte) do not verify there.
+        let off2 = pool.allocate(ROOT_SLOT, layout.size).unwrap();
+        let mut bytes = vec![0u8; layout.size];
+        pool.read_bytes(off, &mut bytes);
+        pool.write_bytes(off2, &bytes);
+        let copy = Leaf::new(&pool, &layout, off2);
+        assert!(copy.digest_read().is_none());
+        assert_eq!(copy.find_merged_value::<FixedKey>(&43), Some(430));
+        // The audit overwrites a digest that is ahead of the entries (here:
+        // it claims a third entry that never became durable) or behind.
+        use crate::keys::KeyKind;
+        let fps = [42u64, 43, 44].map(|k| FixedKey::fingerprint(&k));
+        for forged in [3, 1, 0] {
+            leaf.digest_store(&fps, forged);
+            leaf.digest_rebuild();
+            let view = leaf.digest_read().expect("rebuilt");
+            assert_eq!((view.live, &view.fps[..2]), (2, &fps[..2]));
+        }
+    }
+
+    #[test]
+    fn digest_spans_several_words_for_large_buffers() {
+        use crate::keys::KeyKind;
+        for w in [1usize, 7, 9, 16, 64] {
+            let pool = PmemPool::create(PoolOptions::direct(1 << 20)).unwrap();
+            let cfg = TreeConfig::fptree_concurrent().with_wbuf_entries(w);
+            let layout = LeafLayout::new(&cfg, 8);
+            let off = pool.allocate(ROOT_SLOT, layout.size).unwrap();
+            pool.write_bytes(off, &vec![0u8; layout.size]);
+            let leaf = Leaf::new(&pool, &layout, off);
+            for i in 0..w {
+                leaf.wbuf_append::<FixedKey>(i, &(i as u64 % 5), i as u64);
+            }
+            let view = leaf.wbuf_view();
+            assert!(!view.walked, "W = {w}");
+            assert_eq!(view.live, w);
+            for i in 0..w {
+                assert_eq!(view.fps[i], FixedKey::fingerprint(&(i as u64 % 5)));
+            }
+            // Newest of each key wins.
+            for k in 0..5u64.min(w as u64) {
+                let newest = (0..w as u64).rev().find(|i| i % 5 == k).unwrap();
+                assert_eq!(leaf.find_merged_value::<FixedKey>(&k), Some(newest));
+            }
+            leaf.wbuf_fold::<FixedKey>();
+            assert_eq!(leaf.wbuf_view().live, 0);
+            assert_eq!(leaf.count(), w.min(5));
+        }
     }
 }

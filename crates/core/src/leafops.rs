@@ -68,6 +68,7 @@ impl Ctx {
         // against its previous contents: restart the transient version
         // word strictly above its old value (offset-reuse ABA).
         self.leaf(off).restore_version_monotonic(prior);
+        self.leaf(off).digest_store(&[], 0);
     }
 
     /// Validates a persistent pointer that is supposed to reference a leaf
@@ -157,19 +158,19 @@ impl Ctx {
             "split requires a folded buffer"
         );
         // Copy the entire leaf content, then persist it. The transient
-        // tail of the head — lock word and sentinel record — must not be
-        // copied: the new leaf starts unlocked and record-free.
+        // tail of the head — lock word, sentinel record, buffer digest —
+        // must not be copied: the new leaf starts unlocked, record-free
+        // and with the digest of its (dead) buffer.
         let prior = self.leaf(new).version_word();
         let mut buf = vec![0u8; self.layout.size];
         self.pool.read_bytes(old, &mut buf);
-        buf[self.layout.off_lock..self.layout.off_lock + 8].fill(0); // transient lock word
-        buf[self.layout.off_sentinel..self.layout.off_sentinel + crate::layout::SENTINEL_BYTES]
-            .fill(0);
+        buf[self.layout.off_lock..self.layout.off_kv].fill(0);
         self.pool.write_bytes(new, &buf);
         self.pool.persist(new, self.layout.size);
         // The new offset may be recycled: records about its previous life
         // must not validate against this one.
         self.leaf(new).restore_version_monotonic(prior);
+        self.leaf(new).digest_store(&[], 0);
 
         // Choose the split: lower half stays, upper half moves.
         let old_leaf = self.leaf(old);
@@ -424,9 +425,11 @@ impl Ctx {
     /// Structural consistency check behind both trees' `check_consistency`
     /// (quiescent state only): no leaf left locked or empty-but-linked,
     /// slots hold distinct keys whose fingerprints agree, the buffer never
-    /// overcommits the slot array, the chain is sorted, no dead slot or dead
-    /// buffer entry still references a key blob, `routes_to(key, leaf)`
-    /// holds for every stored key, and the stored entries add up to `len`.
+    /// overcommits the slot array and its digest (where one verifies)
+    /// counts what the checksum walk counts, the chain is sorted, no dead
+    /// slot or dead buffer entry still references a key blob,
+    /// `routes_to(key, leaf)` holds for every stored key, and the stored
+    /// entries add up to `len`.
     pub fn check_leaf_chain<K: KeyKind>(
         &self,
         len: usize,
@@ -462,6 +465,11 @@ impl Ctx {
                 }
             }
             let (count, live) = (leaf.count(), leaf.wbuf_count());
+            if leaf.wbuf_view().live != live {
+                return Err(format!(
+                    "leaf {i}: buffer digest disagrees with the {live} live entries"
+                ));
+            }
             if count + live > self.layout.m {
                 return Err(format!(
                     "leaf {i}: {count} slots + {live} buffered exceed capacity (fold invariant)"
@@ -569,27 +577,17 @@ pub(crate) struct RunRemoved {
     pub held_back: Option<usize>,
 }
 
+/// True if the key is present (`newest` is its newest value) and — when
+/// `expected` is `Some` — that value equals it.
+fn guard_holds(newest: Option<u64>, expected: Option<u64>) -> bool {
+    newest.is_some_and(|v| expected.is_none_or(|e| e == v))
+}
+
 /// The leaf-local half of every mutating operation. Callers hold the leaf
 /// exclusively (`&mut` tree or the leaf's version lock) and an open
 /// checked-operation window; `split` is the caller's micro-logged
 /// [`Ctx::split_leaf`] (it picks the log slot and the leaf source).
 impl Ctx {
-    /// True if `key` is in the leaf and — when `expected` is `Some` — its
-    /// newest value (append-buffer entries newest-first, then the slot
-    /// array) equals it.
-    fn present_with<K: KeyKind>(
-        leaf: &Leaf<'_>,
-        key: &K::Owned,
-        live: usize,
-        expected: Option<u64>,
-    ) -> bool {
-        let newest = match leaf.find_buffered::<K>(key, live) {
-            Some(i) => Some(leaf.wbuf_value(i)),
-            None => leaf.find_slot::<K>(key).map(|s| leaf.value(s)),
-        };
-        newest.is_some_and(|v| expected.is_none_or(|e| e == v))
-    }
-
     /// Inserts or updates one key: probe → buffer room? append : fold →
     /// (full? split, place in the covering half) → slot commit.
     pub fn write_one<K: KeyKind>(
@@ -601,16 +599,15 @@ impl Ctx {
         split: impl FnOnce(u64) -> (K::Owned, u64),
     ) -> Written<K> {
         let leaf = self.leaf(off);
-        let live = leaf.wbuf_count();
+        let view = leaf.wbuf_view();
+        let live = view.live;
+        // The key's newest value: the one merged probe every lookup runs.
+        let newest = leaf.find_merged::<K>(key, &view);
         let (applies, miss) = match mode {
-            WriteMode::Insert => (
-                !Self::present_with::<K>(&leaf, key, live, None),
-                Counter::InsertExisting,
-            ),
-            WriteMode::Update { expected } => (
-                Self::present_with::<K>(&leaf, key, live, expected),
-                Counter::UpdateMisses,
-            ),
+            WriteMode::Insert => (newest.is_none(), Counter::InsertExisting),
+            WriteMode::Update { expected } => {
+                (guard_holds(newest, expected), Counter::UpdateMisses)
+            }
         };
         if !applies {
             self.metrics.inc(miss);
@@ -687,15 +684,16 @@ impl Ctx {
         expected: Option<u64>,
     ) -> Removed {
         let leaf = self.leaf(off);
-        let live = leaf.wbuf_count();
-        if !Self::present_with::<K>(&leaf, key, live, expected) {
+        let view = leaf.wbuf_view();
+        let newest = leaf.find_merged::<K>(key, &view);
+        if !guard_holds(newest, expected) {
             self.metrics.inc(Counter::RemoveMisses);
             return Removed {
                 removed: false,
                 emptied: false,
             };
         }
-        if live > 0 {
+        if view.live > 0 {
             leaf.wbuf_fold::<K>();
         }
         let slot = leaf

@@ -263,6 +263,75 @@ fn concurrent_readers_during_writes_never_see_garbage() {
     t.check_consistency().unwrap();
 }
 
+/// Readers beside appenders and folders on a handful of hot keys in ONE
+/// leaf (§5.16): every update is a buffer append, every ninth a fold, and
+/// each rewrites the transient digest the readers probe through. A reader
+/// must never miss a key (none is ever removed), never get another key's
+/// value, and — each key has one writer — never see a value go backwards.
+#[test]
+fn readers_beside_appenders_and_folders_on_hot_keys() {
+    const KEYS: u64 = 16;
+    const UPDATES: u64 = 20_000;
+    let t = Arc::new(ConcurrentFPTree::create(
+        pool(32),
+        TreeConfig::fptree_concurrent(),
+        ROOT_SLOT,
+    ));
+    let value = |k: u64, version: u64| (k << 32) | version;
+    for k in 0..KEYS {
+        assert!(t.insert(&k, value(k, 0)));
+    }
+    assert_eq!(t.leaf_offsets().len(), 1, "all hot keys share a leaf");
+    let writers = 2u64;
+    let done = Arc::new(AtomicU64::new(0));
+    let start = Arc::new(std::sync::Barrier::new(writers as usize + 3));
+    let writer_handles: Vec<_> = (0..writers)
+        .map(|w| {
+            let (t, done, start) = (Arc::clone(&t), Arc::clone(&done), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                for version in 1..=UPDATES {
+                    // Writer w owns the keys congruent to w.
+                    let k = (version * writers + w) % KEYS;
+                    assert!(t.update(&k, value(k, version)));
+                }
+                done.fetch_add(1, Ordering::Release);
+            })
+        })
+        .collect();
+    let reader_handles: Vec<_> = (0..3u64)
+        .map(|r| {
+            let (t, done, start) = (Arc::clone(&t), Arc::clone(&done), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let mut newest = [0u64; KEYS as usize];
+                let mut reads = r;
+                start.wait();
+                while done.load(Ordering::Acquire) < writers {
+                    let k = reads % KEYS;
+                    let v = t
+                        .get(&k)
+                        .unwrap_or_else(|| panic!("hot key {k} went missing"));
+                    assert_eq!(v >> 32, k, "key {k} answered with a foreign value {v:#x}");
+                    let version = v & 0xFFFF_FFFF;
+                    assert!(
+                        version >= newest[k as usize],
+                        "key {k} went back from version {} to {version}",
+                        newest[k as usize]
+                    );
+                    newest[k as usize] = version;
+                    // Absent keys sharing the leaf stay absent.
+                    assert_eq!(t.get(&(KEYS + k)), None);
+                    reads += 1;
+                }
+            })
+        })
+        .collect();
+    for h in writer_handles.into_iter().chain(reader_handles) {
+        h.join().unwrap();
+    }
+    t.check_consistency().unwrap();
+}
+
 #[test]
 fn concurrent_var_key_stress() {
     let cfg = TreeConfig::fptree_concurrent_var()

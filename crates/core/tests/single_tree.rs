@@ -3,9 +3,10 @@
 
 use std::sync::Arc;
 
+use fptree_core::leaf::Leaf;
 use fptree_core::{
-    ConcurrentFPTree, ConcurrentTree, Error, FPTree, FPTreeVar, FixedKey, SingleTree, TreeConfig,
-    VarKey, MAX_KEY_BYTES,
+    ConcurrentFPTree, ConcurrentTree, Error, FPTree, FPTreeVar, FixedKey, LeafLayout, SingleTree,
+    TreeConfig, VarKey, MAX_KEY_BYTES,
 };
 use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
 use rand::prelude::*;
@@ -729,6 +730,98 @@ fn buffered_max_key_survives_split_and_recovery() {
     for i in 0..96u64 {
         assert_eq!(t2.get(&i), Some(i * 3), "get {i} after rebuild routing");
     }
+    t2.check_consistency().unwrap();
+}
+
+/// A freed leaf's offset comes back through the group free list (or the
+/// allocator). Whatever digest the old life left there — here a forged one
+/// that verifies at that offset and claims three entries too many — must not
+/// describe the leaf's next life: initialization writes "empty" over it.
+#[test]
+fn recycled_leaf_offset_never_keeps_its_old_digest() {
+    for groups in [4usize, 0] {
+        let cfg = small_cfg().with_leaf_group_size(groups);
+        let layout = LeafLayout::new(&cfg, 8);
+        let pool = direct_pool(8);
+        let mut t = FPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        for i in 0..64u64 {
+            assert!(t.insert(&(i * 10), i));
+        }
+        // Empty one interior leaf: it is unlinked and freed.
+        let before = t.leaf_offsets();
+        let victim = before[before.len() / 2];
+        let keys: Vec<u64> = Leaf::new(&pool, &layout, victim)
+            .collect_merged::<FixedKey>()
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        for k in &keys {
+            assert!(t.remove(k));
+        }
+        assert!(!t.leaf_offsets().contains(&victim), "leaf was freed");
+        Leaf::new(&pool, &layout, victim).digest_forge(3);
+        // Grow until a split is served the same offset again.
+        let mut next = 1u64;
+        while !t.leaf_offsets().contains(&victim) {
+            assert!(t.insert(&next, next), "insert {next}");
+            next += 10;
+            assert!(next < 100_000, "offset {victim:#x} was never reused");
+        }
+        let reborn = Leaf::new(&pool, &layout, victim);
+        assert_eq!(reborn.wbuf_view().live, reborn.wbuf_count());
+        for k in (1..next).step_by(10) {
+            assert_eq!(t.get(&k), Some(k), "get {k} after reuse");
+        }
+        for i in 0..64u64 {
+            let want = (!keys.contains(&(i * 10))).then_some(i);
+            assert_eq!(t.get(&(i * 10)), want, "get {} after reuse", i * 10);
+        }
+        t.check_consistency().unwrap();
+    }
+}
+
+/// An image written before the digest existed (§5.16) carries the old
+/// four-word sentinel record where the two-word sentinel and the digest
+/// now sit; persistent offsets are identical. Opening it wipes all four
+/// words and the tree answers exactly as the tree that wrote it.
+#[test]
+fn image_with_the_old_four_word_sentinel_opens_and_answers_identically() {
+    use std::sync::atomic::Ordering;
+    let cfg = small_cfg().with_wbuf_entries(8);
+    let layout = LeafLayout::new(&cfg, 8);
+    let pool = tracked_pool(8);
+    let mut t = FPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+    for i in 0..300u64 {
+        assert!(t.insert(&(i * 7), i));
+    }
+    for i in (0..300u64).step_by(3) {
+        assert!(t.update(&(i * 7), i + 1000));
+    }
+    let want: Vec<(u64, u64)> = t.scan(..).collect();
+    // What the old code left in a leaf's transient words: successor
+    // prefix, successor offset, successor version, checksummed tag — the
+    // last two now read as digest fingerprints and a digest tag.
+    let leaves = t.leaf_offsets();
+    for pair in leaves.windows(2) {
+        let old = [pair[1] * 3, pair[1], 0x2A, 0x9E37_79B9_7F4A_7C15 | 1];
+        for (w, word) in old.iter().enumerate() {
+            pool.atomic_u64(pair[0] + (layout.off_sentinel + 8 * w) as u64)
+                .store(*word, Ordering::Relaxed);
+        }
+    }
+    drop(t);
+    let pool2 = Arc::new(PmemPool::reopen(pool.clean_image(), PoolOptions::tracked(0)).unwrap());
+    let t2 = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+    for off in t2.leaf_offsets() {
+        let leaf = Leaf::new(&pool2, &layout, off);
+        assert_eq!(leaf.sentinel_succ_min(), None, "sentinel wiped");
+        assert_eq!(leaf.wbuf_view().live, leaf.wbuf_count());
+    }
+    for (k, v) in &want {
+        assert_eq!(t2.get(k), Some(*v));
+        assert_eq!(t2.get(&(k + 1)), None);
+    }
+    assert_eq!(t2.scan(..).collect::<Vec<_>>(), want);
     t2.check_consistency().unwrap();
 }
 

@@ -600,8 +600,9 @@ impl PmemPool {
                 PoolStats::add(&self.stats.checker_events, 1);
             }
         }
-        PoolStats::add(&self.stats.persist_calls, 1);
-        PoolStats::add(&self.stats.flushed_lines, lines);
+        let traffic = self.stats.traffic();
+        PoolStats::add(&traffic.persist_calls, 1);
+        PoolStats::add(&traffic.flushed_lines, lines);
         let write_ns = self.write_ns.load(Ordering::Relaxed);
         if write_ns != 0 {
             crate::latency::busy_wait_ns(write_ns * lines);
@@ -627,7 +628,7 @@ impl PmemPool {
         if self.checker_enabled.load(Ordering::Relaxed) && self.checker.lock().record_fence() {
             PoolStats::add(&self.stats.checker_events, 1);
         }
-        PoolStats::add(&self.stats.fences, 1);
+        PoolStats::add(&self.stats.traffic().fences, 1);
     }
 
     // ------------------------------------------------- durability checker
@@ -708,7 +709,7 @@ impl PmemPool {
         let first = off & !(CACHE_LINE as u64 - 1);
         let last = (off + len.max(1) as u64 - 1) & !(CACHE_LINE as u64 - 1);
         let lines = (last - first) / CACHE_LINE as u64 + 1;
-        PoolStats::add(&self.stats.read_lines, lines);
+        PoolStats::add(&self.stats.traffic().read_lines, lines);
         let read_ns = self.read_ns.load(Ordering::Relaxed);
         if read_ns != 0 {
             crate::latency::busy_wait_ns(read_ns * lines);

@@ -1,13 +1,17 @@
 //! Volatile instrumentation counters for a pool.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Counters describing the persistence traffic of a pool.
-///
-/// All counters are volatile (they do not survive a restart) and updated with
-/// relaxed atomics, so they are cheap enough to leave enabled in benchmarks.
+/// Per-thread copies of the traffic counters.
+const TRAFFIC_SHARDS: usize = 16;
+
+/// The four counters every pool access bumps (`touch_read`, `persist`,
+/// `fence`), one copy per thread shard on cache lines of its own. With a
+/// single copy, two threads sharing a pool bounce that line between their
+/// cores on every access; parallel recovery pays it a dozen times per leaf.
 #[derive(Debug, Default)]
-pub struct PoolStats {
+#[repr(align(128))]
+pub(crate) struct Traffic {
     /// Cache lines written back to SCM by `persist` calls.
     pub flushed_lines: AtomicU64,
     /// Calls to `persist` (each models fence + flush(es) + fence).
@@ -16,6 +20,25 @@ pub struct PoolStats {
     pub fences: AtomicU64,
     /// Cache lines charged with SCM read latency via `touch_read`.
     pub read_lines: AtomicU64,
+}
+
+thread_local! {
+    /// This thread's traffic shard, handed out round-robin.
+    static SHARD: usize = {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        NEXT.fetch_add(1, Ordering::Relaxed) % TRAFFIC_SHARDS
+    };
+}
+
+/// Counters describing the persistence traffic of a pool.
+///
+/// All counters are volatile (they do not survive a restart) and updated with
+/// relaxed atomics, so they are cheap enough to leave enabled in benchmarks.
+/// Read them through [`PoolStats::snapshot`], which sums the per-thread
+/// traffic shards.
+#[derive(Debug, Default)]
+pub struct PoolStats {
+    traffic: [Traffic; TRAFFIC_SHARDS],
     /// Successful persistent allocations.
     pub allocs: AtomicU64,
     /// Successful persistent deallocations.
@@ -55,13 +78,26 @@ impl PoolStats {
         counter.fetch_sub(n, Ordering::Relaxed);
     }
 
+    /// The calling thread's copy of the traffic counters (shard 0 while the
+    /// thread's locals are being torn down).
+    #[inline]
+    pub(crate) fn traffic(&self) -> &Traffic {
+        &self.traffic[SHARD.try_with(|s| *s).unwrap_or(0)]
+    }
+
     /// Snapshot of all counters as plain integers.
     pub fn snapshot(&self) -> StatsSnapshot {
+        let traffic = |counter: fn(&Traffic) -> &AtomicU64| -> u64 {
+            self.traffic
+                .iter()
+                .map(|t| counter(t).load(Ordering::Relaxed))
+                .sum()
+        };
         StatsSnapshot {
-            flushed_lines: self.flushed_lines.load(Ordering::Relaxed),
-            persist_calls: self.persist_calls.load(Ordering::Relaxed),
-            fences: self.fences.load(Ordering::Relaxed),
-            read_lines: self.read_lines.load(Ordering::Relaxed),
+            flushed_lines: traffic(|t| &t.flushed_lines),
+            persist_calls: traffic(|t| &t.persist_calls),
+            fences: traffic(|t| &t.fences),
+            read_lines: traffic(|t| &t.read_lines),
             allocs: self.allocs.load(Ordering::Relaxed),
             deallocs: self.deallocs.load(Ordering::Relaxed),
             bytes_live: self.bytes_live.load(Ordering::Relaxed),
@@ -82,10 +118,12 @@ impl PoolStats {
 
     /// Resets every counter to zero (between benchmark phases).
     pub fn reset(&self) {
-        self.flushed_lines.store(0, Ordering::Relaxed);
-        self.persist_calls.store(0, Ordering::Relaxed);
-        self.fences.store(0, Ordering::Relaxed);
-        self.read_lines.store(0, Ordering::Relaxed);
+        for t in &self.traffic {
+            t.flushed_lines.store(0, Ordering::Relaxed);
+            t.persist_calls.store(0, Ordering::Relaxed);
+            t.fences.store(0, Ordering::Relaxed);
+            t.read_lines.store(0, Ordering::Relaxed);
+        }
         self.allocs.store(0, Ordering::Relaxed);
         self.deallocs.store(0, Ordering::Relaxed);
         self.checker_ops.store(0, Ordering::Relaxed);
@@ -148,11 +186,34 @@ mod tests {
     #[test]
     fn reset_clears_traffic_but_not_state() {
         let s = PoolStats::default();
-        PoolStats::add(&s.flushed_lines, 5);
+        PoolStats::add(&s.traffic().flushed_lines, 5);
         PoolStats::add(&s.bytes_live, 100);
         s.reset();
         let snap = s.snapshot();
         assert_eq!(snap.flushed_lines, 0);
         assert_eq!(snap.bytes_live, 100);
+    }
+
+    #[test]
+    fn traffic_from_many_threads_sums_exactly() {
+        let s = PoolStats::default();
+        std::thread::scope(|scope| {
+            // More threads than shards: some share one, none loses a count.
+            for t in 0..2 * TRAFFIC_SHARDS as u64 {
+                let s = &s;
+                scope.spawn(move || {
+                    for _ in 0..1000 {
+                        PoolStats::add(&s.traffic().read_lines, t + 1);
+                        PoolStats::add(&s.traffic().persist_calls, 1);
+                    }
+                });
+            }
+        });
+        let snap = s.snapshot();
+        let n = 2 * TRAFFIC_SHARDS as u64;
+        assert_eq!(snap.read_lines, 1000 * n * (n + 1) / 2);
+        assert_eq!(snap.persist_calls, 1000 * n);
+        s.reset();
+        assert_eq!(s.snapshot().read_lines, 0);
     }
 }

@@ -13,7 +13,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fptree_suite::core::keys::{FixedKey, KeyKind, VarKey};
-use fptree_suite::core::{SingleTree, TreeConfig};
+use fptree_suite::core::leaf::Leaf;
+use fptree_suite::core::{LeafLayout, SingleTree, TreeConfig};
 use fptree_suite::pmem::{crash_is_injected, PmemPool, PoolOptions, RawPPtr, ROOT_SLOT};
 use proptest::prelude::*;
 
@@ -40,6 +41,7 @@ fn crash_check<K: KeyKind>(
     seed: u64,
     group_size: usize,
     wbuf: usize,
+    digest_delta: isize,
 ) {
     let pool =
         Arc::new(PmemPool::create(PoolOptions::tracked(64 << 20).with_checker()).expect("pool"));
@@ -48,14 +50,16 @@ fn crash_check<K: KeyKind>(
     // Key of the operation executing when the crash fires: it may
     // legitimately commit or not (atomicity, not durability, applies).
     let in_flight = std::sync::Mutex::new(None::<u16>);
+    let cfg = TreeConfig::fptree()
+        .with_leaf_capacity(4)
+        .with_inner_fanout(4)
+        .with_leaf_group_size(group_size)
+        .with_wbuf_entries(wbuf);
+    // Outlives the crash: its leaf chain is what the forgery walks.
+    let mut crashed_tree = None;
 
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let cfg = TreeConfig::fptree()
-            .with_leaf_capacity(4)
-            .with_inner_fanout(4)
-            .with_leaf_group_size(group_size)
-            .with_wbuf_entries(wbuf);
-        let mut tree = SingleTree::<K>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        let tree = crashed_tree.insert(SingleTree::<K>::create(Arc::clone(&pool), cfg, ROOT_SLOT));
         pool.set_crash_fuse(Some(fuse));
         for op in ops {
             *in_flight.lock().expect("in-flight") = Some(match op {
@@ -93,6 +97,17 @@ fn crash_check<K: KeyKind>(
     // protocol (the crash-interrupted one is discarded unanalyzed).
     pool.assert_durability_clean();
 
+    // The image's transient buffer digests (§5.16): as the run left them,
+    // or forged to verify and claim one live entry more (ahead) or fewer
+    // (behind) than the buffer holds. Raw pool atomics, so — like a lock
+    // word an evicted line carried to SCM — they are in the image.
+    if digest_delta != 0 {
+        let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
+        let crashed_tree = crashed_tree.expect("created before the fuse");
+        for off in crashed_tree.leaf_offsets() {
+            Leaf::new(&pool, &layout, off).digest_forge(digest_delta);
+        }
+    }
     let image = pool.crash_image(seed);
     let pool2 =
         Arc::new(PmemPool::reopen(image, PoolOptions::tracked(0).with_checker()).expect("reopen"));
@@ -489,7 +504,7 @@ proptest! {
         fuse in 50u64..2500,
         seed in any::<u64>(),
     ) {
-        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, 4, 8);
+        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, 4, 8, 0);
     }
 
     #[test]
@@ -498,7 +513,7 @@ proptest! {
         fuse in 50u64..2500,
         seed in any::<u64>(),
     ) {
-        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, 0, 8);
+        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, 0, 8, 0);
     }
 
     /// The §5.12 append-buffer crash sweep: buffer sizes from disabled to
@@ -512,7 +527,7 @@ proptest! {
         seed in any::<u64>(),
         wbuf in 0usize..=6,
     ) {
-        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, 0, wbuf);
+        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, 0, wbuf, 0);
     }
 
     /// Variable-size keys through the buffer: append entries own key blobs,
@@ -532,7 +547,30 @@ proptest! {
             seed,
             2,
             wbuf,
+            0,
         );
+    }
+
+    /// A crash image can carry any transient bytes: a digest that verifies
+    /// yet claims an entry that never became durable (ahead), or misses one
+    /// that did (behind). Recovery's audit must overwrite it from the walk
+    /// before anything consults it — same oracle as every other sweep.
+    #[test]
+    fn forged_digests_are_wiped_by_recovery(
+        ops in proptest::collection::vec(op_strategy(), 20..100),
+        fuse in 50u64..2500,
+        seed in any::<u64>(),
+        wbuf in 1usize..=8,
+        ahead in any::<bool>(),
+        var in any::<bool>(),
+    ) {
+        let delta = if ahead { 1 } else { -1 };
+        if var {
+            let mk = |k: u16| format!("key:{k:05}").into_bytes();
+            crash_check::<VarKey>(mk, &ops, fuse, seed, 2, wbuf, delta);
+        } else {
+            crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, 0, wbuf, delta);
+        }
     }
 
     #[test]
@@ -548,6 +586,7 @@ proptest! {
             seed,
             2,
             8,
+            0,
         );
     }
 

@@ -256,6 +256,85 @@ fn assert_one_kernel<K: fptree_suite::core::ConcKey>(
     c.check_consistency().unwrap();
 }
 
+/// Digest probe vs. checksum walk over identical leaf bytes (§5.16): a leaf
+/// built by hand — `slot_keys` under `bitmap`, then `appends` into the
+/// buffer — answers every probe the same way with its digest and, the
+/// digest's tag zeroed, through the fallback walk; the answer is the
+/// oracle's; the digest path never charges more lines than the walk.
+fn assert_digest_matches_walk<K: fptree_suite::core::KeyKind>(
+    m: usize,
+    wbuf: usize,
+    bitmap: u64,
+    slot_keys: &[K::Owned],
+    appends: &[(K::Owned, u64)],
+    probes: &[K::Owned],
+) {
+    use fptree_suite::core::leaf::Leaf;
+    use fptree_suite::core::LeafLayout;
+    use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
+    use std::sync::atomic::Ordering;
+
+    let cfg = TreeConfig {
+        leaf_capacity: m,
+        wbuf_entries: wbuf,
+        ..TreeConfig::fptree()
+    };
+    let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
+    let pool = PmemPool::create(PoolOptions::direct(4 << 20)).unwrap();
+    let off = pool.allocate(ROOT_SLOT, layout.size).unwrap();
+    pool.write_bytes(off, &vec![0u8; layout.size]);
+    let leaf = Leaf::new(&pool, &layout, off);
+
+    // Distinct keys only in the slot array (a leaf never holds a key twice).
+    let mut oracle: BTreeMap<K::Owned, u64> = BTreeMap::new();
+    let mut bm = 0u64;
+    for (slot, k) in slot_keys.iter().take(m).enumerate() {
+        if bitmap & (1 << slot) == 0 || oracle.contains_key(k) {
+            continue;
+        }
+        K::write_slot(&pool, leaf.key_off(slot), k);
+        leaf.set_value(slot, 1000 + slot as u64);
+        leaf.set_fingerprint(slot, K::fingerprint(k));
+        oracle.insert(k.clone(), 1000 + slot as u64);
+        bm |= 1 << slot;
+    }
+    leaf.commit_bitmap(bm);
+    for (i, (k, v)) in appends.iter().take(wbuf).enumerate() {
+        leaf.wbuf_append::<K>(i, k, *v);
+        oracle.insert(k.clone(), *v);
+    }
+    let live = appends.len().min(wbuf);
+    assert_eq!(leaf.wbuf_view().live, live);
+    assert_eq!(leaf.wbuf_count(), live);
+
+    let tag = pool.atomic_u64(off + (layout.off_digest + 8 * layout.digest_fp_words()) as u64);
+    let lines = |f: &dyn Fn() -> Option<u64>| {
+        let before = pool.stats().snapshot().read_lines;
+        let got = f();
+        (got, pool.stats().snapshot().read_lines - before)
+    };
+    let keys = probes
+        .iter()
+        .chain(slot_keys.iter().take(m))
+        .chain(appends.iter().map(|(k, _)| k));
+    for k in keys {
+        let (by_digest, digest_lines) = lines(&|| leaf.find_merged_value::<K>(k));
+        let saved = tag.swap(0, Ordering::AcqRel);
+        let (by_walk, walk_lines) = lines(&|| leaf.find_merged_value::<K>(k));
+        tag.store(saved, Ordering::Release);
+        assert_eq!(
+            by_digest,
+            oracle.get(k).copied(),
+            "probe {k:?} (m={m}, W={wbuf})"
+        );
+        assert_eq!(by_digest, by_walk, "probe {k:?} diverged (m={m}, W={wbuf})");
+        assert!(
+            digest_lines <= walk_lines,
+            "probe {k:?}: digest charged {digest_lines} lines, walk {walk_lines}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -661,6 +740,51 @@ proptest! {
             prop_assert_eq!(a, b, "probe {} diverged (m={}, bitmap={:#x})", k, m, bitmap);
             prop_assert_eq!(la, lb, "probe {} charged different lines", k);
         }
+    }
+
+    #[test]
+    fn digest_and_walk_probes_agree_on_random_leaves(
+        m in 1usize..=64,
+        wbuf in prop_oneof![1usize..=8, Just(16usize), Just(64usize)],
+        bitmap in any::<u64>(),
+        mut ids in proptest::collection::vec(0u64..96, 64),
+        appends in proptest::collection::vec((0u64..96, any::<u32>()), 0..=64),
+        probes in proptest::collection::vec(0u64..96, 32),
+        collide in any::<bool>(),
+    ) {
+        use fptree_suite::core::fingerprint::{fingerprint_bytes, fingerprint_u64};
+        use fptree_suite::core::{FixedKey, VarKey};
+
+        // Fingerprint-collision-heavy variant: every other id is rewritten
+        // to a distinct one sharing ids[0]'s fingerprint — under the fixed
+        // and the byte-string hash alike — so digest candidates are dense
+        // and the full-key compare decides.
+        let var_key = |id: u64| format!("key:{id:06}").into_bytes();
+        if collide {
+            let (fu, fb) = (fingerprint_u64(ids[0]), fingerprint_bytes(&var_key(ids[0])));
+            let mut next = ids[0];
+            for id in ids.iter_mut().skip(1).step_by(2) {
+                next += 1;
+                while fingerprint_u64(next) != fu || fingerprint_bytes(&var_key(next)) != fb {
+                    next += 1;
+                }
+                *id = next;
+            }
+        }
+        // Appends draw from the slot ids (updates shadowing a slot) and
+        // from fresh ids, newest last.
+        let appends: Vec<(u64, u64)> = appends
+            .iter()
+            .enumerate()
+            .map(|(i, (id, v))| (if i % 2 == 0 { ids[i % ids.len()] } else { *id }, *v as u64))
+            .collect();
+        let probes: Vec<u64> = probes.iter().chain(ids.iter()).copied().collect();
+
+        assert_digest_matches_walk::<FixedKey>(m, wbuf, bitmap, &ids, &appends, &probes);
+        let v = |ids: &[u64]| ids.iter().map(|id| var_key(*id)).collect::<Vec<_>>();
+        let var_appends: Vec<(Vec<u8>, u64)> =
+            appends.iter().map(|(id, val)| (var_key(*id), *val)).collect();
+        assert_digest_matches_walk::<VarKey>(m, wbuf, bitmap, &v(&ids), &var_appends, &v(&probes));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 use std::sync::Arc;
 
 use fptree_suite::core::keys::VarKey;
-use fptree_suite::core::{ConcurrentFPTree, FPTree, SingleTree, TreeConfig};
+use fptree_suite::core::leaf::Leaf;
+use fptree_suite::core::{ConcurrentFPTree, FPTree, LeafLayout, SingleTree, TreeConfig};
 use fptree_suite::pmem::{
     crash_is_injected, PmemPool, PoolOptions, RawPPtr, ViolationKind, ROOT_SLOT, USER_BASE,
 };
@@ -266,6 +267,17 @@ fn batched_recovery_is_clean_after_midrun_crash() {
 
 // ------------------------------------------ append-buffer commit point (§5.12)
 
+/// Overwrites every chained leaf's transient buffer digest (§5.16) with one
+/// that verifies and claims `live + delta` entries — ahead of the entries
+/// the crash leaves behind, or behind them. Raw pool atomics, so the
+/// forgery is in every image taken afterwards; `delta = 0` keeps the run's.
+fn forge_digests(pool: &PmemPool, cfg: &TreeConfig, leaves: &[u64], delta: isize) {
+    let layout = LeafLayout::new(cfg, 8);
+    for &off in leaves.iter().filter(|_| delta != 0) {
+        Leaf::new(pool, &layout, off).digest_forge(delta);
+    }
+}
+
 /// Crash a buffered single-key insert at every persistence event around its
 /// one-publish commit — landing before the entry publish (the entry must be
 /// invisible after recovery), inside the multi-word publish (a torn sibling
@@ -303,7 +315,10 @@ fn wbuf_commit_crash_sweep_single_tree() {
         assert!(crashed, "fuse {fuse} never fired");
         pool.assert_durability_clean();
 
-        for seed in [1u64, 42, 7777] {
+        // Each image also once with every digest forged ahead of, and once
+        // behind, the entries that survive: recovery must not believe it.
+        for (seed, delta) in [(1u64, 0), (42, 1), (7777, -1)] {
+            forge_digests(&pool, &cfg, &tree.leaf_offsets(), delta);
             let img = pool.crash_image(seed);
             let pool2 = Arc::new(
                 PmemPool::reopen(img, PoolOptions::tracked(0).with_checker()).expect("reopen"),
@@ -353,7 +368,8 @@ fn wbuf_commit_crash_sweep_concurrent_tree() {
         }
         pool.assert_durability_clean();
 
-        for seed in [3u64, 99] {
+        for (seed, delta) in [(3u64, 1), (99, -1)] {
+            forge_digests(&pool, &cfg, &tree.leaf_offsets(), delta);
             let img = pool.crash_image(seed);
             let pool2 = Arc::new(
                 PmemPool::reopen(img, PoolOptions::tracked(0).with_checker()).expect("reopen"),
