@@ -17,9 +17,9 @@
 //! * `unsafe-without-safety` — an `unsafe` keyword with no `SAFETY:` comment
 //!   on the same line or in the contiguous comment/attribute block above.
 //! * `transient-store` — any pool store or publish primitive targeting a
-//!   *transient* leaf word (lock, successor sentinel, buffer digest): those
-//!   live outside the persistence domain and are written through
-//!   `atomic_u64`/`atomic_u8` only, never staged, published or flushed.
+//!   *transient* leaf word (lock, buffer digest): those live outside the
+//!   persistence domain and are written through `atomic_u64` only, never
+//!   staged, published or flushed.
 
 use std::collections::{HashMap, HashSet};
 
@@ -109,9 +109,9 @@ const COMBO: [&str; 8] = [
     "wbuf_fold",
 ];
 /// Leaf-lock acquire entry points.
-const ACQUIRE: [&str; 3] = ["try_lock_version", "try_lock", "lock_leaf_for_write"];
+const ACQUIRE: [&str; 2] = ["try_lock_version", "lock_leaf_for_write"];
 /// Leaf-lock release entry points (`reset_lock` is the recovery clobber).
-const RELEASE: [&str; 3] = ["unlock_version", "unlock", "reset_lock"];
+const RELEASE: [&str; 2] = ["unlock_version", "reset_lock"];
 /// Atomic ops that would manually mutate a lock word.
 const BUMP_OPS: [&str; 6] = [
     "store",
@@ -122,7 +122,7 @@ const BUMP_OPS: [&str; 6] = [
     "compare_exchange_weak",
 ];
 /// Accessors whose result is the lock word.
-const BUMP_TARGETS: [&str; 2] = ["vlock_ref", "lock_ref"];
+const BUMP_TARGETS: [&str; 1] = ["vlock_ref"];
 /// First-argument substrings identifying p-atomic commit words.
 const COMMIT_KEYWORDS: [&str; 9] = [
     "bitmap",
@@ -137,8 +137,8 @@ const COMMIT_KEYWORDS: [&str; 9] = [
 ];
 
 /// First-argument substrings identifying transient leaf words: the lock
-/// word, the successor sentinel (§5.13) and the buffer digest (§5.16).
-const TRANSIENT_KEYWORDS: [&str; 3] = ["off_lock", "off_sentinel", "off_digest"];
+/// word and the buffer digest (§5.16).
+const TRANSIENT_KEYWORDS: [&str; 2] = ["off_lock", "off_digest"];
 
 /// The window opener.
 const OPENER: &str = "begin_checked_op";
@@ -242,9 +242,9 @@ pub fn lint_transient_store(file: &ParsedFile, scope: FileScope, out: &mut Vec<F
             &file.rel,
             c.line,
             format!(
-                "`{}` targets transient word `{}` in `{}`; lock, sentinel and \
-                 digest words are out of the persistence domain and go through \
-                 pool atomics (atomic_u64/atomic_u8) only",
+                "`{}` targets transient word `{}` in `{}`; lock and digest \
+                 words are out of the persistence domain and go through pool \
+                 atomics (atomic_u64) only",
                 c.name, kw, f.name
             ),
         ));

@@ -143,14 +143,6 @@ impl TreeConfig {
         self
     }
 
-    /// Number of entries an ordered scan buffers per leaf: exactly the leaf
-    /// capacity. The scan subsystem's fixed gather buffer is dimensioned by
-    /// [`MAX_LEAF_CAPACITY`], so every valid configuration fits
-    /// ([`TreeConfig::validate`] enforces `leaf_capacity <= 64`).
-    pub fn scan_buffer_slots(&self) -> usize {
-        self.leaf_capacity
-    }
-
     /// Validates invariants, returning the violation message instead of
     /// panicking (the `try_create` error path).
     pub fn try_validate(&self) -> Result<(), String> {

@@ -49,15 +49,6 @@ impl<K: KeyKind> InnerNode<K> {
 }
 
 impl<K: KeyKind> Node<K> {
-    /// Leaf offset if this is a leaf reference.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn as_leaf(&self) -> Option<u64> {
-        match self {
-            Node::Leaf(off) => Some(*off),
-            Node::Inner(_) => None,
-        }
-    }
-
     /// Descends to the leaf covering `key`.
     pub fn find_leaf(&self, key: &K::Owned) -> u64 {
         let mut node = self;
@@ -87,18 +78,6 @@ impl<K: KeyKind> Node<K> {
                     }
                     node = &inner.children[idx];
                 }
-            }
-        }
-    }
-
-    /// Leftmost leaf of this subtree.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn leftmost_leaf(&self) -> u64 {
-        let mut node = self;
-        loop {
-            match node {
-                Node::Leaf(off) => return *off,
-                Node::Inner(inner) => node = &inner.children[0],
             }
         }
     }
@@ -244,7 +223,7 @@ mod tests {
     #[test]
     fn build_single_leaf_is_bare() {
         let root = build_from_leaves::<FixedKey>(vec![(10, 0)], 4, 1);
-        assert_eq!(root.as_leaf(), Some(0));
+        assert!(matches!(root, Node::Leaf(0)));
         assert_eq!(root.height(), 0);
     }
 
@@ -333,7 +312,6 @@ mod tests {
     #[test]
     fn extremes_and_height() {
         let root = build_from_leaves::<FixedKey>(leaf_entries(30), 4, 1);
-        assert_eq!(root.leftmost_leaf(), 0);
         assert_eq!(root.rightmost_leaf(), 29_000);
         assert!(root.height() >= 2);
         let (nodes, bytes) = root.dram_usage(|_| 8);

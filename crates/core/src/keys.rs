@@ -32,18 +32,6 @@ pub trait KeyKind: 'static {
     /// leak audit of Algorithm 17).
     const IS_VAR: bool;
 
-    /// Whether [`KeyKind::prefix64`] is a *total* order embedding (equal
-    /// prefixes imply equal keys). When true, a sentinel comparison on the
-    /// prefix alone can also exclude equality, not just strict ordering.
-    const PREFIX_EXACT: bool;
-
-    /// Order-preserving 8-byte prefix: `prefix64(a) < prefix64(b)` implies
-    /// `a < b`, and `a <= b` implies `prefix64(a) <= prefix64(b)`. Used by
-    /// the transient successor sentinels — comparisons on the prefix are
-    /// conservative for inexact kinds (ties tell us nothing) and exact for
-    /// [`FixedKey`].
-    fn prefix64(key: &Self::Owned) -> u64;
-
     /// One-byte fingerprint.
     fn fingerprint(key: &Self::Owned) -> u8;
 
@@ -94,12 +82,6 @@ impl KeyKind for FixedKey {
     type Owned = u64;
     const SLOT_SIZE: usize = 8;
     const IS_VAR: bool = false;
-    const PREFIX_EXACT: bool = true;
-
-    #[inline]
-    fn prefix64(key: &u64) -> u64 {
-        *key
-    }
 
     #[inline]
     fn fingerprint(key: &u64) -> u8 {
@@ -190,18 +172,6 @@ impl KeyKind for VarKey {
     type Owned = Vec<u8>;
     const SLOT_SIZE: usize = 16;
     const IS_VAR: bool = true;
-    const PREFIX_EXACT: bool = false;
-
-    #[inline]
-    fn prefix64(key: &Vec<u8>) -> u64 {
-        // Big-endian first eight bytes, zero-padded: lexicographic order on
-        // byte strings maps to numeric order on the prefix (non-strictly —
-        // strings sharing an 8-byte prefix tie, hence PREFIX_EXACT = false).
-        let mut b = [0u8; 8];
-        let n = key.len().min(8);
-        b[..n].copy_from_slice(&key[..n]);
-        u64::from_be_bytes(b)
-    }
 
     #[inline]
     fn fingerprint(key: &Vec<u8>) -> u8 {
@@ -345,39 +315,6 @@ mod tests {
         p.write_at(slot2, &r);
         assert_eq!(VarKey::slot_ref(&p, slot2), r);
         assert_eq!(FixedKey::slot_ref(&p, slot), RawPPtr::NULL);
-    }
-
-    #[test]
-    fn prefix64_preserves_order() {
-        // Fixed keys: the prefix is the key itself (exact).
-        const { assert!(FixedKey::PREFIX_EXACT) };
-        assert_eq!(FixedKey::prefix64(&42), 42);
-        // Var keys: strict prefix inequality must follow lexicographic
-        // order; shared 8-byte prefixes tie.
-        const { assert!(!VarKey::PREFIX_EXACT) };
-        let cases: Vec<Vec<u8>> = vec![
-            vec![],
-            vec![0],
-            vec![0, 0],
-            vec![0, 1],
-            vec![1],
-            b"abcdefg".to_vec(),
-            b"abcdefgh".to_vec(),
-            b"abcdefghi".to_vec(),
-            b"abcdefgi".to_vec(),
-            vec![0xFF; 12],
-        ];
-        for a in &cases {
-            for b in &cases {
-                let (pa, pb) = (VarKey::prefix64(a), VarKey::prefix64(b));
-                if pa < pb {
-                    assert!(a < b, "{a:?} vs {b:?}");
-                }
-                if a <= b {
-                    assert!(pa <= pb, "{a:?} vs {b:?}");
-                }
-            }
-        }
     }
 
     #[test]

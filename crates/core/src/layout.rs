@@ -6,8 +6,8 @@
 //! recompiling. Layout of an FPTree leaf (paper Figure 2):
 //!
 //! ```text
-//! | bitmap (8) | fingerprints (m) | pad | next PPtr (16) | lock (1) + pad |
-//! | sentinel (16, transient) | buffer digest (16, transient) | KV area |
+//! | bitmap (8) | fingerprints (m) | pad | next PPtr (16) | lock word (8) |
+//! | reserved (16, never read) | buffer digest (16, transient) | KV area |
 //! ```
 //!
 //! With m = 56 and fixed keys, bitmap + fingerprints exactly fill the first
@@ -21,21 +21,21 @@
 //! with one multi-word publish; the tag embeds a checksum over the entry and
 //! the leaf generation, so recovery self-validates each entry. The live
 //! entries' fingerprints and their count are mirrored in the transient
-//! buffer digest beside the sentinel (§5.16): `ceil(W/8)` fingerprint words
+//! buffer digest in the leaf head (§5.16): `ceil(W/8)` fingerprint words
 //! and a tag word, 16 bytes for W ≤ 8, which is what every preset uses.
 
 use crate::config::TreeConfig;
 use fptree_pmem::CACHE_LINE;
 
-/// Bytes of the transient per-leaf sentinel record (2 words: successor min
-/// key encoding, and a tag checksumming it with the successor's offset and
-/// version, which a reader re-derives from `next` and the live successor).
-pub const SENTINEL_BYTES: usize = 16;
+/// Reserved bytes between the lock word and the digest, never read: images
+/// written before PR 22 keep a successor-sentinel record here (§5.13), and
+/// `off_digest`, `off_kv` and every preset size stay where those images
+/// have them. Reclaimed at the format bump that retires meta flag bit 3.
+const RESERVED_GAP_BYTES: usize = 16;
 
-/// Transient bytes reserved after the sentinel record in every leaf. The
-/// sentinel was four words before the buffer digest existed; the two it
-/// gave up are exactly the digest of a W ≤ 8 buffer, so `off_kv` — and with
-/// it every persistent offset of an existing pool image — did not move.
+/// Transient bytes every leaf keeps for the digest, buffer or not: the
+/// digest of a W ≤ 8 buffer, so `off_kv` — and with it every persistent
+/// offset of an existing pool image — is the same for all of them.
 const DIGEST_MIN_BYTES: usize = 16;
 
 /// Byte offsets of every leaf field, precomputed from a [`TreeConfig`].
@@ -58,14 +58,8 @@ pub struct LeafLayout {
     pub off_fps: usize,
     /// Offset of the 16-byte persistent next pointer.
     pub off_next: usize,
-    /// Offset of the one-byte transient lock.
+    /// Offset of the 8-byte transient lock/version word.
     pub off_lock: usize,
-    /// Offset of the 16-byte transient sentinel record: the successor's
-    /// minimum key (order-preserving 8-byte encoding) and a tag that
-    /// checksums it with the successor's offset and observed version.
-    /// Populated by scans, validated on every read, never persisted
-    /// deliberately — recovery clears it alongside the lock word.
-    pub off_sentinel: usize,
     /// Offset of the transient append-buffer digest: `digest_fp_words()`
     /// words holding the live entries' fingerprint bytes, then the tag word
     /// `| checksum (48) | live (8) | marker (8) |`. Written by whoever
@@ -94,9 +88,7 @@ impl LeafLayout {
         // Next pointer 8-byte aligned after the fingerprints.
         let off_next = (off_fps + fps_len + 7) & !7;
         let off_lock = off_next + 16;
-        // Transient sentinel record after the lock word (both 8-aligned).
-        let off_sentinel = off_lock + 8;
-        let off_digest = off_sentinel + SENTINEL_BYTES;
+        let off_digest = off_lock + 8 + RESERVED_GAP_BYTES;
         let digest_len = if cfg.wbuf_entries > 0 {
             8 * (cfg.wbuf_entries.div_ceil(8) + 1)
         } else {
@@ -125,7 +117,6 @@ impl LeafLayout {
             off_fps,
             off_next,
             off_lock,
-            off_sentinel,
             off_digest,
             off_kv,
             wbuf_entries: cfg.wbuf_entries,
@@ -228,16 +219,14 @@ mod tests {
         assert_eq!(l.head_len(), 64);
         assert_eq!(l.off_next, 64);
         assert_eq!(l.size % CACHE_LINE, 0);
-        // Transient tail of the head: lock word, sentinel record, digest.
-        assert_eq!(l.off_sentinel, l.off_lock + 8);
-        assert_eq!(l.off_digest, l.off_sentinel + SENTINEL_BYTES);
+        // Transient tail of the head: lock word, reserved gap, digest.
+        assert_eq!(l.off_lock, l.off_next + 16);
+        assert_eq!(l.off_digest, l.off_lock + 8 + RESERVED_GAP_BYTES);
         assert_eq!(l.off_kv, l.off_digest + 8 * (l.digest_fp_words() + 1));
-        assert_eq!(l.off_sentinel % 8, 0);
     }
 
-    /// The digest took its 16 bytes from the sentinel record, so no preset
-    /// leaf grew and no persistent field moved: pool images written before
-    /// the digest existed keep opening.
+    /// No preset leaf changes size and no field moves: pool images written
+    /// by earlier builds keep opening.
     #[test]
     fn preset_sizes_and_kv_offsets_are_pinned() {
         let presets = [
@@ -251,6 +240,7 @@ mod tests {
         for (cfg, key_slot, size, off_kv) in presets {
             let l = LeafLayout::new(&cfg, key_slot);
             assert_eq!((l.size, l.off_kv), (size, off_kv), "{cfg:?}");
+            assert_eq!((l.off_lock, l.off_digest), (off_kv - 40, off_kv - 16));
         }
         // Every W <= 8 shares the two-word digest; a larger buffer grows
         // the transient area by one word per eight entries.
@@ -273,7 +263,7 @@ mod tests {
                 (l.off_fps, 16),
                 (l.off_next, 16),
                 (l.off_lock, 8),
-                (l.off_sentinel, SENTINEL_BYTES),
+                (l.off_lock + 8, RESERVED_GAP_BYTES),
             ];
             // Digest: the fingerprint words, then the tag word.
             for w in 0..=l.digest_fp_words() {

@@ -3,11 +3,11 @@
 //! A [`Leaf`] borrows the pool, the layout, and the leaf's base offset and
 //! exposes the paper's leaf fields (Figure 2): the p-atomic validity bitmap,
 //! the fingerprint array, the persistent `next` pointer, the transient lock
-//! byte, and the KV slots. Methods never persist implicitly — the tree
+//! word, and the KV slots. Methods never persist implicitly — the tree
 //! algorithms call `persist` exactly where the paper does, which is what the
 //! crash-consistency tests verify.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use fptree_pmem::{PmemPool, RawPPtr, CACHE_LINE};
 
@@ -17,7 +17,7 @@ use crate::keys::KeyKind;
 use crate::layout::LeafLayout;
 
 /// One round of the multiplicative mix chain behind every checksummed tag
-/// in a leaf (buffer entries, sentinel record, buffer digest).
+/// in a leaf (buffer entries, buffer digest).
 #[inline]
 fn mix(h: u64, v: u64) -> u64 {
     let x = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -73,15 +73,12 @@ impl<'a> Leaf<'a> {
     }
 
     /// P-atomically writes and persists the bitmap — the commit point of
-    /// every leaf modification. Also advances the transient version word,
-    /// so cached records *about* this leaf (successor sentinels) stop
-    /// validating.
+    /// every leaf modification.
     #[inline]
     pub fn commit_bitmap(&self, bm: u64) {
         let off = self.off + self.layout.off_bitmap as u64;
         self.pool.write_publish_word(off, bm);
         self.pool.persist(off, 8);
-        self.version_bump();
     }
 
     /// Number of valid entries.
@@ -160,33 +157,6 @@ impl<'a> Leaf<'a> {
 
     // ---------------------------------------------------------------- lock
 
-    /// The transient lock byte as an atomic (never persisted; recovery
-    /// resets it).
-    #[inline]
-    pub fn lock_ref(&self) -> &AtomicU8 {
-        self.pool.atomic_u8(self.off + self.layout.off_lock as u64)
-    }
-
-    /// Attempts to take the leaf lock (0 → 1).
-    #[inline]
-    pub fn try_lock(&self) -> bool {
-        self.lock_ref()
-            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    /// True if some thread holds the leaf lock.
-    #[inline]
-    pub fn is_locked(&self) -> bool {
-        self.lock_ref().load(Ordering::Acquire) != 0
-    }
-
-    /// Releases the leaf lock.
-    #[inline]
-    pub fn unlock(&self) {
-        self.lock_ref().store(0, Ordering::Release);
-    }
-
     /// Forces the lock word to zero (recovery resets all leaf locks).
     #[inline]
     pub fn reset_lock(&self) {
@@ -238,15 +208,6 @@ impl<'a> Leaf<'a> {
         self.vlock_ref().fetch_add(1, Ordering::Release);
     }
 
-    /// Advances the version word by a full even step (parity-preserving).
-    /// Every leaf commit point calls this so that transient records taken
-    /// *about* this leaf — the successor sentinels below — self-invalidate:
-    /// the version they captured no longer matches.
-    #[inline]
-    pub fn version_bump(&self) {
-        self.vlock_ref().fetch_add(2, Ordering::Release);
-    }
-
     /// Raw snapshot of the version word, any parity — the `prior` input of
     /// [`Leaf::restore_version_monotonic`].
     #[inline]
@@ -255,100 +216,13 @@ impl<'a> Leaf<'a> {
     }
 
     /// Re-initializes the version word of a recycled or rewritten leaf to
-    /// an even value strictly greater than `prior`, so sentinel records
-    /// taken against the old contents can never validate against the new
-    /// ones (offset-reuse ABA).
+    /// an even value strictly greater than `prior`, so a version an
+    /// optimistic reader or scan anchor took against the old contents can
+    /// never validate against the new ones (offset-reuse ABA).
     #[inline]
     pub fn restore_version_monotonic(&self, prior: u64) {
         self.vlock_ref()
             .store((prior | 1).wrapping_add(1), Ordering::Release);
-    }
-
-    // ------------------------------------------------------------ sentinel
-    //
-    // Transient successor sentinel (Boosting-with-Sentinels adapted to the
-    // FPTree leaf chain): two 8-byte words after the lock word caching
-    // `(succ_min_prefix, tag)` — the successor leaf's minimum key as an
-    // order-preserving 8-byte prefix, and a tag that checksums it together
-    // with the successor's offset and version word as they were when the
-    // record was taken. A failed lookup whose key provably orders at or
-    // beyond the successor's minimum returns without touching any
-    // SCM-resident key or fingerprint line; scan hops use the same record
-    // to skip re-seeks. Like the lock word the region is pure scratch:
-    // accessed only through atomics, never persisted deliberately, wiped by
-    // recovery. A record is a *hint* — every read recomputes the tag from
-    // the live next pointer and the successor's live version word, so a
-    // stale or torn record degrades to a normal probe, never a wrong answer.
-
-    /// Transient sentinel word `i` (0 = prefix, 1 = tag) as an atomic.
-    #[inline]
-    fn sentinel_word(&self, i: usize) -> &AtomicU64 {
-        debug_assert!(i < 2);
-        self.pool
-            .atomic_u64(self.off + (self.layout.off_sentinel + 8 * i) as u64)
-    }
-
-    /// Checksummed tag over a sentinel record; bit 0 is always set so a
-    /// zeroed region reads as "no record".
-    fn sentinel_tag(enc: u64, succ_off: u64, succ_ver: u64) -> u64 {
-        mix(mix(mix(0xC0FF_EE11, enc), succ_off), succ_ver) | 1
-    }
-
-    /// Publishes a sentinel record: the successor at `succ_off` (this
-    /// leaf's current `next`) had minimum-key prefix `enc` while its
-    /// version word read `succ_ver` (even). Racing stores may interleave
-    /// fields; the checksum makes any mixed record read as invalid.
-    pub fn sentinel_store(&self, enc: u64, succ_off: u64, succ_ver: u64) {
-        let tag = self.sentinel_word(1);
-        tag.store(0, Ordering::Relaxed);
-        self.sentinel_word(0).store(enc, Ordering::Relaxed);
-        tag.store(
-            Self::sentinel_tag(enc, succ_off, succ_ver),
-            Ordering::Release,
-        );
-    }
-
-    /// Drops any sentinel record (chain surgery: split, unlink, recovery).
-    #[inline]
-    pub fn sentinel_clear(&self) {
-        self.sentinel_word(1).store(0, Ordering::Release);
-    }
-
-    /// The successor's minimum-key prefix, if a sentinel record exists and
-    /// still proves it: the tag matches the checksum over the recorded
-    /// prefix, the successor the live next pointer references, and that
-    /// successor's live version word (even — any modification, rewrite, or
-    /// recycling of the successor bumps it; any chain surgery changes the
-    /// offset). Charges no SCM read latency: everything consulted is
-    /// transient or metadata.
-    pub fn sentinel_succ_min(&self) -> Option<u64> {
-        let tag = self.sentinel_word(1).load(Ordering::Acquire);
-        if tag == 0 {
-            return None;
-        }
-        let enc = self.sentinel_word(0).load(Ordering::Relaxed);
-        let next = self.next();
-        let succ_off = next.offset;
-        if next.is_null()
-            || !succ_off.is_multiple_of(8)
-            || succ_off + self.layout.size as u64 > self.pool.capacity() as u64
-        {
-            return None;
-        }
-        let succ = Leaf::new(self.pool, self.layout, succ_off);
-        let succ_ver = succ.vlock_ref().load(Ordering::Acquire);
-        (succ_ver & 1 == 0 && tag == Self::sentinel_tag(enc, succ_off, succ_ver)).then_some(enc)
-    }
-
-    /// True if a validated sentinel proves `key` cannot live in this leaf:
-    /// every key here orders strictly below the successor's minimum, so a
-    /// key at (exact prefixes only) or beyond that minimum is elsewhere.
-    pub fn sentinel_excludes<K: KeyKind>(&self, key: &K::Owned) -> bool {
-        let Some(enc) = self.sentinel_succ_min() else {
-            return false;
-        };
-        let ke = K::prefix64(key);
-        ke > enc || (K::PREFIX_EXACT && ke == enc)
     }
 
     // ------------------------------------------------------------ kv slots
@@ -783,22 +657,19 @@ impl<'a> Leaf<'a> {
         self.pool.write_publish_bytes(eoff, entry);
         self.pool.persist(eoff, l.wbuf_entry_size());
         self.digest_push(idx, fp);
-        // An append is a commit point like the bitmap: invalidate sentinel
-        // records other leaves hold about this one.
-        self.version_bump();
     }
 
     // ------------------------------------------------------ buffer digest
     //
-    // A transient mirror of the live buffer prefix beside the sentinel
+    // A transient mirror of the live buffer prefix in the leaf head
     // (§5.16): the live entries' fingerprint bytes in `ceil(W/8)` words and
     // a tag word `| checksum (48) | live (8) | marker (8) |` whose checksum
     // covers the leaf offset, the fingerprint words and the count. With it
     // a lookup learns the live count and which entries can hold its key
     // from two atomic loads, and touches the buffer region only at a
-    // fingerprint match. Like the sentinel it lives out of the persistence
+    // fingerprint match. Like the lock word it lives out of the persistence
     // domain: pool atomics only, never flushed, rewritten from the walk by
-    // recovery's audit. Unlike the sentinel it is *maintained*: whoever
+    // recovery's audit. It is *maintained*, not cached: whoever
     // changes the buffer — `wbuf_append`, `wbuf_fold`, leaf initialization —
     // holds the leaf exclusively and rewrites it; lookups only ever read
     // it. A lookup that stored a digest it rebuilt could overwrite the
@@ -986,13 +857,8 @@ impl<'a> Leaf<'a> {
         self.find_slot_headed::<K>(key).map(|s| self.value(s))
     }
 
-    /// Merged point lookup. A validated successor sentinel short-circuits
-    /// keys that provably order past this leaf without touching any
-    /// SCM-resident line; otherwise [`Leaf::find_merged`] under the digest.
+    /// Merged point lookup: [`Leaf::find_merged`] under the digest.
     pub fn find_merged_value<K: KeyKind>(&self, key: &K::Owned) -> Option<u64> {
-        if self.sentinel_excludes::<K>(key) {
-            return None;
-        }
         self.find_merged::<K>(key, &self.wbuf_view())
     }
 
@@ -1241,14 +1107,16 @@ mod tests {
     fn lock_protocol() {
         let (pool, layout, off) = setup();
         let leaf = Leaf::new(&pool, &layout, off);
-        assert!(!leaf.is_locked());
-        assert!(leaf.try_lock());
-        assert!(leaf.is_locked());
-        assert!(!leaf.try_lock(), "second lock attempt must fail");
-        leaf.unlock();
-        assert!(leaf.try_lock());
+        let v = leaf.version().expect("a zeroed leaf is unlocked");
+        assert!(leaf.try_lock_version(v));
+        assert_eq!(leaf.version(), None, "odd word = a writer holds the leaf");
+        assert!(!leaf.try_lock_version(v), "second lock attempt must fail");
+        leaf.unlock_version();
+        assert_eq!(leaf.version(), Some(v + 2));
+        assert!(leaf.version_changed(v), "a lock/unlock pair moves the word");
+        assert!(leaf.try_lock_version(v + 2));
         leaf.reset_lock();
-        assert!(!leaf.is_locked());
+        assert_eq!(leaf.version(), Some(0));
     }
 
     #[test]
@@ -1452,51 +1320,6 @@ mod tests {
     }
 
     #[test]
-    fn sentinel_excludes_without_touching_scm_and_self_invalidates() {
-        let (pool, layout, off) = setup();
-        let leaf = Leaf::new(&pool, &layout, off);
-        insert_fixed(&leaf, 0, 10, 100);
-        // Chain a successor whose minimum key is 50 and record it.
-        let soff = pool.allocate(ROOT_SLOT, layout.size).unwrap();
-        pool.write_bytes(soff, &vec![0u8; layout.size]);
-        let succ = Leaf::new(&pool, &layout, soff);
-        insert_fixed(&succ, 0, 50, 500);
-        leaf.set_next(RawPPtr::new(pool.file_id(), soff));
-        leaf.sentinel_store(50, soff, succ.version_word());
-        assert_eq!(leaf.sentinel_succ_min(), Some(50));
-        // Keys at or past the successor's minimum short-circuit with ZERO
-        // SCM read lines (everything consulted is transient).
-        pool.stats().reset();
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&60), None);
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&50), None);
-        assert_eq!(pool.stats().snapshot().read_lines, 0);
-        // Keys below it probe normally.
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&10), Some(100));
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&49), None);
-        // Any commit on the successor self-invalidates the record and the
-        // lookup degrades to a normal probe.
-        insert_fixed(&succ, 1, 5, 55);
-        assert_eq!(leaf.sentinel_succ_min(), None);
-        pool.stats().reset();
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&60), None);
-        assert!(pool.stats().snapshot().read_lines > 0);
-        // Chain surgery invalidates too; an explicit clear drops it.
-        leaf.sentinel_store(5, soff, succ.version_word());
-        assert_eq!(leaf.sentinel_succ_min(), Some(5));
-        leaf.set_next(RawPPtr::NULL);
-        assert_eq!(leaf.sentinel_succ_min(), None);
-        leaf.set_next(RawPPtr::new(pool.file_id(), soff));
-        assert_eq!(leaf.sentinel_succ_min(), Some(5));
-        leaf.sentinel_clear();
-        assert_eq!(leaf.sentinel_succ_min(), None);
-        // A corrupted record reads as absent, never as a wrong answer.
-        leaf.sentinel_store(5, soff, succ.version_word());
-        pool.atomic_u64(off + layout.off_sentinel as u64)
-            .store(6, Ordering::Relaxed);
-        assert_eq!(leaf.sentinel_succ_min(), None);
-    }
-
-    #[test]
     fn max_key_covers_live_buffer_entries() {
         let (pool, layout, off) = setup();
         let leaf = Leaf::new(&pool, &layout, off);
@@ -1559,27 +1382,6 @@ mod tests {
         assert_eq!(leaf2.find_slot::<FixedKey>(&7), Some(0));
         let hit2 = pool2.stats().snapshot().read_lines;
         assert_eq!(hit2, miss2, "interleaved values ride the key scan");
-    }
-
-    #[test]
-    fn commit_points_bump_the_version_word() {
-        let (pool, layout, off) = setup();
-        let leaf = Leaf::new(&pool, &layout, off);
-        let v0 = leaf.version_word();
-        leaf.commit_bitmap(0b1);
-        assert_eq!(
-            leaf.version_word(),
-            v0 + 2,
-            "bitmap commit bumps, parity kept"
-        );
-        leaf.wbuf_append::<FixedKey>(0, &1, 10);
-        assert_eq!(leaf.version_word(), v0 + 4, "buffer append bumps too");
-        leaf.restore_version_monotonic(leaf.version_word());
-        let v = leaf.version_word();
-        assert!(
-            v > v0 + 4 && v & 1 == 0,
-            "recycled word restarts strictly above, even"
-        );
     }
 
     #[test]
@@ -1683,14 +1485,6 @@ mod tests {
         leaf.wbuf_fold::<FixedKey>();
         let (got, lines) = lines_of(&pool, || leaf.find_merged_value::<FixedKey>(&absent));
         assert_eq!((got, lines), (None, head), "miss on an empty buffer");
-        // A miss the successor sentinel excludes reads nothing at all.
-        let soff = pool.allocate(ROOT_SLOT, layout.size).unwrap();
-        pool.write_bytes(soff, &vec![0u8; layout.size]);
-        leaf.set_next(RawPPtr::new(pool.file_id(), soff));
-        let succ = Leaf::new(&pool, &layout, soff);
-        leaf.sentinel_store(1 << 39, soff, succ.version_word());
-        let (got, lines) = lines_of(&pool, || leaf.find_merged_value::<FixedKey>(&absent));
-        assert_eq!((got, lines), (None, 0), "sentinel-excluded miss");
     }
 
     #[test]

@@ -64,9 +64,10 @@ impl Ctx {
         let prior = self.leaf(off).version_word();
         self.pool.write_bytes(off, &vec![0u8; self.layout.size]);
         self.pool.persist(off, self.layout.size);
-        // A recycled offset must never validate sentinel records taken
-        // against its previous contents: restart the transient version
-        // word strictly above its old value (offset-reuse ABA).
+        // A recycled offset must never revalidate a version an optimistic
+        // reader or scan anchor took against its previous contents: restart
+        // the transient version word strictly above its old value
+        // (offset-reuse ABA).
         self.leaf(off).restore_version_monotonic(prior);
         self.leaf(off).digest_store(&[], 0);
     }
@@ -158,17 +159,17 @@ impl Ctx {
             "split requires a folded buffer"
         );
         // Copy the entire leaf content, then persist it. The transient
-        // tail of the head — lock word, sentinel record, buffer digest —
-        // must not be copied: the new leaf starts unlocked, record-free
-        // and with the digest of its (dead) buffer.
+        // tail of the head — lock word, reserved gap, buffer digest —
+        // must not be copied: the new leaf starts unlocked and with the
+        // digest of its (dead) buffer.
         let prior = self.leaf(new).version_word();
         let mut buf = vec![0u8; self.layout.size];
         self.pool.read_bytes(old, &mut buf);
         buf[self.layout.off_lock..self.layout.off_kv].fill(0);
         self.pool.write_bytes(new, &buf);
         self.pool.persist(new, self.layout.size);
-        // The new offset may be recycled: records about its previous life
-        // must not validate against this one.
+        // The new offset may be recycled: versions taken in its previous
+        // life must not validate against this one.
         self.leaf(new).restore_version_monotonic(prior);
         self.leaf(new).digest_store(&[], 0);
 
@@ -182,18 +183,10 @@ impl Ctx {
         for (slot, _) in &entries[keep..] {
             new_bm |= 1 << slot;
         }
-        let new_leaf = self.leaf(new);
-        new_leaf.commit_bitmap(new_bm);
+        self.leaf(new).commit_bitmap(new_bm);
         old_leaf.commit_bitmap(self.layout.full_bitmap() ^ new_bm);
         self.split_reset_dead_slots::<K>(old, new, new_bm);
         old_leaf.set_next(self.pptr(new));
-        // The old leaf's successor changed: drop its stale sentinel and —
-        // since the split computed the new leaf's minimum — record a fresh
-        // one (enc = min of the moved upper half).
-        old_leaf.sentinel_clear();
-        if keep < entries.len() {
-            old_leaf.sentinel_store(K::prefix64(&entries[keep].1), new, new_leaf.version_word());
-        }
         split_key
     }
 
@@ -270,8 +263,6 @@ impl Ctx {
             let prev = prev.expect("non-head leaf must have a predecessor");
             log.set_second(&self.pool, self.pptr(prev));
             self.leaf(prev).set_next(next);
-            // The predecessor's sentinel referenced the unlinked leaf.
-            self.leaf(prev).sentinel_clear();
         }
         match groups {
             Some(g) if g.enabled() => {
@@ -313,7 +304,6 @@ impl Ctx {
             // Crashed between recording prev and finishing: redo the unlink.
             let next = self.leaf(cur.offset).next();
             self.leaf(prev.offset).set_next(next);
-            self.leaf(prev.offset).sentinel_clear();
             finish(&log);
         } else if head.offset == cur.offset {
             // Head unlink not yet done.

@@ -51,7 +51,8 @@ const FLAG_SPLIT_ARRAYS: u64 = 2;
 const FLAG_VAR_KEYS: u64 = 4;
 /// Legacy: once selected the SWAR probe + sentinels over a scalar mode.
 /// Still written (images stay byte-identical to older builds'), never read:
-/// there is one probe, and every layout carries the sentinel region.
+/// there is one probe, and the sentinels are gone (the bit goes at the
+/// format bump that reclaims their 16 reserved bytes).
 const FLAG_SWAR_PROBE: u64 = 8;
 
 /// Handle over a tree's persistent metadata block.
@@ -193,11 +194,6 @@ impl TreeMeta {
     pub fn set_groups_head(&self, pool: &PmemPool, head: RawPPtr) {
         pool.write_publish_at(self.off + M_GROUPS_HEAD, &head);
         pool.persist(self.off + M_GROUPS_HEAD, 16);
-    }
-
-    /// Pool offset of the group-list head field.
-    pub fn groups_head_slot(&self) -> u64 {
-        self.off + M_GROUPS_HEAD
     }
 
     /// The GetLeaf micro-log (Algorithm 10).

@@ -185,13 +185,10 @@ pub enum Counter {
     EvloopQueueStalls = 39,
     /// Connections reaped by the server's idle timeout.
     ConnIdleClosed = 40,
-    /// Scans terminated early by a validated successor sentinel (the next
-    /// leaf's cached minimum key lies past the upper bound).
-    ScanSentinelStops = 41,
 }
 
 /// Number of [`Counter`] variants.
-pub const N_COUNTERS: usize = 42;
+pub const N_COUNTERS: usize = 41;
 
 impl Counter {
     /// Every variant, in field order.
@@ -237,7 +234,6 @@ impl Counter {
         Counter::EvloopPartialWrites,
         Counter::EvloopQueueStalls,
         Counter::ConnIdleClosed,
-        Counter::ScanSentinelStops,
     ];
 
     /// Stable snapshot field name.
@@ -284,7 +280,6 @@ impl Counter {
             Counter::EvloopPartialWrites => "evloop_partial_writes",
             Counter::EvloopQueueStalls => "evloop_queue_stalls",
             Counter::ConnIdleClosed => "conn_idle_closed",
-            Counter::ScanSentinelStops => "scan_sentinel_stops",
         }
     }
 }
@@ -312,13 +307,6 @@ pub struct RecoveryStats {
     pub build_us: u64,
     /// Leaves visited on the chain (including unlinked empties).
     pub leaves: u64,
-}
-
-impl RecoveryStats {
-    /// Total recovery time across all phases, microseconds.
-    pub fn total_us(&self) -> u64 {
-        self.replay_us + self.harvest_us + self.audit_us + self.build_us
-    }
 }
 
 /// One shard: a thread-partitioned slice of every counter and histogram.

@@ -323,13 +323,10 @@ fn audit_leaves<K: KeyKind>(
         ctx.metrics.inc(Counter::RecoveryLeaves);
         let leaf = ctx.leaf(off);
         leaf.reset_lock();
-        // Sentinels are transient like the lock: bytes surviving in the
-        // image are stale records from the crashed run — wipe them. The
-        // buffer digest likewise: whatever the image carries (ahead of the
-        // surviving entries, behind them, or the old four-word sentinel of
-        // an image written before the digest existed) is overwritten from
-        // the validated walk before anything below consults it.
-        leaf.sentinel_clear();
+        // The buffer digest is transient like the lock: whatever the image
+        // carries (ahead of the surviving entries, behind them, or bytes an
+        // older build kept in these words) is overwritten from the
+        // validated walk before anything below consults it.
         leaf.digest_rebuild();
         // Order matters: the slot audit first (with live buffer entries
         // among the owned references, so a crashed fold's staged copies are

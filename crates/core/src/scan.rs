@@ -113,22 +113,6 @@ impl<K: KeyKind> ScanBounds<K> {
             _ => false,
         }
     }
-
-    /// True if a successor leaf whose minimum key has order-preserving
-    /// prefix `enc` lies entirely past the upper bound — the walk can stop
-    /// without touching that leaf. Conservative for inexact prefixes: a tie
-    /// proves nothing (except under an excluded bound, where equality of
-    /// exact prefixes already excludes the whole successor).
-    fn hop_blocked(&self, enc: u64) -> bool {
-        match &self.hi {
-            Bound::Included(h) => enc > K::prefix64(h),
-            Bound::Excluded(h) => {
-                let hp = K::prefix64(h);
-                enc > hp || (K::PREFIX_EXACT && enc == hp)
-            }
-            Bound::Unbounded => false,
-        }
-    }
 }
 
 /// One leaf's worth of entries in a fixed-capacity buffer, drained in key
@@ -141,8 +125,8 @@ impl<K: KeyKind> ScanBounds<K> {
 /// maintaining sorted order under shifts.
 ///
 /// Sized by the compile-time bitmap limit [`MAX_LEAF_CAPACITY`]; only the
-/// configured `leaf_capacity` slots (`TreeConfig::scan_buffer_slots`) are
-/// ever occupied, which `TreeConfig::validate` guarantees fits.
+/// configured `leaf_capacity` slots are ever occupied, which
+/// `TreeConfig::validate` guarantees fits.
 struct LeafBuf<K: KeyKind> {
     slots: [Option<(K::Owned, u64)>; MAX_LEAF_CAPACITY],
     /// Bit `i` set = `slots[i]` holds an undrained entry.
@@ -209,10 +193,6 @@ struct Gathered {
     past_hi: bool,
     /// Offset of the successor leaf, 0 at the end of the chain.
     next: u64,
-    /// Order-preserving prefix of the leaf's minimum key across *all*
-    /// merged entries, bounds ignored — the value a predecessor's
-    /// successor sentinel wants.
-    min_enc: Option<u64>,
 }
 
 /// Gathers the merged entries of leaf `off` that lie inside `bounds` and
@@ -231,12 +211,7 @@ fn gather<K: KeyKind>(
     leaf.touch_key_scan();
     buf.clear();
     let mut past_hi = false;
-    let mut min_enc: Option<u64> = None;
     for (k, v) in leaf.collect_merged::<K>() {
-        let enc = K::prefix64(&k);
-        if min_enc.is_none_or(|m| enc < m) {
-            min_enc = Some(enc);
-        }
         if bounds.past_hi(&k) {
             past_hi = true;
         } else if bounds.above_lo(&k) && floor.is_none_or(|l| k > *l) {
@@ -253,26 +228,7 @@ fn gather<K: KeyKind>(
     Gathered {
         past_hi,
         next: if next.is_null() { 0 } else { next.offset },
-        min_enc,
     }
-}
-
-/// True when the walk can stop after leaf `off` without touching its
-/// successor's SCM-resident keys: the chain ends, the bound was passed, or
-/// the leaf's validated successor sentinel proves every remaining key lies
-/// past the upper bound.
-fn walk_ends<K: KeyKind>(ctx: &Ctx, off: u64, bounds: &ScanBounds<K>, g: &Gathered) -> bool {
-    if g.past_hi || g.next == 0 {
-        return true;
-    }
-    let blocked = ctx
-        .leaf(off)
-        .sentinel_succ_min()
-        .is_some_and(|enc| bounds.hop_blocked(enc));
-    if blocked {
-        ctx.metrics.inc(Counter::ScanSentinelStops);
-    }
-    blocked
 }
 
 // ------------------------------------------------------- single-threaded
@@ -288,9 +244,6 @@ pub struct Scan<'a, K: KeyKind> {
     buf: LeafBuf<K>,
     /// Next leaf offset to gather; 0 when the chain walk is finished.
     next_leaf: u64,
-    /// Previously gathered leaf; receives a successor sentinel once the
-    /// current leaf's minimum key is known. 0 before the first gather.
-    prev_leaf: u64,
     /// Times the scan over the iterator's whole lifetime.
     _timer: OpTimer<'a>,
 }
@@ -312,7 +265,6 @@ impl<'a, K: KeyKind> Scan<'a, K> {
             bounds,
             buf: LeafBuf::new(),
             next_leaf,
-            prev_leaf: 0,
             _timer: timer,
         }
     }
@@ -330,21 +282,8 @@ impl<K: KeyKind> Iterator for Scan<'_, K> {
             if self.next_leaf == 0 {
                 return None;
             }
-            let off = self.next_leaf;
-            let g = gather(self.ctx, off, &self.bounds, None, &mut self.buf);
-            // Refresh the predecessor's successor sentinel: this leaf's
-            // minimum key is exactly what a future lookup or scan needs to
-            // short-circuit a hop without touching these SCM-resident keys.
-            if let (true, Some(enc)) = (self.prev_leaf != 0, g.min_enc) {
-                let ver = self.ctx.leaf(off).version_word();
-                self.ctx.leaf(self.prev_leaf).sentinel_store(enc, off, ver);
-            }
-            self.prev_leaf = off;
-            self.next_leaf = if walk_ends(self.ctx, off, &self.bounds, &g) {
-                0
-            } else {
-                g.next
-            };
+            let g = gather(self.ctx, self.next_leaf, &self.bounds, None, &mut self.buf);
+            self.next_leaf = if g.past_hi { 0 } else { g.next };
         }
     }
 }
@@ -441,7 +380,7 @@ impl<'a, K: ConcKey> ConcScan<'a, K> {
 
     /// Cursor advance after a validated gather `g` of leaf `(off, ver)`.
     fn advance_cursor(&mut self, off: u64, ver: u64, g: &Gathered) {
-        self.cursor = if walk_ends(&self.tree.ctx, off, &self.bounds, g) {
+        self.cursor = if g.past_hi || g.next == 0 {
             Cursor::Done
         } else {
             Cursor::Hop {
@@ -474,12 +413,6 @@ impl<'a, K: ConcKey> ConcScan<'a, K> {
                 // the gather was not torn by a writer.
                 let anchor = self.tree.ctx.leaf(anchor_off);
                 if !anchor.version_changed(anchor_ver) && !leaf.version_changed(ver) {
-                    // The double validation proves (min_enc, next_off, ver)
-                    // is a consistent successor snapshot for the anchor —
-                    // exactly the sentinel contract, so refresh it.
-                    if let Some(enc) = g.min_enc {
-                        anchor.sentinel_store(enc, next_off, ver);
-                    }
                     self.advance_cursor(next_off, ver, &g);
                     return;
                 }
@@ -555,21 +488,5 @@ mod tests {
         assert!(buf.pop().is_none());
         buf.insert(5, 50);
         assert_eq!(buf.pop(), Some((5, 50)));
-    }
-
-    #[test]
-    fn hop_blocked_respects_bound_kind_and_prefix_exactness() {
-        let b = |hi: Bound<u64>| ScanBounds::<FixedKey> {
-            lo: Bound::Unbounded,
-            hi,
-        };
-        // Included: only strictly-greater minima block the hop.
-        assert!(b(Bound::Included(10)).hop_blocked(11));
-        assert!(!b(Bound::Included(10)).hop_blocked(10));
-        // Excluded + exact prefixes: a tie already proves exclusion.
-        assert!(b(Bound::Excluded(10)).hop_blocked(10));
-        assert!(!b(Bound::Excluded(10)).hop_blocked(9));
-        // Unbounded never blocks.
-        assert!(!b(Bound::Unbounded).hop_blocked(u64::MAX));
     }
 }

@@ -404,12 +404,6 @@ where
         snap
     }
 
-    /// The full per-shard breakdown: one snapshot per shard, in shard
-    /// order (the flag-gated counterpart of [`Sharded::metrics_snapshot`]).
-    pub fn shard_snapshots(&self) -> Vec<Snapshot> {
-        self.shards.iter().map(|s| s.metrics_snapshot()).collect()
-    }
-
     /// Structural consistency of every shard; errors name the shard.
     pub fn check_consistency(&self) -> Result<(), String> {
         for (i, shard) in self.shards.iter().enumerate() {
@@ -646,7 +640,6 @@ mod tests {
         let k1 = snap.get("shard1_keys").unwrap();
         assert_eq!(k0 + k1, 100);
         assert!(snap.get("shard0_fill_permille").is_some());
-        assert_eq!(t.shard_snapshots().len(), 2);
         if crate::Metrics::enabled() {
             assert_eq!(snap.get("insert_ops"), Some(100));
         }

@@ -445,12 +445,10 @@ fn concurrent_scan_races_splits() {
 }
 
 #[test]
-fn sentinel_short_circuits_bounded_rescans() {
-    // A bounded scan's last hop normally gathers one extra leaf just to
-    // learn every key is past the bound. The first scan deposits successor
-    // sentinels (each leaf caches its successor's minimum); a rescan over
-    // the same range must consume one to stop early, and emit identical
-    // entries while doing so.
+fn bounded_rescans_equal_the_model() {
+    // A bounded scan whose upper bound sits on a leaf boundary walks one
+    // leaf past it to learn that every further key is out of range; the
+    // rescan takes the same walk and emits the same entries.
     let p = pool(8);
     let t = {
         let mut t = FPTree::create(Arc::clone(&p), small_cfg(), ROOT_SLOT);
@@ -459,30 +457,19 @@ fn sentinel_short_circuits_bounded_rescans() {
         }
         t
     };
-    // hi = 19 sits on a leaf boundary (leaves hold 4 contiguous keys):
-    // the leaf holding 16..=19 never observes a past-bound key, so only
-    // the successor's cached minimum (20) can prove the walk is done.
+    // hi = 19 sits on a leaf boundary (leaves hold 4 contiguous keys): the
+    // leaf holding 16..=19 never observes a past-bound key.
     let expect: Vec<(u64, u64)> = (10..=19u64).map(|i| (i, i + 7)).collect();
-    let first: Vec<(u64, u64)> = t.scan(10..=19).collect();
-    assert_eq!(first, expect);
-    let stops_before = t.metrics_snapshot().get("scan_sentinel_stops").unwrap_or(0);
-    let second: Vec<(u64, u64)> = t.scan(10..=19).collect();
-    assert_eq!(second, expect);
-    let stops_after = t.metrics_snapshot().get("scan_sentinel_stops").unwrap_or(0);
-    if fptree_core::Metrics::enabled() {
-        assert!(
-            stops_after > stops_before,
-            "rescan did not consume a successor sentinel \
-             ({stops_before} -> {stops_after})"
-        );
-    }
+    assert_eq!(t.scan(10..=19).collect::<Vec<_>>(), expect);
+    assert_eq!(t.scan(10..=19).collect::<Vec<_>>(), expect);
+    assert_eq!(t.scan(10..20).collect::<Vec<_>>(), expect);
 }
 
 #[test]
 fn legacy_probe_flag_is_ignored_on_open() {
-    // Meta flag bit 3 once selected the SWAR probe + sentinels over a
-    // scalar mode. It is still written, never read: an image with the bit
-    // cleared must open in the one mode that exists, sentinels included.
+    // Meta flag bit 3 once selected the SWAR probe over a scalar mode. It
+    // is still written, never read: an image with the bit cleared must open
+    // in the one mode that exists.
     let p = Arc::new(PmemPool::create(PoolOptions::tracked(8 << 20)).unwrap());
     let mut t = FPTree::create(Arc::clone(&p), small_cfg(), ROOT_SLOT);
     for i in 0..64u64 {
@@ -508,36 +495,48 @@ fn legacy_probe_flag_is_ignored_on_open() {
     let expect: Vec<(u64, u64)> = (10..=19u64).map(|i| (i, i + 7)).collect();
     assert_eq!(t.scan(10..=19).collect::<Vec<_>>(), expect);
     assert_eq!(t.scan(10..=19).collect::<Vec<_>>(), expect);
-    if fptree_core::Metrics::enabled() {
-        let stops = t.metrics_snapshot().get("scan_sentinel_stops").unwrap_or(0);
-        assert!(stops > 0, "rescan after reopen recorded no sentinel stop");
-    }
 }
 
 #[test]
-fn concurrent_sentinel_stops_preserve_bounded_scans() {
-    // Same shape on the concurrent tree: hop-validated scans deposit
-    // anchor sentinels, a rescan may stop early, and mutations that
-    // splice the chain (splits of the cached successor) must invalidate
-    // the hint rather than truncate later scans.
+fn concurrent_bounded_rescans_equal_the_model_beside_a_writer() {
+    // Bounded rescans on the concurrent tree while a writer splits leaves
+    // all along the scanned region: the seeded even keys are never
+    // written, so every rescan must carry exactly those, in order, with
+    // their values, plus only odd keys the writer stored.
     let p = pool(8);
     let t = ConcurrentFPTree::create(Arc::clone(&p), conc_cfg(), ROOT_SLOT);
-    for i in 0..64u64 {
+    for i in (0..256u64).step_by(2) {
         assert!(t.insert(&i, i * 2));
     }
-    let expect: Vec<(u64, u64)> = (5..=15u64).map(|i| (i, i * 2)).collect();
-    assert_eq!(t.scan(5..=15).collect::<Vec<_>>(), expect);
-    assert_eq!(t.scan(5..=15).collect::<Vec<_>>(), expect);
+    let evens: Vec<(u64, u64)> = (10..=150u64).step_by(2).map(|i| (i, i * 2)).collect();
+    assert_eq!(t.scan(10..=150).collect::<Vec<_>>(), evens);
+    assert_eq!(t.scan(10..=150).collect::<Vec<_>>(), evens);
 
-    // Grow the tree past the cached region; every sentinel along the way
-    // is refreshed or rejected by version/next validation, so full and
-    // bounded scans keep agreeing with the model.
-    for i in 64..256u64 {
-        assert!(t.insert(&i, i * 2));
-    }
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            for i in (1..256u64).step_by(2) {
+                assert!(t.insert(&i, i * 2));
+            }
+        });
+        s.spawn(|| {
+            start.wait();
+            for _ in 0..200 {
+                let got: Vec<(u64, u64)> = t.scan(10..=150).collect();
+                assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
+                assert!(got
+                    .iter()
+                    .all(|&(k, v)| (10..=150).contains(&k) && v == k * 2));
+                let seen: Vec<(u64, u64)> = got.into_iter().filter(|(k, _)| k % 2 == 0).collect();
+                assert_eq!(seen, evens, "seeded key lost or duplicated mid-scan");
+            }
+        });
+    });
+    // Quiescent again: full and bounded scans agree with the model.
     let full: Vec<(u64, u64)> = t.scan(..).collect();
-    assert_eq!(full.len(), 256);
-    assert!(full.windows(2).all(|w| w[0].0 < w[1].0));
+    assert_eq!(full, (0..256u64).map(|i| (i, i * 2)).collect::<Vec<_>>());
     let tail: Vec<(u64, u64)> = t.scan(200..).collect();
     assert_eq!(tail, (200..256u64).map(|i| (i, i * 2)).collect::<Vec<_>>());
+    t.check_consistency().unwrap();
 }

@@ -780,12 +780,12 @@ fn recycled_leaf_offset_never_keeps_its_old_digest() {
     }
 }
 
-/// An image written before the digest existed (§5.16) carries the old
-/// four-word sentinel record where the two-word sentinel and the digest
-/// now sit; persistent offsets are identical. Opening it wipes all four
-/// words and the tree answers exactly as the tree that wrote it.
+/// The 16 reserved bytes after the lock word are never read, and the
+/// digest words are overwritten by recovery before anything consults them:
+/// whatever an image carries there — an older build's successor record, or
+/// plain garbage — the tree answers exactly as the tree that wrote it.
 #[test]
-fn image_with_the_old_four_word_sentinel_opens_and_answers_identically() {
+fn garbage_in_the_reserved_gap_and_the_digest_words_is_never_read() {
     use std::sync::atomic::Ordering;
     let cfg = small_cfg().with_wbuf_entries(8);
     let layout = LeafLayout::new(&cfg, 8);
@@ -798,31 +798,42 @@ fn image_with_the_old_four_word_sentinel_opens_and_answers_identically() {
         assert!(t.update(&(i * 7), i + 1000));
     }
     let want: Vec<(u64, u64)> = t.scan(..).collect();
-    // What the old code left in a leaf's transient words: successor
-    // prefix, successor offset, successor version, checksummed tag — the
-    // last two now read as digest fingerprints and a digest tag.
-    let leaves = t.leaf_offsets();
-    for pair in leaves.windows(2) {
-        let old = [pair[1] * 3, pair[1], 0x2A, 0x9E37_79B9_7F4A_7C15 | 1];
-        for (w, word) in old.iter().enumerate() {
-            pool.atomic_u64(pair[0] + (layout.off_sentinel + 8 * w) as u64)
-                .store(*word, Ordering::Relaxed);
+    let answers_match = |t: &FPTree| {
+        for (k, v) in &want {
+            assert_eq!(t.get(k), Some(*v));
+            assert_eq!(t.get(&(k + 1)), None);
         }
-    }
+        assert_eq!(t.scan(..).collect::<Vec<_>>(), want);
+        let bounded: Vec<(u64, u64)> = want
+            .iter()
+            .filter(|(k, _)| (70..=700).contains(k))
+            .copied()
+            .collect();
+        assert_eq!(t.range(&70, &700), bounded);
+        t.check_consistency().unwrap();
+    };
+    // The four words between the lock word and the KV area: two reserved,
+    // two of digest. A live tree only ever looks at the digest pair.
+    let forge = |words: std::ops::Range<usize>| {
+        for pair in t.leaf_offsets().windows(2) {
+            let junk = [pair[1] * 3, pair[1], 0x2A, 0x9E37_79B9_7F4A_7C15 | 1];
+            for w in words.clone() {
+                pool.atomic_u64(pair[0] + (layout.off_lock + 8 + 8 * w) as u64)
+                    .store(junk[w], Ordering::Relaxed);
+            }
+        }
+    };
+    forge(0..2);
+    answers_match(&t);
+    forge(0..4);
     drop(t);
     let pool2 = Arc::new(PmemPool::reopen(pool.clean_image(), PoolOptions::tracked(0)).unwrap());
     let t2 = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
     for off in t2.leaf_offsets() {
         let leaf = Leaf::new(&pool2, &layout, off);
-        assert_eq!(leaf.sentinel_succ_min(), None, "sentinel wiped");
         assert_eq!(leaf.wbuf_view().live, leaf.wbuf_count());
     }
-    for (k, v) in &want {
-        assert_eq!(t2.get(k), Some(*v));
-        assert_eq!(t2.get(&(k + 1)), None);
-    }
-    assert_eq!(t2.scan(..).collect::<Vec<_>>(), want);
-    t2.check_consistency().unwrap();
+    answers_match(&t2);
 }
 
 #[test]

@@ -365,11 +365,6 @@ impl PmemPool {
         PoolStats::sub(&self.stats().bytes_live, user_size);
     }
 
-    /// User-data size of the live block at user offset `user_off`.
-    pub fn block_user_size(&self, user_off: u64) -> u64 {
-        self.read_word(user_off - BLOCK_HEADER_SIZE + HDR_USER_SIZE)
-    }
-
     /// Walks the heap and returns every *live* block as `(user_off, size)`.
     ///
     /// Used by recovery-time leak audits: a block that is live here but not

@@ -27,7 +27,7 @@
 //!   is sequentially consistent per pool, so `persist` already implies the
 //!   paper's fence–flush–fence sequence).
 //!
-//! Transient in-pool atomics (`atomic_u8` / `atomic_u64`, the leaf locks)
+//! Transient in-pool atomics (`atomic_u64`, the leaf locks)
 //! bypass the trace by design: the paper never persists lock words and
 //! recovery resets them.
 //!

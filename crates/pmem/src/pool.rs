@@ -19,7 +19,7 @@
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -123,12 +123,6 @@ impl PoolOptions {
         self
     }
 
-    /// Sets the file id.
-    pub fn with_file_id(mut self, file_id: u64) -> Self {
-        self.file_id = file_id;
-        self
-    }
-
     /// Enables the persist-order durability checker from the first write.
     pub fn with_checker(mut self) -> Self {
         self.checker = true;
@@ -155,7 +149,7 @@ struct Overlay {
 /// All persistent accesses go through the typed [`read`](Self::read) /
 /// [`write`](Self::write) API so that tracked mode can interpose the cache
 /// overlay; transient in-pool fields (leaf locks) use
-/// [`atomic_u8`](Self::atomic_u8) and bypass it by design.
+/// [`atomic_u64`](Self::atomic_u64) and bypass it by design.
 ///
 /// ```
 /// use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
@@ -639,11 +633,6 @@ impl PmemPool {
         self.checker_enabled.store(true, Ordering::SeqCst);
     }
 
-    /// Whether the durability checker is recording.
-    pub fn durability_checker_enabled(&self) -> bool {
-        self.checker_enabled.load(Ordering::Relaxed)
-    }
-
     /// Opens a *checked operation*: until the returned guard drops, stores
     /// and publishes issued by this thread are attributed to the operation,
     /// and on close the checker's detectors run over its event window
@@ -718,20 +707,10 @@ impl PmemPool {
 
     // ------------------------------------------------------------- atomics
 
-    /// A reference to a *transient* atomic byte inside the pool (leaf locks).
+    /// A reference to a *transient* atomic u64 inside the pool (leaf locks).
     ///
     /// Deliberately bypasses the tracked-mode overlay: the paper never
     /// persists leaf-lock writes; recovery resets them.
-    #[inline]
-    pub fn atomic_u8(&self, off: u64) -> &AtomicU8 {
-        self.check(off, 1);
-        // SAFETY: the byte is in bounds, lives in UnsafeCell storage, and
-        // AtomicU8 has the same layout as u8; concurrent access through the
-        // returned reference is what atomics are for.
-        unsafe { &*(self.base().add(off as usize) as *const AtomicU8) }
-    }
-
-    /// A reference to a transient atomic u64 inside the pool.
     #[inline]
     pub fn atomic_u64(&self, off: u64) -> &AtomicU64 {
         self.check(off, 8);
@@ -1011,9 +990,9 @@ mod tests {
     #[test]
     fn atomics_bypass_overlay() {
         let pool = tracked_pool();
-        let a = pool.atomic_u8(USER_BASE);
+        let a = pool.atomic_u64(USER_BASE);
         a.store(1, Ordering::SeqCst);
-        assert_eq!(pool.atomic_u8(USER_BASE).load(Ordering::SeqCst), 1);
+        assert_eq!(pool.atomic_u64(USER_BASE).load(Ordering::SeqCst), 1);
         // No dirty line was created: the write went straight to memory.
         assert_eq!(pool.dirty_lines(), 0);
     }

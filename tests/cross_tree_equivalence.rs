@@ -853,3 +853,78 @@ proptest! {
         );
     }
 }
+
+/// Every user byte of the pool — transient words included.
+fn pool_bytes(pool: &fptree_suite::pmem::PmemPool) -> Vec<u8> {
+    let base = fptree_suite::pmem::USER_BASE;
+    let mut bytes = vec![0u8; pool.capacity() - base as usize];
+    pool.read_bytes(base, &mut bytes);
+    bytes
+}
+
+/// Reads on a quiescent tree leave the pool bit-identical: no lookup or
+/// scan stores anything, not even into a leaf's transient words.
+fn assert_reads_do_not_write<K: fptree_suite::core::ConcKey>(
+    cfg_single: TreeConfig,
+    cfg_conc: TreeConfig,
+    key: impl Fn(u64) -> K::Owned,
+) {
+    use fptree_suite::core::{ConcurrentTree, SingleTree};
+    use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
+    use std::sync::Arc;
+
+    let new_pool = || Arc::new(PmemPool::create(PoolOptions::direct(8 << 20)).unwrap());
+    let (sp, cp) = (new_pool(), new_pool());
+    let mut s = SingleTree::<K>::create(Arc::clone(&sp), small(cfg_single), ROOT_SLOT);
+    let c = ConcurrentTree::<K>::create(Arc::clone(&cp), small(cfg_conc), ROOT_SLOT);
+    // Splits, buffered updates and removes, so leaves carry slots, live
+    // buffer entries and digests; odd keys stay absent.
+    for k in (0..400u64).step_by(2) {
+        assert!(s.insert(&key(k), k) && c.insert(&key(k), k));
+    }
+    for k in (0..400u64).step_by(6) {
+        assert!(s.update(&key(k), k + 1) && c.update(&key(k), k + 1));
+    }
+    for k in (0..400u64).step_by(10) {
+        assert!(s.remove(&key(k)) && c.remove(&key(k)));
+    }
+    let (s_before, c_before) = (pool_bytes(&sp), pool_bytes(&cp));
+    for k in 0..400u64 {
+        assert_eq!(s.get(&key(k)), c.get(&key(k)));
+        assert_eq!(s.contains(&key(k)), c.contains(&key(k)));
+    }
+    for (lo, hi) in [(0, 399), (17, 90), (90, 91), (250, 1000)] {
+        let (lo, hi) = (key(lo), key(hi));
+        assert_eq!(s.range(&lo, &hi), c.range(&lo, &hi));
+        assert_eq!(
+            s.scan(lo.clone()..hi.clone()).count(),
+            c.scan(lo..hi).count()
+        );
+    }
+    let all: Vec<(K::Owned, u64)> = s.scan(..).collect();
+    assert_eq!(all, c.scan(..).collect::<Vec<_>>());
+    assert_eq!(all, s.iter().collect::<Vec<_>>());
+    assert!(
+        pool_bytes(&sp) == s_before,
+        "a SingleTree read wrote to the pool"
+    );
+    assert!(
+        pool_bytes(&cp) == c_before,
+        "a ConcurrentTree read wrote to the pool"
+    );
+}
+
+#[test]
+fn reads_do_not_write() {
+    use fptree_suite::core::{FixedKey, VarKey};
+    assert_reads_do_not_write::<FixedKey>(
+        TreeConfig::fptree(),
+        TreeConfig::fptree_concurrent(),
+        |k| k,
+    );
+    assert_reads_do_not_write::<VarKey>(
+        TreeConfig::fptree_var(),
+        TreeConfig::fptree_concurrent_var(),
+        |k| format!("key:{k:06}").into_bytes(),
+    );
+}
