@@ -259,7 +259,7 @@ fn main() {
 }
 
 fn lock_tree(tree: &Arc<Mutex<CliTree>>) -> std::sync::MutexGuard<'_, CliTree> {
-    // A server worker that panicked mid-command poisons the lock; the data
+    // A server thread that panicked mid-command poisons the lock; the data
     // itself is crash-consistent by design, so keep going.
     tree.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -402,11 +402,10 @@ fn execute(tree_arc: &Arc<Mutex<CliTree>>, line: &str, path: &str) -> bool {
         }
         ("serve", Some(addr)) => {
             // `serve 127.0.0.1:11211 [secs]`: expose the open pool over
-            // TCP (memcached text protocol) on the kvcache event-loop
-            // server. With no duration, runs until Enter.
+            // TCP (memcached text protocol) on the kvcache server. With no duration, runs until Enter.
             let secs: Option<u64> = rest.first().and_then(|s| s.parse().ok());
             let addr = addr.to_string();
-            drop(tree); // the server's workers lock the tree per command
+            drop(tree); // the server's reactor locks the tree per command
             let bridge = Arc::new(ServeBridge {
                 tree: Arc::clone(tree_arc),
                 metrics: Arc::new(Metrics::new()),

@@ -63,12 +63,6 @@ impl GroupMgr {
         self.group_size > 1
     }
 
-    /// Number of free (unused) leaves currently pooled.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn free_leaves(&self) -> usize {
-        self.free.len()
-    }
-
     /// The free-leaf vector in pop order (differential recovery checks).
     pub(crate) fn free_snapshot(&self) -> Vec<u64> {
         self.free.clone()
@@ -408,7 +402,7 @@ mod tests {
         // 8 leaves from ONE allocation (the metadata block came earlier).
         assert_eq!(pool.stats().snapshot().allocs, 1);
         assert_eq!(mgr.group_count(), 1);
-        assert_eq!(mgr.free_leaves(), 0);
+        assert!(mgr.free_snapshot().is_empty());
         leaves.sort();
         leaves.dedup();
         assert_eq!(leaves.len(), 8);
@@ -456,7 +450,7 @@ mod tests {
             "group must be deallocated"
         );
         assert_eq!(mgr.group_count(), 0);
-        assert_eq!(mgr.free_leaves(), 0);
+        assert!(mgr.free_snapshot().is_empty());
         assert!(meta.groups_head(&pool).is_null());
     }
 
@@ -496,7 +490,7 @@ mod tests {
         fresh.rebuild(&pool, &layout, &meta, &in_tree).unwrap();
         assert_eq!(fresh.group_count(), 2);
         // 8 leaves exist, 3 in tree -> 5 free.
-        assert_eq!(fresh.free_leaves(), 5);
+        assert_eq!(fresh.free_snapshot().len(), 5);
     }
 
     #[test]

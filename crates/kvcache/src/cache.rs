@@ -14,6 +14,10 @@ use fptree_core::metrics::{Counter, Metrics, Snapshot};
 use crate::lru::LruList;
 use crate::store::{Item, ItemStore};
 
+/// Index re-reads [`KvCache::get`] makes before it reports a miss for a key
+/// whose handle keeps being retired under it.
+const RESOLVE_RETRIES: usize = 8;
+
 /// One scanned cache item: `(key, flags, data)`.
 pub type ScanItem = (Vec<u8>, u32, Vec<u8>);
 
@@ -263,13 +267,26 @@ impl KvCache {
         }
     }
 
+    /// Reads the item `key` maps to, given the handle the index returned
+    /// for it. A racing `set` of the same key can free that item between
+    /// the two reads; the store then refuses the retired handle (it never
+    /// hands back the slot's next tenant) and the key's *current* handle is
+    /// read again, so the race yields neither a foreign value nor a miss
+    /// for a key that was never deleted. Bounded: each retry needs yet
+    /// another `set` of this key to land inside the window.
+    fn resolve(&self, key: &[u8], mut handle: Option<u64>) -> Option<(u32, Vec<u8>)> {
+        for _ in 0..RESOLVE_RETRIES {
+            if let Some(item) = self.store.get(handle?) {
+                return Some((item.flags, item.data));
+            }
+            handle = self.index.get(key);
+        }
+        None
+    }
+
     /// GET: returns `(flags, data)` if present; refreshes LRU recency.
     pub fn get(&self, key: &[u8]) -> Option<(u32, Vec<u8>)> {
-        let Some(handle) = self.index.get(key) else {
-            self.metrics.inc(Counter::CacheMisses);
-            return None;
-        };
-        let item = self.store.get(handle).map(|i| (i.flags, i.data));
+        let item = self.resolve(key, self.index.get(key));
         if item.is_some() {
             self.metrics.inc(Counter::CacheHits);
             if self.max_items.is_some() {
@@ -309,9 +326,7 @@ impl KvCache {
         keys.iter()
             .zip(handles)
             .map(|(key, handle)| {
-                let item = handle
-                    .and_then(|h| self.store.get(h))
-                    .map(|i| (i.flags, i.data));
+                let item = self.resolve(key, handle);
                 if item.is_some() {
                     self.metrics.inc(Counter::CacheHits);
                     if self.max_items.is_some() {
@@ -338,8 +353,8 @@ impl KvCache {
                 .filter_map(|(key, handle)| {
                     // A concurrent delete can race the handle lookup; drop
                     // the entry rather than fabricate an empty item.
-                    let item = self.store.get(handle)?;
-                    Some((key, item.flags, item.data))
+                    let (flags, data) = self.resolve(&key, Some(handle))?;
+                    Some((key, flags, data))
                 })
                 .collect(),
         )
@@ -529,6 +544,72 @@ mod tests {
         assert_eq!(c.store.len(), 3);
         assert!(c.get(b"k9").is_some());
         assert!(c.get(b"k0").is_none());
+    }
+
+    /// ROADMAP item 1: a `get` that loses the race with a `set` of its key
+    /// holds a handle whose item was just freed — and whose slot the next
+    /// `put`, of any key, reuses. Every value written to a key starts with
+    /// that key and no key is ever deleted, so any other bytes are a
+    /// foreign value and any miss is spurious.
+    #[test]
+    fn readers_beside_writers_on_shared_hot_keys() {
+        const THREADS: u64 = 2;
+        const REQUESTS: u64 = 6_000_000;
+        let c = Arc::new(cache());
+        let keys: Arc<Vec<Vec<u8>>> = Arc::new(
+            (0..24)
+                .map(|k| format!("hot:{k:02}:").into_bytes())
+                .collect(),
+        );
+        let value = |key: &[u8], fill: u64| {
+            let mut v = key.to_vec();
+            v.resize(key.len() + (fill % 48) as usize, b'a' + (fill % 26) as u8);
+            v
+        };
+        for (k, key) in keys.iter().enumerate() {
+            c.set(key, k as u32, value(key, 0));
+        }
+        let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (c, keys, start) = (Arc::clone(&c), Arc::clone(&keys), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let check = |k: usize, got: Option<(u32, Vec<u8>)>| {
+                        let (flags, data) =
+                            got.unwrap_or_else(|| panic!("spurious miss of key {k}"));
+                        let tail = data.strip_prefix(&keys[k][..]).unwrap_or_else(|| {
+                            panic!("key {k} answered {:?}", String::from_utf8_lossy(&data))
+                        });
+                        assert!(tail.iter().all(|b| *b == tail[0]), "torn value for key {k}");
+                        assert_eq!(flags, k as u32, "foreign flags for key {k}");
+                    };
+                    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ (t + 1);
+                    start.wait();
+                    for _ in 0..REQUESTS / THREADS {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let k = (x % 24) as usize;
+                        match (x >> 32) % 32 {
+                            0..=3 => c.set(&keys[k], k as u32, value(&keys[k], x >> 40)),
+                            4 => {
+                                let other = (k + 7) % 24;
+                                let got = c.get_many(&[keys[k].clone(), keys[other].clone()]);
+                                for (k, item) in [k, other].into_iter().zip(got) {
+                                    check(k, item);
+                                }
+                            }
+                            _ => check(k, c.get(&keys[k])),
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(c.len(), 24);
+        assert_eq!(c.store.len(), 24, "leaked or dangling store items");
     }
 
     #[test]

@@ -1,19 +1,23 @@
-//! TCP front-end: a readiness-polled event-loop memcached-protocol server.
+//! TCP front-end: a memcached-protocol server made of identical reactor
+//! threads, memcached's own thread model.
 //!
-//! One acceptor/poll thread owns every connection as a registered
-//! nonblocking socket with a per-connection state machine (read buffer →
-//! [`crate::protocol`] parser → response queue); a small worker pool
-//! executes the cache operations. Connections are therefore cheap slots
-//! instead of OS threads, so the server sustains thousands of them — the
-//! `fig14_connscale` benchmark sweeps connection counts past the old
-//! thread-per-connection cap. Responses for a pipelined batch accumulate
-//! into contiguous blocks and flush as scatter-gather vectored writes, so
-//! pipelined `set`-coalescing (→ [`Cache::set_batch`]) and multi-get stay
-//! the natural batch units. Backpressure: a connection whose write queue
-//! exceeds its cap stops being read until the client drains responses
-//! (`evloop_queue_stalls`); idle connections are reaped after
-//! [`ServerBuilder::idle_timeout`] (`conn_idle_closed`); shutdown drains
-//! in-flight responses before closing.
+//! Each of the [`ServerBuilder::worker_threads`] reactors owns a poller and
+//! the connections dealt to it, and does everything for them on its own
+//! thread: read → [`crate::protocol`] parser → execute → write. Reactor 0
+//! additionally owns the listener and deals accepted sockets round-robin;
+//! that hand-over, once per connection, is the only cross-thread traffic.
+//! Sibling reactors pin themselves one per allowed CPU, so where they run
+//! is as deterministic as which connections they own. Connections are registered nonblocking sockets plus a small state
+//! machine, not OS threads, so the server sustains thousands of them (the
+//! `fig14_connscale` benchmark sweeps connection counts). A turn executes
+//! at most `MAX_BATCH_CMDS` pipelined commands into the connection's output
+//! buffer — pipelined `set`s still coalesce (→ [`Cache::set_batch`]) — and
+//! a connection with more buffered than that waits on its reactor's run
+//! queue behind its neighbours. Backpressure: a connection whose unsent
+//! responses exceed [`DEFAULT_WRITE_QUEUE_CAP`] stops being read until the
+//! client drains them (`evloop_queue_stalls`); idle connections are reaped
+//! after [`ServerBuilder::idle_timeout`] (`conn_idle_closed`); shutdown
+//! drains in-flight responses before closing.
 //!
 //! Construct servers with [`ServerBuilder`].
 //!
@@ -23,15 +27,16 @@
 //! loopback throughput.
 
 use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fptree_core::metrics::{Counter, Metrics};
 use mio::net::{TcpListener, TcpStream};
 use mio::{Events, Interest, Poll, Token, Waker};
+use parking_lot::Mutex;
 
 use crate::cache::Cache;
 use crate::protocol::{execute_into, parse, Command, ParseError};
@@ -50,11 +55,11 @@ pub const MAX_FRAME_BYTES: usize = (1 << 20) + 4096;
 /// round per key.
 pub const SET_BATCH_MAX: usize = 64;
 
-/// Default cap on concurrently served connections. Connections are poll
-/// slots, not threads, so [`ServerBuilder::max_connections`] can raise this
-/// far higher; accepts beyond the cap are answered
-/// `SERVER_ERROR too many connections` and closed, counted under
-/// `conn_rejected`.
+/// Default cap on concurrently served connections, across all reactors.
+/// Connections are poll slots, not threads, so
+/// [`ServerBuilder::max_connections`] can raise this far higher; accepts
+/// beyond the cap are answered `SERVER_ERROR too many connections` and
+/// closed, counted under `conn_rejected`.
 pub const MAX_CONNECTIONS: usize = 1024;
 
 /// Default [`ServerBuilder::idle_timeout`]: how long a connection may sit
@@ -62,15 +67,18 @@ pub const MAX_CONNECTIONS: usize = 1024;
 /// (`conn_idle_closed`).
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
-/// Default [`ServerBuilder::write_queue_cap`] in bytes: once a connection
-/// has this much queued unsent response data, the server stops reading
-/// from it until the client drains (`evloop_queue_stalls`).
+/// Backpressure threshold in bytes: once a connection has this much unsent
+/// response data, the server stops reading and executing for it until the
+/// client has drained half of it (`evloop_queue_stalls`).
 pub const DEFAULT_WRITE_QUEUE_CAP: usize = 1 << 20;
 
-/// Most parsed commands dispatched to the worker pool per batch; what the
-/// client pipelined beyond this waits for the next completion (bounds
-/// per-batch memory without extra syscalls).
+/// Most commands one connection executes per turn; what the client
+/// pipelined beyond this waits on the run queue while the reactor's other
+/// connections get their turn (fairness, and a bound on per-turn memory).
 const MAX_BATCH_CMDS: usize = 256;
+
+/// Output-buffer capacity a connection keeps once its responses drain.
+const OUT_KEEP_BYTES: usize = 16 * 1024;
 
 /// How long shutdown waits for in-flight responses to drain before closing
 /// the remaining connections.
@@ -79,8 +87,8 @@ const SHUTDOWN_DRAIN: Duration = Duration::from_secs(2);
 const LISTENER_TOKEN: Token = Token(usize::MAX);
 const WAKER_TOKEN: Token = Token(usize::MAX - 1);
 
-/// Builds and starts the event-loop server: fluent settings, validation
-/// up front, one terminal call.
+/// Builds and starts the server: fluent settings, validation up front, one
+/// terminal call.
 ///
 /// ```no_run
 /// # use std::sync::Arc;
@@ -102,8 +110,6 @@ pub struct ServerBuilder {
     max_connections: usize,
     worker_threads: usize,
     idle_timeout: Duration,
-    max_frame_bytes: usize,
-    write_queue_cap: usize,
 }
 
 impl ServerBuilder {
@@ -114,8 +120,6 @@ impl ServerBuilder {
             max_connections: MAX_CONNECTIONS,
             worker_threads: default_worker_threads(),
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
-            max_frame_bytes: MAX_FRAME_BYTES,
-            write_queue_cap: DEFAULT_WRITE_QUEUE_CAP,
         }
     }
 
@@ -127,8 +131,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Worker threads executing cache operations (default: available
-    /// parallelism, capped at 8). The poll thread is separate.
+    /// Reactor threads (default: available parallelism, capped at 8). They
+    /// are the server's only threads: each serves the connections dealt to
+    /// it from socket read to socket write.
     pub fn worker_threads(mut self, n: usize) -> ServerBuilder {
         self.worker_threads = n;
         self
@@ -142,102 +147,78 @@ impl ServerBuilder {
         self
     }
 
-    /// Cap on one connection's unparsed request buffer (default
-    /// [`MAX_FRAME_BYTES`]); an over-long frame is answered `ERROR` and
-    /// the connection closed.
-    pub fn max_frame_bytes(mut self, n: usize) -> ServerBuilder {
-        self.max_frame_bytes = n;
-        self
-    }
-
-    /// Per-connection cap in bytes on queued unsent responses (default
-    /// [`DEFAULT_WRITE_QUEUE_CAP`]); past it the connection stops being
-    /// read until the client drains (backpressure).
-    pub fn write_queue_cap(mut self, n: usize) -> ServerBuilder {
-        self.write_queue_cap = n;
-        self
-    }
-
     fn validate(&self) -> io::Result<()> {
-        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        let invalid = |msg: &str| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
         if self.max_connections == 0 {
-            return invalid("max_connections must be at least 1".into());
+            return invalid("max_connections must be at least 1");
         }
         if self.worker_threads == 0 {
-            return invalid("worker_threads must be at least 1".into());
+            return invalid("worker_threads must be at least 1");
         }
         if self.idle_timeout.is_zero() {
-            return invalid("idle_timeout must be positive (use a large value to disable)".into());
-        }
-        if self.max_frame_bytes < 1024 {
-            return invalid(format!(
-                "max_frame_bytes must be at least 1024, got {}",
-                self.max_frame_bytes
-            ));
-        }
-        if self.write_queue_cap < 1024 {
-            return invalid(format!(
-                "write_queue_cap must be at least 1024, got {}",
-                self.write_queue_cap
-            ));
+            return invalid("idle_timeout must be positive (use a large value to disable)");
         }
         Ok(())
     }
 
-    /// Validates the settings, binds, and starts the server.
+    /// Validates the settings, binds, and starts the reactors.
     pub fn serve(self, cache: Arc<dyn Cache>) -> io::Result<ServerHandle> {
         self.validate()?;
         let listener = std::net::TcpListener::bind(&self.addr)?;
         let addr = listener.local_addr()?;
-        let mut listener = TcpListener::from_std(listener);
+        let mut listener = Some(TcpListener::from_std(listener));
 
-        let poll = Poll::new()?;
-        let waker = Arc::new(Waker::new(poll.registry(), WAKER_TOKEN)?);
-        poll.registry()
-            .register(&mut listener, LISTENER_TOKEN, Interest::READABLE)?;
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let shared = Arc::new(WorkerShared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            done: Mutex::new(Vec::new()),
-            waker: Arc::clone(&waker),
-        });
-        let workers = (0..self.worker_threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let cache = Arc::clone(&cache);
-                std::thread::Builder::new()
-                    .name(format!("kvcache-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, cache.as_ref()))
+        let polls = (0..self.worker_threads)
+            .map(|_| Poll::new())
+            .collect::<io::Result<Vec<_>>>()?;
+        let mailboxes = polls
+            .iter()
+            .map(|poll| {
+                Ok(Mailbox {
+                    inbox: Mutex::new(Vec::new()),
+                    waker: Waker::new(poll.registry(), WAKER_TOKEN)?,
+                })
             })
             .collect::<io::Result<Vec<_>>>()?;
-
-        let stop2 = Arc::clone(&stop);
-        let join = std::thread::Builder::new()
-            .name("kvcache-evloop".into())
-            .spawn(move || {
-                let mut lp = EventLoop {
-                    cfg: self,
-                    metrics: Arc::clone(cache.metrics()),
-                    poll,
-                    listener: Some(listener),
-                    conns: Vec::new(),
-                    free: Vec::new(),
-                    active: 0,
-                    shared,
-                    workers,
-                    stop: stop2,
-                };
-                lp.run();
-            })?;
-
-        Ok(ServerHandle {
+        let shared = Arc::new(Shared {
+            mailboxes,
+            stop: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            max_connections: self.max_connections,
+            idle_timeout: self.idle_timeout,
+        });
+        // The handle exists before the first thread does, so a failed spawn
+        // drops it and thereby stops and joins the reactors already running.
+        let handle = ServerHandle {
             addr,
-            stop,
-            waker,
-            join: Mutex::new(Some(join)),
-        })
+            shared: Arc::clone(&shared),
+            joins: Mutex::new(Vec::new()),
+        };
+        for (id, poll) in polls.into_iter().enumerate() {
+            // Reactor 0 gets the listener; `take` leaves `None` for the rest.
+            let mut listener = listener.take();
+            if let Some(l) = listener.as_mut() {
+                poll.registry()
+                    .register(l, LISTENER_TOKEN, Interest::READABLE)?;
+            }
+            let mut reactor = Reactor {
+                id,
+                shared: Arc::clone(&shared),
+                metrics: Arc::clone(cache.metrics()),
+                cache: Arc::clone(&cache),
+                poll,
+                listener,
+                dealt: 0,
+                conns: Vec::new(),
+                free: Vec::new(),
+                runq: VecDeque::new(),
+            };
+            let join = std::thread::Builder::new()
+                .name(format!("kvcache-reactor-{id}"))
+                .spawn(move || reactor.run())?;
+            handle.joins.lock().push(join);
+        }
+        Ok(handle)
     }
 }
 
@@ -253,22 +234,27 @@ fn default_worker_threads() -> usize {
 pub struct ServerHandle {
     /// Address the server actually bound (useful with port 0).
     pub addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    waker: Arc<Waker>,
-    join: Mutex<Option<std::thread::JoinHandle<()>>>,
+    shared: Arc<Shared>,
+    joins: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl ServerHandle {
-    /// Signals the event loop to stop, waits for in-flight responses to
+    /// Signals the reactors to stop, waits for in-flight responses to
     /// drain (bounded), and joins every server thread. Idempotent: calling
     /// again (or dropping after a call) is a no-op.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let Some(join) = self.join.lock().unwrap_or_else(|e| e.into_inner()).take() else {
-            return; // already shut down
-        };
-        let _ = self.waker.wake();
-        let _ = join.join();
+        self.shared.stop.store(true, Ordering::SeqCst);
+        let joins = std::mem::take(&mut *self.joins.lock());
+        for mailbox in &self.shared.mailboxes {
+            let _ = mailbox.waker.wake();
+        }
+        for join in joins {
+            let _ = join.join();
+        }
+        // A socket dealt to a reactor that had already left closes here.
+        for mailbox in &self.shared.mailboxes {
+            mailbox.inbox.lock().clear();
+        }
     }
 }
 
@@ -286,62 +272,11 @@ impl std::fmt::Debug for ServerHandle {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------------
-
-enum Work {
-    /// Execute a connection's parsed command batch.
-    Batch { conn: usize, cmds: Vec<Command> },
-    /// Exit the worker loop.
-    Shutdown,
-}
-
-struct Done {
-    conn: usize,
-    resp: Vec<u8>,
-}
-
-struct WorkerShared {
-    queue: Mutex<VecDeque<Work>>,
-    available: Condvar,
-    done: Mutex<Vec<Done>>,
-    waker: Arc<Waker>,
-}
-
-fn worker_loop(shared: &WorkerShared, cache: &dyn Cache) {
-    loop {
-        let work = {
-            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(w) = q.pop_front() {
-                    break w;
-                }
-                q = shared.available.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        match work {
-            Work::Shutdown => return,
-            Work::Batch { conn, cmds } => {
-                let resp = run_batch(cache, cmds);
-                shared
-                    .done
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(Done { conn, resp });
-                let _ = shared.waker.wake();
-            }
-        }
-    }
-}
-
-/// Executes one connection's command batch, rendering every response into
-/// one contiguous block (the scatter-gather unit). Runs of consecutive
-/// `set`s coalesce into [`Cache::set_batch`] calls — responses stay in
-/// command order because every coalesced command is a set.
-fn run_batch(cache: &dyn Cache, cmds: Vec<Command>) -> Vec<u8> {
-    let metrics = Arc::clone(cache.metrics());
-    let mut resp = Vec::new();
+/// Executes one turn's commands, appending every response to `resp` in
+/// command order. Runs of consecutive `set`s coalesce into
+/// [`Cache::set_batch`] calls — responses stay in command order because
+/// every coalesced command is a set.
+fn run_batch(cache: &dyn Cache, cmds: Vec<Command>, resp: &mut Vec<u8>) {
     let mut it = cmds.into_iter().peekable();
     while let Some(cmd) = it.next() {
         let Command::Set {
@@ -351,7 +286,7 @@ fn run_batch(cache: &dyn Cache, cmds: Vec<Command>) -> Vec<u8> {
             noreply,
         } = cmd
         else {
-            execute_into(cache, &cmd, &mut resp);
+            execute_into(cache, &cmd, resp);
             continue;
         };
         let mut sets = vec![(key, flags, data, noreply)];
@@ -367,7 +302,7 @@ fn run_batch(cache: &dyn Cache, cmds: Vec<Command>) -> Vec<u8> {
             };
             sets.push((key, flags, data, noreply));
         }
-        metrics.add(Counter::CmdSet, sets.len() as u64);
+        cache.metrics().add(Counter::CmdSet, sets.len() as u64);
         for (_, _, _, noreply) in &sets {
             if !noreply {
                 resp.extend_from_slice(b"STORED\r\n");
@@ -380,189 +315,197 @@ fn run_batch(cache: &dyn Cache, cmds: Vec<Command>) -> Vec<u8> {
             cache.set_batch(sets.into_iter().map(|(k, f, d, _)| (k, f, d)).collect());
         }
     }
-    resp
 }
 
 // ---------------------------------------------------------------------------
-// Event loop
+// Reactors
 // ---------------------------------------------------------------------------
+
+/// What the reactors share: the stop flag, the global connection count, and
+/// each reactor's mailbox.
+struct Shared {
+    /// `mailboxes[i]` belongs to reactor `i`.
+    mailboxes: Vec<Mailbox>,
+    stop: AtomicBool,
+    /// Connections accepted and not yet closed, over all reactors: the
+    /// quantity `max_connections` caps. Only reactor 0 raises it.
+    active: AtomicUsize,
+    max_connections: usize,
+    idle_timeout: Duration,
+}
+
+/// How a socket reaches the reactor that will own it: reactor 0 pushes it
+/// and wakes the owner, the owner takes the lot on that wake-up.
+struct Mailbox {
+    inbox: Mutex<Vec<TcpStream>>,
+    waker: Waker,
+}
 
 /// Per-connection state machine.
 struct Conn {
     stream: TcpStream,
     /// Unparsed request bytes.
     buf: Vec<u8>,
-    /// Queued response blocks, oldest first.
-    out: VecDeque<Vec<u8>>,
-    /// Bytes of `out.front()` already written (partial-write resume point).
+    /// Rendered responses; `out[out_head..]` is still to be written.
+    out: Vec<u8>,
     out_head: usize,
-    /// Total unwritten bytes across `out`.
-    out_bytes: usize,
-    /// Last traffic (read progress or batch completion), for idle reaping.
+    /// Last traffic (bytes read or commands executed), for idle reaping.
     last_activity: Instant,
-    /// A command batch is at the workers. At most one batch is in flight
-    /// per connection, which keeps responses in order; reads continue
-    /// (bytes queue in `buf`) but nothing new dispatches until it returns.
-    busy: bool,
-    /// Close once `out` drains and no batch is in flight (quit, EOF, or
-    /// protocol error).
-    closing: bool,
-    /// Reads paused: the write queue crossed its cap (backpressure).
+    /// Reads and execution paused: unsent responses crossed the cap
+    /// (backpressure). Cleared once the client has drained half of it.
     stalled: bool,
-    /// A protocol error is pending behind the in-flight batch; emit
-    /// `ERROR` after its responses, then close.
-    error_after_batch: bool,
+    /// The peer finished sending (half-close). What is buffered is still
+    /// answered; the connection closes after the last complete command.
+    eof: bool,
+    /// Nothing more will be read or executed; close once `out` drains
+    /// (quit, protocol error, or everything before EOF answered).
+    closing: bool,
     /// Interest currently registered with the poller (`None` = none).
     registered: Option<Interest>,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            buf: Vec::with_capacity(4096),
-            out: VecDeque::new(),
-            out_head: 0,
-            out_bytes: 0,
-            last_activity: Instant::now(),
-            busy: false,
-            closing: false,
-            stalled: false,
-            error_after_batch: false,
-            registered: Some(Interest::READABLE),
-        }
-    }
-
-    fn enqueue(&mut self, resp: Vec<u8>) {
-        if !resp.is_empty() {
-            self.out_bytes += resp.len();
-            self.out.push_back(resp);
-        }
-    }
-}
-
-struct EventLoop {
-    cfg: ServerBuilder,
+/// One server thread: a poller, the connections it owns, and the queue of
+/// those that still have complete commands buffered after their turn.
+struct Reactor {
+    id: usize,
+    shared: Arc<Shared>,
+    cache: Arc<dyn Cache>,
     metrics: Arc<Metrics>,
     poll: Poll,
-    /// Dropped (stops accepting) once shutdown begins.
+    /// Reactor 0's; dropped (stops accepting) once shutdown begins.
     listener: Option<TcpListener>,
+    /// Sockets dealt so far; the next goes to reactor `dealt % n`.
+    dealt: usize,
     /// Connection slab: `Token(i)` ↔ `conns[i]`.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    active: usize,
-    shared: Arc<WorkerShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
+    /// Connections waiting for another turn, round-robin.
+    runq: VecDeque<usize>,
 }
 
-impl EventLoop {
+/// Pins the calling thread to the `nth` CPU (wrapping) of those the process
+/// may run on; on any failure the thread simply stays unpinned. Direct
+/// `extern "C"` like `third_party/mio`: `std` already links libc.
+fn pin_to_cpu(nth: usize) {
+    extern "C" {
+        fn sched_getaffinity(pid: i32, len: usize, mask: *mut u64) -> i32;
+        fn sched_setaffinity(pid: i32, len: usize, mask: *const u64) -> i32;
+    }
+    // glibc's `cpu_set_t`: 1024 bits.
+    let mut allowed = [0u64; 16];
+    let len = std::mem::size_of_val(&allowed);
+    // SAFETY: `allowed` is `len` writable bytes; pid 0 is the calling thread.
+    if unsafe { sched_getaffinity(0, len, allowed.as_mut_ptr()) } != 0 {
+        return;
+    }
+    let cpus: Vec<usize> = (0..len * 8)
+        .filter(|c| allowed[c / 64] >> (c % 64) & 1 == 1)
+        .collect();
+    if cpus.is_empty() {
+        return;
+    }
+    let cpu = cpus[nth % cpus.len()];
+    let mut one = [0u64; 16];
+    one[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: `one` is `len` readable bytes; pid 0 is the calling thread.
+    unsafe { sched_setaffinity(0, len, one.as_ptr()) };
+}
+
+impl Reactor {
     fn run(&mut self) {
+        // Sibling reactors each take a CPU of their own. Left to the
+        // scheduler, two reactors ping-ponging with two closed-loop clients
+        // on two vCPUs spend a fifth of the time stacked on one CPU while
+        // the other idles, and how often differs from run to run. A lone
+        // reactor has no sibling to be stacked on and stays unpinned.
+        if self.shared.mailboxes.len() > 1 {
+            pin_to_cpu(self.id);
+        }
         let mut events = Events::with_capacity(1024);
-        let tick =
-            (self.cfg.idle_timeout / 4).clamp(Duration::from_millis(1), Duration::from_millis(100));
+        let idle_timeout = self.shared.idle_timeout;
+        let tick = (idle_timeout / 4).clamp(Duration::from_millis(1), Duration::from_millis(100));
         let mut draining: Option<Instant> = None;
         let mut next_sweep = Instant::now() + tick;
         loop {
-            if self.poll.poll(&mut events, Some(tick)).is_err() {
+            // With connections waiting for a turn, only collect what is
+            // ready; sleep when there is nothing to run.
+            let waiting = self.runq.len();
+            let timeout = if waiting == 0 { tick } else { Duration::ZERO };
+            if self.poll.poll(&mut events, Some(timeout)).is_err() {
                 break;
             }
             if !events.is_empty() {
                 self.metrics.inc(Counter::EvloopWakeups);
             }
-            let ready: Vec<(Token, bool, bool)> = events
-                .iter()
-                .map(|e| (e.token(), e.is_readable(), e.is_writable()))
-                .collect();
-            for (token, readable, writable) in ready {
-                match token {
+            for event in events.iter() {
+                match event.token() {
                     LISTENER_TOKEN => self.accept_ready(),
-                    WAKER_TOKEN => {} // edge-triggered eventfd: nothing to drain
+                    // Edge-triggered eventfd: nothing to drain.
+                    WAKER_TOKEN => self.adopt_dealt(),
                     Token(id) => {
-                        if readable {
-                            self.conn_readable(id);
+                        if event.is_readable() {
+                            self.fill(id);
                         }
-                        if writable {
-                            self.conn_writable(id);
-                        }
+                        self.turn(id);
                     }
                 }
             }
-            self.collect_done();
+            // One turn for each connection that was waiting when this pass
+            // began; whoever is still not done re-queues behind the rest.
+            for _ in 0..waiting {
+                if let Some(id) = self.runq.pop_front() {
+                    self.turn(id);
+                }
+            }
             // The sweep walks every connection slot, so under load it runs
             // on its tick, not on every wakeup.
             let now = Instant::now();
             if now >= next_sweep {
-                self.sweep_idle();
+                self.sweep_idle(now, idle_timeout);
                 next_sweep = now + tick;
             }
-            if self.stop.load(Ordering::SeqCst) {
-                let deadline = *draining.get_or_insert_with(|| Instant::now() + SHUTDOWN_DRAIN);
-                // Stop accepting; in-flight work keeps draining until every
-                // connection has flushed or the deadline passes.
+            if self.shared.stop.load(Ordering::SeqCst) {
+                let deadline = *draining.get_or_insert(now + SHUTDOWN_DRAIN);
+                // Stop accepting; what was read keeps being answered until
+                // every connection has flushed or the deadline passes.
                 if let Some(mut l) = self.listener.take() {
                     let _ = self.poll.registry().deregister(&mut l);
                 }
-                let drained = self
-                    .conns
-                    .iter()
-                    .flatten()
-                    .all(|c| !c.busy && c.out_bytes == 0);
-                if drained || Instant::now() >= deadline {
+                let drained =
+                    self.runq.is_empty() && self.conns.iter().flatten().all(|c| c.out.is_empty());
+                if drained || now >= deadline {
                     break;
                 }
             }
         }
         for id in 0..self.conns.len() {
-            if self.conns[id].is_some() {
-                self.close_conn(id);
-            }
-        }
-        {
-            let mut q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            for _ in 0..self.workers.len() {
-                q.push_back(Work::Shutdown);
-            }
-        }
-        self.shared.available.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+            self.close_conn(id);
         }
     }
 
+    /// Reactor 0 only: accepts what is pending and deals each socket to the
+    /// next reactor in turn (itself included). Round-robin rather than
+    /// whoever-wakes-first so that k connections land on min(k, n) reactors.
     fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = self.listener.as_ref() else {
-                return;
-            };
+        let shared = &self.shared;
+        while let Some(listener) = self.listener.as_ref() {
             match listener.accept() {
-                Ok((stream, _)) => {
-                    if self.active >= self.cfg.max_connections || self.stop.load(Ordering::SeqCst) {
+                Ok((mut stream, _)) => {
+                    if shared.active.load(Ordering::SeqCst) >= shared.max_connections
+                        || shared.stop.load(Ordering::SeqCst)
+                    {
                         self.metrics.inc(Counter::ConnRejected);
-                        let mut stream = stream;
                         // Best-effort refusal: a fresh socket's send buffer
                         // is empty, so this short line won't block.
                         let _ = stream.write(b"SERVER_ERROR too many connections\r\n");
                         continue; // drops (closes) the stream
                     }
+                    shared.active.fetch_add(1, Ordering::SeqCst);
                     let _ = stream.set_nodelay(true);
-                    let id = self.free.pop().unwrap_or_else(|| {
-                        self.conns.push(None);
-                        self.conns.len() - 1
-                    });
-                    let mut conn = Conn::new(stream);
-                    if self
-                        .poll
-                        .registry()
-                        .register(&mut conn.stream, Token(id), Interest::READABLE)
-                        .is_err()
-                    {
-                        self.free.push(id);
-                        continue;
-                    }
-                    self.conns[id] = Some(conn);
-                    self.active += 1;
-                    self.metrics.inc(Counter::ConnOpened);
+                    let owner = &shared.mailboxes[self.dealt % shared.mailboxes.len()];
+                    self.dealt += 1;
+                    owner.inbox.lock().push(stream);
+                    let _ = owner.waker.wake();
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -571,216 +514,180 @@ impl EventLoop {
         }
     }
 
-    fn conn_readable(&mut self, id: usize) {
+    /// Takes the sockets dealt to this reactor and starts serving them.
+    fn adopt_dealt(&mut self) {
+        let dealt = std::mem::take(&mut *self.shared.mailboxes[self.id].inbox.lock());
+        for stream in dealt {
+            let id = self.free.pop().unwrap_or_else(|| {
+                self.conns.push(None);
+                self.conns.len() - 1
+            });
+            let mut conn = Conn {
+                stream,
+                buf: Vec::with_capacity(4096),
+                out: Vec::new(),
+                out_head: 0,
+                last_activity: Instant::now(),
+                stalled: false,
+                eof: false,
+                closing: false,
+                registered: Some(Interest::READABLE),
+            };
+            let registry = self.poll.registry();
+            if registry
+                .register(&mut conn.stream, Token(id), Interest::READABLE)
+                .is_err()
+            {
+                self.free.push(id);
+                self.shared.active.fetch_sub(1, Ordering::SeqCst);
+                continue;
+            }
+            self.conns[id] = Some(conn);
+            self.metrics.inc(Counter::ConnOpened);
+        }
+    }
+
+    /// Reads what the socket has into `buf`, up to the frame cap.
+    fn fill(&mut self, id: usize) {
         let mut chunk = [0u8; 16 * 1024];
         loop {
             let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
                 return;
             };
-            // Keep reading while a batch is at the workers: draining the
-            // socket keeps level-triggered polling quiet (no interest
-            // churn); the bytes just wait in `buf` until the batch
-            // completes. Only stalls and the frame cap stop reads.
-            if conn.stalled || conn.closing {
-                break;
+            // The frame cap doubles as the per-pass read budget: one
+            // firehose client can't keep its reactor in this loop.
+            if conn.stalled || conn.eof || conn.closing || conn.buf.len() >= MAX_FRAME_BYTES {
+                return;
             }
             match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    // EOF: serve out what's pending, then close.
-                    conn.closing = true;
-                    break;
-                }
+                Ok(0) => conn.eof = true,
                 Ok(n) => {
                     self.metrics.add(Counter::BytesRead, n as u64);
-                    let conn = self.conns[id].as_mut().expect("checked above");
                     conn.last_activity = Instant::now();
                     conn.buf.extend_from_slice(&chunk[..n]);
-                    // Enough buffered for a full dispatch round: stop the
-                    // read loop so one firehose client can't monopolize.
-                    if conn.buf.len() >= self.cfg.max_frame_bytes {
-                        break;
-                    }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(id);
-                    return;
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return self.close_conn(id),
             }
         }
-        self.dispatch(id);
-        self.flush(id);
-        self.after_io(id);
     }
 
-    fn conn_writable(&mut self, id: usize) {
+    /// One turn for a connection: execute, write, settle.
+    fn turn(&mut self, id: usize) {
+        let more = self.execute(id);
         self.flush(id);
-        self.after_io(id);
+        self.settle(id, more);
     }
 
-    /// Parses buffered bytes into a command batch and hands it to the
-    /// worker pool. At most one batch per connection is in flight.
-    fn dispatch(&mut self, id: usize) {
+    /// Parses up to [`MAX_BATCH_CMDS`] buffered commands and executes them
+    /// into `out`. Returns true when that budget ran out, i.e. there may be
+    /// complete commands left in `buf`.
+    fn execute(&mut self, id: usize) -> bool {
         let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
-            return;
+            return false;
         };
-        if conn.busy {
-            return;
+        if conn.stalled || conn.closing {
+            return false;
         }
-        if conn.out_bytes > self.cfg.write_queue_cap {
-            if !conn.stalled {
-                conn.stalled = true;
-                self.metrics.inc(Counter::EvloopQueueStalls);
-            }
-            return;
+        if conn.out.len() - conn.out_head > DEFAULT_WRITE_QUEUE_CAP {
+            conn.stalled = true;
+            self.metrics.inc(Counter::EvloopQueueStalls);
+            return false;
         }
-        conn.stalled = false;
         let mut cmds = Vec::new();
+        let mut used = 0;
         let mut error = false;
         while cmds.len() < MAX_BATCH_CMDS && !conn.closing {
-            match parse(&conn.buf) {
+            match parse(&conn.buf[used..]) {
                 Ok((Command::Quit, _)) => {
                     // Respond to everything before the quit, then hang up;
                     // bytes after it are discarded (the client said bye).
-                    conn.buf.clear();
+                    used = conn.buf.len();
                     conn.closing = true;
                 }
-                Ok((cmd, used)) => {
-                    conn.buf.drain(..used);
+                Ok((cmd, n)) => {
+                    used += n;
                     cmds.push(cmd);
                 }
                 Err(ParseError::Incomplete) => {
-                    if conn.buf.len() >= self.cfg.max_frame_bytes {
-                        // The frame can only keep growing; cut the
-                        // slowloris off.
-                        error = true;
-                    }
+                    // At the frame cap the frame can only keep growing: cut
+                    // the slowloris off. After EOF it can never complete.
+                    error = conn.buf.len() - used >= MAX_FRAME_BYTES;
+                    conn.closing = error || conn.eof;
                     break;
                 }
                 Err(ParseError::Bad(_)) => {
                     error = true;
-                    break;
+                    conn.closing = true;
                 }
             }
         }
-        if error {
-            self.metrics.inc(Counter::CmdBad);
-            conn.closing = true;
-            if cmds.is_empty() {
-                conn.enqueue(b"ERROR\r\n".to_vec());
-            } else {
-                // The ERROR line must follow the good commands' responses,
-                // which the worker is about to produce.
-                conn.error_after_batch = true;
-            }
-        }
-        if !cmds.is_empty() {
-            conn.busy = true;
-            self.shared
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(Work::Batch { conn: id, cmds });
-            self.shared.available.notify_one();
-        }
-    }
-
-    /// Collects finished batches from the workers, queues their responses,
-    /// and resumes the connections (flush + parse whatever piled up).
-    fn collect_done(&mut self) {
-        let done = std::mem::take(&mut *self.shared.done.lock().unwrap_or_else(|e| e.into_inner()));
-        for Done { conn: id, resp } in done {
-            let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
-                continue; // connection torn down during shutdown
-            };
-            conn.busy = false;
+        conn.buf.drain(..used);
+        if used > 0 {
             conn.last_activity = Instant::now();
-            conn.enqueue(resp);
-            if conn.error_after_batch {
-                conn.error_after_batch = false;
-                conn.enqueue(b"ERROR\r\n".to_vec());
-            }
-            self.dispatch(id);
-            self.flush(id);
-            self.after_io(id);
         }
+        let more = cmds.len() == MAX_BATCH_CMDS && !conn.closing;
+        run_batch(self.cache.as_ref(), cmds, &mut conn.out);
+        if error {
+            // After the good commands' responses, so the stream stays ordered.
+            self.metrics.inc(Counter::CmdBad);
+            conn.out.extend_from_slice(b"ERROR\r\n");
+        }
+        more
     }
 
-    /// Writes queued responses with one vectored write per pass until the
-    /// socket would block or the queue drains.
+    /// Writes `out` until the socket would block or it drains.
     fn flush(&mut self, id: usize) {
-        loop {
-            let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
-                return;
-            };
-            if conn.out_bytes == 0 {
-                break;
-            }
-            let mut slices = Vec::with_capacity(conn.out.len().min(64));
-            for (i, block) in conn.out.iter().enumerate().take(64) {
-                slices.push(IoSlice::new(if i == 0 {
-                    &block[conn.out_head..]
-                } else {
-                    &block[..]
-                }));
-            }
-            match conn.stream.write_vectored(&slices) {
-                Ok(0) => {
-                    self.close_conn(id);
-                    return;
-                }
+        let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
+            return;
+        };
+        while conn.out_head < conn.out.len() {
+            match conn.stream.write(&conn.out[conn.out_head..]) {
+                Ok(0) => return self.close_conn(id),
                 Ok(n) => {
                     self.metrics.add(Counter::BytesWritten, n as u64);
-                    let mut left = n;
-                    while left > 0 {
-                        let front_remaining =
-                            conn.out.front().expect("bytes queued").len() - conn.out_head;
-                        if left >= front_remaining {
-                            left -= front_remaining;
-                            conn.out_bytes -= front_remaining;
-                            conn.out.pop_front();
-                            conn.out_head = 0;
-                        } else {
-                            conn.out_head += left;
-                            conn.out_bytes -= left;
-                            left = 0;
-                        }
-                    }
+                    conn.out_head += n;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     // Socket buffer full with responses still queued: the
                     // remainder waits for the next writability event.
                     self.metrics.inc(Counter::EvloopPartialWrites);
-                    break;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(id);
                     return;
                 }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return self.close_conn(id),
             }
         }
+        conn.out.clear();
+        conn.out_head = 0;
+        conn.out.shrink_to(OUT_KEEP_BYTES);
     }
 
-    /// Settles a connection after I/O: close if finished, un-stall if the
-    /// queue drained, and re-register the interest set its state wants.
-    fn after_io(&mut self, id: usize) {
+    /// Settles a connection after its turn: close if finished, un-stall if
+    /// the client drained enough, queue it for another turn if it has more
+    /// to execute, and re-register the interest set its state wants.
+    fn settle(&mut self, id: usize, mut more: bool) {
         let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
             return;
         };
-        if conn.closing && !conn.busy && conn.out_bytes == 0 {
-            self.close_conn(id);
-            return;
+        let unsent = conn.out.len() - conn.out_head;
+        if conn.closing && unsent == 0 {
+            return self.close_conn(id);
         }
-        if conn.stalled && conn.out_bytes <= self.cfg.write_queue_cap / 2 {
-            // Hysteresis: resume reading once the client has drained half
-            // the cap, not on the first freed byte.
+        if conn.stalled && unsent <= DEFAULT_WRITE_QUEUE_CAP / 2 {
+            // Hysteresis: resume once the client has drained half the cap,
+            // not on the first freed byte. Commands read before the stall
+            // are still in `buf` and no readiness event will announce them.
             conn.stalled = false;
+            more = true;
         }
-        let want_read = !conn.closing && !conn.stalled && conn.buf.len() < self.cfg.max_frame_bytes;
-        let want_write = conn.out_bytes > 0;
-        let want = match (want_read, want_write) {
+        if more && !self.runq.contains(&id) {
+            self.runq.push_back(id);
+        }
+        let want_read =
+            !(conn.stalled || conn.eof || conn.closing) && conn.buf.len() < MAX_FRAME_BYTES;
+        let want = match (want_read, unsent > 0) {
             (true, true) => Some(Interest::READABLE | Interest::WRITABLE),
             (true, false) => Some(Interest::READABLE),
             (false, true) => Some(Interest::WRITABLE),
@@ -804,16 +711,12 @@ impl EventLoop {
 
     /// Reaps connections that have sat idle — no traffic, no pending work
     /// — longer than the idle timeout.
-    fn sweep_idle(&mut self) {
-        let now = Instant::now();
+    fn sweep_idle(&mut self, now: Instant, idle_timeout: Duration) {
         for id in 0..self.conns.len() {
-            let Some(conn) = self.conns[id].as_ref() else {
-                continue;
-            };
-            if !conn.busy
-                && conn.out_bytes == 0
-                && now.duration_since(conn.last_activity) >= self.cfg.idle_timeout
-            {
+            let idle = self.conns[id].as_ref().is_some_and(|c| {
+                c.out.is_empty() && now.duration_since(c.last_activity) >= idle_timeout
+            });
+            if idle {
                 self.metrics.inc(Counter::ConnIdleClosed);
                 self.close_conn(id);
             }
@@ -828,7 +731,7 @@ impl EventLoop {
             let _ = self.poll.registry().deregister(&mut conn.stream);
         }
         self.free.push(id);
-        self.active -= 1;
+        self.shared.active.fetch_sub(1, Ordering::SeqCst);
         self.metrics.inc(Counter::ConnClosed);
         // `conn.stream` drops (closes) here.
     }
@@ -1019,7 +922,7 @@ mod tests {
             .unwrap()
     }
 
-    /// Polls a metrics counter until it reaches `want` — the event loop
+    /// Polls a metrics counter until it reaches `want` — a reactor
     /// finishes teardown (conn_closed, etc.) asynchronously after the
     /// client observes its side of the close.
     fn wait_counter(cache: &KvCache, name: &str, want: u64) -> u64 {
@@ -1057,8 +960,6 @@ mod tests {
             ServerBuilder::new("127.0.0.1:0").max_connections(0),
             ServerBuilder::new("127.0.0.1:0").worker_threads(0),
             ServerBuilder::new("127.0.0.1:0").idle_timeout(Duration::ZERO),
-            ServerBuilder::new("127.0.0.1:0").max_frame_bytes(16),
-            ServerBuilder::new("127.0.0.1:0").write_queue_cap(0),
         ] {
             let err = bad.serve(Arc::clone(&cache) as Arc<dyn Cache>).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
@@ -1423,17 +1324,14 @@ mod tests {
     #[test]
     fn backpressure_stalls_and_recovers() {
         let cache = hash_cache();
-        let server = ServerBuilder::new("127.0.0.1:0")
-            .write_queue_cap(8 * 1024)
-            .serve(Arc::clone(&cache) as Arc<dyn Cache>)
-            .unwrap();
+        let server = start(&cache);
         let mut client = Client::connect(server.addr).unwrap();
         let value = vec![b'B'; 512 * 1024];
         client.set("big", &value).unwrap();
         // Pipeline 64 gets of a 512 KiB value without reading anything:
         // ~32 MB of responses exceeds what the loopback kernel buffers can
-        // absorb (forcing WouldBlock partial writes) and each response
-        // alone exceeds the 8 KiB write queue cap (forcing read stalls),
+        // absorb (forcing WouldBlock partial writes) and three unsent
+        // responses exceed the 1 MiB write queue cap (forcing read stalls),
         // so the server must stop reading instead of buffering everything.
         // Then drain and verify nothing was lost or reordered.
         let gets = 64;
@@ -1457,7 +1355,7 @@ mod tests {
             let snap = cache.stats_snapshot();
             assert!(
                 snap.get("evloop_queue_stalls").unwrap_or(0) > 0,
-                "64 × 16 KiB of queued responses never crossed the 8 KiB cap"
+                "64 × 512 KiB of queued responses never crossed the 1 MiB cap"
             );
             assert!(
                 snap.get("evloop_partial_writes").unwrap_or(0) > 0,
@@ -1469,9 +1367,17 @@ mod tests {
 
     #[test]
     fn connection_cap_bounds_slots() {
+        // The cap is one count over all reactors, not one per reactor.
+        for reactors in [1, 2] {
+            connection_cap_bounds_slots_with(reactors);
+        }
+    }
+
+    fn connection_cap_bounds_slots_with(reactors: usize) {
         let cache = hash_cache();
         let server = ServerBuilder::new("127.0.0.1:0")
             .max_connections(2)
+            .worker_threads(reactors)
             .serve(Arc::clone(&cache) as Arc<dyn Cache>)
             .unwrap();
         let mut held: Vec<Client> = (0..2)
@@ -1505,6 +1411,173 @@ mod tests {
         server.shutdown();
     }
 
+    /// `n` back-to-back replies to `get <key>` of `value`.
+    fn read_hits(stream: &mut StdTcpStream, key: &str, value: &[u8], n: usize) {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let mut want = format!("VALUE {key} 0 {}\r\n", value.len()).into_bytes();
+        want.extend_from_slice(value);
+        want.extend_from_slice(b"\r\nEND\r\n");
+        let mut got = vec![0u8; want.len()];
+        for i in 0..n {
+            stream
+                .read_exact(&mut got)
+                .unwrap_or_else(|e| panic!("reply {i} of {n} never arrived: {e}"));
+            assert!(got == want, "reply {i} of {n} is not the value");
+        }
+    }
+
+    #[test]
+    fn unstalled_connection_resumes_buffered_commands() {
+        let cache = hash_cache();
+        let server = start(&cache);
+        let value = vec![b'U'; 64 * 1024];
+        Client::connect(server.addr)
+            .unwrap()
+            .set("big", &value)
+            .unwrap();
+        // More gets than one turn executes, in one write, and nothing sent
+        // afterwards: the first turn's replies (16 MiB) stall the
+        // connection, and once the client has drained them only the server
+        // itself can notice the 44 commands still sitting in its buffer.
+        let gets = MAX_BATCH_CMDS + 44;
+        let mut stream = StdTcpStream::connect(server.addr).unwrap();
+        stream.write_all(&b"get big\r\n".repeat(gets)).unwrap();
+        // Read nothing until the stall has happened (the kernel's socket
+        // buffers hold a few MiB of the 16 at most).
+        if fptree_core::Metrics::enabled() {
+            let stalls = wait_counter(&cache, "evloop_queue_stalls", 1);
+            assert_eq!(stalls, 1, "16 MiB unsent never stalled");
+        } else {
+            std::thread::sleep(Duration::from_millis(200));
+        }
+        read_hits(&mut stream, "big", &value, gets);
+        server.shutdown();
+    }
+
+    #[test]
+    fn half_close_still_answers_buffered_commands() {
+        let cache = hash_cache();
+        let server = start(&cache);
+        let mut stream = StdTcpStream::connect(server.addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        // Request and FIN arrive together: EOF means "answer what is
+        // buffered, then close", not "close". The trailing partial frame
+        // can never complete and is dropped without an ERROR.
+        stream
+            .write_all(b"set k 0 0 1\r\nv\r\nget k\r\nget unfinis")
+            .unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut resp = Vec::new();
+        stream.read_to_end(&mut resp).unwrap();
+        assert_eq!(resp, b"STORED\r\nVALUE k 0 1\r\nv\r\nEND\r\n");
+        server.shutdown();
+    }
+
+    #[test]
+    fn connections_are_dealt_across_reactors() {
+        let cache = hash_cache();
+        let server = ServerBuilder::new("127.0.0.1:0")
+            .worker_threads(3)
+            .serve(Arc::clone(&cache) as Arc<dyn Cache>)
+            .unwrap();
+        // Nine live connections, three per reactor: every one is served,
+        // whichever thread owns it, and sees the others' writes.
+        let mut clients: Vec<Client> = (0..9)
+            .map(|_| Client::connect(server.addr).unwrap())
+            .collect();
+        for (i, c) in clients.iter_mut().enumerate() {
+            c.set(&format!("r{i}"), format!("v{i}").as_bytes()).unwrap();
+        }
+        for (i, c) in clients.iter_mut().enumerate() {
+            let next = (i + 1) % 9;
+            assert_eq!(
+                c.get(&format!("r{next}")).unwrap(),
+                Some(format!("v{next}").into_bytes())
+            );
+        }
+        if fptree_core::Metrics::enabled() {
+            let snap = cache.stats_snapshot();
+            assert_eq!(snap.get("conn_opened"), Some(9));
+            assert_eq!(snap.get("conn_rejected"), Some(0));
+        }
+        drop(clients);
+        if fptree_core::Metrics::enabled() {
+            assert_eq!(wait_counter(&cache, "conn_closed", 9), 9);
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn pin_to_cpu_narrows_the_thread_to_one_allowed_cpu() {
+        // `Cpus_allowed_list` of the calling thread, e.g. "0-1" or "0,2-3".
+        fn allowed() -> Vec<usize> {
+            let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+            let list = status
+                .lines()
+                .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
+                .unwrap();
+            list.trim()
+                .split(',')
+                .flat_map(|r| {
+                    let (lo, hi) = r.split_once('-').unwrap_or((r, r));
+                    lo.parse::<usize>().unwrap()..=hi.parse().unwrap()
+                })
+                .collect()
+        }
+        // A fresh thread per case: the pin is for the thread's lifetime.
+        for nth in 0..4 {
+            std::thread::spawn(move || {
+                let before = allowed();
+                pin_to_cpu(nth);
+                assert_eq!(allowed(), [before[nth % before.len()]], "nth = {nth}");
+            })
+            .join()
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn firehose_does_not_starve_a_neighbour() {
+        let cache = hash_cache();
+        let server = ServerBuilder::new("127.0.0.1:0")
+            .worker_threads(1) // both connections on the one reactor
+            .serve(Arc::clone(&cache) as Arc<dyn Cache>)
+            .unwrap();
+        let mut neighbour = Client::connect(server.addr).unwrap();
+        neighbour.version().unwrap();
+        // ~1 MiB of pipelined misses in one write: hundreds of turns' worth,
+        // with replies (5 bytes each) far below the backpressure cap.
+        let gets = (1 << 20) / b"get nokey\r\n".len();
+        let mut firehose = StdTcpStream::connect(server.addr).unwrap();
+        firehose.write_all(&b"get nokey\r\n".repeat(gets)).unwrap();
+        // The neighbour's request arrives behind all of that. `stats` is
+        // executed on the reactor, so its `cmd_get` says how far the
+        // firehose had got when the neighbour was served.
+        let stats = neighbour.stats().unwrap();
+        if fptree_core::Metrics::enabled() {
+            let done: usize = stats
+                .iter()
+                .find(|(name, _)| name == "cmd_get")
+                .and_then(|(_, v)| v.parse().ok())
+                .expect("cmd_get in stats");
+            assert!(
+                done < gets,
+                "neighbour waited for all {gets} firehose commands"
+            );
+        }
+        firehose
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let mut resp = vec![0u8; gets * b"END\r\n".len()];
+        firehose.read_exact(&mut resp).unwrap();
+        assert!(resp.chunks(5).all(|r| r == b"END\r\n"));
+        server.shutdown();
+    }
+
     #[test]
     fn stats_shards_over_tcp() {
         use crate::ShardedCache;
@@ -1521,7 +1594,7 @@ mod tests {
         for i in 0..20 {
             client.set(&format!("k{i}"), b"v").unwrap();
         }
-        // `stats shards` over the event loop: per-shard sections summing
+        // `stats shards` over the wire: per-shard sections summing
         // to the total item count.
         let mut stream = StdTcpStream::connect(server.addr).unwrap();
         stream.write_all(b"stats shards\r\nquit\r\n").unwrap();
@@ -1567,7 +1640,7 @@ mod tests {
     }
 
     #[test]
-    fn hundreds_of_concurrent_connections_on_one_thread() {
+    fn hundreds_of_concurrent_connections_on_two_reactors() {
         let cache = hash_cache();
         let server = ServerBuilder::new("127.0.0.1:0")
             .max_connections(600)

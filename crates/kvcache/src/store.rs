@@ -2,8 +2,17 @@
 //!
 //! memcached keeps items in a slab allocator and indexes them by a hash
 //! table; our trees index `key → item handle` instead, so the item store
-//! hands out stable u64 handles. Sharded to keep allocation off the hot
-//! lock (memcached's slab lock equivalent).
+//! hands out u64 handles. Sharded to keep allocation off the hot lock
+//! (memcached's slab lock equivalent).
+//!
+//! Slots are recycled, so a handle carries the slot's **generation**:
+//! `[idx:32][gen:24][shard:7][1]` (low bit keeps it nonzero). `remove`
+//! bumps the slot's generation; `get`/`remove` reject a handle whose
+//! generation is not the slot's. A reader that took a handle from the
+//! index and lost a race with the `set` that freed it therefore sees "no
+//! such item" — never whichever key's item moved into the slot since. The
+//! generation wraps at 2²⁴: a stale handle resolves again only if its
+//! holder sleeps across exactly 2²⁴ reuses of that one slot.
 
 use parking_lot::Mutex;
 
@@ -16,21 +25,44 @@ pub struct Item {
     pub data: Vec<u8>,
 }
 
+const SHARD_BITS: u32 = 7;
+const GEN_BITS: u32 = 24;
+const GEN_MASK: u64 = (1 << GEN_BITS) - 1;
+
+/// One slab slot, an [`Item`] taken apart so that the generation rides in
+/// what would be the item's padding: 32 bytes, never straddling a line.
+struct Slot {
+    /// Times this slot has been freed, mod 2²⁴.
+    gen: u32,
+    flags: u32,
+    /// `None` while the slot is on the free list.
+    data: Option<Vec<u8>>,
+}
+
 struct Shard {
-    slots: Vec<Option<Item>>,
+    slots: Vec<Slot>,
     free: Vec<u32>,
 }
 
-/// Sharded slab of items addressed by opaque u64 handles.
+impl Shard {
+    /// The slot `handle` names, if the handle's generation is still current.
+    fn slot(&mut self, handle: u64) -> Option<&mut Slot> {
+        let slot = self.slots.get_mut((handle >> 32) as usize)?;
+        (u64::from(slot.gen) == (handle >> (SHARD_BITS + 1)) & GEN_MASK).then_some(slot)
+    }
+}
+
+/// Sharded slab of items addressed by opaque, generation-tagged u64 handles.
 pub struct ItemStore {
     shards: Vec<Mutex<Shard>>,
     mask: u64,
 }
 
 impl ItemStore {
-    /// Creates a store with `shards` lock shards (rounded to a power of 2).
+    /// Creates a store with `shards` lock shards (rounded to a power of 2,
+    /// at most 128: the handle has 7 shard bits).
     pub fn new(shards: usize) -> ItemStore {
-        let n = shards.next_power_of_two().max(1);
+        let n = shards.clamp(1, 1 << SHARD_BITS).next_power_of_two();
         ItemStore {
             shards: (0..n)
                 .map(|_| {
@@ -50,55 +82,52 @@ impl ItemStore {
         // item data address has enough entropy here.
         let shard_idx = (item.data.as_ptr() as u64 >> 4) & self.mask;
         let mut shard = self.shards[shard_idx as usize].lock();
-        let idx = match shard.free.pop() {
-            Some(i) => {
-                shard.slots[i as usize] = Some(item);
-                i
-            }
-            None => {
-                shard.slots.push(Some(item));
-                (shard.slots.len() - 1) as u32
-            }
-        };
-        // handle = [idx:32][shard:31][1] — low bit keeps it nonzero.
-        ((idx as u64) << 32) | (shard_idx << 1) | 1
+        let idx = shard.free.pop().unwrap_or_else(|| {
+            shard.slots.push(Slot {
+                gen: 0,
+                flags: 0,
+                data: None,
+            });
+            (shard.slots.len() - 1) as u32
+        });
+        let slot = &mut shard.slots[idx as usize];
+        (slot.flags, slot.data) = (item.flags, Some(item.data));
+        (u64::from(idx) << 32) | (u64::from(slot.gen) << (SHARD_BITS + 1)) | (shard_idx << 1) | 1
     }
 
-    /// Reads a copy of the item behind `handle`.
+    /// Reads a copy of the item behind `handle`; `None` once it was freed,
+    /// whatever the slot holds now.
     pub fn get(&self, handle: u64) -> Option<Item> {
-        let (shard_idx, idx) = Self::split(handle, self.mask)?;
-        let shard = self.shards[shard_idx].lock();
-        shard.slots.get(idx).and_then(|s| s.clone())
+        let mut shard = self.shard(handle)?.lock();
+        let slot = shard.slot(handle)?;
+        Some(Item {
+            flags: slot.flags,
+            data: slot.data.clone()?,
+        })
     }
 
-    /// Frees the item behind `handle`.
+    /// Frees the item behind `handle` and retires the handle.
     pub fn remove(&self, handle: u64) -> Option<Item> {
-        let (shard_idx, idx) = Self::split(handle, self.mask)?;
-        let mut shard = self.shards[shard_idx].lock();
-        let item = shard.slots.get_mut(idx)?.take();
-        if item.is_some() {
-            shard.free.push(idx as u32);
-        }
-        item
+        let mut shard = self.shard(handle)?.lock();
+        let slot = shard.slot(handle)?;
+        let item = Item {
+            flags: slot.flags,
+            data: slot.data.take()?,
+        };
+        slot.gen = (slot.gen + 1) & GEN_MASK as u32;
+        shard.free.push((handle >> 32) as u32);
+        Some(item)
     }
 
-    fn split(handle: u64, mask: u64) -> Option<(usize, usize)> {
-        if handle & 1 == 0 {
-            return None;
-        }
-        let shard = ((handle >> 1) & mask) as usize;
-        let idx = (handle >> 32) as usize;
-        Some((shard, idx))
+    fn shard(&self, handle: u64) -> Option<&Mutex<Shard>> {
+        (handle & 1 == 1).then(|| &self.shards[((handle >> 1) & self.mask) as usize])
     }
 
     /// Number of live items.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                let g = s.lock();
-                g.slots.iter().filter(|x| x.is_some()).count()
-            })
+            .map(|s| s.lock().slots.iter().filter(|x| x.data.is_some()).count())
             .sum()
     }
 
@@ -149,11 +178,25 @@ mod tests {
             s.remove(*h);
         }
         assert!(s.is_empty());
+        // Every slot is free again; the next put reuses one. Its handle
+        // resolves, and the freed handle that named the same slot does not
+        // — neither for `get` nor for a second `remove`.
         let h = s.put(Item {
-            flags: 0,
-            data: vec![],
+            flags: 7,
+            data: b"new tenant".to_vec(),
         });
-        assert!(s.get(h).is_some());
+        assert_eq!(s.get(h).unwrap().flags, 7);
+        let stale: Vec<u64> = handles
+            .iter()
+            .copied()
+            .filter(|old| old >> 32 == h >> 32 && (old >> 1) & 1 == (h >> 1) & 1)
+            .collect();
+        assert_eq!(stale.len(), 1, "one old handle named the reused slot");
+        assert_ne!(stale[0], h);
+        assert!(s.get(stale[0]).is_none(), "freed handle resolved again");
+        assert!(s.remove(stale[0]).is_none());
+        assert!(handles.iter().all(|old| s.get(*old).is_none()));
+        assert_eq!(s.len(), 1);
     }
 
     #[test]

@@ -52,22 +52,6 @@ impl LatencyProfile {
     pub fn is_zero(&self) -> bool {
         self.read_ns == 0 && self.write_ns == 0
     }
-
-    /// Charges the read delay for `lines` cache lines.
-    #[inline]
-    pub fn delay_read(&self, lines: u64) {
-        if self.read_ns != 0 {
-            busy_wait_ns(self.read_ns * lines);
-        }
-    }
-
-    /// Charges the write delay for `lines` cache lines.
-    #[inline]
-    pub fn delay_write(&self, lines: u64) {
-        if self.write_ns != 0 {
-            busy_wait_ns(self.write_ns * lines);
-        }
-    }
 }
 
 /// Busy-waits for approximately `ns` nanoseconds.
@@ -101,12 +85,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_profile_returns_immediately() {
-        let p = LatencyProfile::DRAM;
+    fn zero_delay_returns_immediately() {
+        assert!(LatencyProfile::DRAM.is_zero());
         let t = Instant::now();
-        for _ in 0..10_000 {
-            p.delay_read(1);
-            p.delay_write(1);
+        for _ in 0..20_000 {
+            busy_wait_ns(LatencyProfile::DRAM.read_ns);
         }
         // 20k no-op delays must be far under a millisecond.
         assert!(t.elapsed().as_millis() < 50);
@@ -116,17 +99,6 @@ mod tests {
     fn busy_wait_waits_at_least_requested() {
         let t = Instant::now();
         busy_wait_ns(200_000); // 200 µs, comfortably above timer noise
-        assert!(t.elapsed().as_nanos() >= 200_000);
-    }
-
-    #[test]
-    fn delay_scales_with_lines() {
-        let p = LatencyProfile {
-            read_ns: 50_000,
-            write_ns: 0,
-        };
-        let t = Instant::now();
-        p.delay_read(4);
         assert!(t.elapsed().as_nanos() >= 200_000);
     }
 }

@@ -23,8 +23,8 @@ fn main() {
     ));
     let cache = Arc::new(KvCache::new(index));
 
-    // A real TCP server speaking the memcached text protocol: a
-    // readiness-polled event loop with a small worker pool.
+    // A real TCP server speaking the memcached text protocol: two reactor
+    // threads, each serving the connections dealt to it end to end.
     let server = ServerBuilder::new("127.0.0.1:0")
         .max_connections(64)
         .worker_threads(2)

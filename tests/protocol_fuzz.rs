@@ -208,3 +208,68 @@ fn incremental_parsing_matches_oneshot() {
         assert_eq!(parse(msg).expect("reparse"), oneshot);
     }
 }
+
+/// ROADMAP item 1 over the wire: two connections (one per reactor) read and
+/// overwrite the *same* sixteen keys. Every value ever written to a key
+/// starts with that key and no key is deleted, so each `VALUE` block must
+/// carry a requested key, bytes that start with it, and nothing may miss.
+#[test]
+fn shared_keys_over_two_connections_never_cross() {
+    use fptree_suite::core::ConcurrentFPTreeVar;
+    use fptree_suite::kvcache::{Cache, Client, ServerBuilder};
+    use std::sync::Arc;
+
+    let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).expect("pool"));
+    let tree = ConcurrentFPTreeVar::create(pool, TreeConfig::fptree_concurrent_var(), ROOT_SLOT);
+    let cache = Arc::new(KvCache::new(Arc::new(tree)));
+    let server = ServerBuilder::new("127.0.0.1:0")
+        .worker_threads(2)
+        .serve(Arc::clone(&cache) as Arc<dyn Cache>)
+        .expect("bind");
+    let keys: Vec<String> = (0..16).map(|k| format!("shared:{k:02}")).collect();
+    for key in &keys {
+        cache.set(key.as_bytes(), 0, format!("{key}|preload").into_bytes());
+    }
+    std::thread::scope(|scope| {
+        for conn in 0..2u64 {
+            let (keys, addr) = (&keys, server.addr);
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                let mut x = 0x2545_F491_4F6C_DD1Du64 ^ conn;
+                for i in 0..12_000u32 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let k = (x % 16) as usize;
+                    if x >> 60 < 4 {
+                        let pad = "x".repeat((x >> 32) as usize % 40);
+                        let value = format!("{}|{conn}:{i}:{pad}", keys[k]);
+                        client.set(&keys[k], value.as_bytes()).expect("set");
+                        continue;
+                    }
+                    let want = [
+                        &keys[k][..],
+                        &keys[(k + 5) % 16][..],
+                        &keys[(k + 11) % 16][..],
+                    ];
+                    let want = &want[..1 + (x >> 40) as usize % 3];
+                    let got = client.get_multi(want).expect("get");
+                    let hit: Vec<&String> = got.iter().map(|(key, _)| key).collect();
+                    assert_eq!(
+                        hit, want,
+                        "a never-deleted key missed, or a foreign key answered"
+                    );
+                    for (key, data) in &got {
+                        assert!(
+                            data.starts_with(format!("{key}|").as_bytes()),
+                            "{key} answered {:?}",
+                            String::from_utf8_lossy(data)
+                        );
+                    }
+                }
+            });
+        }
+    });
+    server.shutdown();
+    assert_eq!(cache.len(), 16);
+}
