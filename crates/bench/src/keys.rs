@@ -12,6 +12,16 @@ pub fn shuffled_keys(n: usize, seed: u64) -> Vec<u64> {
         .collect()
 }
 
+/// Two disjoint sets of `n` shuffled keys: `warm` preloads a tree, `extra`
+/// is what an insert phase adds (and a delete phase takes away). Shuffled
+/// sets from neighbouring seeds overlap, since `shuffled_keys(n, s + 1)` is
+/// `shuffled_keys(n, s)` shifted by one, so both halves come from one set.
+pub fn key_sets(n: usize, seed: u64) -> (Vec<u64>, Vec<u64>) {
+    let mut warm = shuffled_keys(2 * n, seed);
+    let extra = warm.split_off(n);
+    (warm, extra)
+}
+
 /// 16-byte string key for the variable-size-key experiments (paper: 16-byte
 /// strings).
 pub fn string_key(k: u64) -> Vec<u8> {
@@ -33,6 +43,14 @@ mod tests {
         assert_eq!(s.len(), 10_000);
         let c = shuffled_keys(100, 2);
         assert_ne!(&a[..100], &c[..]);
+    }
+
+    #[test]
+    fn key_sets_are_disjoint() {
+        let (warm, extra) = key_sets(5_000, 1);
+        assert_eq!((warm.len(), extra.len()), (5_000, 5_000));
+        let warm: std::collections::HashSet<u64> = warm.into_iter().collect();
+        assert!(extra.iter().all(|k| !warm.contains(k)));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! mc-benchmark-style driver (Figure 13).
+//! Load generators for the cache: mc-benchmark-style clients for
+//! Figure 13 and TCP connection scaling for Figure 14's repo table.
 //!
 //! The paper runs mc-benchmark (50 clients) against memcached over a
 //! 940 Mbit/s network and finds performance *network-bound*: concurrent
@@ -9,15 +10,14 @@
 //! that long per request, capping the per-client request rate exactly like
 //! a fixed-RTT link; server-side work is the real index operation.
 
-use std::io::{self, Read, Write};
-use std::net::SocketAddr;
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
+use fptree_kvcache::Cache;
 use fptree_pmem::busy_wait_ns;
-
-use crate::cache::Cache;
 
 /// Workload configuration.
 #[derive(Debug, Clone, Copy)]
@@ -34,34 +34,11 @@ pub struct McBenchConfig {
     pub net_ns: u64,
 }
 
-impl Default for McBenchConfig {
-    fn default() -> Self {
-        McBenchConfig {
-            requests: 100_000,
-            clients: 50,
-            keyspace: 100_000,
-            value_size: 32,
-            net_ns: 8_000,
-        }
-    }
-}
-
-/// Result of one phase.
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseResult {
-    /// Requests completed.
-    pub requests: usize,
-    /// Wall-clock seconds.
-    pub secs: f64,
-    /// Requests per second.
-    pub ops_per_sec: f64,
-}
-
-/// SET-phase + GET-phase results.
+/// Throughput of each phase, requests per second.
 #[derive(Debug, Clone, Copy)]
 pub struct McBenchResult {
-    pub set: PhaseResult,
-    pub get: PhaseResult,
+    pub set: f64,
+    pub get: f64,
 }
 
 /// Runs the SET-then-GET workload against `cache` (any [`Cache`]:
@@ -72,45 +49,26 @@ pub fn run(cache: &dyn Cache, cfg: &McBenchConfig) -> McBenchResult {
     McBenchResult { set, get }
 }
 
-fn run_phase(cache: &dyn Cache, cfg: &McBenchConfig, is_set: bool) -> PhaseResult {
-    let next = Arc::new(AtomicU64::new(0));
-    let total = cfg.requests as u64;
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..cfg.clients {
-            let next = Arc::clone(&next);
-            scope.spawn(move || {
-                let payload = vec![0x42u8; cfg.value_size];
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    // mc-benchmark key shape: "memtier"-style counter key.
-                    let key = format!("key:{:012}", i as usize % cfg.keyspace);
-                    if cfg.net_ns > 0 {
-                        busy_wait_ns(cfg.net_ns);
-                    }
-                    if is_set {
-                        cache.set(key.as_bytes(), 0, payload.clone());
-                    } else {
-                        let _ = cache.get(key.as_bytes());
-                    }
-                }
-            });
+fn run_phase(cache: &dyn Cache, cfg: &McBenchConfig, is_set: bool) -> f64 {
+    let payload = vec![0x42u8; cfg.value_size];
+    let us = crate::drive(cfg.clients, cfg.requests, |i| {
+        // mc-benchmark key shape: "memtier"-style counter key.
+        let key = format!("key:{:012}", i % cfg.keyspace);
+        if cfg.net_ns > 0 {
+            busy_wait_ns(cfg.net_ns);
+        }
+        if is_set {
+            cache.set(key.as_bytes(), 0, payload.clone());
+        } else {
+            let _ = cache.get(key.as_bytes());
         }
     });
-    let secs = start.elapsed().as_secs_f64();
-    PhaseResult {
-        requests: cfg.requests,
-        secs,
-        ops_per_sec: cfg.requests as f64 / secs,
-    }
+    cfg.requests as f64 / us * 1e6
 }
 
 /// Configuration for the connection-scaling sweep (`fig14_connscale`):
 /// many open TCP connections, driven over real sockets against the
-/// event-loop server.
+/// reactor server.
 #[derive(Debug, Clone, Copy)]
 pub struct ConnScaleConfig {
     /// Open (and exercised) concurrent connections.
@@ -129,20 +87,6 @@ pub struct ConnScaleConfig {
     /// Every `set_every`-th window is SETs; the rest are GETs
     /// (0 = GET-only).
     pub set_every: usize,
-}
-
-impl Default for ConnScaleConfig {
-    fn default() -> Self {
-        ConnScaleConfig {
-            conns: 64,
-            threads: 4,
-            requests: 100_000,
-            pipeline: 16,
-            keyspace: 10_000,
-            value_size: 32,
-            set_every: 10,
-        }
-    }
 }
 
 /// Result of one connection-scaling run.
@@ -173,7 +117,7 @@ pub fn run_connscale(addr: SocketAddr, cfg: &ConnScaleConfig) -> io::Result<Conn
     let total_windows = (cfg.requests / cfg.pipeline) as u64;
     // All connections open before the clock starts.
     let ready = Arc::new(Barrier::new(threads + 1));
-    let payload = vec![0x42u8; cfg.value_size]; // no CR/LF inside
+    let payload = vec![0x42u8; cfg.value_size]; // no CR/LF inside: one line
     let mut elapsed = std::time::Duration::ZERO;
     let counts: Vec<u64> = std::thread::scope(|scope| -> io::Result<Vec<u64>> {
         let handles: Vec<_> = (0..threads)
@@ -183,42 +127,31 @@ pub fn run_connscale(addr: SocketAddr, cfg: &ConnScaleConfig) -> io::Result<Conn
                 let payload = &payload;
                 scope.spawn(move || -> io::Result<u64> {
                     let mut socks = Vec::with_capacity(per_thread);
-                    for _ in 0..per_thread {
-                        let s = std::net::TcpStream::connect(addr)?;
-                        s.set_nodelay(true)?;
-                        socks.push(s);
-                    }
                     // Handshake every socket before the clock starts: a
                     // connect() alone only reaches the kernel backlog, so
                     // without this the server would still be accepting and
                     // registering thousands of sockets inside the timed
                     // window (and a socket over the server's connection cap
-                    // would silently count as "open").
-                    for s in &mut socks {
+                    // would silently count as "open"). Handshaking each one
+                    // as it connects also keeps the listen backlog short: a
+                    // burst of thousands of connects overflows it, and each
+                    // dropped SYN costs a one-second retransmit.
+                    for _ in 0..per_thread {
+                        let mut s = TcpStream::connect(addr)?;
+                        s.set_nodelay(true)?;
                         s.write_all(b"version\r\n")?;
-                        let mut b = [0u8; 1];
-                        loop {
-                            if s.read(&mut b)? == 0 {
-                                return Err(io::Error::other(
-                                    "server closed during handshake (connection cap?)",
-                                ));
-                            }
-                            if b[0] == b'\n' {
-                                break;
-                            }
-                        }
+                        await_lines(&s, b"VERSION", 1)?;
+                        socks.push(s);
                     }
                     ready.wait();
                     let mut completed = 0u64;
-                    let mut resp = vec![0u8; cfg.pipeline * (cfg.value_size + 64)];
                     loop {
                         let w = windows.fetch_add(1, Ordering::Relaxed);
                         if w >= total_windows {
                             break;
                         }
                         let sock = &mut socks[w as usize % per_thread];
-                        // Homogeneous windows: all SETs or all GETs, so the
-                        // response size is predictable without parsing.
+                        // Homogeneous windows: all SETs or all GETs.
                         let is_set = cfg.set_every > 0 && w.is_multiple_of(cfg.set_every as u64);
                         let mut msg = Vec::with_capacity(cfg.pipeline * (cfg.value_size + 48));
                         for i in 0..cfg.pipeline {
@@ -235,30 +168,10 @@ pub fn run_connscale(addr: SocketAddr, cfg: &ConnScaleConfig) -> io::Result<Conn
                             }
                         }
                         sock.write_all(&msg)?;
-                        if is_set {
-                            // Exactly one "STORED\r\n" per set.
-                            sock.read_exact(&mut resp[..cfg.pipeline * 8])?;
-                        } else {
-                            // Hits and misses both end in "END\r\n"; count
-                            // terminators until every get is answered.
-                            let mut ends = 0usize;
-                            let mut buf = Vec::new();
-                            while ends < cfg.pipeline {
-                                let n = sock.read(&mut resp)?;
-                                if n == 0 {
-                                    return Err(io::Error::other("server closed mid-window"));
-                                }
-                                // A terminator can straddle reads: scan with
-                                // 4 bytes of carry-over.
-                                let carry = buf.len().saturating_sub(4);
-                                buf.extend_from_slice(&resp[..n]);
-                                ends += buf[carry..].windows(5).filter(|w| w == b"END\r\n").count();
-                                if ends < cfg.pipeline && buf.len() > 8 {
-                                    let keep = buf.len() - 4;
-                                    buf.drain(..keep);
-                                }
-                            }
-                        }
+                        // One "STORED" per set; hits and misses of a get
+                        // both end in "END".
+                        let last: &[u8] = if is_set { b"STORED" } else { b"END" };
+                        await_lines(sock, last, cfg.pipeline)?;
                         completed += cfg.pipeline as u64;
                     }
                     Ok(completed)
@@ -284,11 +197,28 @@ pub fn run_connscale(addr: SocketAddr, cfg: &ConnScaleConfig) -> io::Result<Conn
     })
 }
 
+/// Reads response lines from `sock` until `n` of them start with `prefix`.
+/// The caller has nothing else in flight, so no byte is left buffered.
+fn await_lines(sock: &TcpStream, prefix: &[u8], n: usize) -> io::Result<()> {
+    let mut reader = BufReader::new(sock);
+    let (mut line, mut seen) = (Vec::new(), 0);
+    while seen < n {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            return Err(io::Error::other(
+                "server closed the connection (connection cap?)",
+            ));
+        }
+        seen += usize::from(line.starts_with(prefix));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::KvCache;
     use fptree_baselines::HashIndex;
+    use fptree_kvcache::KvCache;
 
     #[test]
     fn runs_both_phases() {
@@ -301,9 +231,7 @@ mod tests {
             net_ns: 0,
         };
         let r = run(cache.as_ref(), &cfg);
-        assert_eq!(r.set.requests, 5000);
-        assert!(r.set.ops_per_sec > 0.0);
-        assert!(r.get.ops_per_sec > 0.0);
+        assert!(r.set > 0.0 && r.get > 0.0);
         assert_eq!(cache.len(), 1000);
     }
 
@@ -320,16 +248,16 @@ mod tests {
         let r = run(cache.as_ref(), &cfg);
         // 2 clients at ≤10k req/s each.
         assert!(
-            r.set.ops_per_sec < 25_000.0,
+            r.set < 25_000.0,
             "modeled network should cap throughput, got {}",
-            r.set.ops_per_sec
+            r.set
         );
     }
 
     #[test]
     fn connscale_drives_real_sockets() {
         let cache = Arc::new(KvCache::new(Arc::new(HashIndex::<Vec<u8>>::new(16))));
-        let server = crate::ServerBuilder::new("127.0.0.1:0")
+        let server = fptree_kvcache::ServerBuilder::new("127.0.0.1:0")
             .max_connections(128)
             .serve(Arc::clone(&cache) as Arc<dyn Cache>)
             .unwrap();

@@ -1,16 +1,15 @@
-//! Result emission: aligned tables on stdout, JSON lines to `--out`.
-
-use std::io::Write;
+//! Result tables: aligned text and JSON lines.
 
 /// One result row: label plus named numeric fields.
 #[derive(Debug, Clone)]
 pub struct Row {
-    /// Row label (tree name, latency, thread count…).
+    /// Row label (tree name, latency, thread count…); unique within its
+    /// report's experiment.
     pub label: String,
     /// `(column, value)` pairs in display order.
     pub fields: Vec<(String, f64)>,
-    /// Observability snapshot attached by `--metrics` runs; embedded as a
-    /// `"metrics"` sub-object in the JSON line, omitted from the table.
+    /// Observability snapshot of the row's tree; embedded as a `"metrics"`
+    /// sub-object in the JSON line, omitted from the table.
     pub metrics: Option<fptree_core::Snapshot>,
 }
 
@@ -37,11 +36,16 @@ impl Row {
         self.metrics = snapshot;
         self
     }
+
+    /// Value of field `name`.
+    pub fn get(&self, name: &str) -> Option<f64> {
+        self.fields.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+    }
 }
 
 /// A titled collection of rows that renders as a table and as JSON lines.
 pub struct Report {
-    /// Experiment id (e.g. "fig7_base_ops").
+    /// Experiment id (e.g. "fig7_ops_fixed"); every JSON line carries it.
     pub experiment: String,
     /// Human title.
     pub title: String,
@@ -63,6 +67,16 @@ impl Report {
         self.rows.push(row);
     }
 
+    /// The rows, in order.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
+    }
+
+    /// The row labelled `label`.
+    pub fn row(&self, label: &str) -> Option<&Row> {
+        self.rows.iter().find(|r| r.label == label)
+    }
+
     /// Renders the table to a string.
     pub fn render(&self) -> String {
         let mut out = format!("\n== {} ({}) ==\n", self.title, self.experiment);
@@ -70,11 +84,6 @@ impl Report {
             out.push_str("(no rows)\n");
             return out;
         }
-        let cols: Vec<&str> = self.rows[0]
-            .fields
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .collect();
         let label_w = self
             .rows
             .iter()
@@ -83,7 +92,7 @@ impl Report {
             .unwrap_or(5)
             .max("label".len());
         out.push_str(&format!("{:label_w$}", "label"));
-        for c in &cols {
+        for (c, _) in &self.rows[0].fields {
             out.push_str(&format!("  {c:>12}"));
         }
         out.push('\n');
@@ -101,56 +110,34 @@ impl Report {
         out
     }
 
-    /// Prints the table and, if `out` is set, appends JSON lines to it.
-    pub fn emit(&self, out: Option<&str>) {
-        print!("{}", self.render());
-        if let Some(path) = out {
-            let mut f = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .expect("open --out file");
-            for r in &self.rows {
-                writeln!(f, "{}", self.json_line(r)).expect("write --out");
-            }
-        }
+    /// One JSON object line per row.
+    pub fn to_jsonl(&self) -> String {
+        self.rows.iter().map(|r| self.json_line(r) + "\n").collect()
     }
 
     /// Renders one row as a JSON object line (hand-rolled: the offline build
     /// carries no serde).
     fn json_line(&self, r: &Row) -> String {
-        let mut line = String::from("{");
-        push_json_str(&mut line, "experiment");
-        line.push(':');
-        push_json_str(&mut line, &self.experiment);
-        line.push(',');
-        push_json_str(&mut line, "label");
-        line.push(':');
-        push_json_str(&mut line, &r.label);
+        let (experiment, label) = (json_str(&self.experiment), json_str(&r.label));
+        let mut line = format!("{{\"experiment\":{experiment},\"label\":{label}");
         for (k, v) in &r.fields {
-            line.push(',');
-            push_json_str(&mut line, k);
-            line.push(':');
-            if v.is_finite() {
-                line.push_str(&format!("{v}"));
+            let v = if v.is_finite() {
+                v.to_string()
             } else {
-                line.push_str("null");
-            }
+                "null".into()
+            };
+            line += &format!(",{}:{v}", json_str(k));
         }
         if let Some(snap) = &r.metrics {
-            line.push(',');
-            push_json_str(&mut line, "metrics");
-            line.push(':');
-            line.push_str(&snap.to_json());
+            line += &format!(",\"metrics\":{}", snap.to_json());
         }
-        line.push('}');
-        line
+        line + "}"
     }
 }
 
-/// Appends `s` as a JSON string literal (quoted, escaped).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
+/// `s` as a JSON string literal (quoted, escaped).
+pub(crate) fn json_str(s: &str) -> String {
+    let mut out = String::from('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -162,7 +149,7 @@ fn push_json_str(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-    out.push('"');
+    out + "\""
 }
 
 #[cfg(test)]
@@ -182,19 +169,19 @@ mod tests {
         assert!(s.contains("Test table"));
         assert!(s.contains("fptree"));
         assert!(s.contains("1234567"));
+        assert_eq!(r.row("wb").and_then(|row| row.get("us")), Some(2.0));
     }
 
     #[test]
     fn emits_json_lines() {
-        let dir = std::env::temp_dir().join(format!("fpt-report-{}", std::process::id()));
-        let _ = std::fs::remove_file(&dir);
         let mut r = Report::new("exp", "t");
         r.push(Row::new("a").field("x", 1.5));
-        r.emit(dir.to_str());
-        let content = std::fs::read_to_string(&dir).unwrap();
-        let line = content.lines().next().unwrap();
-        assert_eq!(line, r#"{"experiment":"exp","label":"a","x":1.5}"#);
-        let _ = std::fs::remove_file(&dir);
+        r.push(Row::new("b").field("x", 2.0));
+        assert_eq!(
+            r.to_jsonl(),
+            "{\"experiment\":\"exp\",\"label\":\"a\",\"x\":1.5}\n\
+             {\"experiment\":\"exp\",\"label\":\"b\",\"x\":2}\n"
+        );
     }
 
     #[test]

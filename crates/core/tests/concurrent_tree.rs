@@ -457,9 +457,21 @@ fn htm_stats_report_fallbacks_under_contention() {
     for h in handles {
         h.join().unwrap();
     }
-    let (attempts, _aborts, _fallbacks, writes) = t.htm_stats();
+    let (attempts, aborts, fallbacks, writes) = t.htm_stats();
     assert!(attempts > 0);
     assert!(writes > 0, "structural ops must have taken the lock");
+    // What `SpecLock::execute` guarantees however the threads interleaved:
+    // a fallback follows MAX_RETRIES aborted attempts and takes the lock.
+    let retries = u64::from(fptree_htm::MAX_RETRIES);
+    assert!(
+        aborts >= retries * fallbacks,
+        "{aborts} aborts for {fallbacks} fallbacks"
+    );
+    assert!(
+        writes >= fallbacks,
+        "{writes} writes, {fallbacks} fallbacks"
+    );
+    assert!(attempts >= aborts, "{attempts} attempts, {aborts} aborts");
 }
 
 /// Generic helper used by both key kinds to test open() key-kind mismatch.

@@ -6,12 +6,10 @@
 //! This crate provides the pieces: a sharded [`store::ItemStore`], the
 //! [`cache::KvCache`] core over any [`fptree_core::index::BytesIndex`], a
 //! memcached text-[`protocol`] implementation with a TCP [`server`]
-//! front-end, and the [`mcbench`] workload driver with a modeled network
-//! cost (see DESIGN.md §2 for the substitution argument).
+//! front-end (see DESIGN.md §2 for the substitution argument).
 
 pub mod cache;
 pub mod lru;
-pub mod mcbench;
 pub mod protocol;
 pub mod server;
 pub mod shard;
@@ -19,10 +17,6 @@ pub mod store;
 
 pub use cache::{Cache, KvCache};
 pub use lru::LruList;
-pub use mcbench::{
-    run as run_mcbench, run_connscale, ConnScaleConfig, ConnScaleResult, McBenchConfig,
-    McBenchResult,
-};
 pub use server::{Client, ServerBuilder, ServerHandle};
 pub use shard::ShardedCache;
 pub use store::{Item, ItemStore};

@@ -22,7 +22,7 @@
 //! Construct servers with [`ServerBuilder`].
 //!
 //! The mc-benchmark harness still defaults to in-process calls with a
-//! modeled network cost (see [`crate::mcbench`]) because the paper's
+//! modeled network cost (`fptree-figures fig13`) because the paper's
 //! finding under test is that the *network* is the bottleneck, not
 //! loopback throughput.
 
