@@ -5,13 +5,15 @@
 //! values = item references) and measuring mc-benchmark SET/GET throughput.
 //! This crate provides the pieces: a sharded [`store::ItemStore`], the
 //! [`cache::KvCache`] core over any [`fptree_core::index::BytesIndex`], a
-//! memcached text-[`protocol`] implementation with a TCP [`server`]
-//! front-end (see DESIGN.md §2 for the substitution argument).
+//! memcached text-[`protocol`] implementation, the per-connection
+//! [`session`] state machine, and the TCP [`server`] front-end that moves
+//! bytes for it (see DESIGN.md §2 for the substitution argument).
 
 pub mod cache;
 pub mod lru;
 pub mod protocol;
 pub mod server;
+pub mod session;
 pub mod shard;
 pub mod store;
 

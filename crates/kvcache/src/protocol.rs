@@ -201,19 +201,9 @@ fn find_crlf(buf: &[u8]) -> Option<usize> {
     buf.windows(2).position(|w| w == b"\r\n")
 }
 
-/// Executes a command against the cache and renders the response bytes
-/// (empty for `noreply` commands and for `quit`).
-pub fn execute(cache: &dyn Cache, cmd: &Command) -> Vec<u8> {
-    let mut out = Vec::new();
-    execute_into(cache, cmd, &mut out);
-    out
-}
-
 /// Executes a command against the cache, appending the rendered response to
-/// `out` (nothing for `noreply` commands and for `quit`). The event-loop
-/// server accumulates one contiguous response block per pipelined batch
-/// through this form, so a whole batch flushes as one vectored write;
-/// [`execute`] wraps it for single commands.
+/// `out` (nothing for `noreply` commands and for `quit`). A server session
+/// renders a whole turn's responses into its one output buffer this way.
 pub fn execute_into(cache: &dyn Cache, cmd: &Command, out: &mut Vec<u8>) {
     match cmd {
         Command::Set {
@@ -348,6 +338,13 @@ mod tests {
 
     fn cache() -> KvCache {
         KvCache::new(Arc::new(HashIndex::<Vec<u8>>::new(4)))
+    }
+
+    /// The rendered response to `cmd`.
+    fn execute(cache: &dyn Cache, cmd: &Command) -> Vec<u8> {
+        let mut out = Vec::new();
+        execute_into(cache, cmd, &mut out);
+        out
     }
 
     #[test]

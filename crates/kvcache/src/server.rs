@@ -3,21 +3,24 @@
 //!
 //! Each of the [`ServerBuilder::worker_threads`] reactors owns a poller and
 //! the connections dealt to it, and does everything for them on its own
-//! thread: read → [`crate::protocol`] parser → execute → write. Reactor 0
-//! additionally owns the listener and deals accepted sockets round-robin;
-//! that hand-over, once per connection, is the only cross-thread traffic.
-//! Sibling reactors pin themselves one per allowed CPU, so where they run
-//! is as deterministic as which connections they own. Connections are registered nonblocking sockets plus a small state
-//! machine, not OS threads, so the server sustains thousands of them (the
-//! `fig14_connscale` benchmark sweeps connection counts). A turn executes
-//! at most `MAX_BATCH_CMDS` pipelined commands into the connection's output
-//! buffer — pipelined `set`s still coalesce (→ [`Cache::set_batch`]) — and
-//! a connection with more buffered than that waits on its reactor's run
-//! queue behind its neighbours. Backpressure: a connection whose unsent
-//! responses exceed [`DEFAULT_WRITE_QUEUE_CAP`] stops being read until the
-//! client drains them (`evloop_queue_stalls`); idle connections are reaped
-//! after [`ServerBuilder::idle_timeout`] (`conn_idle_closed`); shutdown
-//! drains in-flight responses before closing.
+//! thread: read → parse → execute → write. Reactor 0 additionally owns the
+//! listener and deals accepted sockets round-robin; that hand-over, once per
+//! connection, is the only cross-thread traffic. Sibling reactors pin
+//! themselves one per allowed CPU, so where they run is as deterministic as
+//! which connections they own.
+//!
+//! A connection is a registered nonblocking socket plus a [`Session`], not
+//! an OS thread, so the server sustains thousands of them (`fptree-figures
+//! fig14` sweeps connection counts). The split is sans-IO: the session owns
+//! every per-connection rule — frame cap, per-turn command budget, `set`
+//! coalescing (→ [`Cache::set_batch`]), backpressure, half-close, response
+//! order — and never sees a socket, a clock or a poller. The reactor only
+//! moves bytes between sockets and sessions, gives a session another turn
+//! from its run queue when the last one used its budget, maps what the
+//! session wants onto poller interest, reaps idle connections after
+//! [`ServerBuilder::idle_timeout`] (`conn_idle_closed`), and drains
+//! in-flight responses at shutdown. A command that panics closes only its
+//! own connection.
 //!
 //! Construct servers with [`ServerBuilder`].
 //!
@@ -29,6 +32,7 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,21 +43,7 @@ use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
 
 use crate::cache::Cache;
-use crate::protocol::{execute_into, parse, Command, ParseError};
-
-/// Upper bound on one connection's unparsed request buffer. A client that
-/// streams bytes without ever completing a frame (a slowloris, or a `set`
-/// announcing an absurd byte count) is answered `ERROR` and disconnected
-/// instead of growing the buffer without limit. Sized above memcached's
-/// traditional 1 MiB item ceiling so every legitimate frame still fits.
-pub const MAX_FRAME_BYTES: usize = (1 << 20) + 4096;
-
-/// Most consecutive pipelined `set` commands coalesced into one
-/// [`Cache::set_batch`] call. A client that pipelines its load phase
-/// (memcached `noreply` style) gets the tree's amortized batched write path
-/// — one flush/fence set per touched leaf — instead of a full persistence
-/// round per key.
-pub const SET_BATCH_MAX: usize = 64;
+use crate::session::{Session, Turn};
 
 /// Default cap on concurrently served connections, across all reactors.
 /// Connections are poll slots, not threads, so
@@ -66,19 +56,6 @@ pub const MAX_CONNECTIONS: usize = 1024;
 /// with no traffic and no pending work before it is reaped
 /// (`conn_idle_closed`).
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
-
-/// Backpressure threshold in bytes: once a connection has this much unsent
-/// response data, the server stops reading and executing for it until the
-/// client has drained half of it (`evloop_queue_stalls`).
-pub const DEFAULT_WRITE_QUEUE_CAP: usize = 1 << 20;
-
-/// Most commands one connection executes per turn; what the client
-/// pipelined beyond this waits on the run queue while the reactor's other
-/// connections get their turn (fairness, and a bound on per-turn memory).
-const MAX_BATCH_CMDS: usize = 256;
-
-/// Output-buffer capacity a connection keeps once its responses drain.
-const OUT_KEEP_BYTES: usize = 16 * 1024;
 
 /// How long shutdown waits for in-flight responses to drain before closing
 /// the remaining connections.
@@ -272,51 +249,6 @@ impl std::fmt::Debug for ServerHandle {
     }
 }
 
-/// Executes one turn's commands, appending every response to `resp` in
-/// command order. Runs of consecutive `set`s coalesce into
-/// [`Cache::set_batch`] calls — responses stay in command order because
-/// every coalesced command is a set.
-fn run_batch(cache: &dyn Cache, cmds: Vec<Command>, resp: &mut Vec<u8>) {
-    let mut it = cmds.into_iter().peekable();
-    while let Some(cmd) = it.next() {
-        let Command::Set {
-            key,
-            flags,
-            data,
-            noreply,
-        } = cmd
-        else {
-            execute_into(cache, &cmd, resp);
-            continue;
-        };
-        let mut sets = vec![(key, flags, data, noreply)];
-        while sets.len() < SET_BATCH_MAX && matches!(it.peek(), Some(Command::Set { .. })) {
-            let Some(Command::Set {
-                key,
-                flags,
-                data,
-                noreply,
-            }) = it.next()
-            else {
-                unreachable!("peeked a set");
-            };
-            sets.push((key, flags, data, noreply));
-        }
-        cache.metrics().add(Counter::CmdSet, sets.len() as u64);
-        for (_, _, _, noreply) in &sets {
-            if !noreply {
-                resp.extend_from_slice(b"STORED\r\n");
-            }
-        }
-        if sets.len() == 1 {
-            let (key, flags, data, _) = sets.pop().expect("one set");
-            cache.set(&key, flags, data);
-        } else {
-            cache.set_batch(sets.into_iter().map(|(k, f, d, _)| (k, f, d)).collect());
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Reactors
 // ---------------------------------------------------------------------------
@@ -341,27 +273,14 @@ struct Mailbox {
     waker: Waker,
 }
 
-/// Per-connection state machine.
+/// A socket and its session.
 struct Conn {
     stream: TcpStream,
-    /// Unparsed request bytes.
-    buf: Vec<u8>,
-    /// Rendered responses; `out[out_head..]` is still to be written.
-    out: Vec<u8>,
-    out_head: usize,
-    /// Last traffic (bytes read or commands executed), for idle reaping.
-    last_activity: Instant,
-    /// Reads and execution paused: unsent responses crossed the cap
-    /// (backpressure). Cleared once the client has drained half of it.
-    stalled: bool,
-    /// The peer finished sending (half-close). What is buffered is still
-    /// answered; the connection closes after the last complete command.
-    eof: bool,
-    /// Nothing more will be read or executed; close once `out` drains
-    /// (quit, protocol error, or everything before EOF answered).
-    closing: bool,
+    session: Session,
     /// Interest currently registered with the poller (`None` = none).
     registered: Option<Interest>,
+    /// On the run queue.
+    queued: bool,
 }
 
 /// One server thread: a poller, the connections it owns, and the queue of
@@ -442,26 +361,30 @@ impl Reactor {
                     LISTENER_TOKEN => self.accept_ready(),
                     // Edge-triggered eventfd: nothing to drain.
                     WAKER_TOKEN => self.adopt_dealt(),
-                    Token(id) => {
-                        if event.is_readable() {
-                            self.fill(id);
-                        }
-                        self.turn(id);
-                    }
+                    Token(id) => self.turn(id, event.is_readable()),
                 }
             }
             // One turn for each connection that was waiting when this pass
             // began; whoever is still not done re-queues behind the rest.
             for _ in 0..waiting {
-                if let Some(id) = self.runq.pop_front() {
-                    self.turn(id);
+                let id = self.runq.pop_front().expect("only this loop pops");
+                if let Some(conn) = self.conns[id].as_mut() {
+                    conn.queued = false;
                 }
+                self.turn(id, false);
             }
-            // The sweep walks every connection slot, so under load it runs
-            // on its tick, not on every wakeup.
+            // Reap connections idle (no traffic, nothing unsent) past the
+            // timeout. The sweep walks every connection slot, so under load
+            // it runs on its tick, not on every wakeup.
             let now = Instant::now();
             if now >= next_sweep {
-                self.sweep_idle(now, idle_timeout);
+                for id in 0..self.conns.len() {
+                    let conn = self.conns[id].as_ref();
+                    if conn.is_some_and(|c| c.session.idle(now, idle_timeout)) {
+                        self.metrics.inc(Counter::ConnIdleClosed);
+                        self.close_conn(id);
+                    }
+                }
                 next_sweep = now + tick;
             }
             if self.shared.stop.load(Ordering::SeqCst) {
@@ -471,8 +394,8 @@ impl Reactor {
                 if let Some(mut l) = self.listener.take() {
                     let _ = self.poll.registry().deregister(&mut l);
                 }
-                let drained =
-                    self.runq.is_empty() && self.conns.iter().flatten().all(|c| c.out.is_empty());
+                let busy = |c: &Conn| c.queued || !c.session.output().is_empty();
+                let drained = !self.conns.iter().flatten().any(busy);
                 if drained || now >= deadline {
                     break;
                 }
@@ -522,204 +445,90 @@ impl Reactor {
                 self.conns.push(None);
                 self.conns.len() - 1
             });
-            let mut conn = Conn {
+            self.conns[id] = Some(Conn {
                 stream,
-                buf: Vec::with_capacity(4096),
-                out: Vec::new(),
-                out_head: 0,
-                last_activity: Instant::now(),
-                stalled: false,
-                eof: false,
-                closing: false,
-                registered: Some(Interest::READABLE),
-            };
-            let registry = self.poll.registry();
-            if registry
-                .register(&mut conn.stream, Token(id), Interest::READABLE)
-                .is_err()
-            {
-                self.free.push(id);
-                self.shared.active.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            self.conns[id] = Some(conn);
+                session: Session::new(Instant::now()),
+                registered: None,
+                queued: false,
+            });
             self.metrics.inc(Counter::ConnOpened);
+            // Registers the interest a fresh session wants.
+            self.turn(id, false);
         }
     }
 
-    /// Reads what the socket has into `buf`, up to the frame cap.
-    fn fill(&mut self, id: usize) {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
-                return;
-            };
-            // The frame cap doubles as the per-pass read budget: one
-            // firehose client can't keep its reactor in this loop.
-            if conn.stalled || conn.eof || conn.closing || conn.buf.len() >= MAX_FRAME_BYTES {
-                return;
-            }
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => conn.eof = true,
-                Ok(n) => {
-                    self.metrics.add(Counter::BytesRead, n as u64);
-                    conn.last_activity = Instant::now();
-                    conn.buf.extend_from_slice(&chunk[..n]);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return self.close_conn(id),
-            }
-        }
-    }
-
-    /// One turn for a connection: execute, write, settle.
-    fn turn(&mut self, id: usize) {
-        let more = self.execute(id);
-        self.flush(id);
-        self.settle(id, more);
-    }
-
-    /// Parses up to [`MAX_BATCH_CMDS`] buffered commands and executes them
-    /// into `out`. Returns true when that budget ran out, i.e. there may be
-    /// complete commands left in `buf`.
-    fn execute(&mut self, id: usize) -> bool {
-        let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
-            return false;
-        };
-        if conn.stalled || conn.closing {
-            return false;
-        }
-        if conn.out.len() - conn.out_head > DEFAULT_WRITE_QUEUE_CAP {
-            conn.stalled = true;
-            self.metrics.inc(Counter::EvloopQueueStalls);
-            return false;
-        }
-        let mut cmds = Vec::new();
-        let mut used = 0;
-        let mut error = false;
-        while cmds.len() < MAX_BATCH_CMDS && !conn.closing {
-            match parse(&conn.buf[used..]) {
-                Ok((Command::Quit, _)) => {
-                    // Respond to everything before the quit, then hang up;
-                    // bytes after it are discarded (the client said bye).
-                    used = conn.buf.len();
-                    conn.closing = true;
-                }
-                Ok((cmd, n)) => {
-                    used += n;
-                    cmds.push(cmd);
-                }
-                Err(ParseError::Incomplete) => {
-                    // At the frame cap the frame can only keep growing: cut
-                    // the slowloris off. After EOF it can never complete.
-                    error = conn.buf.len() - used >= MAX_FRAME_BYTES;
-                    conn.closing = error || conn.eof;
-                    break;
-                }
-                Err(ParseError::Bad(_)) => {
-                    error = true;
-                    conn.closing = true;
-                }
-            }
-        }
-        conn.buf.drain(..used);
-        if used > 0 {
-            conn.last_activity = Instant::now();
-        }
-        let more = cmds.len() == MAX_BATCH_CMDS && !conn.closing;
-        run_batch(self.cache.as_ref(), cmds, &mut conn.out);
-        if error {
-            // After the good commands' responses, so the stream stays ordered.
-            self.metrics.inc(Counter::CmdBad);
-            conn.out.extend_from_slice(b"ERROR\r\n");
-        }
-        more
-    }
-
-    /// Writes `out` until the socket would block or it drains.
-    fn flush(&mut self, id: usize) {
+    /// One turn for a connection: read what the socket has (after a
+    /// readiness event), execute, write until the socket would block, then
+    /// close the connection, queue it for another turn, or re-register the
+    /// interest its session wants.
+    fn turn(&mut self, id: usize, readable: bool) {
         let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
             return;
         };
-        while conn.out_head < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.out_head..]) {
+        if readable {
+            let mut chunk = [0u8; 16 * 1024];
+            // The frame cap ends the session's appetite, so it doubles as
+            // the per-pass read budget: one firehose client can't keep its
+            // reactor in this loop.
+            while conn.session.want().0 {
+                match conn.stream.read(&mut chunk) {
+                    Ok(0) => conn.session.eof(),
+                    Ok(n) => {
+                        self.metrics.add(Counter::BytesRead, n as u64);
+                        conn.session.input(&chunk[..n]);
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => return self.close_conn(id),
+                }
+            }
+        }
+        // A command that panics ends its own connection, not the reactor
+        // and every other connection dealt to it.
+        let turned = || conn.session.turn(self.cache.as_ref(), Instant::now());
+        let Ok(Turn { more, close }) = catch_unwind(AssertUnwindSafe(turned)) else {
+            return self.close_conn(id);
+        };
+        while !conn.session.output().is_empty() {
+            match conn.stream.write(conn.session.output()) {
                 Ok(0) => return self.close_conn(id),
                 Ok(n) => {
                     self.metrics.add(Counter::BytesWritten, n as u64);
-                    conn.out_head += n;
+                    conn.session.wrote(n);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     // Socket buffer full with responses still queued: the
                     // remainder waits for the next writability event.
                     self.metrics.inc(Counter::EvloopPartialWrites);
-                    return;
+                    break;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return self.close_conn(id),
             }
         }
-        conn.out.clear();
-        conn.out_head = 0;
-        conn.out.shrink_to(OUT_KEEP_BYTES);
-    }
-
-    /// Settles a connection after its turn: close if finished, un-stall if
-    /// the client drained enough, queue it for another turn if it has more
-    /// to execute, and re-register the interest set its state wants.
-    fn settle(&mut self, id: usize, mut more: bool) {
-        let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
-            return;
-        };
-        let unsent = conn.out.len() - conn.out_head;
-        if conn.closing && unsent == 0 {
+        if close && conn.session.output().is_empty() {
             return self.close_conn(id);
         }
-        if conn.stalled && unsent <= DEFAULT_WRITE_QUEUE_CAP / 2 {
-            // Hysteresis: resume once the client has drained half the cap,
-            // not on the first freed byte. Commands read before the stall
-            // are still in `buf` and no readiness event will announce them.
-            conn.stalled = false;
-            more = true;
-        }
-        if more && !self.runq.contains(&id) {
+        if more && !conn.queued {
+            conn.queued = true;
             self.runq.push_back(id);
         }
-        let want_read =
-            !(conn.stalled || conn.eof || conn.closing) && conn.buf.len() < MAX_FRAME_BYTES;
-        let want = match (want_read, unsent > 0) {
+        let want = match conn.session.want() {
             (true, true) => Some(Interest::READABLE | Interest::WRITABLE),
             (true, false) => Some(Interest::READABLE),
             (false, true) => Some(Interest::WRITABLE),
             (false, false) => None,
         };
-        if want == conn.registered {
-            return;
-        }
         let registry = self.poll.registry();
         let res = match (conn.registered, want) {
-            (Some(_), Some(interest)) => registry.reregister(&mut conn.stream, Token(id), interest),
+            (old, new) if old == new => return,
+            (_, None) => registry.deregister(&mut conn.stream),
             (None, Some(interest)) => registry.register(&mut conn.stream, Token(id), interest),
-            (Some(_), None) => registry.deregister(&mut conn.stream),
-            (None, None) => Ok(()),
+            (Some(_), Some(interest)) => registry.reregister(&mut conn.stream, Token(id), interest),
         };
         match res {
             Ok(()) => conn.registered = want,
             Err(_) => self.close_conn(id),
-        }
-    }
-
-    /// Reaps connections that have sat idle — no traffic, no pending work
-    /// — longer than the idle timeout.
-    fn sweep_idle(&mut self, now: Instant, idle_timeout: Duration) {
-        for id in 0..self.conns.len() {
-            let idle = self.conns[id].as_ref().is_some_and(|c| {
-                c.out.is_empty() && now.duration_since(c.last_activity) >= idle_timeout
-            });
-            if idle {
-                self.metrics.inc(Counter::ConnIdleClosed);
-                self.close_conn(id);
-            }
         }
     }
 
@@ -1002,92 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn noreply_pipelining_over_tcp() {
-        let cache = hash_cache();
-        let server = start(&cache);
-        let mut stream = StdTcpStream::connect(server.addr).unwrap();
-        // Pipeline noreply sets + a final get; only the get answers.
-        let mut msg = Vec::new();
-        for i in 0..10 {
-            msg.extend_from_slice(format!("set k{i} 0 0 2 noreply\r\nv{i}\r\n").as_bytes());
-        }
-        msg.extend_from_slice(b"get k7\r\n");
-        stream.write_all(&msg).unwrap();
-        let mut resp = Vec::new();
-        let mut chunk = [0u8; 1024];
-        while !resp.ends_with(b"END\r\n") {
-            let n = stream.read(&mut chunk).unwrap();
-            assert!(n > 0, "server closed before responding");
-            resp.extend_from_slice(&chunk[..n]);
-        }
-        assert_eq!(resp, b"VALUE k7 0 2\r\nv7\r\nEND\r\n");
-        assert_eq!(cache.len(), 10);
-        server.shutdown();
-    }
-
-    #[test]
-    fn multi_key_get_over_tcp() {
-        let cache = tree_cache();
-        let server = start(&cache);
-        let mut client = Client::connect(server.addr).unwrap();
-        for i in 0..20 {
-            client
-                .set(&format!("k{i:02}"), format!("v{i}").as_bytes())
-                .unwrap();
-        }
-        // Present keys come back as consecutive VALUE blocks before END,
-        // in request order; the absent key is skipped.
-        let items = client.get_multi(&["k07", "missing", "k01", "k19"]).unwrap();
-        assert_eq!(
-            items,
-            vec![
-                ("k07".to_string(), b"v7".to_vec()),
-                ("k01".to_string(), b"v1".to_vec()),
-                ("k19".to_string(), b"v19".to_vec()),
-            ]
-        );
-        // All-absent multi-get: bare END.
-        assert!(client.get_multi(&["x", "y"]).unwrap().is_empty());
-        server.shutdown();
-    }
-
-    #[test]
-    fn pipelined_sets_are_batched() {
-        let cache = tree_cache();
-        let server = start(&cache);
-        let mut stream = StdTcpStream::connect(server.addr).unwrap();
-        // One write carrying many sets: the server coalesces whatever is
-        // buffered into set_batch calls. Mixed noreply and replied sets
-        // must still answer exactly the replied ones, in order.
-        let mut msg = Vec::new();
-        for i in 0..40 {
-            let nr = if i % 2 == 0 { " noreply" } else { "" };
-            msg.extend_from_slice(format!("set b{i:02} 0 0 3{nr}\r\nv{i:02}\r\n").as_bytes());
-        }
-        msg.extend_from_slice(b"quit\r\n");
-        stream.write_all(&msg).unwrap();
-        let mut resp = Vec::new();
-        stream.read_to_end(&mut resp).unwrap();
-        let expect: Vec<u8> = std::iter::repeat_n(b"STORED\r\n".to_vec(), 20)
-            .flatten()
-            .collect();
-        assert_eq!(resp, expect);
-        assert_eq!(cache.len(), 40);
-        for i in 0..40 {
-            let (_, v) = cache.get(format!("b{i:02}").as_bytes()).unwrap();
-            assert_eq!(v, format!("v{i:02}").into_bytes());
-        }
-        if fptree_core::Metrics::enabled() {
-            let snap = cache.stats_snapshot();
-            assert_eq!(snap.get("cmd_set"), Some(40));
-            // At least some of the load went through the batched tree path.
-            let batched = snap.get("insert_batch_keys").unwrap_or(0);
-            assert!(batched > 0, "pipelined sets never hit insert_batch");
-        }
-        server.shutdown();
-    }
-
-    #[test]
     fn shutdown_is_idempotent() {
         let cache = hash_cache();
         let server = start(&cache);
@@ -1192,87 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn bad_command_counts_and_errors() {
-        let cache = hash_cache();
-        let server = start(&cache);
-        let mut stream = StdTcpStream::connect(server.addr).unwrap();
-        stream.write_all(b"frobnicate\r\n").unwrap();
-        let mut resp = Vec::new();
-        stream.read_to_end(&mut resp).unwrap();
-        assert_eq!(resp, b"ERROR\r\n");
-        if fptree_core::Metrics::enabled() {
-            assert_eq!(cache.stats_snapshot().get("cmd_bad"), Some(1));
-        }
-        server.shutdown();
-    }
-
-    #[test]
-    fn error_after_good_pipelined_commands_keeps_order() {
-        let cache = hash_cache();
-        let server = start(&cache);
-        let mut stream = StdTcpStream::connect(server.addr).unwrap();
-        // Two good commands then garbage, all in one write: the responses
-        // must arrive in order, ERROR last, then close.
-        stream
-            .write_all(b"set k 0 0 1\r\nv\r\nget k\r\nfrobnicate\r\n")
-            .unwrap();
-        let mut resp = Vec::new();
-        stream.read_to_end(&mut resp).unwrap();
-        assert_eq!(resp, b"STORED\r\nVALUE k 0 1\r\nv\r\nEND\r\nERROR\r\n");
-        server.shutdown();
-    }
-
-    #[test]
-    fn slowloris_frame_is_capped() {
-        let cache = hash_cache();
-        let server = start(&cache);
-        let mut stream = StdTcpStream::connect(server.addr).unwrap();
-        // One endless unterminated line: the parser stays Incomplete while
-        // the buffer grows, so the server must answer ERROR and hang up at
-        // MAX_FRAME_BYTES instead of buffering without limit.
-        let chunk = [b'x'; 4096];
-        let mut sent = 0;
-        while sent < MAX_FRAME_BYTES {
-            stream.write_all(&chunk).unwrap();
-            sent += chunk.len();
-        }
-        let mut resp = Vec::new();
-        stream.read_to_end(&mut resp).unwrap();
-        assert_eq!(resp, b"ERROR\r\n");
-        if fptree_core::Metrics::enabled() {
-            assert_eq!(cache.stats_snapshot().get("cmd_bad"), Some(1));
-        }
-        server.shutdown();
-    }
-
-    #[test]
-    fn byte_at_a_time_requests_and_tiny_chunk_reads() {
-        let cache = hash_cache();
-        let server = start(&cache);
-        let mut stream = StdTcpStream::connect(server.addr).unwrap();
-        // Drip every request byte individually: the connection state
-        // machine must accumulate short reads across readiness events.
-        for b in b"set slow 0 0 5\r\nhello\r\nget slow\r\n" {
-            stream.write_all(std::slice::from_ref(b)).unwrap();
-        }
-        // Read the responses one byte at a time too.
-        let want = b"STORED\r\nVALUE slow 0 5\r\nhello\r\nEND\r\n";
-        let mut got = Vec::new();
-        let mut byte = [0u8; 1];
-        while got.len() < want.len() {
-            let n = stream.read(&mut byte).unwrap();
-            assert!(
-                n > 0,
-                "server closed early: {:?}",
-                String::from_utf8_lossy(&got)
-            );
-            got.extend_from_slice(&byte[..n]);
-        }
-        assert_eq!(got, want);
-        server.shutdown();
-    }
-
-    #[test]
     fn idle_connection_is_reaped() {
         let cache = hash_cache();
         let server = ServerBuilder::new("127.0.0.1:0")
@@ -1303,6 +945,55 @@ mod tests {
     }
 
     #[test]
+    fn unstalled_connection_resumes_buffered_commands() {
+        let cache = hash_cache();
+        let server = start(&cache);
+        let value = vec![b'U'; 64 * 1024];
+        Client::connect(server.addr)
+            .unwrap()
+            .set("big", &value)
+            .unwrap();
+        // More gets than one turn executes (256), in one write, and nothing
+        // sent afterwards: the first turn's replies (16 MiB) fill the socket
+        // and stall the connection, and once the client has drained them
+        // only a writability event can wake the turn that resumes the 44
+        // commands still buffered. This is the reactor's half of the
+        // stall/resume contract the session tests check without sockets.
+        let gets = 300;
+        let mut stream = StdTcpStream::connect(server.addr).unwrap();
+        stream.write_all(&b"get big\r\n".repeat(gets)).unwrap();
+        // Read nothing until the stall has happened (the kernel's socket
+        // buffers hold a few MiB of the 16 at most).
+        if fptree_core::Metrics::enabled() {
+            let stalls = wait_counter(&cache, "evloop_queue_stalls", 1);
+            assert_eq!(stalls, 1, "16 MiB unsent never stalled");
+        } else {
+            std::thread::sleep(Duration::from_millis(200));
+        }
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let mut want = format!("VALUE big 0 {}\r\n", value.len()).into_bytes();
+        want.extend_from_slice(&value);
+        want.extend_from_slice(b"\r\nEND\r\n");
+        let mut got = vec![0u8; want.len()];
+        for i in 0..gets {
+            stream
+                .read_exact(&mut got)
+                .unwrap_or_else(|e| panic!("reply {i} of {gets} never arrived: {e}"));
+            assert!(got == want, "reply {i} of {gets} is not the value");
+        }
+        if fptree_core::Metrics::enabled() {
+            let partial = cache.stats_snapshot().get("evloop_partial_writes");
+            assert!(
+                partial.unwrap_or(0) > 0,
+                "an unread client should have produced partial writes"
+            );
+        }
+        server.shutdown();
+    }
+
+    #[test]
     fn idle_reap_frees_slot_at_the_connection_cap() {
         let cache = hash_cache();
         let server = ServerBuilder::new("127.0.0.1:0")
@@ -1318,50 +1009,6 @@ mod tests {
             Client::connect(server.addr).is_ok_and(|mut c| c.version().is_ok())
         });
         assert!(ok, "idle reap never freed the slot");
-        server.shutdown();
-    }
-
-    #[test]
-    fn backpressure_stalls_and_recovers() {
-        let cache = hash_cache();
-        let server = start(&cache);
-        let mut client = Client::connect(server.addr).unwrap();
-        let value = vec![b'B'; 512 * 1024];
-        client.set("big", &value).unwrap();
-        // Pipeline 64 gets of a 512 KiB value without reading anything:
-        // ~32 MB of responses exceeds what the loopback kernel buffers can
-        // absorb (forcing WouldBlock partial writes) and three unsent
-        // responses exceed the 1 MiB write queue cap (forcing read stalls),
-        // so the server must stop reading instead of buffering everything.
-        // Then drain and verify nothing was lost or reordered.
-        let gets = 64;
-        let mut stream = StdTcpStream::connect(server.addr).unwrap();
-        for _ in 0..gets {
-            stream.write_all(b"get big\r\n").unwrap();
-        }
-        std::thread::sleep(Duration::from_millis(200)); // let queues fill
-        stream.write_all(b"quit\r\n").unwrap();
-        let mut resp = Vec::new();
-        stream.read_to_end(&mut resp).unwrap();
-        let one = {
-            let mut b = format!("VALUE big 0 {}\r\n", value.len()).into_bytes();
-            b.extend_from_slice(&value);
-            b.extend_from_slice(b"\r\nEND\r\n");
-            b
-        };
-        let want: Vec<u8> = std::iter::repeat_n(one, gets).flatten().collect();
-        assert_eq!(resp, want);
-        if fptree_core::Metrics::enabled() {
-            let snap = cache.stats_snapshot();
-            assert!(
-                snap.get("evloop_queue_stalls").unwrap_or(0) > 0,
-                "64 × 512 KiB of queued responses never crossed the 1 MiB cap"
-            );
-            assert!(
-                snap.get("evloop_partial_writes").unwrap_or(0) > 0,
-                "an unread client should have produced partial writes"
-            );
-        }
         server.shutdown();
     }
 
@@ -1408,72 +1055,6 @@ mod tests {
             Client::connect(server.addr).is_ok_and(|mut c| c.version().is_ok())
         });
         assert!(ok, "slot was not released after a connection closed");
-        server.shutdown();
-    }
-
-    /// `n` back-to-back replies to `get <key>` of `value`.
-    fn read_hits(stream: &mut StdTcpStream, key: &str, value: &[u8], n: usize) {
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        let mut want = format!("VALUE {key} 0 {}\r\n", value.len()).into_bytes();
-        want.extend_from_slice(value);
-        want.extend_from_slice(b"\r\nEND\r\n");
-        let mut got = vec![0u8; want.len()];
-        for i in 0..n {
-            stream
-                .read_exact(&mut got)
-                .unwrap_or_else(|e| panic!("reply {i} of {n} never arrived: {e}"));
-            assert!(got == want, "reply {i} of {n} is not the value");
-        }
-    }
-
-    #[test]
-    fn unstalled_connection_resumes_buffered_commands() {
-        let cache = hash_cache();
-        let server = start(&cache);
-        let value = vec![b'U'; 64 * 1024];
-        Client::connect(server.addr)
-            .unwrap()
-            .set("big", &value)
-            .unwrap();
-        // More gets than one turn executes, in one write, and nothing sent
-        // afterwards: the first turn's replies (16 MiB) stall the
-        // connection, and once the client has drained them only the server
-        // itself can notice the 44 commands still sitting in its buffer.
-        let gets = MAX_BATCH_CMDS + 44;
-        let mut stream = StdTcpStream::connect(server.addr).unwrap();
-        stream.write_all(&b"get big\r\n".repeat(gets)).unwrap();
-        // Read nothing until the stall has happened (the kernel's socket
-        // buffers hold a few MiB of the 16 at most).
-        if fptree_core::Metrics::enabled() {
-            let stalls = wait_counter(&cache, "evloop_queue_stalls", 1);
-            assert_eq!(stalls, 1, "16 MiB unsent never stalled");
-        } else {
-            std::thread::sleep(Duration::from_millis(200));
-        }
-        read_hits(&mut stream, "big", &value, gets);
-        server.shutdown();
-    }
-
-    #[test]
-    fn half_close_still_answers_buffered_commands() {
-        let cache = hash_cache();
-        let server = start(&cache);
-        let mut stream = StdTcpStream::connect(server.addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        // Request and FIN arrive together: EOF means "answer what is
-        // buffered, then close", not "close". The trailing partial frame
-        // can never complete and is dropped without an ERROR.
-        stream
-            .write_all(b"set k 0 0 1\r\nv\r\nget k\r\nget unfinis")
-            .unwrap();
-        stream.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut resp = Vec::new();
-        stream.read_to_end(&mut resp).unwrap();
-        assert_eq!(resp, b"STORED\r\nVALUE k 0 1\r\nv\r\nEND\r\n");
         server.shutdown();
     }
 
@@ -1538,6 +1119,66 @@ mod tests {
             .join()
             .unwrap();
         }
+    }
+
+    /// A cache whose multi-get panics on the key `boom`.
+    struct Boom(KvCache);
+
+    impl Cache for Boom {
+        fn metrics(&self) -> &Arc<Metrics> {
+            Cache::metrics(&self.0)
+        }
+        fn stats_snapshot(&self) -> fptree_core::metrics::Snapshot {
+            self.0.stats_snapshot()
+        }
+        fn set(&self, key: &[u8], flags: u32, data: Vec<u8>) {
+            self.0.set(key, flags, data)
+        }
+        fn set_batch(&self, items: Vec<(Vec<u8>, u32, Vec<u8>)>) {
+            self.0.set_batch(items)
+        }
+        fn get(&self, key: &[u8]) -> Option<(u32, Vec<u8>)> {
+            self.0.get(key)
+        }
+        fn get_many(&self, keys: &[Vec<u8>]) -> Vec<Option<(u32, Vec<u8>)>> {
+            assert!(!keys.iter().any(|k| k == b"boom"), "boom");
+            self.0.get_many(keys)
+        }
+        fn delete(&self, key: &[u8]) -> bool {
+            self.0.delete(key)
+        }
+        fn scan(&self, start: &[u8], count: usize) -> Option<Vec<crate::cache::ScanItem>> {
+            self.0.scan(start, count)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    #[test]
+    fn a_panicking_command_closes_only_its_connection() {
+        let cache = Arc::new(Boom(KvCache::new(Arc::new(HashIndex::<Vec<u8>>::new(8)))));
+        let server = ServerBuilder::new("127.0.0.1:0")
+            .max_connections(2)
+            .worker_threads(1) // the victim and its neighbour share a reactor
+            .serve(Arc::clone(&cache) as Arc<dyn Cache>)
+            .unwrap();
+        let mut neighbour = Client::connect(server.addr).unwrap();
+        neighbour.set("k", b"v").unwrap();
+        let mut victim = StdTcpStream::connect(server.addr).unwrap();
+        victim
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        victim.write_all(b"get boom\r\n").unwrap();
+        let mut resp = Vec::new();
+        victim.read_to_end(&mut resp).unwrap();
+        assert!(resp.is_empty(), "the panicking command answered");
+        // The reactor lives on: the neighbour is still served, and the
+        // victim's slot was released under the cap of two.
+        assert_eq!(neighbour.get("k").unwrap(), Some(b"v".to_vec()));
+        let mut next = Client::connect(server.addr).unwrap();
+        assert_eq!(next.get("k").unwrap(), Some(b"v".to_vec()));
+        server.shutdown();
     }
 
     #[test]

@@ -1,17 +1,109 @@
-//! Fuzz-style property tests for the memcached text-protocol parser: no
-//! input may panic it, and rendering→parsing round-trips every command.
+//! Fuzz-style property tests for the memcached text protocol: no input may
+//! panic the parser, rendering→parsing round-trips every command, and
+//! pipelined command streams run through the server's own per-connection
+//! path (`Session`: parse, `set` coalescing, execution) answer like a model.
 
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 use fptree_suite::core::{FPTreeVar, Locked, TreeConfig};
-use fptree_suite::kvcache::protocol::{execute, parse, Command, ParseError};
-use fptree_suite::kvcache::KvCache;
+use fptree_suite::kvcache::protocol::{parse, Command, ParseError};
+use fptree_suite::kvcache::session::Session;
+use fptree_suite::kvcache::{Cache, KvCache};
 use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
 use proptest::prelude::*;
 
 fn any_key() -> impl Strategy<Value = Vec<u8>> {
     // memcached keys: printable, no whitespace/control, 1..=250 bytes.
     proptest::collection::vec(0x21u8..0x7F, 1..64)
+}
+
+/// Feeds `stream` to one `Session` as a pipelining client would — cut into
+/// chunks of random size, the last one carrying the half-close — and writes
+/// its output back in random amounts, turning it wherever a reactor would.
+/// Returns everything the session wrote before it closed.
+fn serve_pipelined(cache: &dyn Cache, stream: &[u8], seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    let mut rand = move |n: usize| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % n as u64) as usize
+    };
+    let mut s = Session::new(Instant::now());
+    let (mut sent, mut written) = (0, Vec::new());
+    loop {
+        if s.want().0 && sent < stream.len() {
+            // Mostly short reads; sometimes everything at once, so runs of
+            // sets land in one turn and coalesce.
+            let k = if rand(4) == 0 {
+                stream.len()
+            } else {
+                1 + rand(64)
+            };
+            let k = k.min(stream.len() - sent);
+            s.input(&stream[sent..sent + k]);
+            sent += k;
+            if sent == stream.len() {
+                s.eof();
+            }
+        }
+        let turn = s.turn(cache, Instant::now());
+        let n = (1 + rand(96)).min(s.output().len());
+        written.extend_from_slice(&s.output()[..n]);
+        s.wrote(n);
+        if turn.close && s.output().is_empty() {
+            return written;
+        }
+        assert!(
+            turn.more || s.want() != (false, false),
+            "session stalled for good after {sent} of {} bytes",
+            stream.len()
+        );
+    }
+}
+
+/// The wire form of `cmd`.
+fn render(cmd: &Command) -> Vec<u8> {
+    let name = |k: &[u8]| String::from_utf8(k.to_vec()).expect("printable");
+    match cmd {
+        Command::Set {
+            key,
+            flags,
+            data,
+            noreply,
+        } => {
+            let nr = if *noreply { " noreply" } else { "" };
+            let mut msg =
+                format!("set {} {flags} 0 {}{nr}\r\n", name(key), data.len()).into_bytes();
+            msg.extend_from_slice(data);
+            msg.extend_from_slice(b"\r\n");
+            msg
+        }
+        Command::Get { keys } => {
+            let keys: Vec<String> = keys.iter().map(|k| name(k)).collect();
+            format!("get {}\r\n", keys.join(" ")).into_bytes()
+        }
+        Command::Delete { key, noreply } => {
+            let nr = if *noreply { " noreply" } else { "" };
+            format!("delete {}{nr}\r\n", name(key)).into_bytes()
+        }
+        Command::Scan { start, count } => format!("scan {} {count}\r\n", name(start)).into_bytes(),
+        _ => unreachable!("the fuzz streams carry only set/get/delete/scan"),
+    }
+}
+
+/// Renders one `VALUE` block.
+fn value_block(key: &[u8], flags: u32, data: &[u8]) -> Vec<u8> {
+    let mut out = format!(
+        "VALUE {} {flags} {}\r\n",
+        String::from_utf8_lossy(key),
+        data.len()
+    )
+    .into_bytes();
+    out.extend_from_slice(data);
+    out.extend_from_slice(b"\r\n");
+    out
 }
 
 proptest! {
@@ -80,63 +172,71 @@ proptest! {
         prop_assert_eq!(cmd, Command::Scan { start, count });
     }
 
-    /// Executing any parsed command sequence against a cache neither panics
-    /// nor corrupts the cache (gets after sets return the latest data).
+    /// Any set/get/delete sequence, pipelined into one connection's byte
+    /// stream (so consecutive sets coalesce into `set_batch`, in-batch
+    /// duplicates included) and cut into random chunks, neither panics nor
+    /// corrupts the cache: the session answers exactly what a map model
+    /// renders, gets after sets returning the latest data.
     #[test]
     fn command_sequences_execute_safely(
         cmds in proptest::collection::vec(
             (any_key(), proptest::collection::vec(any::<u8>(), 0..32), 0u8..3),
             1..40,
-        )
+        ),
+        seed in any::<u64>(),
     ) {
         let cache = KvCache::new(std::sync::Arc::new(
             fptree_suite::baselines::HashIndex::<Vec<u8>>::new(4),
         ));
         let mut model = std::collections::HashMap::new();
+        let (mut stream, mut expect) = (Vec::new(), Vec::new());
         for (key, data, kind) in cmds {
             let cmd = match kind {
                 0 => {
                     model.insert(key.clone(), data.clone());
+                    expect.extend_from_slice(b"STORED\r\n");
                     Command::Set { key, flags: 1, data, noreply: false }
                 }
-                1 => Command::Get { keys: vec![key] },
+                1 => {
+                    if let Some(data) = model.get(&key) {
+                        expect.extend_from_slice(&value_block(&key, 1, data));
+                    }
+                    expect.extend_from_slice(b"END\r\n");
+                    Command::Get { keys: vec![key] }
+                }
                 _ => {
-                    model.remove(&key);
+                    let hit = model.remove(&key).is_some();
+                    expect.extend_from_slice(if hit { b"DELETED\r\n" } else { b"NOT_FOUND\r\n" });
                     Command::Delete { key, noreply: false }
                 }
             };
-            let resp = execute(&cache, &cmd);
-            if let Command::Get { keys } = &cmd {
-                match model.get(&keys[0]) {
-                    Some(data) => {
-                        prop_assert!(resp.starts_with(b"VALUE "), "hit must render VALUE");
-                        prop_assert!(resp.ends_with(b"\r\nEND\r\n"));
-                        // The payload is embedded verbatim.
-                        prop_assert!(
-                            resp.windows(data.len().max(1)).any(|w| w == &data[..]) || data.is_empty()
-                        );
-                    }
-                    None => prop_assert_eq!(resp, b"END\r\n".to_vec()),
-                }
-            }
+            stream.extend_from_slice(&render(&cmd));
         }
+        let resp = serve_pipelined(&cache, &stream, seed);
+        prop_assert!(resp == expect, "responses diverged from the model");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The same command mix executed against a *pool-backed* FPTree index
-    /// under the durability checker: every store the cache triggers in SCM
-    /// must follow the persist-order protocol. After every step the wire
-    /// `scan` output is cross-checked against a BTreeMap model, and noreply
-    /// mutations must render nothing while still taking effect.
+    /// The same command mix, pipelined through a `Session` against a
+    /// *pool-backed* FPTree index under the durability checker: every store
+    /// the cache triggers in SCM — `set_batch` runs included — must follow
+    /// the persist-order protocol. A wire `scan` of the whole keyspace
+    /// follows every get/delete and ends the stream; each one must equal a
+    /// BTreeMap model, in key order. No scan follows a set that another set
+    /// follows, because it would split the run that coalesces: the tree's
+    /// state inside a run of sets is compared only once the run ends, while
+    /// the checker still sees every store. Noreply mutations render nothing
+    /// while still taking effect.
     #[test]
     fn pool_backed_commands_are_durability_clean(
         cmds in proptest::collection::vec(
             (any_key(), proptest::collection::vec(any::<u8>(), 0..32), 0u8..4),
             1..40,
-        )
+        ),
+        seed in any::<u64>(),
     ) {
         let pool = std::sync::Arc::new(
             PmemPool::create(PoolOptions::tracked(16 << 20).with_checker()).expect("pool"),
@@ -145,38 +245,45 @@ proptest! {
             FPTreeVar::create(std::sync::Arc::clone(&pool), TreeConfig::fptree_var(), ROOT_SLOT);
         let cache = KvCache::new(std::sync::Arc::new(Locked::new(tree)));
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        for (key, data, kind) in cmds {
-            // Odd steps go through the silent noreply path.
+        let (mut stream, mut expect) = (Vec::new(), Vec::new());
+        let last = cmds.len() - 1;
+        for (i, (key, data, kind)) in cmds.into_iter().enumerate() {
+            // Odd kinds go through the silent noreply path.
             let noreply = kind % 2 == 1;
             let cmd = match kind {
                 0 | 1 => {
                     model.insert(key.clone(), data.clone());
+                    if !noreply {
+                        expect.extend_from_slice(b"STORED\r\n");
+                    }
                     Command::Set { key, flags: 1, data, noreply }
                 }
-                2 => Command::Get { keys: vec![key] },
+                2 => {
+                    if let Some(data) = model.get(&key) {
+                        expect.extend_from_slice(&value_block(&key, 1, data));
+                    }
+                    expect.extend_from_slice(b"END\r\n");
+                    Command::Get { keys: vec![key] }
+                }
                 _ => {
                     model.remove(&key);
                     Command::Delete { key, noreply }
                 }
             };
-            let resp = execute(&cache, &cmd);
-            if noreply && !matches!(cmd, Command::Get { .. }) {
-                prop_assert!(resp.is_empty(), "noreply must render nothing");
+            let is_set = matches!(cmd, Command::Set { .. });
+            stream.extend_from_slice(&render(&cmd));
+            // Scans between sets would split the runs that coalesce.
+            if !is_set || i == last {
+                let scan = Command::Scan { start: vec![0x21], count: usize::MAX };
+                stream.extend_from_slice(&render(&scan));
+                for (k, v) in &model {
+                    expect.extend_from_slice(&value_block(k, 1, v));
+                }
+                expect.extend_from_slice(b"END\r\n");
             }
-            // Every step: the wire scan over the whole keyspace must equal
-            // the model, in key order.
-            let scan = Command::Scan { start: vec![0x21], count: usize::MAX };
-            let mut expect = Vec::new();
-            for (k, v) in &model {
-                expect.extend_from_slice(
-                    format!("VALUE {} 1 {}\r\n", String::from_utf8_lossy(k), v.len()).as_bytes(),
-                );
-                expect.extend_from_slice(v);
-                expect.extend_from_slice(b"\r\n");
-            }
-            expect.extend_from_slice(b"END\r\n");
-            prop_assert_eq!(execute(&cache, &scan), expect, "scan diverged from model");
         }
+        let resp = serve_pipelined(&cache, &stream, seed);
+        prop_assert!(resp == expect, "responses or scans diverged from the model");
         let report = pool.take_durability_report();
         prop_assert!(report.events_recorded > 0, "checker saw no events");
         prop_assert!(report.is_clean(), "durability violations:\n{}", report.render());
