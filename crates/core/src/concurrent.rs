@@ -36,7 +36,6 @@
 //!   always dereference what they loaded.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -601,7 +600,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
             // the in-place path and leaves an empty leaf linked (§5.12).
             // All reads here precede `try_lock_version(v)`, which fails if
             // any writer intervened since `v` was read.
-            let dying = leaf.count() + leaf.wbuf_fresh_keys::<K>() == 1
+            let dying = leaf.count() + leaf.wbuf_census::<K>().fresh == 1
                 && !(prev.is_none() && leaf.next().is_null());
             let prev_leaf = prev.filter(|_| dying).map(|p| self.ctx.leaf(p));
             if let Some(pl) = &prev_leaf {
@@ -919,33 +918,10 @@ impl<K: ConcKey> ConcurrentTree<K> {
             .check_leaf_chain::<K>(self.len(), |k, off| self.traverse(k) == Ok(off))
     }
 
-    /// Allocator-vs-tree agreement: every live block must be the metadata
-    /// block, a linked leaf, or a key blob owned by a valid slot or a live
-    /// append-buffer entry.
+    /// Allocator-vs-tree agreement (see `leafops::Ctx::leak_audit`); each
+    /// linked leaf is its own allocation.
     pub fn leak_audit(&self) -> Result<(), String> {
-        let live = self.ctx.pool.live_blocks().map_err(|e| e.to_string())?;
-        let mut expected: HashSet<u64> = HashSet::new();
-        expected.insert(self.ctx.meta.off);
-        for off in self.leaf_offsets() {
-            expected.insert(off);
-            if K::IS_VAR {
-                let refs = self.ctx.owned_key_refs::<K>(off);
-                expected.extend(refs.iter().filter(|r| !r.is_null()).map(|r| r.offset));
-            }
-        }
-        for (off, _) in &live {
-            if !expected.contains(off) {
-                return Err(format!("leaked block at {off:#x}"));
-            }
-        }
-        if expected.len() != live.len() {
-            return Err(format!(
-                "tree references {} blocks but only {} are live",
-                expected.len(),
-                live.len()
-            ));
-        }
-        Ok(())
+        self.ctx.leak_audit::<K>(self.leaf_offsets())
     }
 }
 

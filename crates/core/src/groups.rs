@@ -73,6 +73,11 @@ impl GroupMgr {
         self.groups.len()
     }
 
+    /// Base offsets of the allocated groups, in list order.
+    pub(crate) fn blocks(&self) -> &[u64] {
+        &self.groups
+    }
+
     fn group_bytes(&self, layout: &LeafLayout) -> usize {
         GROUP_HEADER as usize + self.group_size * layout.size
     }
@@ -309,7 +314,7 @@ impl GroupMgr {
         let log = meta.freeleaf_log();
         let cur = log.first(pool);
         if cur.is_null() {
-            log.reset(pool);
+            log.reset_if_nonzero(pool);
             return Ok(());
         }
         if !cur.offset.is_multiple_of(8) || !pool.in_bounds(cur.offset, 16) {

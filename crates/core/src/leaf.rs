@@ -45,6 +45,18 @@ impl WbufView {
     };
 }
 
+/// What [`Leaf::wbuf_census`] learns about the live buffer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WbufCensus {
+    /// Distinct buffered keys without a valid slot — how many slots a
+    /// fold of the current buffer would consume.
+    pub fresh: usize,
+    /// Some distinct key's newest entry already sits, byte for byte, in a
+    /// valid slot: a fold committed its bitmap and crashed before its
+    /// generation bump.
+    pub crashed_fold: bool,
+}
+
 /// A view over one leaf node in persistent memory.
 #[derive(Clone, Copy)]
 pub struct Leaf<'a> {
@@ -867,34 +879,55 @@ impl<'a> Leaf<'a> {
     /// result is unsorted, like [`Leaf::collect_entries`].
     pub fn collect_merged<K: KeyKind>(&self) -> Vec<(K::Owned, u64)> {
         let live = self.wbuf_view().live;
-        let mut out: Vec<(K::Owned, u64)> = Vec::new();
+        let slots = self.collect_entries::<K>();
+        let mut out: Vec<(K::Owned, u64)> = Vec::with_capacity(live + slots.len());
         for i in (0..live).rev() {
             let k = K::read_slot(self.pool, self.wbuf_key_off(i));
             if !out.iter().any(|(ok, _)| *ok == k) {
                 out.push((k, self.wbuf_value(i)));
             }
         }
-        for (s, k) in self.collect_entries::<K>() {
-            if !out.iter().any(|(ok, _)| *ok == k) {
+        // Slot keys are distinct, so a slot key is only ever shadowed by a
+        // buffered one.
+        let buffered = out.len();
+        for (s, k) in slots {
+            if !out[..buffered].iter().any(|(ok, _)| *ok == k) {
                 out.push((k, self.value(s)));
             }
         }
         out
     }
 
-    /// Number of distinct buffered keys not already present in a slot —
-    /// how many slots a fold of the current buffer would consume.
-    pub fn wbuf_fresh_keys<K: KeyKind>(&self) -> usize {
+    /// One pass over the live buffer, newest entry first, with one slot
+    /// probe per distinct key (the fold probes the same way). Charges what
+    /// those probes inspect.
+    pub(crate) fn wbuf_census<K: KeyKind>(&self) -> WbufCensus {
         let live = self.wbuf_view().live;
-        let mut fresh = 0;
+        let mut census = WbufCensus {
+            fresh: 0,
+            crashed_fold: false,
+        };
         for i in (0..live).rev() {
             let k = K::read_slot(self.pool, self.wbuf_key_off(i));
-            let newer = (i + 1..live).any(|j| K::slot_matches(self.pool, self.wbuf_key_off(j), &k));
-            if !newer && self.find_slot::<K>(&k).is_none() {
-                fresh += 1;
+            if (i + 1..live).any(|j| K::slot_matches(self.pool, self.wbuf_key_off(j), &k)) {
+                continue; // shadowed by a newer entry
+            }
+            match self.find_slot::<K>(&k) {
+                None => census.fresh += 1,
+                Some(s) => census.crashed_fold |= self.slot_holds_entry(s, i),
             }
         }
-        fresh
+        census
+    }
+
+    /// True when valid slot `s` holds buffer entry `e`'s exact key-slot
+    /// bytes (for variable-size keys: the same blob pointer) and value —
+    /// what a fold leaves behind once it has staged and committed `e`.
+    fn slot_holds_entry(&self, s: usize, e: usize) -> bool {
+        let (so, eo) = (self.key_off(s), self.wbuf_key_off(e));
+        self.value(s) == self.wbuf_value(e)
+            && (0..self.layout.key_slot as u64 / 8)
+                .all(|w| self.pool.read_word(so + 8 * w) == self.pool.read_word(eo + 8 * w))
     }
 
     /// Folds the live buffer into regular slots (compaction): stages each
@@ -942,9 +975,7 @@ impl<'a> Leaf<'a> {
             let mut ekey = vec![0u8; l.key_slot];
             self.pool.read_bytes(self.wbuf_key_off(e), &mut ekey);
             if let Some(s) = self.find_slot::<K>(&key) {
-                let mut skey = vec![0u8; l.key_slot];
-                self.pool.read_bytes(self.key_off(s), &mut skey);
-                if skey == ekey && self.value(s) == val {
+                if self.slot_holds_entry(s, e) {
                     // Crash-redo duplicate: a previous fold already staged
                     // this exact entry (the slot owns the key blob). Only
                     // the generation bump below is still needed.
@@ -1267,7 +1298,7 @@ mod tests {
         leaf.wbuf_append::<FixedKey>(1, &42, 421);
         assert_eq!(leaf.wbuf_count(), 2);
         assert_eq!(leaf.find_merged_value::<FixedKey>(&42), Some(421));
-        assert_eq!(leaf.wbuf_fresh_keys::<FixedKey>(), 1);
+        assert_eq!(leaf.wbuf_census::<FixedKey>().fresh, 1);
         // Buffered entries shadow slot copies too.
         insert_fixed(&leaf, 0, 7, 70);
         leaf.wbuf_append::<FixedKey>(2, &7, 71);

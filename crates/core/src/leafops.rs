@@ -15,6 +15,7 @@
 //! per-leaf leak audits, and the structural checker behind both
 //! `check_consistency` implementations.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use fptree_pmem::{PmemPool, RawPPtr};
@@ -214,7 +215,7 @@ impl Ctx {
         let log = self.meta.split_log(log_idx);
         let cur = log.first(&self.pool);
         if cur.is_null() {
-            log.reset(&self.pool);
+            log.reset_if_nonzero(&self.pool);
             return Ok(());
         }
         self.check_leaf_ptr(cur.offset, "split-log current pointer")?;
@@ -284,7 +285,7 @@ impl Ctx {
         let log = self.meta.delete_log(log_idx);
         let cur = log.first(&self.pool);
         if cur.is_null() {
-            log.reset(&self.pool);
+            log.reset_if_nonzero(&self.pool);
             return Ok(());
         }
         self.check_leaf_ptr(cur.offset, "delete-log current pointer")?;
@@ -381,24 +382,57 @@ impl Ctx {
         )
     }
 
-    /// Leak audit for a leaf's *dead* append-buffer entries, after the
-    /// live prefix has been folded into slots. A dead entry's key field is
-    /// either null, a duplicate of a valid slot's blob (folded winner or
-    /// crashed append of an existing key's update → reset), or an orphan
-    /// blob from a crashed append (allocated, but the entry publish never
-    /// landed → release).
+    /// Leak audit for a leaf's *dead* append-buffer entries — those past
+    /// the live prefix. A dead entry's key field is either null, a
+    /// duplicate of an owned blob (folded winner whose zeroing crashed →
+    /// reset), or an orphan blob from a crashed append (allocated, but the
+    /// entry publish never landed → release).
     pub fn audit_wbuf<K: KeyKind>(&self, off: u64) -> Result<(), Error> {
         if !K::IS_VAR || self.layout.wbuf_entries == 0 {
             return Ok(());
         }
         let leaf = self.leaf(off);
-        debug_assert_eq!(leaf.wbuf_count(), 0, "audit_wbuf requires a folded buffer");
-        let entries = 0..self.layout.wbuf_entries;
+        let entries = leaf.wbuf_count()..self.layout.wbuf_entries;
         self.audit_fields::<K>(
             off,
             entries.map(|i| leaf.wbuf_key_off(i)),
             "orphan buffer blob pointer",
         )
+    }
+
+    /// Allocator-vs-tree agreement (quiescent state only): every live block
+    /// must be the metadata block, one of `leaf_blocks` (the allocations
+    /// that hold the leaves), or a key blob owned by a valid slot or a live
+    /// append-buffer entry — and no blob may be owned twice.
+    pub fn leak_audit<K: KeyKind>(
+        &self,
+        leaf_blocks: impl IntoIterator<Item = u64>,
+    ) -> Result<(), String> {
+        let live = self.pool.live_blocks().map_err(|e| e.to_string())?;
+        let mut expected: HashSet<u64> = HashSet::from([self.meta.off]);
+        expected.extend(leaf_blocks);
+        if K::IS_VAR {
+            for off in self.leaf_offsets() {
+                for r in self.owned_key_refs::<K>(off) {
+                    if !r.is_null() && !expected.insert(r.offset) {
+                        return Err(format!("key blob at {:#x} owned twice", r.offset));
+                    }
+                }
+            }
+        }
+        for (off, _) in &live {
+            if !expected.contains(off) {
+                return Err(format!("leaked block at {off:#x}"));
+            }
+        }
+        if expected.len() != live.len() {
+            return Err(format!(
+                "tree references {} blocks but only {} are live",
+                expected.len(),
+                live.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Leaf offsets in list order (quiescent contexts: tests, audits, stats).

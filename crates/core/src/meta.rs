@@ -303,6 +303,16 @@ impl PairLog {
         pool.write_publish_at(self.base, &[RawPPtr::NULL, RawPPtr::NULL]);
         pool.persist(self.base, 32);
     }
+
+    /// Recovery's reset of an unarmed log: a read when the log is already
+    /// all zero, [`PairLog::reset`] otherwise. Every word counts, not just
+    /// the first pointer — a torn reset can leave the second half set, and
+    /// a later `set_first` without `set_second` would then replay it.
+    pub fn reset_if_nonzero(&self, pool: &PmemPool) {
+        if (0..4).any(|w| pool.read_word(self.base + 8 * w) != 0) {
+            self.reset(pool);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -368,6 +378,23 @@ mod tests {
         log.reset(&p);
         assert!(log.first(&p).is_null());
         assert!(log.second(&p).is_null());
+    }
+
+    #[test]
+    fn reset_if_nonzero_persists_only_a_log_with_a_set_word() {
+        let p = pool();
+        let meta = TreeMeta::create(&p, &TreeConfig::fptree(), 8, false, 1, ROOT_SLOT);
+        let log = meta.delete_log(0);
+        let persists = || p.stats().snapshot().persist_calls;
+        let before = persists();
+        log.reset_if_nonzero(&p);
+        assert_eq!(persists(), before, "an all-zero log costs a read");
+        // A torn reset: the first pointer retired, the second still set.
+        log.set_second(&p, RawPPtr::new(p.file_id(), 0x2000));
+        let before = persists();
+        log.reset_if_nonzero(&p);
+        assert_eq!(persists(), before + 1);
+        assert!(log.second(&p).is_null(), "the stale second half is gone");
     }
 
     #[test]

@@ -311,8 +311,11 @@ fn harvest_chain(ctx: &Ctx, threads: usize) -> Result<Vec<u64>, Error> {
 
 /// Recovery phase 3: resets locks and runs the Algorithm-17 leak audit over
 /// every on-chain leaf, partitioned in chain order across the worker pool;
-/// yields each leaf's `(count, max_key)`. Audit mutations are leaf-local,
-/// so the partitioning cannot change the outcome.
+/// yields each leaf's `(count, max_key)`, where the count is the merged
+/// one: slots plus distinct buffered keys without a slot. On a clean image
+/// the audit only reads — live buffers stay live — so it issues no persist.
+/// Audit mutations are leaf-local, so the partitioning cannot change the
+/// outcome.
 #[allow(clippy::type_complexity)]
 fn audit_leaves<K: KeyKind>(
     ctx: &Ctx,
@@ -329,15 +332,24 @@ fn audit_leaves<K: KeyKind>(
         // validated walk before anything below consults it.
         leaf.digest_rebuild();
         // Order matters: the slot audit first (with live buffer entries
-        // among the owned references, so a crashed fold's staged copies are
-        // reset, not released), then the fold of live entries into slots,
-        // then the dead-entry audit for blobs a crashed append left behind.
-        // All three are leaf-local and deterministic, keeping parallel
+        // among the owned references, so the staged copies of a fold that
+        // crashed before its bitmap commit are reset, not released), then
+        // the census of the live buffer, then the dead-entry audit for blobs
+        // a crashed append left behind. Only a fold that crashed after its
+        // bitmap commit — live entries already sitting in valid slots — is
+        // finished here; any other buffer is the steady state and stays.
+        // All steps are leaf-local and deterministic, keeping parallel
         // recovery bit-identical to serial.
         ctx.audit_leaf::<K>(off)?;
-        leaf.wbuf_fold::<K>();
+        let census = leaf.wbuf_census::<K>();
+        let fresh = if census.crashed_fold {
+            leaf.wbuf_fold::<K>();
+            0
+        } else {
+            census.fresh
+        };
         ctx.audit_wbuf::<K>(off)?;
-        Ok((leaf.count(), leaf.max_key::<K>()))
+        Ok((leaf.count() + fresh, leaf.max_key::<K>()))
     };
     let parts = par_chunks(ctx, chain, threads, Some("recovery_audit"), |part| {
         part.iter()

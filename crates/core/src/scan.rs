@@ -116,74 +116,66 @@ impl<K: KeyKind> ScanBounds<K> {
 }
 
 /// One leaf's worth of entries in a fixed-capacity buffer, drained in key
-/// order by word-wise min-selection.
+/// order.
 ///
-/// Gathering is O(1) per entry (first free slot of a `live` bitmask —
-/// `trailing_zeros` of its complement); `pop` selects the minimum live key
-/// by iterating set bits of the mask, the same word-wise machinery as the
-/// leaf probe. Leaves are at most 64 entries, so selection beats
-/// maintaining sorted order under shifts.
+/// Gathering appends (O(1) per entry); the first `pop` after a gather sorts
+/// the undrained entries once, and every pop after it takes the next one.
 ///
 /// Sized by the compile-time bitmap limit [`MAX_LEAF_CAPACITY`]; only the
 /// configured `leaf_capacity` slots are ever occupied, which
 /// `TreeConfig::validate` guarantees fits.
 struct LeafBuf<K: KeyKind> {
     slots: [Option<(K::Owned, u64)>; MAX_LEAF_CAPACITY],
-    /// Bit `i` set = `slots[i]` holds an undrained entry.
-    live: u64,
+    /// `slots[head..len]` hold the undrained entries.
+    head: usize,
+    len: usize,
+    /// The undrained entries are in key order.
+    sorted: bool,
 }
 
 impl<K: KeyKind> LeafBuf<K> {
     fn new() -> Self {
         LeafBuf {
             slots: std::array::from_fn(|_| None),
-            live: 0,
+            head: 0,
+            len: 0,
+            sorted: true,
         }
     }
 
     fn clear(&mut self) {
-        let mut m = self.live;
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.slots[i] = None;
-        }
-        self.live = 0;
+        self.slots[self.head..self.len].fill(None);
+        self.head = 0;
+        self.len = 0;
+        self.sorted = true;
     }
 
     /// True when every buffer slot is occupied (only a torn concurrent
     /// read can produce more entries than one leaf holds).
     fn is_full(&self) -> bool {
-        self.live == u64::MAX
+        self.len == MAX_LEAF_CAPACITY
     }
 
-    /// Stores `(key, val)` in the first free slot — no ordering work here.
+    /// Appends `(key, val)` — no ordering work here.
     fn insert(&mut self, key: K::Owned, val: u64) {
-        debug_assert!(self.live != u64::MAX, "leaf wider than bitmap");
-        let i = (!self.live).trailing_zeros() as usize;
-        self.slots[i] = Some((key, val));
-        self.live |= 1 << i;
+        debug_assert!(!self.is_full(), "leaf wider than bitmap");
+        self.slots[self.len] = Some((key, val));
+        self.len += 1;
+        self.sorted = false;
     }
 
-    /// Removes and returns the minimum-key live entry.
+    /// Removes and returns the minimum-key undrained entry.
     fn pop(&mut self) -> Option<(K::Owned, u64)> {
-        if self.live == 0 {
+        if !self.sorted {
+            // Keys within one leaf are distinct, so the order is total.
+            self.slots[self.head..self.len].sort_unstable();
+            self.sorted = true;
+        }
+        if self.head == self.len {
             return None;
         }
-        let mut m = self.live;
-        let mut best = m.trailing_zeros() as usize;
-        m &= m - 1;
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let ki = &self.slots[i].as_ref().expect("live slot").0;
-            let kb = &self.slots[best].as_ref().expect("live slot").0;
-            if ki < kb {
-                best = i;
-            }
-        }
-        self.live &= !(1 << best);
-        self.slots[best].take()
+        self.head += 1;
+        self.slots[self.head - 1].take()
     }
 }
 

@@ -519,6 +519,17 @@ impl<K: KeyKind> SingleTree<K> {
         }
     }
 
+    /// Allocator-vs-tree agreement (see `leafops::Ctx::leak_audit`); with
+    /// leaf groups the allocations are the groups, free leaves included.
+    pub fn leak_audit(&self) -> Result<(), String> {
+        if self.groups.enabled() {
+            self.ctx
+                .leak_audit::<K>(self.groups.blocks().iter().copied())
+        } else {
+            self.ctx.leak_audit::<K>(self.leaf_offsets())
+        }
+    }
+
     /// Structural consistency check (tests): leaf list sorted and connected,
     /// fingerprints agree with keys, index routes every key to its leaf,
     /// length matches (see `leafops::Ctx::check_leaf_chain` for the list).

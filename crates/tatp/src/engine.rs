@@ -67,17 +67,30 @@ impl Dictionary {
     }
 
     /// Drops and rebuilds the DRAM decode vector from the index (restart:
-    /// non-primary data reconstruction).
+    /// non-primary data reconstruction). Codes are dense `0..len` by
+    /// construction, so each scanned pair lands at its code directly.
+    ///
+    /// # Panics
+    /// If a code is out of range or appears twice: the index no longer
+    /// holds a dense code assignment.
     pub fn rebuild_decode(&self) {
         let entries = self
             .index
             .range(0, u64::MAX)
             .expect("dictionary indexes support scans");
-        let mut decode = self.decode.write();
-        decode.clear();
-        let mut pairs: Vec<(u64, u64)> = entries;
-        pairs.sort_by_key(|&(_, code)| code);
-        decode.extend(pairs.iter().map(|&(v, _)| v));
+        let n = entries.len();
+        let mut decode = vec![0u64; n];
+        let mut seen = vec![false; n];
+        for (value, code) in entries {
+            let c = code as usize;
+            assert!(
+                c < n && !std::mem::replace(&mut seen[c], true),
+                "dictionary code {code} of value {value} is out of range or seen twice \
+                 ({n} entries)"
+            );
+            decode[c] = value;
+        }
+        *self.decode.write() = decode;
     }
 }
 
@@ -223,6 +236,15 @@ mod tests {
         d.rebuild_decode();
         let after: Vec<u64> = (0..d.len() as u32).map(|c| d.decode(c)).collect();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range or seen twice")]
+    fn decode_rebuild_rejects_a_code_seen_twice() {
+        let d = Dictionary::new(factory("c"));
+        d.encode(5);
+        d.index.insert(6, 0);
+        d.rebuild_decode();
     }
 
     #[test]

@@ -470,22 +470,30 @@ fn audit_leaks<K: KeyKind>(pool: &Arc<PmemPool>, tree: &SingleTree<K>) {
         }
     }
     if K::IS_VAR {
+        // The tree's ownership rule: a key blob belongs to exactly one valid
+        // slot or one live append-buffer entry (recovery leaves live
+        // buffers unfolded).
+        let layout = LeafLayout::new(cfg, K::SLOT_SIZE);
+        let mut owned = std::collections::HashSet::new();
         for off in tree.leaf_offsets() {
-            // Valid slots own blobs: ask the pool for each slot pointer via
-            // the tree's consistency contract (checked above); here we use
-            // the public range to reach blob offsets indirectly — instead,
-            // conservatively accept blocks that any valid slot references.
-            let layout = fptree_suite::core::LeafLayout::new(cfg, K::SLOT_SIZE);
-            let bm = pool.read_at::<u64>(off);
-            for slot in 0..layout.m {
-                if bm & (1 << slot) != 0 {
-                    let p: RawPPtr = pool.read_at(off + layout.key_off(slot) as u64);
-                    if !p.is_null() {
-                        reachable.insert(p.offset);
-                    }
+            let leaf = Leaf::new(pool, &layout, off);
+            let bm = leaf.bitmap();
+            let slots = (0..layout.m)
+                .filter(|s| bm & (1 << s) != 0)
+                .map(|s| leaf.key_off(s));
+            let entries = (0..leaf.wbuf_count()).map(|i| leaf.wbuf_key_off(i));
+            for key_off in slots.chain(entries) {
+                let p: RawPPtr = pool.read_at(key_off);
+                if !p.is_null() {
+                    assert!(
+                        owned.insert(p.offset),
+                        "key blob at {:#x} referenced twice",
+                        p.offset
+                    );
                 }
             }
         }
+        reachable.extend(owned);
     }
     for (off, size) in &live {
         assert!(

@@ -2,8 +2,12 @@
 //! semantics. Random workloads run against all trees and a BTreeMap oracle.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use fptree_suite::core::TreeConfig;
+use fptree_suite::core::{
+    ConcKey, ConcurrentTree, FixedKey, KeyKind, ShardedTree, SingleTree, TreeConfig, VarKey,
+};
+use fptree_suite::pmem::{create_pools, PmemPool, PoolOptions, ROOT_SLOT};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -927,4 +931,233 @@ fn reads_do_not_write() {
         TreeConfig::fptree_concurrent_var(),
         |k| format!("key:{k:06}").into_bytes(),
     );
+}
+
+/// A seeded insert/update/remove mix over keys `0..300` and the map it
+/// leaves. Every write stores a fresh value, so no buffered update repeats
+/// the value its key's slot already holds.
+fn seeded_mix(seed: u64, mut write: impl FnMut(u8, u64, u64) -> bool) -> BTreeMap<u64, u64> {
+    let mut state = seed;
+    let mut next = move || {
+        // splitmix64
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut oracle = BTreeMap::new();
+    for value in 1..=1500u64 {
+        let (op, k) = ((next() % 10) as u8, next() % 300);
+        let expect = match op {
+            0..=5 => !oracle.contains_key(&k),
+            6..=7 => oracle.contains_key(&k),
+            _ => oracle.remove(&k).is_some(),
+        };
+        if op <= 7 && expect {
+            oracle.insert(k, value);
+        }
+        assert_eq!(write(op, k, value), expect, "op {op} on key {k}");
+    }
+    oracle
+}
+
+/// Applies one [`seeded_mix`] write to a tree with the usual API.
+macro_rules! mix_write {
+    ($tree:expr, $key:expr) => {
+        |op: u8, k: u64, v: u64| match op {
+            0..=5 => $tree.insert(&$key(k), v),
+            6..=7 => $tree.update(&$key(k), v),
+            _ => $tree.remove(&$key(k)),
+        }
+    };
+}
+
+/// Number of leaves among `offs` with live append-buffer entries.
+fn buffered_leaves<K: fptree_suite::core::KeyKind>(
+    pool: &fptree_suite::pmem::PmemPool,
+    cfg: &TreeConfig,
+    offs: Vec<u64>,
+) -> usize {
+    let layout = fptree_suite::core::LeafLayout::new(cfg, K::SLOT_SIZE);
+    offs.into_iter()
+        .filter(|&off| fptree_suite::core::leaf::Leaf::new(pool, &layout, off).wbuf_count() > 0)
+        .count()
+}
+
+/// Restarts `pools` from their clean images and asserts that `open`
+/// issued no persist and flushed no line on any of them.
+fn open_counted<T>(pools: &[Arc<PmemPool>], open: impl FnOnce(Vec<Arc<PmemPool>>) -> T) -> T {
+    let reopened: Vec<_> = pools
+        .iter()
+        .map(|p| Arc::new(PmemPool::reopen(p.clean_image(), PoolOptions::direct(0)).unwrap()))
+        .collect();
+    let before: Vec<_> = reopened.iter().map(|p| p.stats().snapshot()).collect();
+    let tree = open(reopened.clone());
+    for (pool, before) in reopened.iter().zip(before) {
+        let after = pool.stats().snapshot();
+        let wrote = (
+            after.persist_calls - before.persist_calls,
+            after.flushed_lines - before.flushed_lines,
+        );
+        assert_eq!(wrote, (0, 0), "open issued (persists, flushed lines)");
+    }
+    tree
+}
+
+fn single_clean_restart<K: KeyKind>(cfg: TreeConfig, key: impl Fn(u64) -> K::Owned, seed: u64) {
+    let pool = Arc::new(PmemPool::create(PoolOptions::direct(16 << 20)).unwrap());
+    let mut t = SingleTree::<K>::create(Arc::clone(&pool), small(cfg), ROOT_SLOT);
+    let oracle = seeded_mix(seed, mix_write!(t, key));
+    assert!(buffered_leaves::<K>(&pool, t.config(), t.leaf_offsets()) > 0);
+    let r = open_counted(&[pool], |p| {
+        SingleTree::<K>::open(Arc::clone(&p[0]), ROOT_SLOT)
+    });
+    let r = r.unwrap();
+    assert!(buffered_leaves::<K>(r.pool(), r.config(), r.leaf_offsets()) > 0);
+    assert_eq!(r.len(), t.len());
+    let want: Vec<_> = oracle.iter().map(|(k, v)| (key(*k), *v)).collect();
+    assert_eq!(r.scan(..).collect::<Vec<_>>(), want);
+    r.check_consistency().unwrap();
+    r.leak_audit().unwrap();
+}
+
+fn concurrent_clean_restart<K: ConcKey>(cfg: TreeConfig, key: impl Fn(u64) -> K::Owned, seed: u64) {
+    let pool = Arc::new(PmemPool::create(PoolOptions::direct(16 << 20)).unwrap());
+    let t = ConcurrentTree::<K>::create(Arc::clone(&pool), small(cfg), ROOT_SLOT);
+    let oracle = seeded_mix(seed, mix_write!(t, key));
+    assert!(buffered_leaves::<K>(&pool, t.config(), t.leaf_offsets()) > 0);
+    let r = open_counted(&[pool], |p| {
+        ConcurrentTree::<K>::open(Arc::clone(&p[0]), ROOT_SLOT)
+    });
+    let r = r.unwrap();
+    assert_eq!(r.len(), t.len());
+    let want: Vec<_> = oracle.iter().map(|(k, v)| (key(*k), *v)).collect();
+    assert_eq!(r.scan(..).collect::<Vec<_>>(), want);
+    r.check_consistency().unwrap();
+    r.leak_audit().unwrap();
+}
+
+/// Restarting a tree whose leaves carry live buffer entries from a clean
+/// image writes nothing: no persist, no flushed line. The reopened tree
+/// holds the same entries, keeps its buffers, and audits clean.
+#[test]
+fn open_of_a_clean_image_persists_nothing() {
+    let var = |k: u64| format!("key:{k:06}").into_bytes();
+    // Single-threaded trees with leaf groups (the preset) and without.
+    single_clean_restart::<FixedKey>(TreeConfig::fptree(), |k| k, 1);
+    let ungrouped = TreeConfig::fptree().with_leaf_group_size(0);
+    single_clean_restart::<FixedKey>(ungrouped, |k| k, 2);
+    single_clean_restart::<VarKey>(TreeConfig::fptree_var(), var, 3);
+    concurrent_clean_restart::<FixedKey>(TreeConfig::fptree_concurrent(), |k| k, 4);
+    concurrent_clean_restart::<VarKey>(TreeConfig::fptree_concurrent_var(), var, 5);
+
+    let pools = create_pools(3, PoolOptions::direct(8 << 20)).unwrap();
+    let cfg = small(TreeConfig::fptree_concurrent());
+    let t = ShardedTree::create(pools.clone(), cfg, ROOT_SLOT);
+    let oracle = seeded_mix(6, mix_write!(t, |k| k));
+    let buffered: usize = t
+        .shards()
+        .iter()
+        .zip(&pools)
+        .map(|(s, p)| buffered_leaves::<FixedKey>(p, s.config(), s.leaf_offsets()))
+        .sum();
+    assert!(buffered > 0);
+    let r = open_counted(&pools, |p| ShardedTree::open(p, ROOT_SLOT).unwrap());
+    assert_eq!(r.len(), t.len());
+    assert_eq!(
+        r.scan(..).collect::<Vec<_>>(),
+        oracle.into_iter().collect::<Vec<_>>()
+    );
+    r.check_consistency().unwrap();
+    r.leak_audit().unwrap();
+}
+
+/// A fold that crashed after its bitmap commit and before its generation
+/// bump leaves live buffer entries whose bytes already sit in valid slots.
+/// `open` must finish that fold (and only that one): the leaf's buffer is
+/// empty afterwards, no blob leaks or is owned twice, and the tree answers
+/// like the map before the interrupted remove.
+fn assert_crashed_fold_is_finished<K: KeyKind>(
+    key: impl Fn(u64) -> K::Owned,
+    updates_buffer: bool,
+) {
+    use fptree_suite::core::leaf::Leaf;
+    use fptree_suite::core::LeafLayout;
+    use fptree_suite::pmem::crash_is_injected;
+
+    // One leaf, no groups: 8 slots and a 4-entry buffer.
+    let cfg = TreeConfig::fptree()
+        .with_leaf_capacity(8)
+        .with_inner_fanout(4)
+        .with_leaf_group_size(0)
+        .with_wbuf_entries(4);
+    let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
+    // Slots {1, 2, 3}, then a buffer of [4] or [4, 1'] (only fixed-size
+    // keys buffer updates); removing 2 folds the buffer first.
+    let prefix = |t: &mut SingleTree<K>| {
+        for k in 1..=3 {
+            assert!(t.insert(&key(k), k));
+        }
+        assert!(t.insert(&key(9), 9) && t.remove(&key(9)), "folds 1..=3");
+        assert!(t.insert(&key(4), 4));
+        if updates_buffer {
+            assert!(t.update(&key(1), 10));
+        }
+    };
+    let mut model: BTreeMap<u64, u64> = (1..=4).map(|k| (k, k)).collect();
+    if updates_buffer {
+        model.insert(1, 10);
+    }
+    // Live entries whose key bytes and value sit in a valid slot.
+    let staged = |pool: &PmemPool, off: u64| {
+        let leaf = Leaf::new(pool, &layout, off);
+        (0..leaf.wbuf_count()).any(|i| {
+            let k = K::read_slot(pool, leaf.wbuf_key_off(i));
+            leaf.find_slot::<K>(&k).is_some_and(|s| {
+                let (mut a, mut b) = (vec![0u8; layout.key_slot], vec![0u8; layout.key_slot]);
+                pool.read_bytes(leaf.key_off(s), &mut a);
+                pool.read_bytes(leaf.wbuf_key_off(i), &mut b);
+                a == b && leaf.value(s) == leaf.wbuf_value(i)
+            })
+        })
+    };
+    // Walk the fuse through the remove until an image shows that state.
+    for fuse in 0..200 {
+        let pool = Arc::new(PmemPool::create(PoolOptions::tracked(4 << 20)).unwrap());
+        let mut t = SingleTree::<K>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        prefix(&mut t);
+        let off = t.leaf_offsets()[0];
+        pool.set_crash_fuse(Some(fuse));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.remove(&key(2))));
+        pool.set_crash_fuse(None);
+        match r {
+            Ok(_) => panic!("the remove finished before its fold reached that state"),
+            Err(e) => assert!(crash_is_injected(e.as_ref())),
+        }
+        for seed in 0..8 {
+            let opts = PoolOptions::tracked(0).with_checker();
+            let image = Arc::new(PmemPool::reopen(pool.crash_image(seed), opts).unwrap());
+            if !staged(&image, off) {
+                continue;
+            }
+            let r = SingleTree::<K>::open(Arc::clone(&image), ROOT_SLOT).expect("recover");
+            let leaf = Leaf::new(&image, &layout, off);
+            assert_eq!(leaf.wbuf_count(), 0, "open finished the crashed fold");
+            r.check_consistency().unwrap();
+            r.leak_audit().unwrap();
+            image.assert_durability_clean();
+            let got: Vec<(K::Owned, u64)> = r.scan(..).collect();
+            let want: Vec<(K::Owned, u64)> = model.iter().map(|(k, v)| (key(*k), *v)).collect();
+            assert_eq!(got, want, "fuse {fuse}, seed {seed}");
+            return;
+        }
+    }
+    panic!("no crash image held a fold between its bitmap commit and generation bump");
+}
+
+#[test]
+fn open_finishes_a_fold_that_crashed_after_its_bitmap_commit() {
+    assert_crashed_fold_is_finished::<FixedKey>(|k| k, true);
+    assert_crashed_fold_is_finished::<VarKey>(|k| format!("key:{k:06}").into_bytes(), false);
 }
