@@ -19,9 +19,10 @@
 
 use std::fmt;
 
-use fptree_pmem::{AllocError, PmemPool, BLOCK_HEADER_SIZE, USER_BASE};
+use fptree_pmem::{usable_size, AllocError, PmemPool, BLOCK_HEADER_SIZE, USER_BASE};
 
 use crate::config::TreeConfig;
+use crate::groups::group_bytes;
 use crate::keys::KeyKind;
 use crate::layout::LeafLayout;
 use crate::meta::TreeMeta;
@@ -196,7 +197,7 @@ pub fn check_key(key: &[u8]) -> Result<(), Error> {
 /// `pool` can hold the tree's initial footprint — the metadata block with
 /// `n_logs` micro-log pairs plus the first leaf (or leaf group) — before
 /// any persistent write. Allocations are costed as the allocator serves
-/// them: rounded up to a power-of-two size class behind a block header.
+/// them ([`usable_size`] behind a block header).
 pub(crate) fn check_create<K: KeyKind>(
     cfg: &TreeConfig,
     pool: &PmemPool,
@@ -205,13 +206,18 @@ pub(crate) fn check_create<K: KeyKind>(
     cfg.try_validate().map_err(Error::InvalidConfig)?;
     let layout = LeafLayout::new(cfg, K::SLOT_SIZE);
     let first_alloc = if cfg.leaf_group_size > 1 {
-        // A leaf group: 64-byte header plus the member leaves.
-        64 + cfg.leaf_group_size * layout.size
+        group_bytes(cfg.leaf_group_size, layout.size)
     } else {
-        layout.size
+        Some(layout.size)
     };
-    let block = |size: usize| BLOCK_HEADER_SIZE + size.next_power_of_two().max(64) as u64;
-    let required = block(TreeMeta::byte_size(n_logs)) + block(first_alloc);
+    let block = |size: usize| usable_size(size).map(|b| BLOCK_HEADER_SIZE + b as u64);
+    let Some(Ok(first_block)) = first_alloc.map(block) else {
+        return Err(Error::InvalidConfig(format!(
+            "a group of {} leaves exceeds the allocator's largest block",
+            cfg.leaf_group_size
+        )));
+    };
+    let required = block(TreeMeta::byte_size(n_logs))? + first_block;
     let available = (pool.capacity() as u64).saturating_sub(USER_BASE);
     if required > available {
         return Err(Error::PoolFull {

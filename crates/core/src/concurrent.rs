@@ -40,7 +40,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam_queue::ArrayQueue;
 use fptree_htm::{Abort, SpecLock};
 use fptree_pmem::PmemPool;
 use parking_lot::Mutex;
@@ -62,7 +61,7 @@ const MAX_DEPTH: usize = 64;
 
 /// Number of split/delete micro-logs (upper bound on concurrent structural
 /// operations; the paper indexes its micro-log arrays with lock-free
-/// queues).
+/// queues, here one word: bit `i` of the free mask is log `i`).
 const N_LOGS: usize = 64;
 
 /// Key encoding for atomic (u64) inner-node slots.
@@ -204,7 +203,8 @@ pub struct ConcurrentTree<K: ConcKey> {
     #[allow(clippy::vec_box)]
     nodes: Mutex<Vec<Box<CNode>>>,
     intern: Interner,
-    log_queue: ArrayQueue<usize>,
+    /// Free micro-log indices: bit `i` set means log `i` is free.
+    free_logs: AtomicU64,
     pub(crate) len: AtomicUsize,
     recovery: Option<RecoveryStats>,
     _marker: std::marker::PhantomData<K>,
@@ -288,17 +288,16 @@ impl<K: ConcKey> ConcurrentTree<K> {
     }
 
     fn empty(ctx: Ctx) -> Self {
-        let log_queue = ArrayQueue::new(N_LOGS);
-        for i in 0..ctx.meta.n_logs {
-            let _ = log_queue.push(i);
-        }
+        // `TreeMeta::open` bounds `n_logs` to at least 1; logs past the
+        // mask's 64 stay unused.
+        let free_logs = u64::MAX >> (N_LOGS - ctx.meta.n_logs.min(N_LOGS));
         ConcurrentTree {
             ctx,
             lock: SpecLock::new(),
             root: AtomicU64::new(0),
             nodes: Mutex::new(Vec::new()),
             intern: Interner::default(),
-            log_queue,
+            free_logs: AtomicU64::new(free_logs),
             len: AtomicUsize::new(0),
             recovery: None,
             _marker: std::marker::PhantomData,
@@ -637,7 +636,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
                 // The deleted leaf's lock dies with it (unreachable).
                 let li = self.take_log();
                 self.ctx.delete_leaf(None, off, prev, li);
-                self.log_queue.push(li).ok();
+                self.put_log(li);
             }
             _ => self.ctx.leaf(off).unlock_version(),
         }
@@ -650,14 +649,37 @@ impl<K: ConcKey> ConcurrentTree<K> {
         r.removed
     }
 
+    /// Claims a free micro-log index (the lowest), yielding while all are
+    /// held; every such wait counts as a `log_queue_waits`. The claim's
+    /// Acquire pairs with the Release in [`Self::put_log`], so the previous
+    /// holder's writes to the log happen before the new holder's.
     pub(crate) fn take_log(&self) -> usize {
+        let mut free = self.free_logs.load(Ordering::Acquire);
         loop {
-            if let Some(i) = self.log_queue.pop() {
-                return i;
+            if free == 0 {
+                self.ctx.metrics.inc(Counter::LogQueueWaits);
+                std::thread::yield_now();
+                free = self.free_logs.load(Ordering::Acquire);
+                continue;
             }
-            self.ctx.metrics.inc(Counter::LogQueueWaits);
-            std::thread::yield_now();
+            let i = free.trailing_zeros();
+            let taken = free & !(1u64 << i);
+            match self.free_logs.compare_exchange_weak(
+                free,
+                taken,
+                Ordering::Acquire,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return i as usize,
+                Err(now) => free = now,
+            }
         }
+    }
+
+    /// Returns micro-log `i`, claimed by [`Self::take_log`].
+    pub(crate) fn put_log(&self, i: usize) {
+        let before = self.free_logs.fetch_or(1u64 << i, Ordering::Release);
+        debug_assert_eq!(before & (1u64 << i), 0, "micro-log {i} returned twice");
     }
 
     /// Persistent leaf split (Algorithm 3) under the already-held leaf lock.
@@ -665,7 +687,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
         let li = self.take_log();
         let mut no_groups = GroupMgr::new(0);
         let (split_key, new_off) = self.ctx.split_leaf::<K>(&mut no_groups, off, li);
-        self.log_queue.push(li).ok();
+        self.put_log(li);
         (split_key, new_off)
     }
 
@@ -930,3 +952,60 @@ impl<K: ConcKey> ConcurrentTree<K> {
 unsafe impl<K: ConcKey> Send for ConcurrentTree<K> {}
 // SAFETY: as for Send — shared access goes through the same lock protocol.
 unsafe impl<K: ConcKey> Sync for ConcurrentTree<K> {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::keys::FixedKey;
+    use fptree_pmem::{PoolOptions, ROOT_SLOT};
+    use std::sync::atomic::AtomicBool;
+
+    fn tree() -> ConcurrentFPTree {
+        let pool = Arc::new(PmemPool::create(PoolOptions::direct(1 << 20)).unwrap());
+        ConcurrentTree::<FixedKey>::create(pool, TreeConfig::fptree_concurrent(), ROOT_SLOT)
+    }
+
+    #[test]
+    fn no_micro_log_is_ever_held_twice() {
+        let t = tree();
+        let held: Vec<AtomicBool> = (0..N_LOGS).map(|_| AtomicBool::new(false)).collect();
+        std::thread::scope(|s| {
+            for thread in 0..8usize {
+                let (t, held) = (&t, &held);
+                s.spawn(move || {
+                    for round in 0..2000 {
+                        // Up to 8 at once: 8 threads can hold all 64.
+                        let mine: Vec<usize> =
+                            (0..=(thread + round) % 8).map(|_| t.take_log()).collect();
+                        for &i in &mine {
+                            assert!(!held[i].swap(true, Ordering::Relaxed), "log {i} twice");
+                        }
+                        for &i in &mine {
+                            held[i].store(false, Ordering::Relaxed);
+                            t.put_log(i);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(t.free_logs.load(Ordering::Relaxed), u64::MAX);
+    }
+
+    #[test]
+    fn a_take_with_every_log_held_waits_and_counts() {
+        let t = tree();
+        let all: Vec<usize> = (0..N_LOGS).map(|_| t.take_log()).collect();
+        assert_eq!(all, (0..N_LOGS).collect::<Vec<_>>());
+        let waits = || t.metrics_snapshot().get("log_queue_waits").unwrap();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| t.take_log());
+            // With metrics on, release only once the waiter has counted a wait.
+            while Metrics::enabled() && waits() == 0 {
+                std::thread::yield_now();
+            }
+            t.put_log(41);
+            assert_eq!(waiter.join().unwrap(), 41);
+        });
+        assert_eq!(t.free_logs.load(Ordering::Relaxed), 0);
+    }
+}

@@ -37,8 +37,10 @@ pub struct TreeConfig {
     /// Keys and values in separate in-leaf arrays (PTree layout: better
     /// locality for linear key scans without fingerprints).
     pub split_arrays: bool,
-    /// Leaves per amortized allocation group; 0 or 1 disables grouping
-    /// (required for the concurrent version).
+    /// Leaves per amortized allocation group, at least; 0 or 1 disables
+    /// grouping (required for the concurrent version). A new single-threaded
+    /// tree raises it to fill the allocator block such a group lands in and
+    /// persists that; its `config()` reports the size in use.
     pub leaf_group_size: usize,
     /// Entries in the per-leaf persistent append buffer (W). Single-key
     /// inserts/updates append `(tag, key, value)` here with one persist and
@@ -131,7 +133,7 @@ impl TreeConfig {
         self
     }
 
-    /// Sets the leaf group size (0 disables grouping).
+    /// Sets the minimum leaf group size (0 disables grouping).
     pub fn with_leaf_group_size(mut self, g: usize) -> Self {
         self.leaf_group_size = g;
         self

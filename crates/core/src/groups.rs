@@ -14,17 +14,47 @@
 //! recovery-time group walk happens anyway to rebuild the free vector.
 //!
 //! Group block layout: `[next: RawPPtr | pad to 64][leaf 0][leaf 1]...`.
+//!
+//! The configured `leaf_group_size` is a minimum: a new tree takes as many
+//! leaves per group as the allocator block of that minimum holds
+//! ([`fill_group_block`]), and persists the result. `open` uses the stored
+//! size as it is, so one tree keeps one group size for its whole life.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
-use fptree_pmem::{PmemPool, RawPPtr};
+use fptree_pmem::{usable_size, PmemPool, RawPPtr};
 
 use crate::api::Error;
+use crate::config::TreeConfig;
 use crate::layout::LeafLayout;
 use crate::meta::TreeMeta;
 
 /// Byte offset of the first leaf within a group block.
 pub(crate) const GROUP_HEADER: u64 = 64;
+
+/// Bytes a group of `group_size` leaves of `leaf_size` bytes asks the
+/// allocator for: the header plus the leaves. `None` on overflow.
+pub(crate) fn group_bytes(group_size: usize, leaf_size: usize) -> Option<usize> {
+    group_size
+        .checked_mul(leaf_size)?
+        .checked_add(GROUP_HEADER as usize)
+}
+
+/// `cfg` with its group size raised to fill the allocator block: a group of
+/// `cfg.leaf_group_size` leaves lands in a power-of-two size class, and the
+/// resolved group takes every whole leaf that class has room for. Grouping
+/// off (0 or 1) and sizes no class holds pass through unchanged.
+pub(crate) fn fill_group_block(cfg: TreeConfig, key_slot: usize) -> TreeConfig {
+    let requested = cfg.leaf_group_size;
+    if requested <= 1 {
+        return cfg;
+    }
+    let leaf = LeafLayout::new(&cfg, key_slot).size;
+    let fitted = group_bytes(requested, leaf)
+        .and_then(|bytes| usable_size(bytes).ok())
+        .map_or(requested, |usable| (usable - GROUP_HEADER as usize) / leaf);
+    cfg.with_leaf_group_size(fitted)
+}
 
 /// Volatile manager of the leaf-group structures.
 pub(crate) struct GroupMgr {
@@ -37,9 +67,11 @@ pub(crate) struct GroupMgr {
     sanitize: bool,
     /// Free leaves, most recently freed last (Algorithm 10 pops the back).
     free: Vec<u64>,
-    /// Group base offset → number of currently free leaves in it.
-    free_count: HashMap<u64, usize>,
-    /// Group list in order (head first); tail is `groups.last()`.
+    /// Group base offset → number of currently free leaves in it; ordered,
+    /// so the group holding a leaf is the last base at or below it.
+    free_count: BTreeMap<u64, usize>,
+    /// Group list in order (head first); tail is `groups.last()`. Kept for
+    /// the persistent list's order: an unlink needs the predecessor.
     groups: Vec<u64>,
 }
 
@@ -53,7 +85,7 @@ impl GroupMgr {
             group_size,
             sanitize,
             free: Vec::new(),
-            free_count: HashMap::new(),
+            free_count: BTreeMap::new(),
             groups: Vec::new(),
         }
     }
@@ -84,10 +116,8 @@ impl GroupMgr {
 
     fn group_of(&self, layout: &LeafLayout, leaf: u64) -> Option<u64> {
         let bytes = self.group_bytes(layout) as u64;
-        self.groups
-            .iter()
-            .copied()
-            .find(|&g| leaf >= g + GROUP_HEADER && leaf < g + bytes)
+        let (&g, _) = self.free_count.range(..=leaf).next_back()?;
+        (leaf >= g + GROUP_HEADER && leaf < g + bytes).then_some(g)
     }
 
     fn leaves_of(&self, layout: &LeafLayout, group: u64) -> impl Iterator<Item = u64> + '_ {

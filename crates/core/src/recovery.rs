@@ -89,10 +89,7 @@ pub(crate) fn recover<K: KeyKind>(
     // `try_validate` covers the per-leaf knobs; the group size is only
     // bounded by the pool, so a garbage word here could overflow the
     // group-walk arithmetic.
-    let group_bytes = cfg
-        .leaf_group_size
-        .checked_mul(layout.size)
-        .and_then(|b| b.checked_add(crate::groups::GROUP_HEADER as usize));
+    let group_bytes = crate::groups::group_bytes(cfg.leaf_group_size, layout.size);
     if group_bytes.is_none_or(|b| b > pool.capacity()) {
         return Err(Error::corrupt(
             format!("stored leaf-group size {}", cfg.leaf_group_size),

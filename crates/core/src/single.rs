@@ -34,7 +34,7 @@ use fptree_pmem::PmemPool;
 
 use crate::api::{check_create, Error};
 use crate::config::TreeConfig;
-use crate::groups::GroupMgr;
+use crate::groups::{fill_group_block, GroupMgr};
 use crate::inner::{build_from_leaves, InnerNode, Node};
 use crate::keys::KeyKind;
 use crate::layout::LeafLayout;
@@ -91,12 +91,26 @@ impl<K: KeyKind> SingleTree<K> {
 
     /// [`Self::create`], rejecting an invalid `cfg` or a pool too small for
     /// the tree's initial footprint before any persistent write.
+    ///
+    /// `cfg.leaf_group_size` is a minimum: the tree takes as many leaves per
+    /// group as the allocator block of that many holds, and
+    /// [`Self::config`] reports the resolved size.
     pub fn try_create(
         pool: Arc<PmemPool>,
         cfg: TreeConfig,
         owner_slot: u64,
     ) -> Result<Self, Error> {
         check_create::<K>(&cfg, &pool, 1)?;
+        Self::create_resolved(pool, fill_group_block(cfg, K::SLOT_SIZE), owner_slot)
+    }
+
+    /// [`Self::try_create`] after its checks, with `cfg`'s group size taken
+    /// as it is (already resolved).
+    pub(crate) fn create_resolved(
+        pool: Arc<PmemPool>,
+        cfg: TreeConfig,
+        owner_slot: u64,
+    ) -> Result<Self, Error> {
         let checked = Arc::clone(&pool);
         let _op = checked.begin_checked_op("tree_create");
         let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
@@ -155,6 +169,7 @@ impl<K: KeyKind> SingleTree<K> {
             return Self::try_create(pool, cfg, owner_slot);
         }
         check_create::<K>(&cfg, &pool, 1)?;
+        let cfg = fill_group_block(cfg, K::SLOT_SIZE);
         let checked = Arc::clone(&pool);
         let _op = checked.begin_checked_op("bulk_load");
         let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
@@ -536,5 +551,68 @@ impl<K: KeyKind> SingleTree<K> {
     pub fn check_consistency(&self) -> Result<(), String> {
         self.ctx
             .check_leaf_chain::<K>(self.len, |k, off| self.root.find_leaf(k) == off)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::keys::FixedKey;
+    use fptree_pmem::{PoolOptions, ROOT_SLOT};
+
+    /// User sizes of the tree's group blocks, as the allocator recorded them.
+    fn group_block_sizes(t: &FPTree) -> Vec<u64> {
+        let live: std::collections::HashMap<u64, u64> =
+            t.pool().live_blocks().unwrap().into_iter().collect();
+        t.groups.blocks().iter().map(|g| live[g]).collect()
+    }
+
+    #[test]
+    fn image_with_an_unresolved_group_size_opens_unchanged() {
+        // An image written before group sizes were resolved at create stores
+        // the requested 16, which does not fill its block.
+        let cfg = TreeConfig::fptree().with_leaf_capacity(8);
+        assert_ne!(fill_group_block(cfg, FixedKey::SLOT_SIZE), cfg);
+        let pool = Arc::new(PmemPool::create(PoolOptions::direct(16 << 20)).unwrap());
+        let mut t = FPTree::create_resolved(pool, cfg, ROOT_SLOT).unwrap();
+        let group = 64 + 16 * t.ctx.layout.size as u64;
+        for k in 0..4000u64 {
+            assert!(t.insert(&k, k));
+        }
+        let full = t.groups.group_count();
+        // Sequential inserts fill leaves, and so groups, in key order: a
+        // removed key range frees whole groups.
+        for k in 1000..2500u64 {
+            assert!(t.remove(&k));
+        }
+        assert!(t.groups.group_count() < full, "no group was freed");
+        for k in (0..999u64).step_by(3) {
+            assert!(t.update(&k, k + 1));
+            assert!(t.remove(&(k + 1)));
+        }
+        let content: Vec<(u64, u64)> = t.iter().collect();
+        let groups = t.groups.group_count();
+        assert!(groups > 1);
+        let image = t.pool().clean_image();
+        drop(t);
+
+        let pool = Arc::new(PmemPool::reopen(image, PoolOptions::direct(0)).unwrap());
+        let mut t = FPTree::open(pool, ROOT_SLOT).unwrap();
+        assert_eq!(*t.config(), cfg);
+        assert_eq!(t.iter().collect::<Vec<_>>(), content);
+        assert_eq!(t.len(), content.len());
+        t.check_consistency().unwrap();
+        t.leak_audit().unwrap();
+
+        for k in 4000..8000u64 {
+            assert!(t.insert(&k, k));
+        }
+        assert!(
+            t.groups.group_count() > groups,
+            "no group allocated after open"
+        );
+        assert!(group_block_sizes(&t).iter().all(|&b| b == group));
+        t.check_consistency().unwrap();
+        t.leak_audit().unwrap();
     }
 }

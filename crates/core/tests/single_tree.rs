@@ -532,6 +532,10 @@ fn reopen_preserves_config() {
         .with_value_size(24)
         .with_leaf_group_size(3);
     let mut t = FPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+    // The requested group size is a minimum; the tree stores what it took.
+    let created = *t.config();
+    assert!(cfg.leaf_group_size <= created.leaf_group_size);
+    assert_eq!(created, cfg.with_leaf_group_size(created.leaf_group_size));
     for i in 0..100u64 {
         t.insert(&i, i);
     }
@@ -539,8 +543,46 @@ fn reopen_preserves_config() {
     let img = pool.clean_image();
     let pool2 = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).unwrap());
     let t2 = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
-    assert_eq!(*t2.config(), cfg);
+    assert_eq!(*t2.config(), created);
     assert_eq!(t2.len(), 100);
+}
+
+/// A grouped preset's resolved group fills the allocator block that the
+/// requested group size lands in: at least the request, at least 94 % of
+/// the block (its header included), and one more leaf would not fit.
+fn preset_fills_its_block<K: fptree_core::KeyKind>(preset: TreeConfig) {
+    let tree = SingleTree::<K>::try_create(direct_pool(8), preset, ROOT_SLOT)
+        .unwrap_or_else(|e| panic!("{preset:?}: {e}"));
+    let g = tree.config().leaf_group_size;
+    assert_eq!(*tree.config(), preset.with_leaf_group_size(g));
+    assert!(g >= preset.leaf_group_size, "{preset:?}: {g} leaves");
+    let leaf = LeafLayout::new(&preset, K::SLOT_SIZE).size;
+    let requested = 64 + g * leaf;
+    let usable = fptree_pmem::usable_size(requested).unwrap();
+    let block = fptree_pmem::BLOCK_HEADER_SIZE as usize + usable;
+    let fill = requested as f64 / block as f64;
+    assert!(fill >= 0.94, "{preset:?}: {g} leaves fill {fill:.3}");
+    assert!(
+        requested + leaf > usable,
+        "{preset:?}: leaf {} fits too",
+        g + 1
+    );
+    // The group size class did not grow.
+    let asked = 64 + preset.leaf_group_size * leaf;
+    assert_eq!(fptree_pmem::usable_size(asked), Ok(usable));
+}
+
+#[test]
+fn every_grouped_preset_fills_its_block() {
+    for preset in [
+        TreeConfig::fptree(),
+        TreeConfig::fptree_var(),
+        TreeConfig::ptree(),
+        TreeConfig::ptree_var(),
+    ] {
+        preset_fills_its_block::<FixedKey>(preset);
+        preset_fills_its_block::<VarKey>(preset);
+    }
 }
 
 #[test]

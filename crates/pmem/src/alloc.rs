@@ -118,6 +118,15 @@ fn class_size(class: usize) -> u64 {
     1u64 << (class as u32 + MIN_CLASS_SHIFT)
 }
 
+/// Usable bytes of the block that [`PmemPool::allocate`] returns for a
+/// `size`-byte request: `size` rounded up to its power-of-two size class.
+/// The block itself takes [`BLOCK_HEADER_SIZE`] more. Errs where
+/// `allocate` would ([`AllocError::TooLarge`] for 0 or beyond the largest
+/// class).
+pub fn usable_size(size: usize) -> Result<usize, AllocError> {
+    class_for(size).map(|class| class_size(class) as usize)
+}
+
 /// Internal handle over the allocator's persistent metadata.
 pub(crate) struct AllocHeader;
 
@@ -465,6 +474,24 @@ mod tests {
         assert_eq!(class_for(1 << 25).unwrap(), NCLASS - 1);
         assert!(class_for((1 << 25) + 1).is_err());
         assert!(class_for(0).is_err());
+    }
+
+    #[test]
+    fn usable_size_is_what_allocate_charges() {
+        let p = pool();
+        let slot = owner_slot(&p);
+        for size in [1usize, 64, 65, 1216, 19_520, 32_768] {
+            let before = p.alloc_stats().unwrap().bump;
+            p.allocate(slot, size).unwrap();
+            let charged = p.alloc_stats().unwrap().bump - before;
+            assert_eq!(
+                charged,
+                BLOCK_HEADER_SIZE + usable_size(size).unwrap() as u64
+            );
+        }
+        assert_eq!(usable_size(19_520), Ok(32_768));
+        assert_eq!(usable_size(0), Err(AllocError::TooLarge));
+        assert_eq!(usable_size((1 << 25) + 1), Err(AllocError::TooLarge));
     }
 
     #[test]

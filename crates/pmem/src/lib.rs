@@ -44,7 +44,7 @@ pub mod poolset;
 mod pptr;
 mod stats;
 
-pub use alloc::{AllocError, AllocStats, BLOCK_HEADER_SIZE};
+pub use alloc::{usable_size, AllocError, AllocStats, BLOCK_HEADER_SIZE};
 pub use check::{CheckedOp, DurabilityReport, Violation, ViolationKind};
 pub use latency::{busy_wait_ns, LatencyProfile};
 pub use pool::{
