@@ -7,8 +7,8 @@ use fptree_baselines::adapters::Locked as LockedBaseline;
 use fptree_baselines::{HashIndex, NVTreeC, StxTree, WBTree};
 use fptree_core::keys::{FixedKey, VarKey};
 use fptree_core::{
-    BytesIndex, ConcKey, ConcurrentTree, KeyKind, Locked, RecoveryStats, SingleTree, Snapshot,
-    TreeConfig, U64Index,
+    BytesIndex, ConcurrentTree, KeyKind, Locked, RecoveryStats, SingleTree, Snapshot, TreeConfig,
+    U64Index,
 };
 use fptree_pmem::{PmemPool, ROOT_SLOT};
 
@@ -179,7 +179,7 @@ fn single<K: KeyKind>(
     (t, Some(pool), Box::new(footprint))
 }
 
-fn concurrent<K: ConcKey>(
+fn concurrent<K: KeyKind>(
     pool: Arc<PmemPool>,
     cfg: TreeConfig,
     slot: u64,

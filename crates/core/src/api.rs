@@ -1,7 +1,7 @@
 //! The typed [`Error`] of every fallible path, the byte-string key limit,
 //! and the one pre-flight check behind the `try_create` constructors.
 //!
-//! `SingleTree::try_create`, `ConcurrentTree::try_create` and
+//! `ConcurrentTree::try_create` (and the [`crate::Exclusive`] handle's) and
 //! `Sharded::try_create` validate the configuration *and* the pool sizing
 //! before any persistent state is touched, so misuse surfaces as an
 //! [`Error`] instead of a panic deep in the layout or allocator code; the

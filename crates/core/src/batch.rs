@@ -26,18 +26,15 @@
 //! sweeps crash fuses through batched schedules.
 //!
 //! Steps 3–4 are the kernel's `insert_run` / `remove_run`
-//! ([`crate::leafops`]); this file is steps 1–2 per tree variant: sort,
-//! find (and lock) each run's leaf, publish what the kernel reports.
-
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+//! ([`crate::leafops`]); this file is steps 1–2: sort, find and lock each
+//! run's leaf, publish what the kernel reports.
 
 use fptree_htm::Abort;
+use std::sync::atomic::Ordering;
 
-use crate::concurrent::{ConcKey, ConcurrentTree};
+use crate::concurrent::ConcurrentTree;
 use crate::keys::KeyKind;
 use crate::metrics::{Counter, Op};
-use crate::single::SingleTree;
 
 /// Sorts batch input and drops duplicate keys, keeping the **first**
 /// occurrence — the outcome a loop of single `insert` calls produces.
@@ -56,88 +53,7 @@ fn sorted_keys<T: Ord + Clone>(keys: &[T]) -> Vec<T> {
     sorted
 }
 
-impl<K: KeyKind> SingleTree<K> {
-    /// Inserts many entries, grouping sorted runs by destination leaf so
-    /// each touched leaf pays **one** flush/fence set and one p-atomic
-    /// commit regardless of how many batch keys land in it.
-    ///
-    /// Semantically identical to looping [`SingleTree::insert`] over
-    /// `entries`: already-present keys are left untouched and the first
-    /// occurrence of an in-batch duplicate wins. Returns the number of
-    /// newly inserted keys.
-    pub fn insert_batch(&mut self, entries: &[(K::Owned, u64)]) -> usize {
-        if entries.is_empty() {
-            return 0;
-        }
-        if entries.len() == 1 {
-            // A single-entry batch is exactly a single insert, which has
-            // the cheaper one-publish append path (§5.12).
-            return self.insert(&entries[0].0, entries[0].1) as usize;
-        }
-        let metrics = Arc::clone(&self.ctx.metrics);
-        let _t = metrics.time_op(Op::Insert);
-        let checked = Arc::clone(&self.ctx.pool);
-        let _op = checked.begin_checked_op("insert_batch");
-        let sorted = sort_dedup::<K>(entries);
-        let mut inserted = 0usize;
-        let mut i = 0;
-        while i < sorted.len() {
-            // The run at the front of the rest: the longest sorted prefix
-            // routing to one leaf. The kernel consumes a nonempty prefix of
-            // it; keys cut short by a mid-run split re-route through the
-            // freshly updated index.
-            let rest = &sorted[i..];
-            let dest = self.root.find_leaf(&rest[0].0);
-            let mut t = 1;
-            while t < rest.len() && self.root.find_leaf(&rest[t].0) == dest {
-                t += 1;
-            }
-            let (ctx, groups) = (&self.ctx, &mut self.groups);
-            let r =
-                ctx.insert_run::<K>(dest, &rest[..t], |off| ctx.split_leaf::<K>(groups, off, 0));
-            if let Some((split_key, new_off)) = r.split {
-                self.publish_split(split_key, new_off);
-            }
-            self.len += r.inserted;
-            inserted += r.inserted;
-            i += r.consumed;
-        }
-        inserted
-    }
-
-    /// Removes many keys, clearing each touched leaf's run with **one**
-    /// p-atomic bitmap write. Semantically identical to looping
-    /// [`SingleTree::remove`]; returns the number of keys removed.
-    pub fn remove_batch(&mut self, keys: &[K::Owned]) -> usize {
-        if keys.is_empty() {
-            return 0;
-        }
-        let metrics = Arc::clone(&self.ctx.metrics);
-        let _t = metrics.time_op(Op::Remove);
-        let checked = Arc::clone(&self.ctx.pool);
-        let _op = checked.begin_checked_op("remove_batch");
-        let sorted = sorted_keys(keys);
-        let mut removed = 0usize;
-        let mut i = 0;
-        while i < sorted.len() {
-            let (off, prev) = self.root.find_leaf_and_prev(&sorted[i]);
-            let mut j = i + 1;
-            while j < sorted.len() && self.root.find_leaf(&sorted[j]) == off {
-                j += 1;
-            }
-            let r = self.ctx.remove_run::<K>(off, &sorted[i..j], false);
-            self.len -= r.removed;
-            removed += r.removed;
-            if r.emptied {
-                self.unlink_leaf(off, prev, &sorted[i]);
-            }
-            i = j;
-        }
-        removed
-    }
-}
-
-impl<K: ConcKey> ConcurrentTree<K> {
+impl<K: KeyKind> ConcurrentTree<K> {
     /// True when the leaf at `off` covers `key`, decided by a
     /// globally-validated speculative traverse.
     ///
@@ -156,10 +72,14 @@ impl<K: ConcKey> ConcurrentTree<K> {
         }) == off
     }
 
-    /// Concurrent batched insert: sorted runs are applied under **one**
-    /// leaf lock and one p-atomic commit per touched leaf, with the same
-    /// semantics as looping [`ConcurrentTree::insert`]. Returns the number
-    /// of newly inserted keys.
+    /// Inserts many entries, grouping sorted runs by destination leaf so
+    /// each touched leaf pays **one** leaf lock, one flush/fence set and
+    /// one p-atomic commit regardless of how many batch keys land in it.
+    ///
+    /// Semantically identical to looping [`ConcurrentTree::insert`] over
+    /// `entries`: already-present keys are left untouched and the first
+    /// occurrence of an in-batch duplicate wins. Returns the number of
+    /// newly inserted keys.
     pub fn insert_batch(&self, entries: &[(K::Owned, u64)]) -> usize {
         if entries.is_empty() {
             return 0;
@@ -201,11 +121,13 @@ impl<K: ConcKey> ConcurrentTree<K> {
         inserted
     }
 
-    /// Concurrent batched remove: one p-atomic commit clears each touched
-    /// leaf's run. A run that would empty its leaf keeps one entry back and
+    /// Removes many keys: one p-atomic commit clears each touched leaf's
+    /// run. A run that would empty its leaf keeps one entry back and
     /// delegates that last key to [`ConcurrentTree::remove`], which owns
-    /// the predecessor-locking unlink protocol. Returns the number of keys
-    /// removed.
+    /// the predecessor-locking unlink protocol — one more bitmap commit
+    /// (one persist) per emptied leaf than clearing the whole run at once.
+    /// Semantically identical to looping [`ConcurrentTree::remove`];
+    /// returns the number of keys removed.
     pub fn remove_batch(&self, keys: &[K::Owned]) -> usize {
         if keys.is_empty() {
             return 0;
@@ -222,7 +144,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
             while t < rest.len() && self.covered_by(off, &rest[t]) {
                 t += 1;
             }
-            let r = self.ctx.remove_run::<K>(off, &rest[..t], true);
+            let r = self.ctx.remove_run::<K>(off, &rest[..t]);
             self.ctx.leaf(off).unlock_version();
             self.len.fetch_sub(r.removed, Ordering::Relaxed);
             removed += r.removed;

@@ -1,23 +1,27 @@
-//! The concurrent FPTree: Selective Concurrency (§4.4, Algorithms 1–8).
+//! The FPTree: one tree for one thread or many, Selective Concurrency
+//! (§4.4, Algorithms 1–8) around the leaf-mutation kernel.
 //!
-//! Work that touches only the transient part (traversal, inner-node updates)
-//! runs inside an emulated hardware transaction — an optimistic section of
-//! the global [`SpecLock`] — while work that needs persistence primitives
-//! (leaf writes, splits, unlinks) runs *outside* it under fine-grained
-//! per-leaf locks. The flow of every write operation is the paper's:
+//! The paper presents the concurrent FPTree as the single-threaded
+//! algorithms inside a speculative section plus leaf locks, and so this is
+//! the only tree: a single-threaded caller pays a speculative section that
+//! never aborts and an uncontended leaf lock. Work that touches only the
+//! transient part (traversal, inner-node updates) runs inside an emulated
+//! hardware transaction — an optimistic section of the global [`SpecLock`]
+//! — while work that needs persistence primitives (leaf writes, splits,
+//! unlinks) runs *outside* it under fine-grained per-leaf locks. The flow
+//! of every write operation is the paper's:
 //!
 //! 1. inside the speculative section: traverse, lock the target leaf (and
-//!    for deletes of a dying leaf, its predecessor), decide whether a split
-//!    is needed, validate, commit;
+//!    for deletes of a dying leaf, its predecessor), validate, commit;
 //! 2. outside: split (micro-logged) and/or modify the leaf, persist, commit
-//!    with one p-atomic bitmap write — the leaf-mutation kernel shared with
-//!    the single-threaded tree ([`crate::leafops`], DESIGN.md §5.14);
+//!    with one p-atomic bitmap write — the leaf-mutation kernel
+//!    ([`crate::leafops`], DESIGN.md §5.14);
 //! 3. if the structure changed: a short exclusive section updates the
 //!    parents; finally the leaf locks are released.
 //!
-//! This file therefore holds only what differs from [`crate::single`]: the
-//! atomic inner nodes, the speculative locate-and-lock sections, and the
-//! exclusive index updates.
+//! Leaf groups (§4.3) stay with the trees that ask for them
+//! (`leaf_group_size > 1`): the group manager sits behind a mutex held
+//! across `GetLeaf` / `FreeLeaf`, which share one micro-log pair.
 //!
 //! ## Emulation-specific mechanics (see DESIGN.md §2)
 //!
@@ -27,15 +31,15 @@
 //! * leaf locks are **per-leaf sequence locks** (even/odd u64): readers
 //!   snapshot a version and re-validate after reading the leaf, which is
 //!   exactly the conflict TSX would detect on the leaf-lock cache line;
-//! * inner nodes store keys and children in **atomic words**; readers may
-//!   observe torn logical states (mid-shift arrays) but every individual
-//!   word is a valid encoding, and the global validation rejects the
-//!   traversal whenever a structural writer overlapped it;
-//! * inner nodes and interned variable keys are retired to a graveyard
-//!   (freed when the tree drops), never mid-run, so optimistic readers can
-//!   always dereference what they loaded.
+//! * inner nodes ([`crate::node`]) store keys and children in **atomic
+//!   words**; readers may observe torn logical states (mid-shift arrays)
+//!   but every individual word is a valid encoding, and the global
+//!   validation rejects the traversal whenever a structural writer
+//!   overlapped it;
+//! * inner-node memory and interned variable keys are freed only when the
+//!   tree drops, so optimistic readers can always dereference what they
+//!   loaded.
 
-use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,109 +50,34 @@ use parking_lot::Mutex;
 
 use crate::api::{check_create, Error};
 use crate::config::TreeConfig;
-use crate::groups::GroupMgr;
-use crate::keys::{FixedKey, KeyKind, VarKey};
+use crate::groups::{fill_group_block, GroupMgr};
+use crate::keys::{FixedKey, Interner, KeyKind, VarKey};
 use crate::layout::LeafLayout;
 use crate::leafops::{Ctx, WriteMode};
 use crate::meta::{TreeMeta, STATUS_READY};
 use crate::metrics::{Counter, Metrics, Op, RecoveryStats, Snapshot};
+use crate::node::{Node, Nodes};
 use crate::recovery::{recover, stamp_build};
-use crate::scan::{ConcScan, ScanBounds};
+use crate::scan::{Scan, ScanBounds};
 
 /// Traversal depth bound: a torn optimistic read can cycle; anything deeper
 /// than this is declared a conflict.
 const MAX_DEPTH: usize = 64;
 
-/// Number of split/delete micro-logs (upper bound on concurrent structural
-/// operations; the paper indexes its micro-log arrays with lock-free
-/// queues, here one word: bit `i` of the free mask is log `i`).
+/// Number of split/delete micro-logs of a tree without leaf groups (upper
+/// bound on concurrent structural operations; the paper indexes its
+/// micro-log arrays with lock-free queues, here one word: bit `i` of the
+/// free mask is log `i`).
 const N_LOGS: usize = 64;
 
-/// Key encoding for atomic (u64) inner-node slots.
-///
-/// Fixed keys are stored directly. Variable keys are interned in DRAM and
-/// stored as a pointer; interned keys live until the tree is dropped, so a
-/// stale pointer read by an optimistic traversal is always dereferenceable.
-pub trait ConcKey: KeyKind {
-    /// Encodes `key` into a u64 inner-slot value.
-    fn encode(key: &Self::Owned, intern: &Interner) -> u64;
-    /// Compares an encoded slot value with a search key.
-    fn cmp_encoded(enc: u64, key: &Self::Owned) -> CmpOrdering;
-}
-
-impl ConcKey for FixedKey {
-    #[inline]
-    fn encode(key: &u64, _intern: &Interner) -> u64 {
-        *key
-    }
-
-    #[inline]
-    fn cmp_encoded(enc: u64, key: &u64) -> CmpOrdering {
-        enc.cmp(key)
-    }
-}
-
-impl ConcKey for VarKey {
-    fn encode(key: &Vec<u8>, intern: &Interner) -> u64 {
-        intern.intern(key)
-    }
-
-    #[inline]
-    fn cmp_encoded(enc: u64, key: &Vec<u8>) -> CmpOrdering {
-        if enc == 0 {
-            // Empty-slot sentinel: acts as +∞ so searches stop before it.
-            return CmpOrdering::Greater;
-        }
-        // SAFETY: non-zero encodings in inner-key slots are only ever
-        // produced by `Interner::intern`, and interned buffers are not
-        // freed until the tree drops.
-        let buf = unsafe { &*(enc as *const Box<[u8]>) };
-        (**buf).cmp(key.as_slice())
-    }
-}
-
-/// DRAM arena of interned variable-size discriminator keys.
-#[derive(Default)]
-pub struct Interner {
-    // The outer Box pins each (fat) `Box<[u8]>` at a stable heap address
-    // that encodes into one u64; do not "simplify" the nesting.
-    #[allow(clippy::vec_box)]
-    bufs: Mutex<Vec<Box<Box<[u8]>>>>,
-}
-
-impl Interner {
-    /// Copies `key` into the arena, returning a stable pointer encoding.
-    pub fn intern(&self, key: &[u8]) -> u64 {
-        let boxed: Box<Box<[u8]>> = Box::new(key.to_vec().into_boxed_slice());
-        let ptr = &*boxed as *const Box<[u8]> as u64;
-        self.bufs.lock().push(boxed);
-        ptr
-    }
-
-    fn bytes(&self) -> usize {
-        self.bufs.lock().iter().map(|b| b.len() + 48).sum()
-    }
-}
-
-/// An inner node with atomic fields, safe to read optimistically.
-struct CNode {
-    /// Number of children (keys = count − 1). May be stale mid-update;
-    /// readers clamp and validate.
-    count: AtomicUsize,
-    /// Discriminators, capacity `fanout`.
-    keys: Box<[AtomicU64]>,
-    /// Child encodings, capacity `fanout + 1`: `(leaf_offset << 1) | 1` for
-    /// leaves, the `CNode` address for inner children.
-    children: Box<[AtomicU64]>,
-}
-
-impl CNode {
-    fn new(fanout: usize) -> Box<CNode> {
-        Box::new(CNode {
-            count: AtomicUsize::new(0),
-            keys: (0..fanout).map(|_| AtomicU64::new(0)).collect(),
-            children: (0..fanout + 1).map(|_| AtomicU64::new(0)).collect(),
-        })
+/// Split/delete micro-logs a new tree gets. A grouped tree keeps the one
+/// pair that images written by the single-threaded FPTree carry: the
+/// metadata block is part of its SCM footprint.
+fn n_logs(cfg: &TreeConfig) -> usize {
+    if cfg.leaf_group_size > 1 {
+        1
+    } else {
+        N_LOGS
     }
 }
 
@@ -167,9 +96,26 @@ fn enc_leaf_off(enc: u64) -> u64 {
     enc >> 1
 }
 
-/// A concurrent, persistent, hybrid SCM-DRAM B+-Tree (the paper's FPTreeC).
+/// Memory footprint report (Figure 8).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoryUsage {
+    /// Bytes in SCM: leaves (or their groups), key blobs, metadata block.
+    pub scm_bytes: u64,
+    /// Bytes in DRAM: inner nodes, free ones included, and interned
+    /// variable-size discriminators.
+    pub dram_bytes: u64,
+    /// Number of leaves linked in the tree.
+    pub leaf_count: usize,
+    /// Number of inner nodes in use.
+    pub inner_count: usize,
+}
+
+/// A persistent, hybrid SCM-DRAM B+-Tree, safe to share between threads.
 ///
-/// All operations take `&self` and are safe to call from many threads.
+/// All operations take `&self`. With [`TreeConfig::fptree`] it is the
+/// paper's FPTree, with [`TreeConfig::fptree_concurrent`] its FPTreeC, with
+/// [`TreeConfig::ptree`] the PTree; `ConcurrentTree<VarKey>` are the
+/// variable-size-key variants.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -193,110 +139,320 @@ fn enc_leaf_off(enc: u64) -> u64 {
 /// assert_eq!(tree.len(), 400);
 /// assert_eq!(tree.get(&1001), Some(1));
 /// ```
-pub struct ConcurrentTree<K: ConcKey> {
+pub struct ConcurrentTree<K: KeyKind> {
     pub(crate) ctx: Ctx,
     pub(crate) lock: SpecLock,
     root: AtomicU64,
-    /// Every CNode ever allocated; freed only on drop. Boxed so
-    /// node addresses stay stable while the Vec grows (optimistic readers
-    /// hold raw pointers).
-    #[allow(clippy::vec_box)]
-    nodes: Mutex<Vec<Box<CNode>>>,
+    nodes: Nodes,
     intern: Interner,
+    /// Leaf groups (inert when the tree has none).
+    groups: Mutex<GroupMgr>,
     /// Free micro-log indices: bit `i` set means log `i` is free.
     free_logs: AtomicU64,
     pub(crate) len: AtomicUsize,
     recovery: Option<RecoveryStats>,
-    _marker: std::marker::PhantomData<K>,
+    _marker: std::marker::PhantomData<fn() -> K>,
 }
 
-/// Fixed-size-key concurrent FPTree.
+/// The tree with fixed-size (u64) keys.
 pub type ConcurrentFPTree = ConcurrentTree<FixedKey>;
-/// Variable-size-key concurrent FPTree.
+/// The tree with variable-size (byte-string) keys.
 pub type ConcurrentFPTreeVar = ConcurrentTree<VarKey>;
+/// The tree held by one owner (see [`Exclusive`]).
+pub type SingleTree<K> = Exclusive<K>;
+/// The paper's FPTree / PTree with fixed-size (u64) keys, held by one owner.
+pub type FPTree = Exclusive<FixedKey>;
+/// The paper's FPTree / PTree with variable-size (byte-string) keys, held
+/// by one owner.
+pub type FPTreeVar = Exclusive<VarKey>;
 
-impl<K: ConcKey> ConcurrentTree<K> {
-    /// Creates a fresh concurrent tree (leaf groups are never used: they
-    /// would be a central synchronization point, §5). Panics where
-    /// [`Self::try_create`] errs.
+/// A [`ConcurrentTree`] held by one owner: the same tree, whose writes take
+/// `&mut self`. Everything else is the tree's, through `Deref`.
+///
+/// It is a handle, not a second implementation. A single-threaded caller
+/// could write through `&ConcurrentTree`; the `&mut` receivers keep the
+/// single-threaded API its callers compile against. A caller that holds
+/// `&mut FPTree` next to a trait with its own `insert` (a key-value trait
+/// implemented for `&mut FPTree`, say) resolves `tree.insert(..)` to the
+/// tree only if the tree's method takes `&mut self` — a `&self` method is
+/// found one auto-deref later, after the trait's.
+pub struct Exclusive<K: KeyKind>(ConcurrentTree<K>);
+
+impl<K: KeyKind> std::ops::Deref for Exclusive<K> {
+    type Target = ConcurrentTree<K>;
+
+    fn deref(&self) -> &ConcurrentTree<K> {
+        &self.0
+    }
+}
+
+impl<K: KeyKind> Exclusive<K> {
+    /// [`ConcurrentTree::create`].
     pub fn create(pool: Arc<PmemPool>, cfg: TreeConfig, owner_slot: u64) -> Self {
-        Self::try_create(pool, cfg, owner_slot).expect("creating concurrent tree")
+        Exclusive(ConcurrentTree::create(pool, cfg, owner_slot))
     }
 
-    /// [`Self::create`], rejecting an invalid `cfg` or a pool too small for
-    /// the tree's initial footprint before any persistent write.
+    /// [`ConcurrentTree::try_create`].
     pub fn try_create(
         pool: Arc<PmemPool>,
         cfg: TreeConfig,
         owner_slot: u64,
     ) -> Result<Self, Error> {
-        let mut cfg = cfg;
-        cfg.leaf_group_size = 0;
-        check_create::<K>(&cfg, &pool, N_LOGS)?;
+        ConcurrentTree::try_create(pool, cfg, owner_slot).map(Exclusive)
+    }
+
+    /// [`ConcurrentTree::bulk_load`].
+    pub fn bulk_load(
+        pool: Arc<PmemPool>,
+        cfg: TreeConfig,
+        owner_slot: u64,
+        entries: &[(K::Owned, u64)],
+    ) -> Self {
+        Exclusive(ConcurrentTree::bulk_load(pool, cfg, owner_slot, entries))
+    }
+
+    /// [`ConcurrentTree::try_bulk_load`].
+    pub fn try_bulk_load(
+        pool: Arc<PmemPool>,
+        cfg: TreeConfig,
+        owner_slot: u64,
+        entries: &[(K::Owned, u64)],
+    ) -> Result<Self, Error> {
+        ConcurrentTree::try_bulk_load(pool, cfg, owner_slot, entries).map(Exclusive)
+    }
+
+    /// [`ConcurrentTree::open`].
+    pub fn open(pool: Arc<PmemPool>, owner_slot: u64) -> Result<Self, Error> {
+        ConcurrentTree::open(pool, owner_slot).map(Exclusive)
+    }
+
+    /// [`ConcurrentTree::open_with`].
+    pub fn open_with(pool: Arc<PmemPool>, owner_slot: u64, threads: usize) -> Result<Self, Error> {
+        ConcurrentTree::open_with(pool, owner_slot, threads).map(Exclusive)
+    }
+
+    /// [`ConcurrentTree::get`] (also reachable through `Deref`; this one
+    /// answers to the path `FPTree::get`).
+    pub fn get(&self, key: &K::Owned) -> Option<u64> {
+        self.0.get(key)
+    }
+
+    /// [`ConcurrentTree::insert`].
+    pub fn insert(&mut self, key: &K::Owned, value: u64) -> bool {
+        self.0.insert(key, value)
+    }
+
+    /// [`ConcurrentTree::update`].
+    pub fn update(&mut self, key: &K::Owned, value: u64) -> bool {
+        self.0.update(key, value)
+    }
+
+    /// [`ConcurrentTree::update_if`].
+    pub fn update_if(&mut self, key: &K::Owned, expected: u64, value: u64) -> bool {
+        self.0.update_if(key, expected, value)
+    }
+
+    /// [`ConcurrentTree::remove`].
+    pub fn remove(&mut self, key: &K::Owned) -> bool {
+        self.0.remove(key)
+    }
+
+    /// [`ConcurrentTree::remove_if`].
+    pub fn remove_if(&mut self, key: &K::Owned, expected: u64) -> bool {
+        self.0.remove_if(key, expected)
+    }
+
+    /// [`ConcurrentTree::insert_batch`].
+    pub fn insert_batch(&mut self, entries: &[(K::Owned, u64)]) -> usize {
+        self.0.insert_batch(entries)
+    }
+
+    /// [`ConcurrentTree::remove_batch`].
+    pub fn remove_batch(&mut self, keys: &[K::Owned]) -> usize {
+        self.0.remove_batch(keys)
+    }
+}
+
+impl<K: KeyKind> ConcurrentTree<K> {
+    /// Creates a fresh tree, publishing its metadata block into the owner
+    /// pointer at `owner_slot` (use [`fptree_pmem::ROOT_SLOT`] for the
+    /// pool's primary object). Panics where [`Self::try_create`] errs.
+    pub fn create(pool: Arc<PmemPool>, cfg: TreeConfig, owner_slot: u64) -> Self {
+        Self::try_create(pool, cfg, owner_slot).expect("creating tree")
+    }
+
+    /// [`Self::create`], rejecting an invalid `cfg` or a pool too small for
+    /// the tree's initial footprint before any persistent write.
+    ///
+    /// `cfg.leaf_group_size` is a minimum: the tree takes as many leaves per
+    /// group as the allocator block of that many holds, and
+    /// [`Self::config`] reports the resolved size.
+    pub fn try_create(
+        pool: Arc<PmemPool>,
+        cfg: TreeConfig,
+        owner_slot: u64,
+    ) -> Result<Self, Error> {
+        check_create::<K>(&cfg, &pool, n_logs(&cfg))?;
+        Self::create_with(
+            pool,
+            fill_group_block(cfg, K::SLOT_SIZE),
+            owner_slot,
+            n_logs(&cfg),
+        )
+    }
+
+    /// [`Self::try_create`] after its checks, with `cfg` taken as it is
+    /// (group size already resolved) and `logs` split/delete micro-logs.
+    pub(crate) fn create_with(
+        pool: Arc<PmemPool>,
+        cfg: TreeConfig,
+        owner_slot: u64,
+        logs: usize,
+    ) -> Result<Self, Error> {
         let checked = Arc::clone(&pool);
         let _op = checked.begin_checked_op("tree_create");
         let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
-        let meta = TreeMeta::create(&pool, &cfg, K::SLOT_SIZE, K::IS_VAR, N_LOGS, owner_slot);
+        let meta = TreeMeta::create(&pool, &cfg, K::SLOT_SIZE, K::IS_VAR, logs, owner_slot);
         let ctx = Ctx::new(pool, cfg, layout, meta);
+        let mut groups = GroupMgr::with_sanitize(cfg.leaf_group_size, K::IS_VAR);
         ctx.metrics.inc(Counter::LeafAllocs);
-        let head = ctx
-            .pool
-            .allocate(meta.head_slot(), layout.size)
-            .expect("pool exhausted: first leaf");
+        let head = groups.get_leaf(&ctx.pool, &ctx.layout, &meta, meta.head_slot());
         ctx.zero_leaf(head);
         meta.set_status(&ctx.pool, STATUS_READY);
-        let t = Self::empty(ctx);
+        let t = Self::empty(ctx, groups);
         t.root.store(leaf_enc(head), Ordering::Release);
         Ok(t)
     }
 
-    /// Opens (recovers) a concurrent tree: Algorithm 9 — replay micro-logs,
-    /// audit, rebuild inner nodes, reset leaf locks, rebuild log queues.
+    /// Bulk-loads sorted, unique `(key, value)` entries at ~70% leaf fill —
+    /// how a warmed-up tree looks (Figure 8's fill factor), and much faster
+    /// than repeated inserts.
+    ///
+    /// All-or-nothing: the metadata stays in the INITIALIZING state until
+    /// the load completes, so a crash mid-load recovers to an empty tree
+    /// (partial leaves are reclaimed by the init-crash path of `open`).
+    /// Panics where [`Self::try_bulk_load`] errs.
+    pub fn bulk_load(
+        pool: Arc<PmemPool>,
+        cfg: TreeConfig,
+        owner_slot: u64,
+        entries: &[(K::Owned, u64)],
+    ) -> Self {
+        Self::try_bulk_load(pool, cfg, owner_slot, entries).expect("bulk-loading tree")
+    }
+
+    /// [`Self::bulk_load`], rejecting what [`Self::try_create`] rejects plus
+    /// unsorted or duplicated keys ([`Error::InvalidConfig`] — leaves built
+    /// from them would misroute) and over-long byte-string keys
+    /// ([`Error::KeyTooLarge`]), all before any persistent write.
+    pub fn try_bulk_load(
+        pool: Arc<PmemPool>,
+        cfg: TreeConfig,
+        owner_slot: u64,
+        entries: &[(K::Owned, u64)],
+    ) -> Result<Self, Error> {
+        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(Error::InvalidConfig(
+                "bulk load requires sorted unique keys".into(),
+            ));
+        }
+        for (key, _) in entries {
+            K::check_len(key)?;
+        }
+        if entries.is_empty() {
+            return Self::try_create(pool, cfg, owner_slot);
+        }
+        let logs = n_logs(&cfg);
+        check_create::<K>(&cfg, &pool, logs)?;
+        let cfg = fill_group_block(cfg, K::SLOT_SIZE);
+        let checked = Arc::clone(&pool);
+        let _op = checked.begin_checked_op("bulk_load");
+        let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
+        let meta = TreeMeta::create(&pool, &cfg, K::SLOT_SIZE, K::IS_VAR, logs, owner_slot);
+        let ctx = Ctx::new(pool, cfg, layout, meta);
+        let mut groups = GroupMgr::with_sanitize(cfg.leaf_group_size, K::IS_VAR);
+
+        let per_leaf = (layout.m * 7 / 10).max(1);
+        let mut index_entries: Vec<(K::Owned, u64)> = Vec::new();
+        let mut prev: Option<u64> = None;
+        for chunk in entries.chunks(per_leaf) {
+            // The owner slot for each leaf is where its pointer will live:
+            // the list head for the first, the predecessor's next field for
+            // the rest — so the linked list forms as the allocator runs.
+            let dest = match prev {
+                None => meta.head_slot(),
+                Some(p) => p + ctx.layout.off_next as u64,
+            };
+            ctx.metrics.inc(Counter::LeafAllocs);
+            let off = groups.get_leaf(&ctx.pool, &ctx.layout, &meta, dest);
+            ctx.zero_leaf(off);
+            let leaf = ctx.leaf(off);
+            for (slot, (k, v)) in chunk.iter().enumerate() {
+                K::write_slot(&ctx.pool, leaf.key_off(slot), k);
+                leaf.set_value(slot, *v);
+                if layout.fingerprints {
+                    leaf.set_fingerprint(slot, K::fingerprint(k));
+                }
+            }
+            let bm = if chunk.len() == 64 {
+                u64::MAX
+            } else {
+                (1u64 << chunk.len()) - 1
+            };
+            // analyzer:allow(raw-publish) — bulk-load leaves are unreachable
+            // until the final set_status(STATUS_READY) publish commits the
+            // whole tree; per-leaf bitmaps are plain initialization here.
+            ctx.pool.write_word(off + layout.off_bitmap as u64, bm);
+            ctx.pool.persist(off, layout.size);
+            index_entries.push((chunk.last().expect("chunk nonempty").0.clone(), off));
+            prev = Some(off);
+        }
+        meta.set_status(&ctx.pool, STATUS_READY);
+        let t = Self::empty(ctx, groups);
+        t.len.store(entries.len(), Ordering::Relaxed);
+        t.build_index(index_entries, 1);
+        Ok(t)
+    }
+
+    /// Opens (recovers) the tree whose metadata is referenced by the owner
+    /// pointer at `owner_slot` — Algorithm 9: finish interrupted
+    /// initialization, replay micro-logs, audit, rebuild inner nodes, reset
+    /// leaf locks.
     ///
     /// Runs the recovery pipeline on
-    /// [`crate::config::default_recovery_threads`] workers; corruption is
-    /// reported as [`Error::Corrupt`] instead of a panic.
+    /// [`crate::config::default_recovery_threads`] workers. Any pointer,
+    /// count, or metadata word that fails validation is reported as
+    /// [`Error::Corrupt`] — a damaged image never panics.
     pub fn open(pool: Arc<PmemPool>, owner_slot: u64) -> Result<Self, Error> {
         Self::open_with(pool, owner_slot, crate::config::default_recovery_threads())
     }
 
     /// [`Self::open`] with an explicit recovery worker count (0 means the
-    /// default); the recovered tree is identical for every `threads` value.
+    /// default). The result is identical for every `threads` value: the
+    /// parallel phases partition work in chain order and stitch the pieces
+    /// back together serially.
     pub fn open_with(pool: Arc<PmemPool>, owner_slot: u64, threads: usize) -> Result<Self, Error> {
         let r = recover::<K>(pool, owner_slot, threads)?;
-        let mut t = Self::empty(r.ctx);
+        let mut t = Self::empty(r.ctx, r.groups);
         t.len.store(r.len, Ordering::Relaxed);
-        // Phase 4 — build the atomic index bottom-up, level by level.
+        // Phase 4 — build the inner nodes bottom-up, level by level.
         let start = Instant::now();
-        let root = if r.entries.is_empty() {
-            leaf_enc(t.ctx.meta.head(&t.ctx.pool).offset)
-        } else {
-            let fanout = t.ctx.cfg.inner_fanout;
-            let mut level: Vec<(K::Owned, u64)> = r
-                .entries
-                .into_iter()
-                .map(|(k, off)| (k, leaf_enc(off)))
-                .collect();
-            while level.len() > 1 {
-                level = t.build_level(&level, fanout, r.threads);
-            }
-            level[0].1
-        };
-        t.root.store(root, Ordering::Release);
+        t.build_index(r.entries, r.threads);
         t.recovery = stamp_build(r.stats, start);
         Ok(t)
     }
 
-    fn empty(ctx: Ctx) -> Self {
+    fn empty(ctx: Ctx, groups: GroupMgr) -> Self {
         // `TreeMeta::open` bounds `n_logs` to at least 1; logs past the
         // mask's 64 stay unused.
         let free_logs = u64::MAX >> (N_LOGS - ctx.meta.n_logs.min(N_LOGS));
         ConcurrentTree {
+            nodes: Nodes::new(ctx.cfg.inner_fanout),
             ctx,
             lock: SpecLock::new(),
             root: AtomicU64::new(0),
-            nodes: Mutex::new(Vec::new()),
             intern: Interner::default(),
+            groups: Mutex::new(groups),
             free_logs: AtomicU64::new(free_logs),
             len: AtomicUsize::new(0),
             recovery: None,
@@ -304,25 +460,39 @@ impl<K: ConcKey> ConcurrentTree<K> {
         }
     }
 
-    /// Packs one level's `(max_key, child_enc)` pairs into parent CNodes
+    /// Builds the index over `entries = [(max_key, leaf)]` (chain order)
+    /// and publishes its root; no entries means the head leaf alone.
+    fn build_index(&self, entries: Vec<(K::Owned, u64)>, threads: usize) {
+        let root = if entries.is_empty() {
+            leaf_enc(self.ctx.meta.head(&self.ctx.pool).offset)
+        } else {
+            let mut level: Vec<(K::Owned, u64)> = entries
+                .into_iter()
+                .map(|(k, off)| (k, leaf_enc(off)))
+                .collect();
+            while level.len() > 1 {
+                level = self.build_level(&level, threads);
+            }
+            level[0].1
+        };
+        self.root.store(root, Ordering::Release);
+    }
+
+    /// Packs one level's `(max_key, child_enc)` pairs into parent nodes
     /// across the worker pool. Segments split only at `fanout` boundaries,
     /// so the logical structure matches the serial chunking exactly.
-    fn build_level(
-        &self,
-        level: &[(K::Owned, u64)],
-        fanout: usize,
-        threads: usize,
-    ) -> Vec<(K::Owned, u64)> {
+    fn build_level(&self, level: &[(K::Owned, u64)], threads: usize) -> Vec<(K::Owned, u64)> {
+        let fanout = self.ctx.cfg.inner_fanout;
         let n_chunks = level.len().div_ceil(fanout);
         let workers = threads.min(n_chunks).max(1);
         if workers <= 1 {
-            return self.pack_chunks(level, fanout);
+            return self.pack_chunks(level);
         }
         let per = n_chunks.div_ceil(workers) * fanout;
         std::thread::scope(|s| {
             let handles: Vec<_> = level
                 .chunks(per)
-                .map(|seg| s.spawn(move || self.pack_chunks(seg, fanout)))
+                .map(|seg| s.spawn(move || self.pack_chunks(seg)))
                 .collect();
             handles
                 .into_iter()
@@ -336,29 +506,21 @@ impl<K: ConcKey> ConcurrentTree<K> {
 
     /// Serial kernel of [`Self::build_level`]: one parent node per `fanout`
     /// children of `seg`.
-    fn pack_chunks(&self, seg: &[(K::Owned, u64)], fanout: usize) -> Vec<(K::Owned, u64)> {
-        let mut out = Vec::with_capacity(seg.len() / fanout + 1);
-        for chunk in seg.chunks(fanout) {
-            let node = self.alloc_node();
-            for (i, (k, enc)) in chunk.iter().enumerate() {
-                if i + 1 < chunk.len() {
-                    node.keys[i].store(K::encode(k, &self.intern), Ordering::Relaxed);
-                }
-                node.children[i].store(*enc, Ordering::Relaxed);
-            }
-            node.count.store(chunk.len(), Ordering::Release);
-            let max = chunk.last().expect("chunk nonempty").0.clone();
-            out.push((max, node as *const CNode as u64));
-        }
-        out
-    }
-
-    fn alloc_node(&self) -> &CNode {
-        let boxed = CNode::new(self.ctx.cfg.inner_fanout);
-        let ptr = &*boxed as *const CNode;
-        self.nodes.lock().push(boxed);
-        // SAFETY: boxes in `nodes` are only dropped when the tree drops.
-        unsafe { &*ptr }
+    fn pack_chunks(&self, seg: &[(K::Owned, u64)]) -> Vec<(K::Owned, u64)> {
+        seg.chunks(self.ctx.cfg.inner_fanout)
+            .map(|chunk| {
+                let enc = self.nodes.alloc(chunk.len(), |i| {
+                    let (k, child) = &chunk[i];
+                    let key = if i + 1 < chunk.len() {
+                        K::encode(k, &self.intern)
+                    } else {
+                        0
+                    };
+                    (key, *child)
+                });
+                (chunk.last().expect("chunk nonempty").0.clone(), enc)
+            })
+            .collect()
     }
 
     // --------------------------------------------------------- traversal
@@ -375,30 +537,12 @@ impl<K: ConcKey> ConcurrentTree<K> {
             if enc_is_leaf(enc) {
                 return Ok(enc_leaf_off(enc));
             }
-            // SAFETY: non-leaf encodings are addresses of CNodes owned by
-            // `self.nodes`, which only drops them when the tree drops.
-            let node = unsafe { &*(enc as *const CNode) };
-            let idx = self.child_index(node, key);
-            enc = node.children[idx].load(Ordering::Acquire);
+            // SAFETY: non-zero and even, loaded from the root or a child
+            // word, which hold only leaf encodings (odd), 0, and node
+            // encodings of `self.nodes`.
+            enc = unsafe { self.nodes.get(enc) }.route::<K>(key);
         }
         Err(Abort)
-    }
-
-    /// One level of descent: index of the child covering `key`, by binary
-    /// search over the (clamped) key prefix.
-    fn child_index(&self, node: &CNode, key: &K::Owned) -> usize {
-        let cap = self.ctx.cfg.inner_fanout;
-        let count = node.count.load(Ordering::Acquire).clamp(1, cap + 1);
-        let mut lo = 0usize;
-        let mut hi = count - 1;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match K::cmp_encoded(node.keys[mid].load(Ordering::Acquire), key) {
-                CmpOrdering::Less => lo = mid + 1,
-                _ => hi = mid,
-            }
-        }
-        lo
     }
 
     /// Optimistic descent also returning the predecessor leaf (Algorithm 5's
@@ -418,14 +562,15 @@ impl<K: ConcKey> ConcurrentTree<K> {
                 };
                 return Ok((enc_leaf_off(enc), prev));
             }
-            // SAFETY: as in `traverse` — CNodes live in `self.nodes` until
-            // the tree drops.
-            let node = unsafe { &*(enc as *const CNode) };
-            let idx = self.child_index(node, key);
+            // SAFETY: non-zero and even, loaded from the root or a child
+            // word, which hold only leaf encodings (odd), 0, and node
+            // encodings of `self.nodes`.
+            let node = unsafe { self.nodes.get(enc) };
+            let idx = node.child_index::<K>(key);
             if idx > 0 {
-                left = Some(node.children[idx - 1].load(Ordering::Acquire));
+                left = Some(node.child(idx - 1));
             }
-            enc = node.children[idx].load(Ordering::Acquire);
+            enc = node.child(idx);
         }
         Err(Abort)
     }
@@ -438,20 +583,18 @@ impl<K: ConcKey> ConcurrentTree<K> {
             if enc_is_leaf(enc) {
                 return Ok(enc_leaf_off(enc));
             }
-            // SAFETY: as in `traverse` — CNodes live in `self.nodes` until
-            // the tree drops.
-            let node = unsafe { &*(enc as *const CNode) };
-            let cap = self.ctx.cfg.inner_fanout;
-            let count = node.count.load(Ordering::Acquire).clamp(1, cap + 1);
-            enc = node.children[count - 1].load(Ordering::Acquire);
+            // SAFETY: non-zero and even, loaded from the root or a child
+            // word, which hold only leaf encodings (odd), 0, and node
+            // encodings of `self.nodes`.
+            enc = unsafe { self.nodes.get(enc) }.last_child();
         }
         Err(Abort)
     }
 
     // ------------------------------------------------------------- reads
 
-    /// Concurrent Find (Algorithm 1): fully speculative, retries on any
-    /// conflicting leaf writer.
+    /// Find (Algorithm 1): fully speculative, retries on any conflicting
+    /// leaf writer.
     pub fn get(&self, key: &K::Owned) -> Option<u64> {
         let _t = self.ctx.metrics.time_op(Op::Get);
         let found = self.lock.execute(|tx| {
@@ -486,20 +629,48 @@ impl<K: ConcKey> ConcurrentTree<K> {
     }
 
     /// Ordered streaming scan over `range`: seqlock-validated leaf-chain
-    /// iteration (see [`crate::scan`] for the validation protocol).
+    /// iteration, one sorted leaf at a time (see [`crate::scan`]).
     ///
     /// Non-blocking for writers. Keys come out in strictly increasing
     /// order; every emitted entry existed in the tree at some point during
     /// the scan, and any key untouched by concurrent writers for the whole
     /// scan appears exactly once.
-    pub fn scan<R: std::ops::RangeBounds<K::Owned>>(&self, range: R) -> ConcScan<'_, K> {
-        ConcScan::new(self, ScanBounds::new(range))
+    pub fn scan<R: std::ops::RangeBounds<K::Owned>>(&self, range: R) -> Scan<'_, K> {
+        Scan::new(self, ScanBounds::new(range))
+    }
+
+    /// Sorted streaming iterator over all entries.
+    pub fn iter(&self) -> Scan<'_, K> {
+        self.scan(..)
     }
 
     /// Range scan over `[lo, hi]`; results sorted. A convenience collect
     /// over [`ConcurrentTree::scan`].
     pub fn range(&self, lo: &K::Owned, hi: &K::Owned) -> Vec<(K::Owned, u64)> {
         self.scan(lo.clone()..=hi.clone()).collect()
+    }
+
+    /// Smallest key and its value.
+    pub fn first_key_value(&self) -> Option<(K::Owned, u64)> {
+        self.iter().next()
+    }
+
+    /// Largest key and its value: the maximum of the rightmost leaf, which
+    /// is empty only if the tree is.
+    pub fn last_key_value(&self) -> Option<(K::Owned, u64)> {
+        self.lock.execute(|tx| {
+            let off = self.rightmost_leaf(self.root.load(Ordering::Acquire))?;
+            let leaf = self.ctx.leaf(off);
+            let v = leaf.version().ok_or(Abort)?;
+            let last = leaf
+                .collect_merged::<K>()
+                .into_iter()
+                .max_by(|a, b| a.0.cmp(&b.0));
+            if !tx.validate() || leaf.version_changed(v) {
+                return Err(Abort);
+            }
+            Ok(last)
+        })
     }
 
     // ------------------------------------------------------------ writes
@@ -527,7 +698,8 @@ impl<K: ConcKey> ConcurrentTree<K> {
         })
     }
 
-    /// Insert / update: lock → kernel → publish split → unlock → len.
+    /// Insert / update: locate and lock → kernel → publish split →
+    /// unlock → len.
     fn write(&self, key: &K::Owned, value: u64, mode: WriteMode) -> bool {
         let _t = self.ctx.metrics.time_op(mode.op());
         let _op = self.ctx.pool.begin_checked_op(mode.label());
@@ -547,14 +719,16 @@ impl<K: ConcKey> ConcurrentTree<K> {
         w.applied
     }
 
-    /// Concurrent Insert (Algorithm 2). Returns false if the key exists.
+    /// Insert (Algorithm 2). Returns false (without modifying anything) if
+    /// the key exists.
     pub fn insert(&self, key: &K::Owned, value: u64) -> bool {
         self.write(key, value, WriteMode::Insert)
     }
 
-    /// Concurrent Update (Algorithm 8). Returns false if the key is absent.
+    /// Update (Algorithm 8). Returns false if the key is absent.
     pub fn update(&self, key: &K::Owned, value: u64) -> bool {
-        self.write(key, value, WriteMode::Update { expected: None })
+        let mode = WriteMode::Update { expected: None };
+        self.write(key, value, mode)
     }
 
     /// Updates `key` to `value` only if its current value equals `expected`
@@ -562,11 +736,13 @@ impl<K: ConcKey> ConcurrentTree<K> {
     /// it read without clobbering (and leaking) a concurrent writer's fresh
     /// value. Returns false if the key is absent or its value changed.
     pub fn update_if(&self, key: &K::Owned, expected: u64, value: u64) -> bool {
-        let expected = Some(expected);
-        self.write(key, value, WriteMode::Update { expected })
+        let mode = WriteMode::Update {
+            expected: Some(expected),
+        };
+        self.write(key, value, mode)
     }
 
-    /// Concurrent Delete (Algorithm 5). Returns false if the key is absent.
+    /// Delete (Algorithm 5). Returns false if the key is absent.
     pub fn remove(&self, key: &K::Owned) -> bool {
         self.remove_guarded(key, None)
     }
@@ -580,13 +756,25 @@ impl<K: ConcKey> ConcurrentTree<K> {
         self.remove_guarded(key, Some(expected))
     }
 
-    /// Remove: lock (leaf, and the predecessor of a dying leaf) → kernel →
-    /// unlink → unlock → len.
+    /// True when a remove from leaf `off` (predecessor `prev`) may empty
+    /// it and has to unlink it. A leaf dies when it holds one distinct live
+    /// key. Slot keys are distinct and live, so a leaf with two slots
+    /// survives; one with at most one may die — counting its buffered keys
+    /// exactly would charge a probe per entry, so it is treated as dying
+    /// (locking a predecessor that is not needed costs nothing persistent).
+    /// The tree's only leaf never dies.
+    fn may_die(&self, off: u64, prev: Option<u64>) -> bool {
+        let leaf = self.ctx.leaf(off);
+        leaf.count() <= 1 && !(prev.is_none() && leaf.next().is_null())
+    }
+
+    /// Remove: locate (and lock the leaf, and the predecessor of a dying
+    /// leaf) → kernel → unlink → unlock → len.
     fn remove_guarded(&self, key: &K::Owned, expected: Option<u64>) -> bool {
         let _t = self.ctx.metrics.time_op(Op::Remove);
         let _op = self.ctx.pool.begin_checked_op("remove");
-        // `unlink` is `Some(prev)` when the leaf is dying and its
-        // predecessor (if any) is locked too: its next pointer will change.
+        // `unlink` is `Some(prev)` when the leaf may be dying and its
+        // predecessor (if any) is locked too: its next pointer may change.
         let (off, unlink) = self.lock.execute(|tx| {
             let (off, prev) = self.traverse_with_prev(key)?;
             let leaf = self.ctx.leaf(off);
@@ -594,13 +782,9 @@ impl<K: ConcKey> ConcurrentTree<K> {
                 self.ctx.metrics.inc(Counter::LeafLockSpins);
                 return Err(Abort);
             };
-            // Dying means ONE distinct live key — a buffered update of a
-            // slot-resident key must not count twice, or the remove takes
-            // the in-place path and leaves an empty leaf linked (§5.12).
-            // All reads here precede `try_lock_version(v)`, which fails if
-            // any writer intervened since `v` was read.
-            let dying = leaf.count() + leaf.wbuf_census::<K>().fresh == 1
-                && !(prev.is_none() && leaf.next().is_null());
+            // All reads here precede `try_lock_version(v)`, which fails
+            // if any writer intervened since `v` was read.
+            let dying = self.may_die(off, prev);
             let prev_leaf = prev.filter(|_| dying).map(|p| self.ctx.leaf(p));
             if let Some(pl) = &prev_leaf {
                 if !pl.version().is_some_and(|pv| pl.try_lock_version(pv)) {
@@ -635,7 +819,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
                 // Persistent unlink + deallocation outside (Algorithm 6).
                 // The deleted leaf's lock dies with it (unreachable).
                 let li = self.take_log();
-                self.ctx.delete_leaf(None, off, prev, li);
+                self.ctx.delete_leaf(Some(&self.groups), off, prev, li);
                 self.put_log(li);
             }
             _ => self.ctx.leaf(off).unlock_version(),
@@ -685,191 +869,103 @@ impl<K: ConcKey> ConcurrentTree<K> {
     /// Persistent leaf split (Algorithm 3) under the already-held leaf lock.
     pub(crate) fn split_locked_leaf(&self, off: u64) -> (K::Owned, u64) {
         let li = self.take_log();
-        let mut no_groups = GroupMgr::new(0);
-        let (split_key, new_off) = self.ctx.split_leaf::<K>(&mut no_groups, off, li);
+        let split = self.ctx.split_leaf::<K>(&self.groups, off, li);
         self.put_log(li);
-        (split_key, new_off)
+        split
     }
 
-    /// Exclusive inner-node update after a split (Algorithm 2 step 3).
+    /// Exclusive inner-node update after a split (Algorithm 2 step 3): the
+    /// new leaf `new_off` goes right after `old_off`, which now ends at
+    /// `split_key`.
     pub(crate) fn publish_split(&self, split_key: &K::Owned, old_off: u64, new_off: u64) {
         let _g = self.lock.write_lock();
         let key_enc = K::encode(split_key, &self.intern);
-        let old_enc = leaf_enc(old_off);
-        let new_enc = leaf_enc(new_off);
+        let (old_enc, new_enc) = (leaf_enc(old_off), leaf_enc(new_off));
         let root = self.root.load(Ordering::Relaxed);
-        if root == old_enc {
-            let node = self.alloc_node();
-            node.keys[0].store(key_enc, Ordering::Relaxed);
-            node.children[0].store(old_enc, Ordering::Relaxed);
-            node.children[1].store(new_enc, Ordering::Relaxed);
-            node.count.store(2, Ordering::Release);
-            self.root
-                .store(node as *const CNode as u64, Ordering::Release);
-            return;
-        }
-        // SAFETY: the root is not a leaf here; CNodes live in `self.nodes`
-        // until the tree drops, and we hold the exclusive lock.
-        let root_node = unsafe { &*(root as *const CNode) };
-        if let Some((up_enc, right_enc)) =
-            self.insert_entry_rec(root_node, split_key, key_enc, old_enc, new_enc)
-        {
-            let node = self.alloc_node();
-            node.keys[0].store(up_enc, Ordering::Relaxed);
-            node.children[0].store(root, Ordering::Relaxed);
-            node.children[1].store(right_enc, Ordering::Relaxed);
-            node.count.store(2, Ordering::Release);
-            self.root
-                .store(node as *const CNode as u64, Ordering::Release);
+        let pushed = if root == old_enc {
+            Some((key_enc, new_enc))
+        } else {
+            // SAFETY: the root is not a leaf here, and we hold the
+            // exclusive lock.
+            let node = unsafe { self.nodes.get(root) };
+            self.insert_rec(node, split_key, key_enc, old_enc, new_enc)
+        };
+        if let Some((up, right)) = pushed {
+            let grown = self
+                .nodes
+                .alloc(2, |i| if i == 0 { (up, root) } else { (0, right) });
+            self.root.store(grown, Ordering::Release);
         }
     }
 
-    /// Recursive exclusive insert of `(key_enc, new_enc)` next to `old_enc`;
-    /// returns a pushed-up entry when a node splits.
-    fn insert_entry_rec(
+    /// Inserts `(key_enc, new_enc)` after the child `old_enc` below `node`,
+    /// navigating by `nav`; returns the entry to push up when `node` splits.
+    fn insert_rec(
         &self,
-        node: &CNode,
-        nav_key: &K::Owned,
+        node: Node<'_>,
+        nav: &K::Owned,
         key_enc: u64,
         old_enc: u64,
         new_enc: u64,
     ) -> Option<(u64, u64)> {
-        let count = node.count.load(Ordering::Relaxed);
-        let nkeys = count - 1;
-        let mut idx = 0usize;
-        while idx < nkeys {
-            if K::cmp_encoded(node.keys[idx].load(Ordering::Relaxed), nav_key) != CmpOrdering::Less
-            {
-                break;
-            }
-            idx += 1;
-        }
-        let child = node.children[idx].load(Ordering::Relaxed);
-        if child == old_enc {
-            self.node_insert_at(node, idx, key_enc, new_enc);
+        let idx = node.child_index::<K>(nav);
+        let child = node.child(idx);
+        let (key, right) = if child == old_enc {
+            (key_enc, new_enc)
         } else {
             assert!(!enc_is_leaf(child), "split target vanished from the index");
-            // SAFETY: checked non-leaf; CNodes live in `self.nodes` until
-            // the tree drops, and we hold the exclusive lock.
-            let child_node = unsafe { &*(child as *const CNode) };
-            let pushed = self.insert_entry_rec(child_node, nav_key, key_enc, old_enc, new_enc)?;
-            self.node_insert_at(node, idx, pushed.0, pushed.1);
+            // SAFETY: a non-leaf child word, under the exclusive lock.
+            let below = unsafe { self.nodes.get(child) };
+            self.insert_rec(below, nav, key_enc, old_enc, new_enc)?
+        };
+        let pushed = self.nodes.insert_after(node, idx, key, right);
+        if pushed.is_some() {
+            self.ctx.metrics.inc(Counter::InnerSplits);
         }
-        (node.count.load(Ordering::Relaxed) > self.ctx.cfg.inner_fanout)
-            .then(|| self.split_cnode(node))
+        pushed
     }
 
-    /// Shifts arrays right and inserts `(key_enc, child_enc)` after `idx`.
-    /// Runs under the exclusive lock; optimistic readers observing the
-    /// mid-shift state are rejected by their validation.
-    fn node_insert_at(&self, node: &CNode, idx: usize, key_enc: u64, child_enc: u64) {
-        let count = node.count.load(Ordering::Relaxed);
-        let nkeys = count - 1;
-        for i in (idx..nkeys).rev() {
-            let k = node.keys[i].load(Ordering::Relaxed);
-            node.keys[i + 1].store(k, Ordering::Relaxed);
-        }
-        for i in (idx + 1..count).rev() {
-            let c = node.children[i].load(Ordering::Relaxed);
-            node.children[i + 1].store(c, Ordering::Relaxed);
-        }
-        node.keys[idx].store(key_enc, Ordering::Relaxed);
-        node.children[idx + 1].store(child_enc, Ordering::Relaxed);
-        node.count.store(count + 1, Ordering::Release);
-    }
-
-    /// Splits an over-full CNode, returning `(promoted_key_enc, right_enc)`.
-    fn split_cnode(&self, node: &CNode) -> (u64, u64) {
-        self.ctx.metrics.inc(Counter::InnerSplits);
-        let count = node.count.load(Ordering::Relaxed);
-        // Left keeps children[..mid] — the same split point as
-        // `InnerNode::split` (keys[nkeys / 2] moves up), so both trees'
-        // indexes route every key, including gaps left by unlinked leaves,
-        // to the same leaf.
-        let mid = (count - 1) / 2 + 1;
-        let promoted = node.keys[mid - 1].load(Ordering::Relaxed);
-        let right = self.alloc_node();
-        for i in mid..count {
-            let c = node.children[i].load(Ordering::Relaxed);
-            right.children[i - mid].store(c, Ordering::Relaxed);
-        }
-        for i in mid..count - 1 {
-            let k = node.keys[i].load(Ordering::Relaxed);
-            right.keys[i - mid].store(k, Ordering::Relaxed);
-        }
-        right.count.store(count - mid, Ordering::Release);
-        node.count.store(mid, Ordering::Release);
-        (promoted, right as *const CNode as u64)
-    }
-
-    /// Exclusive removal of a leaf's entry from the index (delete case 3).
-    fn remove_from_parents(&self, nav_key: &K::Owned, leaf: u64) {
+    /// Exclusive removal of a leaf's entry from the index (delete case 3),
+    /// then collapse of a single-child root chain.
+    fn remove_from_parents(&self, nav: &K::Owned, leaf: u64) {
         let root = self.root.load(Ordering::Relaxed);
         assert!(!enc_is_leaf(root), "cannot unlink the root leaf");
-        // SAFETY: checked non-leaf; CNodes live in `self.nodes` until
-        // the tree drops, and we hold the exclusive lock.
-        let root_node = unsafe { &*(root as *const CNode) };
-        self.remove_entry_rec(root_node, nav_key, leaf);
-        // Collapse single-child root chain.
+        // SAFETY: checked non-leaf, under the exclusive lock.
+        self.remove_rec(unsafe { self.nodes.get(root) }, nav, leaf);
         loop {
             let r = self.root.load(Ordering::Relaxed);
             if enc_is_leaf(r) {
                 break;
             }
-            // SAFETY: checked non-leaf; CNodes live in `self.nodes` until
-            // the tree drops, and we hold the exclusive lock.
-            let node = unsafe { &*(r as *const CNode) };
-            if node.count.load(Ordering::Relaxed) == 1 {
-                let only = node.children[0].load(Ordering::Relaxed);
-                self.root.store(only, Ordering::Release);
-            } else {
+            // SAFETY: checked non-leaf, under the exclusive lock.
+            let node = unsafe { self.nodes.get(r) };
+            if node.count() != 1 {
                 break;
             }
+            self.root.store(node.child(0), Ordering::Release);
+            self.nodes.retire(node);
         }
     }
 
-    /// Returns true if `node` became empty and should be removed itself.
-    fn remove_entry_rec(&self, node: &CNode, nav_key: &K::Owned, leaf: u64) -> bool {
-        let count = node.count.load(Ordering::Relaxed);
-        let nkeys = count - 1;
-        let mut idx = 0usize;
-        while idx < nkeys {
-            if K::cmp_encoded(node.keys[idx].load(Ordering::Relaxed), nav_key) != CmpOrdering::Less
-            {
-                break;
-            }
-            idx += 1;
+    /// Removes the child `leaf` below `node`; returns true if `node` became
+    /// empty (its parent removes and retires it).
+    fn remove_rec(&self, node: Node<'_>, nav: &K::Owned, leaf: u64) -> bool {
+        let idx = node.child_index::<K>(nav);
+        let child = node.child(idx);
+        let remove = child == leaf
+            || !enc_is_leaf(child) && {
+                // SAFETY: checked non-leaf, under the exclusive lock.
+                let below = unsafe { self.nodes.get(child) };
+                let empty = self.remove_rec(below, nav, leaf);
+                if empty {
+                    self.nodes.retire(below);
+                }
+                empty
+            };
+        if remove {
+            self.nodes.remove_at(node, idx);
         }
-        let child = node.children[idx].load(Ordering::Relaxed);
-        let remove_child = if child == leaf {
-            true
-        } else if enc_is_leaf(child) {
-            false
-        } else {
-            // SAFETY: checked non-leaf; CNodes live in `self.nodes` until
-            // the tree drops, and we hold the exclusive lock.
-            let child_node = unsafe { &*(child as *const CNode) };
-            self.remove_entry_rec(child_node, nav_key, leaf)
-        };
-        if remove_child {
-            self.node_remove_at(node, idx);
-        }
-        node.count.load(Ordering::Relaxed) == 0
-    }
-
-    fn node_remove_at(&self, node: &CNode, idx: usize) {
-        let count = node.count.load(Ordering::Relaxed);
-        let nkeys = count - 1;
-        for i in idx + 1..count {
-            let c = node.children[i].load(Ordering::Relaxed);
-            node.children[i - 1].store(c, Ordering::Relaxed);
-        }
-        let kidx = idx.min(nkeys.saturating_sub(1));
-        for i in kidx + 1..nkeys {
-            let k = node.keys[i].load(Ordering::Relaxed);
-            node.keys[i - 1].store(k, Ordering::Relaxed);
-        }
-        node.count.store(count - 1, Ordering::Release);
+        node.count() == 0
     }
 
     // ------------------------------------------------------------- stats
@@ -882,6 +978,28 @@ impl<K: ConcKey> ConcurrentTree<K> {
     /// True if no keys are stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Height of the index (0 = a single leaf).
+    pub fn height(&self) -> usize {
+        self.lock.execute(|tx| {
+            let mut enc = self.root.load(Ordering::Acquire);
+            let mut height = 0;
+            while !enc_is_leaf(enc) {
+                if enc == 0 || height == MAX_DEPTH {
+                    return Err(Abort);
+                }
+                // SAFETY: non-zero, even, and loaded from the root or a
+                // child word.
+                enc = unsafe { self.nodes.get(enc) }.child(0);
+                height += 1;
+            }
+            if tx.validate() {
+                Ok(height)
+            } else {
+                Err(Abort)
+            }
+        })
     }
 
     /// The pool this tree lives in.
@@ -900,7 +1018,8 @@ impl<K: ConcKey> ConcurrentTree<K> {
     }
 
     /// Per-phase timings of the recovery pipeline that produced this handle;
-    /// `None` for a freshly created tree.
+    /// `None` for a freshly created (or bulk-loaded) tree and for the
+    /// re-initialization path of an interrupted `create`/`bulk_load`.
     pub fn recovery_stats(&self) -> Option<RecoveryStats> {
         self.recovery
     }
@@ -921,11 +1040,47 @@ impl<K: ConcKey> ConcurrentTree<K> {
             .with_pool(&self.ctx.pool)
     }
 
-    /// DRAM bytes held by the volatile index (inner nodes + interner).
+    /// DRAM bytes held by the volatile index: every inner-node header and
+    /// chunk allocated (free ones included) plus interned discriminators.
     pub fn dram_bytes(&self) -> usize {
-        let fanout = self.ctx.cfg.inner_fanout;
-        let per_node = std::mem::size_of::<CNode>() + (2 * fanout + 1) * 8;
-        self.nodes.lock().len() * per_node + self.intern.bytes()
+        self.nodes.dram_bytes() + self.intern.bytes()
+    }
+
+    /// SCM/DRAM footprint (Figure 8).
+    pub fn memory_usage(&self) -> MemoryUsage {
+        let leaves = self.leaf_offsets();
+        let mut scm = TreeMeta::byte_size(self.ctx.meta.n_logs) as u64;
+        let groups = self.groups.lock();
+        if groups.enabled() {
+            // Whole groups are SCM footprint, free leaves included.
+            scm += groups.group_count() as u64
+                * (64 + self.ctx.cfg.leaf_group_size * self.ctx.layout.size) as u64;
+        } else {
+            scm += leaves.len() as u64 * self.ctx.layout.size as u64;
+        }
+        if K::IS_VAR {
+            for &off in &leaves {
+                for r in self.ctx.owned_key_refs::<K>(off) {
+                    if !r.is_null() {
+                        scm += 8 + self.ctx.pool.read_word(r.offset);
+                    }
+                }
+            }
+        }
+        MemoryUsage {
+            scm_bytes: scm,
+            dram_bytes: self.dram_bytes() as u64,
+            leaf_count: leaves.len(),
+            inner_count: self.nodes.live(),
+        }
+    }
+
+    /// The group free-list in pop order plus the group count — recovery
+    /// must reconstruct these identically regardless of worker count (the
+    /// differential fuzz harness compares them across thread counts).
+    pub fn group_state(&self) -> (Vec<u64>, usize) {
+        let groups = self.groups.lock();
+        (groups.free_snapshot(), groups.group_count())
     }
 
     /// Leaf offsets in list order (quiescent contexts: tests, stats).
@@ -940,18 +1095,18 @@ impl<K: ConcKey> ConcurrentTree<K> {
             .check_leaf_chain::<K>(self.len(), |k, off| self.traverse(k) == Ok(off))
     }
 
-    /// Allocator-vs-tree agreement (see `leafops::Ctx::leak_audit`); each
-    /// linked leaf is its own allocation.
+    /// Allocator-vs-tree agreement (see `leafops::Ctx::leak_audit`); with
+    /// leaf groups the allocations are the groups, free leaves included,
+    /// otherwise each linked leaf is its own allocation.
     pub fn leak_audit(&self) -> Result<(), String> {
-        self.ctx.leak_audit::<K>(self.leaf_offsets())
+        let groups = self.groups.lock();
+        if groups.enabled() {
+            self.ctx.leak_audit::<K>(groups.blocks().iter().copied())
+        } else {
+            self.ctx.leak_audit::<K>(self.leaf_offsets())
+        }
     }
 }
-
-// SAFETY: shared state is either atomic, Mutex-protected, or governed by the
-// SpecLock / per-leaf version-lock protocol documented above.
-unsafe impl<K: ConcKey> Send for ConcurrentTree<K> {}
-// SAFETY: as for Send — shared access goes through the same lock protocol.
-unsafe impl<K: ConcKey> Sync for ConcurrentTree<K> {}
 
 #[cfg(test)]
 mod tests {
@@ -1007,5 +1162,227 @@ mod tests {
             assert_eq!(waiter.join().unwrap(), 41);
         });
         assert_eq!(t.free_logs.load(Ordering::Relaxed), 0);
+    }
+
+    /// A tree of `fanout` whose index is built over `n` stand-in leaves:
+    /// leaf `i` holds keys up to `10 · (i + 1)` and sits at `1000 · i`.
+    /// No leaf is read, so the offsets need not be real.
+    fn built(fanout: usize, n: u64, threads: usize) -> ConcurrentFPTree {
+        let pool = Arc::new(PmemPool::create(PoolOptions::direct(1 << 20)).unwrap());
+        let cfg = TreeConfig::fptree_concurrent().with_inner_fanout(fanout);
+        let t = ConcurrentTree::<FixedKey>::create(pool, cfg, ROOT_SLOT);
+        t.build_index((0..n).map(|i| (10 * (i + 1), 1000 * i)).collect(), threads);
+        t
+    }
+
+    /// The index below `enc`, written out: keys and children per node.
+    fn shape(t: &ConcurrentFPTree, enc: u64) -> String {
+        if enc_is_leaf(enc) {
+            return format!("L{}", enc_leaf_off(enc));
+        }
+        // SAFETY: a non-leaf encoding from the root or a child word.
+        let node = unsafe { t.nodes.get(enc) };
+        let n = node.count();
+        let keys: Vec<u64> = (0..n - 1).map(|i| node.key(i)).collect();
+        let children: Vec<String> = (0..n).map(|i| shape(t, node.child(i))).collect();
+        format!("I{keys:?}[{}]", children.join(","))
+    }
+
+    #[test]
+    fn built_index_routes_every_key_to_its_leaf() {
+        for fanout in [3usize, 4, 16, 300] {
+            for n in [1u64, 2, 5, 16, 65, 1000] {
+                let t = built(fanout, n, 1);
+                // Key k in (10i, 10(i+1)] lives in leaf i.
+                for k in 1..=10 * n {
+                    let want = 1000 * ((k - 1) / 10);
+                    assert_eq!(t.traverse(&k), Ok(want), "fanout={fanout} n={n} key={k}");
+                    let (leaf, prev) = t.traverse_with_prev(&k).unwrap();
+                    assert_eq!(leaf, want);
+                    assert_eq!(
+                        prev,
+                        want.checked_sub(1000),
+                        "fanout={fanout} n={n} key={k}"
+                    );
+                }
+                // Keys beyond the max route to the last leaf.
+                assert_eq!(t.traverse(&(10 * n + 5)), Ok(1000 * (n - 1)));
+                assert_eq!(t.height() == 0, n == 1);
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_build_matches_serial_exactly() {
+        for fanout in [3usize, 4, 16] {
+            for n in [1u64, 2, 5, 16, 65, 257] {
+                let serial = built(fanout, n, 1);
+                let want = shape(&serial, serial.root.load(Ordering::Acquire));
+                for threads in [2usize, 3, 7, 64] {
+                    let par = built(fanout, n, threads);
+                    let got = shape(&par, par.root.load(Ordering::Acquire));
+                    assert_eq!(got, want, "fanout={fanout} n={n} threads={threads}");
+                }
+            }
+        }
+    }
+
+    fn group_count(t: &ConcurrentFPTree) -> usize {
+        t.groups.lock().group_count()
+    }
+
+    /// User sizes of the tree's group blocks, as the allocator recorded them.
+    fn group_block_sizes(t: &ConcurrentFPTree) -> Vec<u64> {
+        let live: std::collections::HashMap<u64, u64> =
+            t.pool().live_blocks().unwrap().into_iter().collect();
+        t.groups.lock().blocks().iter().map(|g| live[g]).collect()
+    }
+
+    /// Reopens `t`'s clean image in a fresh pool.
+    fn reopen(t: &ConcurrentFPTree) -> ConcurrentFPTree {
+        let image = t.pool().clean_image();
+        let pool = Arc::new(PmemPool::reopen(image, PoolOptions::direct(0)).unwrap());
+        ConcurrentTree::open(pool, ROOT_SLOT).unwrap()
+    }
+
+    #[test]
+    fn image_with_an_unresolved_group_size_opens_unchanged() {
+        // An image written before group sizes were resolved at create stores
+        // the requested 16, which does not fill its block.
+        let cfg = TreeConfig::fptree().with_leaf_capacity(8);
+        assert_ne!(fill_group_block(cfg, FixedKey::SLOT_SIZE), cfg);
+        let pool = Arc::new(PmemPool::create(PoolOptions::direct(16 << 20)).unwrap());
+        let t = ConcurrentFPTree::create_with(pool, cfg, ROOT_SLOT, 1).unwrap();
+        let group = 64 + 16 * t.ctx.layout.size as u64;
+        for k in 0..4000u64 {
+            assert!(t.insert(&k, k));
+        }
+        let full = group_count(&t);
+        // Sequential inserts fill leaves, and so groups, in key order: a
+        // removed key range frees whole groups.
+        for k in 1000..2500u64 {
+            assert!(t.remove(&k));
+        }
+        assert!(group_count(&t) < full, "no group was freed");
+        for k in (0..999u64).step_by(3) {
+            assert!(t.update(&k, k + 1));
+            assert!(t.remove(&(k + 1)));
+        }
+        let content: Vec<(u64, u64)> = t.iter().collect();
+        let groups = group_count(&t);
+        assert!(groups > 1);
+        let t = reopen(&t);
+        assert_eq!(*t.config(), cfg);
+        assert_eq!(t.iter().collect::<Vec<_>>(), content);
+        assert_eq!(t.len(), content.len());
+        t.check_consistency().unwrap();
+        t.leak_audit().unwrap();
+
+        for k in 4000..8000u64 {
+            assert!(t.insert(&k, k));
+        }
+        assert!(group_count(&t) > groups, "no group allocated after open");
+        assert!(group_block_sizes(&t).iter().all(|&b| b == group));
+        t.check_consistency().unwrap();
+        t.leak_audit().unwrap();
+    }
+
+    /// Images laid out the way the two former trees wrote them open in the
+    /// one tree after churn: the single-threaded FPTree's (one micro-log
+    /// pair, resolved groups; with groups off, still one pair) and the
+    /// concurrent one's (64 pairs, no groups).
+    #[test]
+    fn images_of_both_former_layouts_reopen_after_churn() {
+        let single = fill_group_block(
+            TreeConfig::fptree().with_leaf_capacity(8),
+            FixedKey::SLOT_SIZE,
+        );
+        let layouts = [
+            (single, 1),
+            (single.with_leaf_group_size(0), 1),
+            (
+                TreeConfig::fptree_concurrent().with_leaf_capacity(8),
+                N_LOGS,
+            ),
+        ];
+        for (cfg, logs) in layouts {
+            let pool = Arc::new(PmemPool::create(PoolOptions::direct(16 << 20)).unwrap());
+            let t = ConcurrentFPTree::create_with(pool, cfg, ROOT_SLOT, logs).unwrap();
+            let mut model = std::collections::BTreeMap::new();
+            for round in 0..3u64 {
+                for k in 0..3000u64 {
+                    let key = (k * 7919 + round) % 4000;
+                    match (k + round) % 5 {
+                        0 | 1 => {
+                            let fresh = !model.contains_key(&key);
+                            assert_eq!(t.insert(&key, k), fresh);
+                            model.entry(key).or_insert(k);
+                        }
+                        2 => {
+                            let present = model.contains_key(&key);
+                            assert_eq!(t.update(&key, k), present);
+                            if present {
+                                model.insert(key, k);
+                            }
+                        }
+                        _ => assert_eq!(t.remove(&key), model.remove(&key).is_some()),
+                    }
+                }
+                let t = reopen(&t);
+                assert_eq!(t.ctx.meta.n_logs, logs, "{cfg:?}");
+                assert_eq!(*t.config(), cfg);
+                assert_eq!(t.len(), model.len());
+                let want: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+                assert_eq!(t.iter().collect::<Vec<_>>(), want);
+                t.check_consistency().unwrap();
+                t.leak_audit().unwrap();
+            }
+        }
+    }
+
+    /// Four writers on a grouped tree with its one micro-log pair: splits
+    /// and unlinks wait for the log, leaves come from and go back to groups
+    /// under the group mutex, and the tree ends consistent and leak-free.
+    #[test]
+    fn grouped_tree_with_one_log_takes_concurrent_writers() {
+        let pool = Arc::new(PmemPool::create(PoolOptions::direct(32 << 20)).unwrap());
+        let t =
+            ConcurrentFPTree::create(pool, TreeConfig::fptree().with_leaf_capacity(8), ROOT_SLOT);
+        assert!(t.config().leaf_group_size > 1);
+        assert_eq!(t.ctx.meta.n_logs, 1);
+        let waits = || t.metrics_snapshot().get("log_queue_waits").unwrap();
+        std::thread::scope(|s| {
+            // Hold the log until a writer has waited for it.
+            let held = t.take_log();
+            let writers: Vec<_> = (0..4u64)
+                .map(|w| {
+                    let t = &t;
+                    s.spawn(move || {
+                        for k in 0..3000u64 {
+                            assert!(t.insert(&(k * 4 + w), k));
+                        }
+                        for k in (0..3000u64).filter(|k| k % 3 != 0) {
+                            assert!(t.remove(&(k * 4 + w)));
+                        }
+                    })
+                })
+                .collect();
+            while Metrics::enabled() && waits() == 0 {
+                std::thread::yield_now();
+            }
+            t.put_log(held);
+            for w in writers {
+                w.join().unwrap();
+            }
+        });
+        assert!(!Metrics::enabled() || waits() > 0);
+        assert_eq!(t.len(), 4 * 1000);
+        for k in (0..3000u64).step_by(3) {
+            for w in 0..4 {
+                assert_eq!(t.get(&(k * 4 + w)), Some(k));
+            }
+        }
+        t.check_consistency().unwrap();
+        t.leak_audit().unwrap();
     }
 }

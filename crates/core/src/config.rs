@@ -4,7 +4,7 @@
 //! sensitivity (Appendix A), so leaf layout must be runtime-parameterized.
 //! Feature toggles express the design-principle ablations: the PTree is the
 //! FPTree minus fingerprints (plus split key/value arrays for scan locality),
-//! and leaf-group amortization is used by the single-threaded FPTree only
+//! and leaf-group amortization is used by the single-threaded presets only
 //! (§5: groups are a central synchronization point and hinder scalability).
 
 /// Maximum number of entries per leaf: the validity bitmap must fit in one
@@ -38,9 +38,9 @@ pub struct TreeConfig {
     /// locality for linear key scans without fingerprints).
     pub split_arrays: bool,
     /// Leaves per amortized allocation group, at least; 0 or 1 disables
-    /// grouping (required for the concurrent version). A new single-threaded
-    /// tree raises it to fill the allocator block such a group lands in and
-    /// persists that; its `config()` reports the size in use.
+    /// grouping (the concurrent presets do). A new tree raises it to fill
+    /// the allocator block such a group lands in and persists that; its
+    /// `config()` reports the size in use.
     pub leaf_group_size: usize,
     /// Entries in the per-leaf persistent append buffer (W). Single-key
     /// inserts/updates append `(tag, key, value)` here with one persist and

@@ -1,7 +1,7 @@
 //! Amortized persistent memory allocation: leaf groups (§4.3, Appendix B).
 //!
-//! Persistent allocations are expensive, so the single-threaded FPTree
-//! allocates leaves in *groups*: a persistent linked list of blocks each
+//! Persistent allocations are expensive, so the single-threaded presets
+//! allocate leaves in *groups*: a persistent linked list of blocks each
 //! holding `group_size` leaves, plus a **volatile** vector of currently free
 //! leaves. `GetLeaf` pops a free leaf (allocating a new group only when the
 //! vector is empty, Algorithm 10); `FreeLeaf` pushes a freed leaf back and
@@ -76,10 +76,6 @@ pub(crate) struct GroupMgr {
 }
 
 impl GroupMgr {
-    pub(crate) fn new(group_size: usize) -> GroupMgr {
-        Self::with_sanitize(group_size, true)
-    }
-
     pub(crate) fn with_sanitize(group_size: usize, sanitize: bool) -> GroupMgr {
         GroupMgr {
             group_size,
@@ -421,7 +417,7 @@ mod tests {
         let cfg = TreeConfig::fptree().with_leaf_group_size(group_size);
         let layout = LeafLayout::new(&cfg, 8);
         let meta = TreeMeta::create(&pool, &cfg, 8, false, 1, ROOT_SLOT);
-        let mgr = GroupMgr::new(group_size);
+        let mgr = GroupMgr::with_sanitize(group_size, true);
         (pool, layout, meta, mgr)
     }
 
@@ -521,7 +517,7 @@ mod tests {
             .collect();
         // Pretend only the first three are reachable from the tree.
         let in_tree: std::collections::HashSet<u64> = used[..3].iter().copied().collect();
-        let mut fresh = GroupMgr::new(4);
+        let mut fresh = GroupMgr::with_sanitize(4, true);
         fresh.rebuild(&pool, &layout, &meta, &in_tree).unwrap();
         assert_eq!(fresh.group_count(), 2);
         // 8 leaves exist, 3 in tree -> 5 free.

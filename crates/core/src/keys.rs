@@ -16,7 +16,10 @@
 //!   dereference the blob — the reason fingerprints pay off even more for
 //!   string keys (§6.2).
 
+use std::cmp::Ordering;
+
 use fptree_pmem::{PmemPool, RawPPtr};
+use parking_lot::Mutex;
 
 use crate::fingerprint::{fingerprint_bytes, fingerprint_u64};
 
@@ -73,6 +76,39 @@ pub trait KeyKind: 'static {
     /// checks during the audit (Algorithm 17's `KeyExists`). Fixed keys
     /// return null.
     fn slot_ref(pool: &PmemPool, slot_off: u64) -> RawPPtr;
+
+    /// Encodes `key` into one inner-node word. Fixed keys are stored
+    /// directly; variable keys are interned in `intern` and stored as a
+    /// pointer that stays dereferenceable until the tree drops, so a stale
+    /// word read by an optimistic traversal is always safe to compare.
+    fn encode(key: &Self::Owned, intern: &Interner) -> u64;
+
+    /// Compares an inner-node key word with a search key.
+    fn cmp_encoded(enc: u64, key: &Self::Owned) -> Ordering;
+}
+
+/// DRAM arena of interned variable-size discriminator keys.
+#[derive(Default)]
+pub struct Interner {
+    // The outer Box pins each (fat) `Box<[u8]>` at a stable heap address
+    // that encodes into one u64; do not "simplify" the nesting.
+    #[allow(clippy::vec_box)]
+    bufs: Mutex<Vec<Box<Box<[u8]>>>>,
+}
+
+impl Interner {
+    /// Copies `key` into the arena, returning a stable pointer encoding.
+    pub fn intern(&self, key: &[u8]) -> u64 {
+        let boxed: Box<Box<[u8]>> = Box::new(key.to_vec().into_boxed_slice());
+        let ptr = &*boxed as *const Box<[u8]> as u64;
+        self.bufs.lock().push(boxed);
+        ptr
+    }
+
+    /// Bytes held: each key plus its two boxes' headers.
+    pub(crate) fn bytes(&self) -> usize {
+        self.bufs.lock().iter().map(|b| b.len() + 48).sum()
+    }
 }
 
 /// Fixed-size 8-byte integer keys, stored inline.
@@ -82,6 +118,16 @@ impl KeyKind for FixedKey {
     type Owned = u64;
     const SLOT_SIZE: usize = 8;
     const IS_VAR: bool = false;
+
+    #[inline]
+    fn encode(key: &u64, _intern: &Interner) -> u64 {
+        *key
+    }
+
+    #[inline]
+    fn cmp_encoded(enc: u64, key: &u64) -> Ordering {
+        enc.cmp(key)
+    }
 
     #[inline]
     fn fingerprint(key: &u64) -> u8 {
@@ -172,6 +218,23 @@ impl KeyKind for VarKey {
     type Owned = Vec<u8>;
     const SLOT_SIZE: usize = 16;
     const IS_VAR: bool = true;
+
+    fn encode(key: &Vec<u8>, intern: &Interner) -> u64 {
+        intern.intern(key)
+    }
+
+    #[inline]
+    fn cmp_encoded(enc: u64, key: &Vec<u8>) -> Ordering {
+        if enc == 0 {
+            // Empty-slot sentinel: acts as +∞ so searches stop before it.
+            return Ordering::Greater;
+        }
+        // SAFETY: non-zero encodings in inner-key words are only ever
+        // produced by `Interner::intern`, and interned buffers are not
+        // freed until the tree drops.
+        let buf = unsafe { &*(enc as *const Box<[u8]>) };
+        (**buf).cmp(key.as_slice())
+    }
 
     #[inline]
     fn fingerprint(key: &Vec<u8>) -> u8 {

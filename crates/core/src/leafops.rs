@@ -1,24 +1,25 @@
 //! The leaf-mutation kernel: everything a tree operation does *inside* one
-//! leaf, written once for both tree variants (DESIGN.md §5.14).
+//! leaf (DESIGN.md §5.14).
 //!
 //! The paper presents its concurrent algorithms (Alg. 1–8) as the
 //! single-threaded ones bracketed by a speculative section and a leaf lock.
 //! This module is the bracketed part. It owns the append-buffer room rule,
 //! the fold, split-then-place, the slot commit and the expected-value guard;
-//! the trees ([`crate::single`], [`crate::concurrent`], [`crate::batch`])
-//! own locating the leaf, locking it, choosing the micro-log, publishing a
-//! split or an unlink into their own volatile index, and `len`. Every store
-//! issued here runs under the calling operation's `begin_checked_op` window.
+//! the tree ([`crate::concurrent`], [`crate::batch`]) owns locating the
+//! leaf, locking it, choosing the micro-log, publishing a split or an
+//! unlink into its volatile index, and `len`. Every store issued here runs
+//! under the calling operation's `begin_checked_op` window.
 //!
-//! Also here, because both trees and recovery share them: the micro-logged
+//! Also here, because the tree and recovery share them: the micro-logged
 //! structural primitives (`split_leaf`, `delete_leaf`, their replays), the
-//! per-leaf leak audits, and the structural checker behind both
-//! `check_consistency` implementations.
+//! per-leaf leak audits, and the structural checker behind
+//! `check_consistency`.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use fptree_pmem::{PmemPool, RawPPtr};
+use parking_lot::Mutex;
 
 use crate::api::Error;
 use crate::config::TreeConfig;
@@ -135,7 +136,7 @@ impl Ctx {
     /// key (max of the lower half) and the new right leaf.
     pub fn split_leaf<K: KeyKind>(
         &self,
-        groups: &mut GroupMgr,
+        groups: &Mutex<GroupMgr>,
         off: u64,
         log_idx: usize,
     ) -> (K::Owned, u64) {
@@ -143,7 +144,10 @@ impl Ctx {
         self.metrics.inc(Counter::LeafAllocs);
         let log = self.meta.split_log(log_idx);
         log.set_first(&self.pool, self.pptr(off));
-        let new_off = groups.get_leaf(&self.pool, &self.layout, &self.meta, log.second_slot());
+        let new_off =
+            groups
+                .lock()
+                .get_leaf(&self.pool, &self.layout, &self.meta, log.second_slot());
         let split_key = self.split_copy_commit::<K>(off, new_off);
         log.reset(&self.pool);
         (split_key, new_off)
@@ -249,7 +253,7 @@ impl Ctx {
     /// rebuild); without groups it is deallocated either way.
     pub fn delete_leaf(
         &self,
-        groups: Option<&mut GroupMgr>,
+        groups: Option<&Mutex<GroupMgr>>,
         off: u64,
         prev: Option<u64>,
         log_idx: usize,
@@ -265,17 +269,11 @@ impl Ctx {
             log.set_second(&self.pool, self.pptr(prev));
             self.leaf(prev).set_next(next);
         }
-        match groups {
-            Some(g) if g.enabled() => {
-                g.free_leaf(&self.pool, &self.layout, &self.meta, off);
-            }
-            _ if self.cfg.leaf_group_size > 1 => {
-                // Recovery cleanup in group mode: leave the leaf for the
-                // group rebuild to reclaim.
-            }
-            _ => {
-                self.pool.deallocate(log.first_slot());
-            }
+        if self.cfg.leaf_group_size <= 1 {
+            self.pool.deallocate(log.first_slot());
+        } else if let Some(g) = groups {
+            g.lock()
+                .free_leaf(&self.pool, &self.layout, &self.meta, off);
         }
         log.reset(&self.pool);
     }
@@ -446,7 +444,7 @@ impl Ctx {
         offs
     }
 
-    /// Structural consistency check behind both trees' `check_consistency`
+    /// Structural consistency check behind the tree's `check_consistency`
     /// (quiescent state only): no leaf left locked or empty-but-linked,
     /// slots hold distinct keys whose fingerprints agree, the buffer never
     /// overcommits the slot array and its digest (where one verifies)
@@ -594,10 +592,8 @@ pub(crate) struct RunInserted<K: KeyKind> {
 pub(crate) struct RunRemoved {
     /// Keys cleared from the leaf.
     pub removed: usize,
-    /// As [`Removed::emptied`].
-    pub emptied: bool,
     /// Index (into the run) of the present key that was *not* removed
-    /// because `keep_one` forbade emptying the leaf.
+    /// because clearing it would have emptied the leaf.
     pub held_back: Option<usize>,
 }
 
@@ -835,10 +831,9 @@ impl Ctx {
 
     /// Clears every present key of `run` (sorted, unique, all routing to
     /// this leaf) with **one** p-atomic bitmap write, then releases the key
-    /// slots. With `keep_one`, a run that would empty the leaf holds back
-    /// its last present key — for callers that cannot unlink under the
-    /// leaf lock alone.
-    pub fn remove_run<K: KeyKind>(&self, off: u64, run: &[K::Owned], keep_one: bool) -> RunRemoved {
+    /// slots. A run that would empty the leaf holds back its last present
+    /// key: the caller cannot unlink under the leaf lock alone.
+    pub fn remove_run<K: KeyKind>(&self, off: u64, run: &[K::Owned]) -> RunRemoved {
         let leaf = self.leaf(off);
         // Fold first: the probes and the emptied-leaf decision are only
         // correct against slot-only state.
@@ -851,7 +846,7 @@ impl Ctx {
         self.metrics
             .add(Counter::RemoveMisses, (run.len() - found.len()) as u64);
         let mut held_back = None;
-        if keep_one && found.len() == leaf.count() {
+        if found.len() == leaf.count() {
             held_back = found.pop().map(|(i, _)| i);
         }
         let mut bm = leaf.bitmap();
@@ -869,7 +864,6 @@ impl Ctx {
         }
         RunRemoved {
             removed: found.len(),
-            emptied: !found.is_empty() && bm == 0,
             held_back,
         }
     }

@@ -6,9 +6,11 @@
 //! The FPTree keeps **leaf nodes in (simulated) storage class memory** and
 //! **inner nodes in DRAM**, rebuilt on recovery (Selective Persistence). Leaf
 //! lookups scan a one-byte-per-key **fingerprint** array first, bounding
-//! expected in-leaf key probes to one. The concurrent variant wraps inner
-//! work in (emulated) **hardware transactions** while persistent leaf work
-//! runs outside them under fine-grained leaf locks (Selective Concurrency).
+//! expected in-leaf key probes to one. Inner work runs in (emulated)
+//! **hardware transactions** while persistent leaf work runs outside them
+//! under fine-grained leaf locks (Selective Concurrency) — one tree, which
+//! a single owner holds as an [`FPTree`] and threads share as a
+//! [`ConcurrentFPTree`].
 //! All persistent-memory management follows the paper's sound programming
 //! model: persistent pointers, a leak-preventing crash-safe allocator, and
 //! micro-logged structural operations.
@@ -34,10 +36,10 @@
 //! | [`config`] / [`layout`] | Table 1 node sizing, Figure 2 leaf layout |
 //! | [`keys`] | Appendix C variable-size keys |
 //! | [`meta`] | §5 micro-logs |
-//! | `leafops` (private) | §5 base operations inside one leaf — the mutation kernel both trees call — plus micro-logged split/unlink and the leak audits |
-//! | `recovery` (private) | Algorithm 9: the recovery driver both trees' `open` run |
-//! | [`single`] | index shell: DRAM inner nodes around the kernel, §4.3 leaf groups |
-//! | [`concurrent`] | index shell: §4.4 Selective Concurrency (speculative locate + leaf locks, Algorithms 1–8) around the kernel |
+//! | `leafops` (private) | §5 base operations inside one leaf — the mutation kernel — plus micro-logged split/unlink and the leak audits |
+//! | `recovery` (private) | Algorithm 9: the recovery driver behind `open` |
+//! | `node` (private) | §4.1 DRAM inner nodes: compact, searched optimistically |
+//! | [`concurrent`] | the tree: §4.4 Selective Concurrency (speculative locate + leaf locks, Algorithms 1–8) around the kernel, §4.3 leaf groups, and the [`Exclusive`] handle |
 //! | [`scan`] | ordered range scans over the unsorted leaf chain |
 //! | [`metrics`] | observability: op latencies, contention counters |
 //! | [`shard`] | keyspace-sharded multi-tree serving layer |
@@ -53,27 +55,28 @@ pub mod config;
 pub mod fingerprint;
 mod groups;
 pub mod index;
-mod inner;
 pub mod keys;
 pub mod layout;
 pub mod leaf;
 mod leafops;
 pub mod meta;
 pub mod metrics;
+mod node;
 mod recovery;
 pub mod scan;
 pub mod shard;
-pub mod single;
 
 pub use api::{Error, MAX_KEY_BYTES};
-pub use concurrent::{ConcKey, ConcurrentFPTree, ConcurrentFPTreeVar, ConcurrentTree};
+pub use concurrent::{
+    ConcurrentFPTree, ConcurrentFPTreeVar, ConcurrentTree, Exclusive, FPTree, FPTreeVar,
+    MemoryUsage, SingleTree,
+};
 pub use config::TreeConfig;
 pub use index::{BytesIndex, Locked, U64Index};
 pub use keys::{FixedKey, KeyKind, VarKey};
 pub use layout::LeafLayout;
 pub use metrics::{Counter, Metrics, Op, OpTimer, RecoveryStats, Snapshot};
-pub use scan::{ConcScan, Scan, ScanBounds};
+pub use scan::{Scan, ScanBounds};
 pub use shard::{
     bytes_shard, u64_shard, ShardKey, Sharded, ShardedScan, ShardedTree, ShardedTreeVar,
 };
-pub use single::{FPTree, FPTreeVar, MemoryUsage, SingleTree, TreeIter};

@@ -3,14 +3,14 @@
 //! Every tree owns one persistent metadata block holding:
 //!
 //! * a status word (detects crashes during initialization, Algorithm 9);
-//! * the persisted configuration (so [`open`](crate::SingleTree::open) can
+//! * the persisted configuration (so [`open`](crate::ConcurrentTree::open) can
 //!   validate and reconstruct the layout without the caller re-supplying it);
 //! * the head of the leaf linked list and, when leaf groups are enabled, the
 //!   head of the group list;
 //! * the micro-log arrays: fixed-position, cache-line-aligned pairs of
 //!   persistent pointers that make leaf splits and deletes crash-atomic
-//!   (§5). The concurrent tree owns an array of each, indexed through a
-//!   lock-free queue; the single-threaded tree uses index 0.
+//!   (§5). A tree without leaf groups owns 64 of each, claimed through a
+//!   lock-free free mask; a grouped tree owns one.
 //!
 //! Micro-log commit convention: each log's *first* pointer (`PCurrentLeaf` /
 //! `PNewGroup` / `PCurrentGroup`) acts as the commit record — recovery

@@ -285,7 +285,6 @@ impl Counter {
 }
 
 /// Per-phase wall-clock breakdown of one recovery (`open`) run, reported by
-/// [`crate::SingleTree::recovery_stats`] and
 /// [`crate::ConcurrentTree::recovery_stats`].
 ///
 /// Phases of the parallel pipeline, in order: micro-log **replay** (serial),

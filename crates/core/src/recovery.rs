@@ -1,6 +1,6 @@
-//! The recovery driver shared by both tree variants (Algorithm 9).
+//! The recovery driver (Algorithm 9).
 //!
-//! `open` on either tree is [`recover`] plus the tree's own phase 4: the
+//! `open` is [`recover`] plus the tree's own phase 4: the
 //! driver validates the owner slot and stored configuration, finishes an
 //! interrupted initialization, replays the micro-logs, harvests and audits
 //! the leaf chain, and hands back the survivors' discriminators; the tree

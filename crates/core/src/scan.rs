@@ -8,32 +8,25 @@
 //! ([`MAX_LEAF_CAPACITY`] slots, of which only the configured leaf capacity
 //! is ever used) before handing them out one by one.
 //!
-//! Two iterators share that machinery:
-//!
-//! * [`Scan`] — the single-threaded variant; the tree is externally
-//!   synchronized (`&self` with no concurrent writers), so leaf reads need
-//!   no validation.
-//! * [`ConcScan`] — the concurrent variant. Each leaf read is validated
-//!   against the leaf's 8-byte sequence lock, and leaf-to-leaf hops are
-//!   validated *hand-over-hand*: after reading leaf `M` reached through
-//!   `L.next`, the reader re-checks `L`'s version. Unlinking `M` always
-//!   locks `L` (the unlink rewrites `L.next` under `L`'s lock), so an
-//!   unchanged `L` proves `M` was `L`'s live successor for the whole read —
-//!   a recycled leaf can never be mistaken for a chain member. On any
-//!   version conflict the hop is retried a bounded number of times, then
-//!   the scan re-seeks from the root by the last emitted key inside a
-//!   globally validated speculative section (the same protocol as `get`).
-//!   A monotonic emission filter (only keys strictly greater than the last
-//!   yielded key) keeps the output sorted and duplicate-free across
-//!   re-seeks, so scans never block writers and never observe torn leaves.
+//! [`Scan`] validates each leaf read against the leaf's 8-byte sequence
+//! lock, and leaf-to-leaf hops *hand-over-hand*: after reading leaf `M`
+//! reached through `L.next`, the reader re-checks `L`'s version. Unlinking
+//! `M` always locks `L` (the unlink rewrites `L.next` under `L`'s lock), so
+//! an unchanged `L` proves `M` was `L`'s live successor for the whole read
+//! — a recycled leaf can never be mistaken for a chain member. On any
+//! version conflict the hop is retried a bounded number of times, then the
+//! scan re-seeks from the root by the last emitted key inside a globally
+//! validated speculative section (the same protocol as `get`). A monotonic
+//! emission filter (only keys strictly greater than the last yielded key)
+//! keeps the output sorted and duplicate-free across re-seeks, so scans
+//! never block writers and never observe torn leaves.
 
 use std::ops::{Bound, RangeBounds};
 
 use fptree_htm::Abort;
 
-use crate::concurrent::{ConcKey, ConcurrentTree};
+use crate::concurrent::ConcurrentTree;
 use crate::config::MAX_LEAF_CAPACITY;
-use crate::inner::Node;
 use crate::keys::KeyKind;
 use crate::leafops::Ctx;
 use crate::metrics::{Counter, Op, OpTimer};
@@ -188,9 +181,8 @@ struct Gathered {
 }
 
 /// Gathers the merged entries of leaf `off` that lie inside `bounds` and
-/// strictly above `floor` into `buf` — the one leaf read behind both
-/// iterators. No validation: a concurrent caller validates the leaf
-/// version before letting the gather stand.
+/// strictly above `floor` into `buf`. No validation: the caller validates
+/// the leaf version before letting the gather stand.
 fn gather<K: KeyKind>(
     ctx: &Ctx,
     off: u64,
@@ -223,66 +215,7 @@ fn gather<K: KeyKind>(
     }
 }
 
-// ------------------------------------------------------- single-threaded
-
-/// Sorted streaming iterator over a range of a `SingleTree`.
-///
-/// Seeks the first leaf through the transient inner nodes, then walks the
-/// persistent leaf chain, buffering one sorted leaf at a time — O(leaf)
-/// memory regardless of range length.
-pub struct Scan<'a, K: KeyKind> {
-    ctx: &'a Ctx,
-    bounds: ScanBounds<K>,
-    buf: LeafBuf<K>,
-    /// Next leaf offset to gather; 0 when the chain walk is finished.
-    next_leaf: u64,
-    /// Times the scan over the iterator's whole lifetime.
-    _timer: OpTimer<'a>,
-}
-
-impl<'a, K: KeyKind> Scan<'a, K> {
-    pub(crate) fn new(ctx: &'a Ctx, root: &Node<K>, bounds: ScanBounds<K>) -> Self {
-        let timer = ctx.metrics.time_op(Op::Scan);
-        ctx.metrics.inc(Counter::ScanSeeks);
-        let next_leaf = if bounds.is_empty() {
-            0
-        } else {
-            match bounds.seek_key() {
-                Some(k) => root.find_leaf(k),
-                None => ctx.meta.head(&ctx.pool).offset,
-            }
-        };
-        Scan {
-            ctx,
-            bounds,
-            buf: LeafBuf::new(),
-            next_leaf,
-            _timer: timer,
-        }
-    }
-}
-
-impl<K: KeyKind> Iterator for Scan<'_, K> {
-    type Item = (K::Owned, u64);
-
-    fn next(&mut self) -> Option<(K::Owned, u64)> {
-        loop {
-            if let Some(item) = self.buf.pop() {
-                self.ctx.metrics.inc(Counter::ScanEntries);
-                return Some(item);
-            }
-            if self.next_leaf == 0 {
-                return None;
-            }
-            let g = gather(self.ctx, self.next_leaf, &self.bounds, None, &mut self.buf);
-            self.next_leaf = if g.past_hi { 0 } else { g.next };
-        }
-    }
-}
-
-// ------------------------------------------------------------ concurrent
-
-/// Where the concurrent scan resumes after draining its buffer.
+/// Where the scan resumes after draining its buffer.
 enum Cursor {
     /// Re-seek from the root by the last emitted key (or the lower bound).
     Seek,
@@ -297,7 +230,8 @@ enum Cursor {
     Done,
 }
 
-/// Sorted streaming iterator over a range of a `ConcurrentTree`.
+/// Sorted streaming iterator over a range of a [`ConcurrentTree`], one
+/// sorted leaf at a time — O(leaf) memory regardless of range length.
 ///
 /// Non-blocking for writers: every leaf read is an optimistic section
 /// validated against the leaf's sequence lock (hops additionally re-check
@@ -305,7 +239,7 @@ enum Cursor {
 /// of times and then re-seek by key. Entries are emitted in strictly
 /// increasing key order; each emitted entry was present in the tree at some
 /// point during the scan (no torn or recycled leaf is ever observed).
-pub struct ConcScan<'a, K: ConcKey> {
+pub struct Scan<'a, K: KeyKind> {
     tree: &'a ConcurrentTree<K>,
     bounds: ScanBounds<K>,
     buf: LeafBuf<K>,
@@ -316,7 +250,7 @@ pub struct ConcScan<'a, K: ConcKey> {
     _timer: OpTimer<'a>,
 }
 
-impl<'a, K: ConcKey> ConcScan<'a, K> {
+impl<'a, K: KeyKind> Scan<'a, K> {
     pub(crate) fn new(tree: &'a ConcurrentTree<K>, bounds: ScanBounds<K>) -> Self {
         let timer = tree.metrics().time_op(Op::Scan);
         let cursor = if bounds.is_empty() {
@@ -324,7 +258,7 @@ impl<'a, K: ConcKey> ConcScan<'a, K> {
         } else {
             Cursor::Seek
         };
-        ConcScan {
+        Scan {
             tree,
             bounds,
             buf: LeafBuf::new(),
@@ -423,7 +357,7 @@ impl<'a, K: ConcKey> ConcScan<'a, K> {
     }
 }
 
-impl<K: ConcKey> Iterator for ConcScan<'_, K> {
+impl<K: KeyKind> Iterator for Scan<'_, K> {
     type Item = (K::Owned, u64);
 
     fn next(&mut self) -> Option<(K::Owned, u64)> {

@@ -35,11 +35,11 @@ use std::sync::Arc;
 use fptree_pmem::{PmemPool, USER_BASE};
 
 use crate::api::Error;
-use crate::concurrent::{ConcKey, ConcurrentTree};
+use crate::concurrent::ConcurrentTree;
 use crate::config::TreeConfig;
-use crate::keys::{FixedKey, VarKey};
+use crate::keys::{FixedKey, KeyKind, VarKey};
 use crate::metrics::Snapshot;
-use crate::scan::{ConcScan, ScanBounds};
+use crate::scan::{Scan, ScanBounds};
 
 /// Keys that can be routed to a shard: anything with a well-mixed 64-bit
 /// hash whose *high* bits are uniform (the multiply-shift range reduction
@@ -115,11 +115,11 @@ pub fn bytes_shard(key: &[u8], n: usize) -> usize {
 ///
 /// Built by [`Sharded::try_create`] / [`Sharded::open`] from a vector of
 /// pools, one shard per pool. See the module docs for the invariants.
-pub struct Sharded<K: ConcKey> {
+pub struct Sharded<K: KeyKind> {
     shards: Vec<ConcurrentTree<K>>,
 }
 
-impl<K: ConcKey> std::fmt::Debug for Sharded<K> {
+impl<K: KeyKind> std::fmt::Debug for Sharded<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sharded")
             .field("shards", &self.shards.len())
@@ -132,7 +132,7 @@ pub type ShardedTree = Sharded<FixedKey>;
 /// Sharded variable-key (byte-string) tree.
 pub type ShardedTreeVar = Sharded<VarKey>;
 
-impl<K: ConcKey> Sharded<K>
+impl<K: KeyKind> Sharded<K>
 where
     K::Owned: ShardKey,
 {
@@ -355,7 +355,7 @@ where
             heads: self
                 .shards
                 .iter()
-                .map(|s| ConcScan::new(s, bounds.clone()).peekable())
+                .map(|s| Scan::new(s, bounds.clone()).peekable())
                 .collect(),
             last: None,
         }
@@ -425,15 +425,15 @@ where
 
 /// K-way ordered merge over per-shard concurrent scans; see
 /// [`Sharded::scan`].
-pub struct ShardedScan<'a, K: ConcKey> {
-    heads: Vec<std::iter::Peekable<ConcScan<'a, K>>>,
+pub struct ShardedScan<'a, K: KeyKind> {
+    heads: Vec<std::iter::Peekable<Scan<'a, K>>>,
     /// Monotonic emission filter across the merge: only keys strictly
     /// greater than the last yielded key are emitted, preserving the
     /// sorted/dup-free guarantee even if a shard iterator re-seeks.
     last: Option<K::Owned>,
 }
 
-impl<K: ConcKey> Iterator for ShardedScan<'_, K> {
+impl<K: KeyKind> Iterator for ShardedScan<'_, K> {
     type Item = (K::Owned, u64);
 
     fn next(&mut self) -> Option<(K::Owned, u64)> {

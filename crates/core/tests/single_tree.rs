@@ -974,7 +974,7 @@ fn try_bulk_load_rejects_bad_input_before_writing() {
 /// Drives the guarded ops on a single tree and a concurrent tree side by
 /// side: same answers on hits and misses, and a failed guard persists
 /// nothing on the single tree.
-fn guarded_ops_match_concurrent<K: fptree_core::ConcKey>(
+fn guarded_ops_match_concurrent<K: fptree_core::KeyKind>(
     mk: impl Fn(u64) -> K::Owned,
     wbuf: usize,
 ) {

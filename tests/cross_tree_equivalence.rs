@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fptree_suite::core::{
-    ConcKey, ConcurrentTree, FixedKey, KeyKind, ShardedTree, SingleTree, TreeConfig, VarKey,
+    ConcurrentTree, FixedKey, KeyKind, ShardedTree, SingleTree, TreeConfig, VarKey,
 };
 use fptree_suite::pmem::{create_pools, PmemPool, PoolOptions, ROOT_SLOT};
 use proptest::prelude::*;
@@ -150,114 +150,6 @@ fn apply_batch_to_oracle(oracle: &mut BTreeMap<u64, u64>, op: &BatchOp) -> usize
             .filter(|k| oracle.remove(&(**k as u64)).is_some())
             .count(),
     }
-}
-
-/// A step of the kernel-equivalence stream: a single-key op or a batch.
-#[derive(Debug, Clone)]
-enum Step {
-    One(Op),
-    Batch(BatchOp),
-}
-
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        4 => op_strategy().prop_map(Step::One),
-        1 => batch_op_strategy().prop_map(Step::Batch),
-    ]
-}
-
-/// The one leaf-write asymmetry between the trees: a `remove_batch` run
-/// that empties its leaf is one bitmap commit on the single-threaded tree,
-/// but the concurrent tree cannot unlink under the leaf lock alone — it
-/// holds the run's last key back and removes it through the single-key
-/// path, which commits the bitmap once more (unless the run was that one
-/// key). Each commit is one persist of one line.
-const CONC_HOLDBACK_COMMITS_PER_EMPTIED_LEAF: u64 = 1;
-
-/// "One kernel": the same stream through `SingleTree` (leaf groups off) and
-/// `ConcurrentTree` must leave bit-equivalent leaf chains and, except for
-/// the constant above, issue the same persists, flushed lines and fences.
-fn assert_one_kernel<K: fptree_suite::core::ConcKey>(
-    steps: &[Step],
-    cfg: TreeConfig,
-    key: impl Fn(u32) -> K::Owned,
-) {
-    use fptree_suite::core::leaf::Leaf;
-    use fptree_suite::core::{ConcurrentTree, LeafLayout, SingleTree};
-    use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
-    use std::sync::Arc;
-
-    let cfg = small(cfg).with_leaf_group_size(0);
-    let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
-    // Per leaf in chain order: valid slots, live buffer entries, sorted
-    // merged entries.
-    let shapes = |pool: &PmemPool, offs: Vec<u64>| -> Vec<_> {
-        offs.into_iter()
-            .map(|off| {
-                let leaf = Leaf::new(pool, &layout, off);
-                let mut merged = leaf.collect_merged::<K>();
-                merged.sort();
-                (leaf.count(), leaf.wbuf_count(), merged)
-            })
-            .collect()
-    };
-    let new_pool = || Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-    let (sp, cp) = (new_pool(), new_pool());
-    let mut s = SingleTree::<K>::create(Arc::clone(&sp), cfg, ROOT_SLOT);
-    let c = ConcurrentTree::<K>::create(Arc::clone(&cp), cfg, ROOT_SLOT);
-    // Deltas since `create`: the metadata blocks differ (1 vs 64 micro-log
-    // slots), the leaf writes must not.
-    sp.stats().reset();
-    cp.stats().reset();
-    let mut holdback_commits = 0u64;
-    for step in steps {
-        match step {
-            Step::One(Op::Insert(k, v)) => {
-                assert_eq!(s.insert(&key(*k), *v as u64), c.insert(&key(*k), *v as u64));
-            }
-            Step::One(Op::Update(k, v)) => {
-                assert_eq!(s.update(&key(*k), *v as u64), c.update(&key(*k), *v as u64));
-            }
-            Step::One(Op::Remove(k)) => assert_eq!(s.remove(&key(*k)), c.remove(&key(*k))),
-            Step::One(Op::Get(k)) => assert_eq!(s.get(&key(*k)), c.get(&key(*k))),
-            Step::One(Op::Range(lo, hi)) => {
-                assert_eq!(s.range(&key(*lo), &key(*hi)), c.range(&key(*lo), &key(*hi)));
-            }
-            Step::Batch(BatchOp::InsertBatch(entries)) => {
-                let e: Vec<(K::Owned, u64)> =
-                    entries.iter().map(|(k, v)| (key(*k), *v as u64)).collect();
-                assert_eq!(s.insert_batch(&e), c.insert_batch(&e));
-            }
-            Step::Batch(BatchOp::RemoveBatch(keys)) => {
-                let keys: Vec<K::Owned> = keys.iter().map(|k| key(*k)).collect();
-                let emptied = shapes(&sp, s.leaf_offsets())
-                    .iter()
-                    .filter(|(_, _, merged)| {
-                        merged.len() >= 2 && merged.iter().all(|(k, _)| keys.contains(k))
-                    })
-                    .count();
-                holdback_commits += emptied as u64 * CONC_HOLDBACK_COMMITS_PER_EMPTIED_LEAF;
-                assert_eq!(s.remove_batch(&keys), c.remove_batch(&keys));
-            }
-        }
-        assert_eq!(
-            shapes(&sp, s.leaf_offsets()),
-            shapes(&cp, c.leaf_offsets()),
-            "leaf chains diverge after {step:?}"
-        );
-        let (a, b) = (sp.stats().snapshot(), cp.stats().snapshot());
-        assert_eq!(
-            (b.persist_calls, b.flushed_lines, b.fences),
-            (
-                a.persist_calls + holdback_commits,
-                a.flushed_lines + holdback_commits,
-                a.fences
-            ),
-            "persistence counters diverge after {step:?}"
-        );
-    }
-    s.check_consistency().unwrap();
-    c.check_consistency().unwrap();
 }
 
 /// Digest probe vs. checksum walk over identical leaf bytes (§5.16): a leaf
@@ -839,23 +731,6 @@ proptest! {
             });
         wb.check_consistency().unwrap();
     }
-
-    #[test]
-    fn single_and_concurrent_trees_run_one_leaf_kernel(
-        steps in proptest::collection::vec(step_strategy(), 40..160),
-    ) {
-        use fptree_suite::core::{FixedKey, VarKey};
-        assert_one_kernel::<FixedKey>(&steps, TreeConfig::fptree_concurrent(), |k| k as u64);
-        assert_one_kernel::<VarKey>(&steps, TreeConfig::fptree_concurrent_var(), |k| {
-            format!("key:{k:06}").into_bytes()
-        });
-        // No append buffer: every write takes the slot path.
-        assert_one_kernel::<FixedKey>(
-            &steps,
-            TreeConfig::fptree_concurrent().with_wbuf_entries(0),
-            |k| k as u64,
-        );
-    }
 }
 
 /// Every user byte of the pool — transient words included.
@@ -868,69 +743,59 @@ fn pool_bytes(pool: &fptree_suite::pmem::PmemPool) -> Vec<u8> {
 
 /// Reads on a quiescent tree leave the pool bit-identical: no lookup or
 /// scan stores anything, not even into a leaf's transient words.
-fn assert_reads_do_not_write<K: fptree_suite::core::ConcKey>(
-    cfg_single: TreeConfig,
-    cfg_conc: TreeConfig,
-    key: impl Fn(u64) -> K::Owned,
-) {
-    use fptree_suite::core::{ConcurrentTree, SingleTree};
-    use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
-    use std::sync::Arc;
-
-    let new_pool = || Arc::new(PmemPool::create(PoolOptions::direct(8 << 20)).unwrap());
-    let (sp, cp) = (new_pool(), new_pool());
-    let mut s = SingleTree::<K>::create(Arc::clone(&sp), small(cfg_single), ROOT_SLOT);
-    let c = ConcurrentTree::<K>::create(Arc::clone(&cp), small(cfg_conc), ROOT_SLOT);
+fn assert_reads_do_not_write<K: KeyKind>(cfg: TreeConfig, key: impl Fn(u64) -> K::Owned) {
+    let pool = Arc::new(PmemPool::create(PoolOptions::direct(8 << 20)).unwrap());
+    let t = ConcurrentTree::<K>::create(Arc::clone(&pool), small(cfg), ROOT_SLOT);
+    let mut oracle = BTreeMap::new();
     // Splits, buffered updates and removes, so leaves carry slots, live
     // buffer entries and digests; odd keys stay absent.
     for k in (0..400u64).step_by(2) {
-        assert!(s.insert(&key(k), k) && c.insert(&key(k), k));
+        assert!(t.insert(&key(k), k));
+        oracle.insert(key(k), k);
     }
     for k in (0..400u64).step_by(6) {
-        assert!(s.update(&key(k), k + 1) && c.update(&key(k), k + 1));
+        assert!(t.update(&key(k), k + 1));
+        oracle.insert(key(k), k + 1);
     }
     for k in (0..400u64).step_by(10) {
-        assert!(s.remove(&key(k)) && c.remove(&key(k)));
+        assert!(t.remove(&key(k)));
+        oracle.remove(&key(k));
     }
-    let (s_before, c_before) = (pool_bytes(&sp), pool_bytes(&cp));
+    let before = pool_bytes(&pool);
     for k in 0..400u64 {
-        assert_eq!(s.get(&key(k)), c.get(&key(k)));
-        assert_eq!(s.contains(&key(k)), c.contains(&key(k)));
+        assert_eq!(t.get(&key(k)), oracle.get(&key(k)).copied());
+        assert_eq!(t.contains(&key(k)), oracle.contains_key(&key(k)));
     }
     for (lo, hi) in [(0, 399), (17, 90), (90, 91), (250, 1000)] {
         let (lo, hi) = (key(lo), key(hi));
-        assert_eq!(s.range(&lo, &hi), c.range(&lo, &hi));
+        let want: Vec<(K::Owned, u64)> = oracle
+            .range(lo.clone()..=hi.clone())
+            .map(|(k, v)| (k.clone(), *v))
+            .collect();
+        assert_eq!(t.range(&lo, &hi), want);
         assert_eq!(
-            s.scan(lo.clone()..hi.clone()).count(),
-            c.scan(lo..hi).count()
+            t.scan(lo.clone()..hi.clone()).count(),
+            oracle.range(lo..hi).count()
         );
     }
-    let all: Vec<(K::Owned, u64)> = s.scan(..).collect();
-    assert_eq!(all, c.scan(..).collect::<Vec<_>>());
-    assert_eq!(all, s.iter().collect::<Vec<_>>());
-    assert!(
-        pool_bytes(&sp) == s_before,
-        "a SingleTree read wrote to the pool"
-    );
-    assert!(
-        pool_bytes(&cp) == c_before,
-        "a ConcurrentTree read wrote to the pool"
-    );
+    let all: Vec<(K::Owned, u64)> = oracle.iter().map(|(k, v)| (k.clone(), *v)).collect();
+    assert_eq!(t.iter().collect::<Vec<_>>(), all);
+    assert_eq!(t.first_key_value().as_ref(), all.first());
+    assert_eq!(t.last_key_value().as_ref(), all.last());
+    assert!(pool_bytes(&pool) == before, "a read wrote to the pool");
 }
 
 #[test]
 fn reads_do_not_write() {
-    use fptree_suite::core::{FixedKey, VarKey};
-    assert_reads_do_not_write::<FixedKey>(
-        TreeConfig::fptree(),
-        TreeConfig::fptree_concurrent(),
-        |k| k,
-    );
-    assert_reads_do_not_write::<VarKey>(
+    for cfg in [TreeConfig::fptree(), TreeConfig::fptree_concurrent()] {
+        assert_reads_do_not_write::<FixedKey>(cfg, |k| k);
+    }
+    for cfg in [
         TreeConfig::fptree_var(),
         TreeConfig::fptree_concurrent_var(),
-        |k| format!("key:{k:06}").into_bytes(),
-    );
+    ] {
+        assert_reads_do_not_write::<VarKey>(cfg, |k| format!("key:{k:06}").into_bytes());
+    }
 }
 
 /// A seeded insert/update/remove mix over keys `0..300` and the map it
@@ -1022,7 +887,7 @@ fn single_clean_restart<K: KeyKind>(cfg: TreeConfig, key: impl Fn(u64) -> K::Own
     r.leak_audit().unwrap();
 }
 
-fn concurrent_clean_restart<K: ConcKey>(cfg: TreeConfig, key: impl Fn(u64) -> K::Owned, seed: u64) {
+fn concurrent_clean_restart<K: KeyKind>(cfg: TreeConfig, key: impl Fn(u64) -> K::Owned, seed: u64) {
     let pool = Arc::new(PmemPool::create(PoolOptions::direct(16 << 20)).unwrap());
     let t = ConcurrentTree::<K>::create(Arc::clone(&pool), small(cfg), ROOT_SLOT);
     let oracle = seeded_mix(seed, mix_write!(t, key));
