@@ -757,12 +757,13 @@ impl<K: KeyKind> ConcurrentTree<K> {
     }
 
     /// True when a remove from leaf `off` (predecessor `prev`) may empty
-    /// it and has to unlink it. A leaf dies when it holds one distinct live
-    /// key. Slot keys are distinct and live, so a leaf with two slots
-    /// survives; one with at most one may die — counting its buffered keys
-    /// exactly would charge a probe per entry, so it is treated as dying
-    /// (locking a predecessor that is not needed costs nothing persistent).
-    /// The tree's only leaf never dies.
+    /// it and has to unlink it. A leaf dies when its last slot key goes
+    /// with no live buffer entry left (`Removed::emptied`). Slot keys are
+    /// distinct and live, and a fold only adds slots, so a leaf with two
+    /// slots survives; one with at most one may die — counting its buffered
+    /// keys exactly would charge a probe per entry, so it is treated as
+    /// dying (locking a predecessor that is not needed costs nothing
+    /// persistent). The tree's only leaf never dies.
     fn may_die(&self, off: u64, prev: Option<u64>) -> bool {
         let leaf = self.ctx.leaf(off);
         leaf.count() <= 1 && !(prev.is_none() && leaf.next().is_null())
@@ -1060,7 +1061,8 @@ impl<K: KeyKind> ConcurrentTree<K> {
         }
         if K::IS_VAR {
             for &off in &leaves {
-                for r in self.ctx.owned_key_refs::<K>(off) {
+                let live = self.ctx.leaf(off).wbuf_count();
+                for r in self.ctx.owned_key_refs::<K>(off, live) {
                     if !r.is_null() {
                         scm += 8 + self.ctx.pool.read_word(r.offset);
                     }

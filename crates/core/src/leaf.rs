@@ -45,9 +45,28 @@ impl WbufView {
     };
 }
 
+/// Where [`Leaf::find_merged`] found a key's newest value.
+#[derive(Clone, Copy)]
+pub(crate) enum Where {
+    /// A live buffer entry; it shadows any slot copy of the key.
+    Entry,
+    /// Valid slot `i`; no live buffer entry holds the key.
+    Slot(usize),
+}
+
+/// The leaf head as one read saw it ([`Leaf::read_head`]): the validity
+/// bitmap and the slot fingerprints.
+#[derive(Clone, Copy)]
+pub(crate) struct Head {
+    /// The validity bitmap.
+    pub bitmap: u64,
+    /// `fps[i]` is slot `i`'s fingerprint (all zero without fingerprints).
+    fps: [u8; MAX_LEAF_CAPACITY],
+}
+
 /// What [`Leaf::wbuf_census`] learns about the live buffer.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WbufCensus {
+#[derive(Debug)]
+pub(crate) struct WbufCensus<K: KeyKind> {
     /// Distinct buffered keys without a valid slot — how many slots a
     /// fold of the current buffer would consume.
     pub fresh: usize,
@@ -55,6 +74,8 @@ pub(crate) struct WbufCensus {
     /// valid slot: a fold committed its bitmap and crashed before its
     /// generation bump.
     pub crashed_fold: bool,
+    /// The largest buffered key.
+    pub max: Option<K::Owned>,
 }
 
 /// A view over one leaf node in persistent memory.
@@ -331,55 +352,37 @@ impl<'a> Leaf<'a> {
         }
     }
 
-    /// Persists the key+value regions of `slots` (ascending), coalescing
-    /// contiguous slot indexes — and noncontiguous runs that share a cache
-    /// line — into single flush spans. Staged slots of one batch run are
-    /// usually adjacent, so this typically issues one or two flush calls
-    /// for the whole run.
-    pub fn persist_slots(&self, slots: &[usize]) {
-        debug_assert!(slots.windows(2).all(|w| w[0] < w[1]));
-        let mut ranges = Vec::new();
-        let mut i = 0;
-        while i < slots.len() {
-            let mut j = i;
-            while j + 1 < slots.len() && slots[j + 1] == slots[j] + 1 {
-                j += 1;
-            }
-            let n = j - i + 1;
+    /// Persists the key+value regions of the slots set in `slots`,
+    /// coalescing contiguous slot indexes — and noncontiguous runs that
+    /// share a cache line — into single flush spans. Staged slots of one
+    /// batch run or fold are usually adjacent, so this typically issues one
+    /// or two flush calls for the whole run.
+    pub fn persist_slots(&self, slots: u64) {
+        let mut ranges = Ranges::default();
+        for (lo, n) in slot_runs(slots) {
             if self.layout.split_arrays {
-                ranges.push((self.key_off(slots[i]), n * self.layout.key_slot));
-                ranges.push((self.val_off(slots[i]), n * self.layout.value_size));
+                ranges.push(self.key_off(lo), n * self.layout.key_slot);
+                ranges.push(self.val_off(lo), n * self.layout.value_size);
             } else {
-                ranges.push((
-                    self.key_off(slots[i]),
+                ranges.push(
+                    self.key_off(lo),
                     n * (self.layout.key_slot + self.layout.value_size),
-                ));
+                );
             }
-            i = j + 1;
         }
-        self.persist_merged(&mut ranges);
+        self.persist_merged(ranges.as_mut_slice());
     }
 
-    /// Persists the fingerprint bytes of `slots` (ascending), coalescing
-    /// contiguous slot indexes — and runs sharing a cache line — into
-    /// single flush spans.
-    pub fn persist_fingerprints(&self, slots: &[usize]) {
+    /// Persists the fingerprint bytes of the slots set in `slots`,
+    /// coalescing contiguous slot indexes — and runs sharing a cache line —
+    /// into single flush spans.
+    pub fn persist_fingerprints(&self, slots: u64) {
         debug_assert!(self.layout.fingerprints);
-        debug_assert!(slots.windows(2).all(|w| w[0] < w[1]));
-        let mut ranges = Vec::new();
-        let mut i = 0;
-        while i < slots.len() {
-            let mut j = i;
-            while j + 1 < slots.len() && slots[j + 1] == slots[j] + 1 {
-                j += 1;
-            }
-            ranges.push((
-                self.off + (self.layout.off_fps + slots[i]) as u64,
-                j - i + 1,
-            ));
-            i = j + 1;
+        let mut ranges = Ranges::default();
+        for (lo, n) in slot_runs(slots) {
+            ranges.push(self.off + (self.layout.off_fps + lo) as u64, n);
         }
-        self.persist_merged(&mut ranges);
+        self.persist_merged(ranges.as_mut_slice());
     }
 
     // ---------------------------------------------------------- latencies
@@ -435,18 +438,36 @@ impl<'a> Leaf<'a> {
     /// differential tests pin this). Without fingerprints: linear scan of
     /// the key area. Read latency is charged per the access pattern.
     pub fn find_slot<K: KeyKind>(&self, key: &K::Owned) -> Option<usize> {
-        self.touch_head();
-        self.find_slot_headed::<K>(key)
+        self.find_slot_in::<K>(&self.read_head(), key)
     }
 
-    /// [`Leaf::find_slot`] for a caller that already charged the head.
-    fn find_slot_headed<K: KeyKind>(&self, key: &K::Owned) -> Option<usize> {
-        let bitmap = self.bitmap();
+    /// Reads the head — bitmap and fingerprints — once and charges it.
+    /// [`Leaf::find_slot_in`] then probes any number of keys against the
+    /// copy, each charging only the slots it inspects.
+    pub(crate) fn read_head(&self) -> Head {
+        self.touch_head();
+        self.load_head()
+    }
+
+    /// [`Leaf::read_head`] for a caller that already charged the head.
+    fn load_head(&self) -> Head {
+        let mut head = Head {
+            bitmap: self.bitmap(),
+            fps: [0u8; MAX_LEAF_CAPACITY],
+        };
+        if self.layout.fingerprints {
+            self.read_fingerprints(&mut head.fps);
+        }
+        head
+    }
+
+    /// [`Leaf::find_slot`] against `head`, a copy read earlier. Slots
+    /// staged since (outside its bitmap) never match.
+    pub(crate) fn find_slot_in<K: KeyKind>(&self, head: &Head, key: &K::Owned) -> Option<usize> {
+        let bitmap = head.bitmap;
         if self.layout.fingerprints {
             let fp = K::fingerprint(key);
-            let mut fps = [0u8; MAX_LEAF_CAPACITY];
-            self.read_fingerprints(&mut fps);
-            let mut cand = fp_match_mask(&fps[..self.layout.m], fp) & bitmap;
+            let mut cand = fp_match_mask(&head.fps[..self.layout.m], fp) & bitmap;
             while cand != 0 {
                 let slot = cand.trailing_zeros() as usize;
                 cand &= cand - 1;
@@ -517,24 +538,16 @@ impl<'a> Leaf<'a> {
         out
     }
 
-    /// Largest key in the leaf (recovery: discriminator for inner rebuild).
-    ///
-    /// Covers the *merged* key set: bitmap-valid slots AND live unfolded
-    /// buffer entries. A buffered key larger than every slot-resident key
-    /// previously yielded a wrong split/rebuild discriminator.
-    pub fn max_key<K: KeyKind>(&self) -> Option<K::Owned> {
+    /// Largest key among the valid slots. Recovery's discriminator for the
+    /// inner rebuild is the larger of this and the census's largest
+    /// buffered key ([`WbufCensus::max`]).
+    pub fn max_slot_key<K: KeyKind>(&self) -> Option<K::Owned> {
         let mut bm = self.bitmap() & self.layout.full_bitmap();
         let mut max: Option<K::Owned> = None;
         while bm != 0 {
             let slot = bm.trailing_zeros() as usize;
             bm &= bm - 1;
             let k = K::read_slot(self.pool, self.key_off(slot));
-            if max.as_ref().is_none_or(|m| k > *m) {
-                max = Some(k);
-            }
-        }
-        for i in 0..self.wbuf_view().live {
-            let k = K::read_slot(self.pool, self.wbuf_key_off(i));
             if max.as_ref().is_none_or(|m| k > *m) {
                 max = Some(k);
             }
@@ -817,10 +830,12 @@ impl<'a> Leaf<'a> {
     }
 
     /// Rewrites the digest from the validated walk (recovery's audit: a
-    /// crash image may carry any digest bytes, stale or torn).
-    pub(crate) fn digest_rebuild(&self) {
+    /// crash image may carry any digest bytes, stale or torn) and returns
+    /// the walk's live count.
+    pub(crate) fn digest_rebuild(&self) -> usize {
         let walk = self.wbuf_walk();
         self.digest_store(&walk.fps, walk.live);
+        walk.live
     }
 
     /// Crash-test hook: overwrites the digest with one that verifies and
@@ -841,13 +856,28 @@ impl<'a> Leaf<'a> {
     /// Merged point lookup under `view`: buffer entries whose digest
     /// fingerprint matches, newest first (newer appends shadow older ones
     /// and slot copies), then the slots. Returns the key's newest logical
-    /// value. Charges the head — every leaf access reads it; the digest
-    /// sits in its transient tail — then the buffer region only at a
-    /// matching entry (a walked view already paid for the whole prefix),
-    /// then what the slot probe inspects.
-    pub(crate) fn find_merged<K: KeyKind>(&self, key: &K::Owned, view: &WbufView) -> Option<u64> {
-        let l = self.layout;
+    /// value and where it sits. Charges the head — every leaf access reads
+    /// it; the digest sits in its transient tail — then the buffer region
+    /// only at a matching entry (a walked view already paid for the whole
+    /// prefix), then what the slot probe inspects.
+    pub(crate) fn find_merged<K: KeyKind>(
+        &self,
+        key: &K::Owned,
+        view: &WbufView,
+    ) -> Option<(u64, Where)> {
         self.touch_head();
+        if let Some(i) = self.wbuf_probe::<K>(key, view) {
+            return Some((self.wbuf_value(i), Where::Entry));
+        }
+        let slot = self.find_slot_in::<K>(&self.load_head(), key)?;
+        Some((self.value(slot), Where::Slot(slot)))
+    }
+
+    /// The newest live entry under `view` that holds `key`: only entries
+    /// whose digest fingerprint matches are read, and each is charged
+    /// unless the view was walked. The head is the caller's to charge.
+    pub(crate) fn wbuf_probe<K: KeyKind>(&self, key: &K::Owned, view: &WbufView) -> Option<usize> {
+        let l = self.layout;
         let mut cand = match view.live {
             0 => 0,
             live => {
@@ -863,15 +893,16 @@ impl<'a> Leaf<'a> {
             }
             K::touch_key(self.pool, self.wbuf_key_off(i));
             if K::slot_matches(self.pool, self.wbuf_key_off(i), key) {
-                return Some(self.wbuf_value(i));
+                return Some(i);
             }
         }
-        self.find_slot_headed::<K>(key).map(|s| self.value(s))
+        None
     }
 
-    /// Merged point lookup: [`Leaf::find_merged`] under the digest.
+    /// Merged point lookup: [`Leaf::find_merged`]'s value under the digest.
     pub fn find_merged_value<K: KeyKind>(&self, key: &K::Owned) -> Option<u64> {
         self.find_merged::<K>(key, &self.wbuf_view())
+            .map(|(v, _)| v)
     }
 
     /// Collects the merged `(key, value)` view: every distinct key in the
@@ -898,23 +929,47 @@ impl<'a> Leaf<'a> {
         out
     }
 
-    /// One pass over the live buffer, newest entry first, with one slot
-    /// probe per distinct key (the fold probes the same way). Charges what
-    /// those probes inspect.
-    pub(crate) fn wbuf_census<K: KeyKind>(&self) -> WbufCensus {
-        let live = self.wbuf_view().live;
+    /// True when one of the entries in the mask `entries` holds `key`.
+    /// Charges nothing: the fold and the census compare against entries
+    /// they read themselves.
+    fn entries_hold<K: KeyKind>(&self, mut entries: u64, key: &K::Owned) -> bool {
+        while entries != 0 {
+            let j = entries.trailing_zeros() as usize;
+            entries &= entries - 1;
+            if K::slot_matches(self.pool, self.wbuf_key_off(j), key) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// One pass over the first `live` buffer entries, newest first, probing
+    /// each distinct key against one read of the head (the fold probes the
+    /// same way). Charges the head once and the slots those probes inspect;
+    /// an empty buffer charges nothing.
+    pub(crate) fn wbuf_census<K: KeyKind>(&self, live: usize) -> WbufCensus<K> {
         let mut census = WbufCensus {
             fresh: 0,
             crashed_fold: false,
+            max: None,
         };
+        if live == 0 {
+            return census;
+        }
+        let head = self.read_head();
+        let mut winners = 0u64;
         for i in (0..live).rev() {
             let k = K::read_slot(self.pool, self.wbuf_key_off(i));
-            if (i + 1..live).any(|j| K::slot_matches(self.pool, self.wbuf_key_off(j), &k)) {
+            if self.entries_hold::<K>(winners, &k) {
                 continue; // shadowed by a newer entry
             }
-            match self.find_slot::<K>(&k) {
+            winners |= 1 << i;
+            match self.find_slot_in::<K>(&head, &k) {
                 None => census.fresh += 1,
                 Some(s) => census.crashed_fold |= self.slot_holds_entry(s, i),
+            }
+            if census.max.as_ref().is_none_or(|m| k > *m) {
+                census.max = Some(k);
             }
         }
         census
@@ -930,6 +985,16 @@ impl<'a> Leaf<'a> {
                 .all(|w| self.pool.read_word(so + 8 * w) == self.pool.read_word(eo + 8 * w))
     }
 
+    /// Copies the key slot at `from` to `to` word by word — for
+    /// variable-size keys that moves the blob pointer, not the blob. A
+    /// plain store: the caller persists and commits it.
+    pub(crate) fn copy_key_slot(&self, from: u64, to: u64) {
+        for w in 0..self.layout.key_slot as u64 / 8 {
+            self.pool
+                .write_word(to + 8 * w, self.pool.read_word(from + 8 * w));
+        }
+    }
+
     /// Folds the live buffer into regular slots (compaction): stages each
     /// distinct key's newest value into a free slot (or retires the key's
     /// old slot), persists the staged slots + fingerprints coalesced,
@@ -938,6 +1003,10 @@ impl<'a> Leaf<'a> {
     /// releases superseded resources. Idempotent across a crash at any
     /// point: re-folding skips entries whose bytes already sit in a slot,
     /// and the recovery audits resolve every partially-staged state.
+    ///
+    /// Every distinct key probes one read of the head, so a fold charges
+    /// the head once plus the slots its fingerprint hits inspect. Staging
+    /// works in `u64` masks (W ≤ 64, m ≤ 64) and touches no heap.
     ///
     /// The caller must hold the leaf lock (or be recovery's exclusive
     /// owner) and must have ensured `count + live <= m` — the append
@@ -948,67 +1017,52 @@ impl<'a> Leaf<'a> {
             return;
         }
         let l = self.layout;
-        // Newest-first winners per distinct key; older same-key entries
-        // are shadowed and only their resources are released.
-        let mut winners: Vec<usize> = Vec::new();
-        let mut shadowed: Vec<usize> = Vec::new();
-        for i in (0..live).rev() {
-            let k = K::read_slot(self.pool, self.wbuf_key_off(i));
-            if winners
-                .iter()
-                .any(|&w| K::slot_matches(self.pool, self.wbuf_key_off(w), &k))
-            {
-                shadowed.push(i);
-            } else {
-                winners.push(i);
-            }
-        }
-        let bm = self.bitmap();
-        let mut free = !bm & l.full_bitmap();
-        let mut staged: Vec<usize> = Vec::new();
-        let mut retired_bits = 0u64;
-        let mut retired_slots: Vec<usize> = Vec::new();
-        let mut folded: Vec<usize> = Vec::new(); // winners whose bytes moved or already sit in a slot
-        for &e in &winners {
+        let head = self.read_head();
+        let mut free = !head.bitmap & l.full_bitmap();
+        // Entry masks: the newest entry of each distinct key wins; older
+        // same-key entries are shadowed and only their resources are
+        // released.
+        let (mut winners, mut shadowed) = (0u64, 0u64);
+        // Slot masks: where winners are staged, and the old slots they
+        // retire (also listed in retire order, newest winner first).
+        let (mut staged, mut retired) = (0u64, 0u64);
+        let (mut retire_order, mut n_retired) = ([0usize; MAX_LEAF_CAPACITY], 0);
+        for e in (0..live).rev() {
             let key = K::read_slot(self.pool, self.wbuf_key_off(e));
-            let val = self.wbuf_value(e);
-            let mut ekey = vec![0u8; l.key_slot];
-            self.pool.read_bytes(self.wbuf_key_off(e), &mut ekey);
-            if let Some(s) = self.find_slot::<K>(&key) {
+            if self.entries_hold::<K>(winners, &key) {
+                shadowed |= 1 << e;
+                continue;
+            }
+            winners |= 1 << e;
+            if let Some(s) = self.find_slot_in::<K>(&head, &key) {
                 if self.slot_holds_entry(s, e) {
                     // Crash-redo duplicate: a previous fold already staged
                     // this exact entry (the slot owns the key blob). Only
                     // the generation bump below is still needed.
-                    folded.push(e);
                     continue;
                 }
-                retired_bits |= 1 << s;
-                retired_slots.push(s);
+                retired |= 1 << s;
+                retire_order[n_retired] = s;
+                n_retired += 1;
             }
             debug_assert!(free != 0, "append invariant: fold always has room");
             let s = free.trailing_zeros() as usize;
             free &= free - 1;
-            // Raw byte move of the key slot: for variable-size keys the
-            // blob pointer transfers to the slot without reallocating.
-            self.pool.write_bytes(self.key_off(s), &ekey);
-            self.set_value(s, val);
+            // Raw move of the key slot: for variable-size keys the blob
+            // pointer transfers to the slot without reallocating.
+            self.copy_key_slot(self.wbuf_key_off(e), self.key_off(s));
+            self.set_value(s, self.wbuf_value(e));
             if l.fingerprints {
                 self.set_fingerprint(s, self.wbuf_fp(e));
             }
-            staged.push(s);
-            folded.push(e);
+            staged |= 1 << s;
         }
-        if !staged.is_empty() {
-            staged.sort_unstable();
-            self.persist_slots(&staged);
+        if staged != 0 {
+            self.persist_slots(staged);
             if l.fingerprints {
-                self.persist_fingerprints(&staged);
+                self.persist_fingerprints(staged);
             }
-            let mut nbm = bm & !retired_bits;
-            for &s in &staged {
-                nbm |= 1 << s;
-            }
-            self.commit_bitmap(nbm);
+            self.commit_bitmap((head.bitmap & !retired) | staged);
         }
         // Invalidate the whole buffer p-atomically: every entry checksum
         // embeds the old generation.
@@ -1020,29 +1074,76 @@ impl<'a> Leaf<'a> {
         // Release what the fold made unreachable. Updated keys' old slots
         // hold a *different* blob than the staged copy, so release (the
         // allocator nulls the owner word persistently); same for shadowed
-        // entries' blobs.
-        for &s in &retired_slots {
+        // entries' blobs, newest first.
+        for &s in &retire_order[..n_retired] {
             K::release_slot(self.pool, self.key_off(s));
         }
-        for &e in &shadowed {
+        while shadowed != 0 {
+            let e = 63 - shadowed.leading_zeros() as usize;
+            shadowed &= !(1 << e);
             K::release_slot(self.pool, self.wbuf_key_off(e));
         }
-        // Folded winners' key fields duplicate their slot's pointer; zero
+        // Every winner's key field now duplicates its slot's pointer; zero
         // them so no dead entry outlives the blob it references (a later
         // remove may free it). Plain single-word stores + one coalesced
         // persist; a crash inside this window is resolved by recovery's
         // dead-entry audit (the pointers still duplicate live slots).
-        if K::IS_VAR && !folded.is_empty() {
-            let mut ranges = Vec::new();
-            for &e in &folded {
+        if K::IS_VAR {
+            let mut ranges = Ranges::default();
+            while winners != 0 {
+                let e = winners.trailing_zeros() as usize;
+                winners &= winners - 1;
                 let koff = self.wbuf_key_off(e);
                 for w in 0..l.key_slot / 8 {
                     self.pool.write_word(koff + 8 * w as u64, 0);
                 }
-                ranges.push((koff, l.key_slot));
+                ranges.push(koff, l.key_slot);
             }
-            self.persist_merged(&mut ranges);
+            self.persist_merged(ranges.as_mut_slice());
         }
+    }
+}
+
+/// The contiguous runs of set bits in `mask`, lowest first, as
+/// `(first index, length)`.
+fn slot_runs(mut mask: u64) -> impl Iterator<Item = (usize, usize)> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let lo = mask.trailing_zeros();
+        let n = (mask >> lo).trailing_ones();
+        // Adding the lowest set bit carries through the run and clears it.
+        mask &= mask.wrapping_add(1 << lo);
+        Some((lo as usize, n as usize))
+    })
+}
+
+/// Byte ranges for [`Leaf::persist_merged`], on the stack: one per buffer
+/// entry, or one per run of slots (two with split arrays) — a 64-bit mask
+/// holds at most 32 runs — so never more than `MAX_LEAF_CAPACITY`.
+struct Ranges {
+    buf: [(u64, usize); MAX_LEAF_CAPACITY],
+    len: usize,
+}
+
+impl Default for Ranges {
+    fn default() -> Self {
+        Ranges {
+            buf: [(0, 0); MAX_LEAF_CAPACITY],
+            len: 0,
+        }
+    }
+}
+
+impl Ranges {
+    fn push(&mut self, off: u64, len: usize) {
+        self.buf[self.len] = (off, len);
+        self.len += 1;
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(u64, usize)] {
+        &mut self.buf[..self.len]
     }
 }
 
@@ -1154,13 +1255,13 @@ mod tests {
     fn collect_and_max() {
         let (pool, layout, off) = setup();
         let leaf = Leaf::new(&pool, &layout, off);
-        assert!(leaf.max_key::<FixedKey>().is_none());
+        assert!(leaf.max_slot_key::<FixedKey>().is_none());
         for (i, k) in [50u64, 10, 90, 30].iter().enumerate() {
             insert_fixed(&leaf, i, *k, 0);
         }
         let entries = leaf.collect_entries::<FixedKey>();
         assert_eq!(entries.len(), 4);
-        assert_eq!(leaf.max_key::<FixedKey>(), Some(90));
+        assert_eq!(leaf.max_slot_key::<FixedKey>(), Some(90));
     }
 
     #[test]
@@ -1176,6 +1277,11 @@ mod tests {
         // Padding bytes were written.
         let b: u8 = pool.read_at(leaf.val_off(0) + 8);
         assert_eq!(b, 0xA5);
+    }
+
+    /// The slot mask of `slots`.
+    fn mask(slots: &[usize]) -> u64 {
+        slots.iter().fold(0, |m, s| m | 1 << s)
     }
 
     /// Exact flush-count oracle for the span-merging persist helpers:
@@ -1217,7 +1323,7 @@ mod tests {
                 slots.iter().map(|&s| (leaf.key_off(s), pitch)).collect();
             let (calls, lines) = flush_oracle(&regions);
             let before = pool.stats().snapshot();
-            leaf.persist_slots(slots);
+            leaf.persist_slots(mask(slots));
             let after = pool.stats().snapshot();
             assert_eq!(
                 after.persist_calls - before.persist_calls,
@@ -1240,7 +1346,7 @@ mod tests {
             })
             .expect("a 64-byte line holds four 16-byte slots");
         let before = pool.stats().snapshot();
-        leaf.persist_slots(&[i, i + 2]);
+        leaf.persist_slots(mask(&[i, i + 2]));
         let after = pool.stats().snapshot();
         assert_eq!(after.persist_calls - before.persist_calls, 1);
         assert_eq!(after.flushed_lines - before.flushed_lines, 1);
@@ -1263,7 +1369,7 @@ mod tests {
                 .collect();
             let (calls, lines) = flush_oracle(&regions);
             let before = pool.stats().snapshot();
-            leaf.persist_fingerprints(slots);
+            leaf.persist_fingerprints(mask(slots));
             let after = pool.stats().snapshot();
             assert_eq!(
                 after.persist_calls - before.persist_calls,
@@ -1298,7 +1404,7 @@ mod tests {
         leaf.wbuf_append::<FixedKey>(1, &42, 421);
         assert_eq!(leaf.wbuf_count(), 2);
         assert_eq!(leaf.find_merged_value::<FixedKey>(&42), Some(421));
-        assert_eq!(leaf.wbuf_census::<FixedKey>().fresh, 1);
+        assert_eq!(leaf.wbuf_census::<FixedKey>(2).fresh, 1);
         // Buffered entries shadow slot copies too.
         insert_fixed(&leaf, 0, 7, 70);
         leaf.wbuf_append::<FixedKey>(2, &7, 71);
@@ -1351,20 +1457,21 @@ mod tests {
     }
 
     #[test]
-    fn max_key_covers_live_buffer_entries() {
+    fn census_reports_the_largest_buffered_key() {
         let (pool, layout, off) = setup();
         let leaf = Leaf::new(&pool, &layout, off);
-        assert_eq!(leaf.max_key::<FixedKey>(), None);
+        assert!(leaf.wbuf_census::<FixedKey>(0).max.is_none());
         insert_fixed(&leaf, 0, 50, 500);
         leaf.wbuf_append::<FixedKey>(0, &99, 990);
-        assert_eq!(
-            leaf.max_key::<FixedKey>(),
-            Some(99),
-            "a live buffered key is part of the leaf's key set"
-        );
+        leaf.wbuf_append::<FixedKey>(1, &20, 200);
+        // Recovery's discriminator is the larger of the two: a live
+        // buffered key is part of the leaf's key set.
+        let census = leaf.wbuf_census::<FixedKey>(2);
+        assert_eq!((census.max, census.fresh), (Some(99), 2));
+        assert_eq!(leaf.max_slot_key::<FixedKey>(), Some(50));
         leaf.wbuf_fold::<FixedKey>();
         assert_eq!(leaf.wbuf_count(), 0);
-        assert_eq!(leaf.max_key::<FixedKey>(), Some(99));
+        assert_eq!(leaf.max_slot_key::<FixedKey>(), Some(99));
     }
 
     #[test]
@@ -1516,6 +1623,41 @@ mod tests {
         leaf.wbuf_fold::<FixedKey>();
         let (got, lines) = lines_of(&pool, || leaf.find_merged_value::<FixedKey>(&absent));
         assert_eq!((got, lines), (None, head), "miss on an empty buffer");
+    }
+
+    #[test]
+    fn fold_and_census_read_the_head_once() {
+        use crate::keys::KeyKind;
+        let (pool, layout, off) = setup();
+        let leaf = Leaf::new(&pool, &layout, off);
+        let head = span_lines(off, layout.head_len());
+        let slot_lines =
+            |s: usize| span_lines(leaf.key_off(s), layout.key_slot + layout.value_size);
+        insert_fixed(&leaf, 0, 7, 70);
+        insert_fixed(&leaf, 1, 8, 80);
+        // Buffered: two fresh keys without a fingerprint hit, an update of
+        // slot key 7 (a hit that matches), and a key sharing slot 8's
+        // fingerprint (a hit that does not).
+        let a = key_without_collision(&[7, 8]);
+        let b = key_without_collision(&[7, 8, a]);
+        let alias = (1u64 << 40..)
+            .find(|&k| k != 8 && FixedKey::fingerprint(&k) == FixedKey::fingerprint(&8))
+            .expect("256 fingerprints");
+        for (i, k) in [a, 7, b, alias].iter().enumerate() {
+            leaf.wbuf_append::<FixedKey>(i, k, k + 1);
+        }
+        // One head line for all four keys, plus the two slots hit.
+        let want = head + slot_lines(0) + slot_lines(1);
+        let (census, lines) = lines_of(&pool, || leaf.wbuf_census::<FixedKey>(4));
+        assert_eq!((census.fresh, census.crashed_fold), (3, false));
+        assert_eq!(lines, want, "census");
+        let ((), lines) = lines_of(&pool, || leaf.wbuf_fold::<FixedKey>());
+        assert_eq!(lines, want, "fold");
+        assert_eq!((leaf.count(), leaf.wbuf_count()), (5, 0));
+        for k in [a, 7, b, alias] {
+            assert_eq!(leaf.find_merged_value::<FixedKey>(&k), Some(k + 1));
+        }
+        assert_eq!(leaf.find_merged_value::<FixedKey>(&8), Some(80));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::config::TreeConfig;
 use crate::groups::GroupMgr;
 use crate::keys::KeyKind;
 use crate::layout::LeafLayout;
-use crate::leaf::Leaf;
+use crate::leaf::{Leaf, Where};
 use crate::meta::TreeMeta;
 use crate::metrics::{Counter, Metrics, Op};
 
@@ -113,10 +113,7 @@ impl Ctx {
             .expect("update_in_leaf requires a free slot");
         // The key moves by copying the slot bytes: fixed keys copy the key
         // itself, variable keys copy the persistent pointer (no realloc).
-        let mut slot_bytes = vec![0u8; self.layout.key_slot];
-        self.pool
-            .read_bytes(leaf.key_off(old_slot), &mut slot_bytes);
-        self.pool.write_bytes(leaf.key_off(new_slot), &slot_bytes);
+        leaf.copy_key_slot(leaf.key_off(old_slot), leaf.key_off(new_slot));
         leaf.set_value(new_slot, value);
         if self.layout.fingerprints {
             leaf.set_fingerprint(new_slot, leaf.fingerprint(old_slot));
@@ -320,29 +317,31 @@ impl Ctx {
     }
 
     /// Every key-slot reference the leaf currently owns: the valid slots
-    /// plus the *live* append-buffer prefix (null for fixed-size keys' empty
-    /// fields; callers filter as needed).
-    pub fn owned_key_refs<K: KeyKind>(&self, off: u64) -> Vec<RawPPtr> {
+    /// plus the first `live` append-buffer entries — the live prefix
+    /// (null for fixed-size keys' empty fields; callers filter as needed).
+    pub fn owned_key_refs<K: KeyKind>(&self, off: u64, live: usize) -> Vec<RawPPtr> {
         let leaf = self.leaf(off);
         let bm = leaf.bitmap();
         (0..self.layout.m)
             .filter(|s| bm & (1 << s) != 0)
             .map(|s| leaf.key_off(s))
-            .chain((0..leaf.wbuf_count()).map(|i| leaf.wbuf_key_off(i)))
+            .chain((0..live).map(|i| leaf.wbuf_key_off(i)))
             .map(|key_off| K::slot_ref(&self.pool, key_off))
             .collect()
     }
 
     /// Resolves every non-null key field among `fields` — fields the leaf
-    /// does *not* own: a duplicate of an owned reference is reset, an orphan
-    /// blob is released, anything else rejects the image.
+    /// does *not* own, given its `live` buffer entries: a duplicate of an
+    /// owned reference is reset, an orphan blob is released, anything else
+    /// rejects the image.
     fn audit_fields<K: KeyKind>(
         &self,
         off: u64,
+        live: usize,
         fields: impl Iterator<Item = u64>,
         what: &'static str,
     ) -> Result<(), Error> {
-        let owned = self.owned_key_refs::<K>(off);
+        let owned = self.owned_key_refs::<K>(off, live);
         for key_off in fields {
             if !K::slot_nonnull(&self.pool, key_off) {
                 continue;
@@ -365,8 +364,9 @@ impl Ctx {
     /// a null key pointer; a non-null one is either a duplicate of a key the
     /// leaf owns (interrupted update, or a fold interrupted after staging a
     /// still-live buffered blob → reset) or an orphan blob (interrupted
-    /// insert/delete → deallocate).
-    pub fn audit_leaf<K: KeyKind>(&self, off: u64) -> Result<(), Error> {
+    /// insert/delete → deallocate). `live` is the leaf's live buffer
+    /// prefix.
+    pub fn audit_leaf<K: KeyKind>(&self, off: u64, live: usize) -> Result<(), Error> {
         if !K::IS_VAR {
             return Ok(());
         }
@@ -375,24 +375,26 @@ impl Ctx {
         let dead = (0..self.layout.m).filter(|s| bm & (1 << s) == 0);
         self.audit_fields::<K>(
             off,
+            live,
             dead.map(|s| leaf.key_off(s)),
             "orphan key blob pointer",
         )
     }
 
     /// Leak audit for a leaf's *dead* append-buffer entries — those past
-    /// the live prefix. A dead entry's key field is either null, a
-    /// duplicate of an owned blob (folded winner whose zeroing crashed →
-    /// reset), or an orphan blob from a crashed append (allocated, but the
-    /// entry publish never landed → release).
-    pub fn audit_wbuf<K: KeyKind>(&self, off: u64) -> Result<(), Error> {
+    /// the live prefix of `live` entries. A dead entry's key field is
+    /// either null, a duplicate of an owned blob (folded winner whose
+    /// zeroing crashed → reset), or an orphan blob from a crashed append
+    /// (allocated, but the entry publish never landed → release).
+    pub fn audit_wbuf<K: KeyKind>(&self, off: u64, live: usize) -> Result<(), Error> {
         if !K::IS_VAR || self.layout.wbuf_entries == 0 {
             return Ok(());
         }
         let leaf = self.leaf(off);
-        let entries = leaf.wbuf_count()..self.layout.wbuf_entries;
+        let entries = live..self.layout.wbuf_entries;
         self.audit_fields::<K>(
             off,
+            live,
             entries.map(|i| leaf.wbuf_key_off(i)),
             "orphan buffer blob pointer",
         )
@@ -411,7 +413,8 @@ impl Ctx {
         expected.extend(leaf_blocks);
         if K::IS_VAR {
             for off in self.leaf_offsets() {
-                for r in self.owned_key_refs::<K>(off) {
+                let live = self.leaf(off).wbuf_count();
+                for r in self.owned_key_refs::<K>(off, live) {
                     if !r.is_null() && !expected.insert(r.offset) {
                         return Err(format!("key blob at {:#x} owned twice", r.offset));
                     }
@@ -572,8 +575,8 @@ pub(crate) struct Written<K: KeyKind> {
 pub(crate) struct Removed {
     /// False when the key was absent or failed the value guard.
     pub removed: bool,
-    /// The removal cleared the leaf's last entry; the caller unlinks it
-    /// (unless it is the tree's only leaf).
+    /// The removal cleared the leaf's last slot and no live buffer entry
+    /// is left; the caller unlinks it (unless it is the tree's only leaf).
     pub emptied: bool,
 }
 
@@ -621,8 +624,10 @@ impl Ctx {
         let leaf = self.leaf(off);
         let view = leaf.wbuf_view();
         let live = view.live;
-        // The key's newest value: the one merged probe every lookup runs.
-        let newest = leaf.find_merged::<K>(key, &view);
+        // The key's newest value and where it sits: the one merged probe
+        // every lookup runs.
+        let found = leaf.find_merged::<K>(key, &view);
+        let newest = found.map(|(v, _)| v);
         let (applies, miss) = match mode {
             WriteMode::Insert => (newest.is_none(), Counter::InsertExisting),
             WriteMode::Update { expected } => {
@@ -680,10 +685,14 @@ impl Ctx {
             }
             WriteMode::Insert => self.insert_into_leaf::<K>(target, key, value),
             WriteMode::Update { .. } => {
-                let slot = self
-                    .leaf(target)
-                    .find_slot::<K>(key)
-                    .expect("a folded key occupies a slot and survives its leaf's split");
+                // The probe's slot stands unless a fold or a split moved it.
+                let slot = match found {
+                    Some((_, Where::Slot(s))) if live == 0 && split.is_none() => s,
+                    _ => self
+                        .leaf(target)
+                        .find_slot::<K>(key)
+                        .expect("a folded key occupies a slot and survives its leaf's split"),
+                };
                 self.update_in_leaf::<K>(target, slot, value);
             }
         }
@@ -694,9 +703,12 @@ impl Ctx {
     }
 
     /// Removes one key — only if its newest value equals `expected` when
-    /// that is `Some`. Folds first: buffer entries cannot be retired
-    /// individually (the live prefix must stay contiguous), and a buffered
-    /// value would shadow the slot removal.
+    /// that is `Some` (Algorithm 5). A key the probe found in a slot has no
+    /// live buffer entry (an entry would be its newest copy), so clearing
+    /// its bit is one p-atomic bitmap commit that leaves the buffer alone.
+    /// A buffered key is folded first: buffer entries cannot be retired
+    /// individually (the live prefix must stay contiguous). The leaf is
+    /// emptied only when neither a slot nor a live entry is left.
     pub fn remove_one<K: KeyKind>(
         &self,
         off: u64,
@@ -705,26 +717,30 @@ impl Ctx {
     ) -> Removed {
         let leaf = self.leaf(off);
         let view = leaf.wbuf_view();
-        let newest = leaf.find_merged::<K>(key, &view);
-        if !guard_holds(newest, expected) {
+        let found = leaf.find_merged::<K>(key, &view);
+        if !guard_holds(found.map(|(v, _)| v), expected) {
             self.metrics.inc(Counter::RemoveMisses);
             return Removed {
                 removed: false,
                 emptied: false,
             };
         }
-        if view.live > 0 {
-            leaf.wbuf_fold::<K>();
-        }
-        let slot = leaf
-            .find_slot::<K>(key)
-            .expect("folded key must occupy a slot");
+        let (slot, live) = match found {
+            Some((_, Where::Slot(s))) => (s, view.live),
+            _ => {
+                leaf.wbuf_fold::<K>();
+                let s = leaf
+                    .find_slot::<K>(key)
+                    .expect("folded key must occupy a slot");
+                (s, 0)
+            }
+        };
         let bm = leaf.bitmap() & !(1 << slot);
         leaf.commit_bitmap(bm);
         K::release_slot(&self.pool, leaf.key_off(slot));
         Removed {
             removed: true,
-            emptied: bm == 0,
+            emptied: bm == 0 && live == 0,
         }
     }
 
@@ -741,7 +757,7 @@ impl Ctx {
         let mut bm = leaf.bitmap();
         let mut free = !bm & self.layout.full_bitmap();
         debug_assert!(run.len() <= free.count_ones() as usize);
-        let mut slots = Vec::with_capacity(run.len());
+        let mut slots = 0u64;
         for (key, value) in run {
             let slot = free.trailing_zeros() as usize;
             free &= free - 1;
@@ -751,11 +767,11 @@ impl Ctx {
                 leaf.set_fingerprint(slot, K::fingerprint(key));
             }
             bm |= 1 << slot;
-            slots.push(slot);
+            slots |= 1 << slot;
         }
-        leaf.persist_slots(&slots);
+        leaf.persist_slots(slots);
         if self.layout.fingerprints {
-            leaf.persist_fingerprints(&slots);
+            leaf.persist_fingerprints(slots);
         }
         // Commit point: every staged entry becomes valid at once.
         leaf.commit_bitmap(bm);
@@ -779,9 +795,10 @@ impl Ctx {
         // Staged runs reason about free slots and present keys from the
         // slot array alone, so the append buffer is compacted first (§5.12).
         leaf.wbuf_fold::<K>();
+        let head = leaf.read_head();
         let present: Vec<bool> = run
             .iter()
-            .map(|(k, _)| leaf.find_slot::<K>(k).is_some())
+            .map(|(k, _)| leaf.find_slot_in::<K>(&head, k).is_some())
             .collect();
         let fresh = present.iter().filter(|p| !**p).count();
         // Room per half, `[lower, upper]`. Only an overflowing *full* leaf
@@ -831,25 +848,32 @@ impl Ctx {
 
     /// Clears every present key of `run` (sorted, unique, all routing to
     /// this leaf) with **one** p-atomic bitmap write, then releases the key
-    /// slots. A run that would empty the leaf holds back its last present
-    /// key: the caller cannot unlink under the leaf lock alone.
+    /// slots. As in [`Ctx::remove_one`], the buffer is folded only when one
+    /// of the run's keys is buffered; the run probes one read of the head.
+    /// A run that would empty the leaf holds back its last present key:
+    /// the caller cannot unlink under the leaf lock alone.
     pub fn remove_run<K: KeyKind>(&self, off: u64, run: &[K::Owned]) -> RunRemoved {
         let leaf = self.leaf(off);
-        // Fold first: the probes and the emptied-leaf decision are only
-        // correct against slot-only state.
-        leaf.wbuf_fold::<K>();
+        let view = leaf.wbuf_view();
+        let mut head = leaf.read_head();
+        let buffered = run.iter().any(|k| leaf.wbuf_probe::<K>(k, &view).is_some());
+        if buffered {
+            leaf.wbuf_fold::<K>();
+            head = leaf.read_head();
+        }
+        let live = if buffered { 0 } else { view.live };
         let mut found: Vec<(usize, usize)> = run
             .iter()
             .enumerate()
-            .filter_map(|(i, k)| leaf.find_slot::<K>(k).map(|slot| (i, slot)))
+            .filter_map(|(i, k)| leaf.find_slot_in::<K>(&head, k).map(|slot| (i, slot)))
             .collect();
         self.metrics
             .add(Counter::RemoveMisses, (run.len() - found.len()) as u64);
         let mut held_back = None;
-        if found.len() == leaf.count() {
+        if live == 0 && found.len() == head.bitmap.count_ones() as usize {
             held_back = found.pop().map(|(i, _)| i);
         }
-        let mut bm = leaf.bitmap();
+        let mut bm = head.bitmap;
         if !found.is_empty() {
             for &(_, slot) in &found {
                 bm &= !(1 << slot);

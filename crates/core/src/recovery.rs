@@ -327,7 +327,8 @@ fn audit_leaves<K: KeyKind>(
         // carries (ahead of the surviving entries, behind them, or bytes an
         // older build kept in these words) is overwritten from the
         // validated walk before anything below consults it.
-        leaf.digest_rebuild();
+        // The walk's live count serves every step below.
+        let live = leaf.digest_rebuild();
         // Order matters: the slot audit first (with live buffer entries
         // among the owned references, so the staged copies of a fold that
         // crashed before its bitmap commit are reset, not released), then
@@ -337,16 +338,19 @@ fn audit_leaves<K: KeyKind>(
         // finished here; any other buffer is the steady state and stays.
         // All steps are leaf-local and deterministic, keeping parallel
         // recovery bit-identical to serial.
-        ctx.audit_leaf::<K>(off)?;
-        let census = leaf.wbuf_census::<K>();
-        let fresh = if census.crashed_fold {
+        ctx.audit_leaf::<K>(off, live)?;
+        let census = leaf.wbuf_census::<K>(live);
+        let (fresh, live) = if census.crashed_fold {
             leaf.wbuf_fold::<K>();
-            0
+            (0, 0)
         } else {
-            census.fresh
+            (census.fresh, live)
         };
-        ctx.audit_wbuf::<K>(off)?;
-        Ok((leaf.count() + fresh, leaf.max_key::<K>()))
+        ctx.audit_wbuf::<K>(off, live)?;
+        // A folded buffer's keys are in the slots now, and the census saw
+        // them all: the larger of the two maxima covers the merged set.
+        let max = leaf.max_slot_key::<K>().max(census.max);
+        Ok((leaf.count() + fresh, max))
     };
     let parts = par_chunks(ctx, chain, threads, Some("recovery_audit"), |part| {
         part.iter()

@@ -503,6 +503,82 @@ fn audit_leaks<K: KeyKind>(pool: &Arc<PmemPool>, tree: &SingleTree<K>) {
     }
 }
 
+/// Every persistence event of a remove that does not fold: slot key 2
+/// leaves a leaf whose buffer holds the live entries 4 and 5, so the
+/// remove is one bitmap commit (plus, for variable keys, the blob
+/// release). A crash at each event, recovered from eight images each,
+/// must answer like the map before or after the remove, pass the
+/// structural check and the leak audit, and break no durability rule.
+fn no_fold_remove_sweep<K: KeyKind>(mk: impl Fn(u16) -> K::Owned, group_size: usize) {
+    let cfg = TreeConfig::fptree()
+        .with_leaf_capacity(8)
+        .with_inner_fanout(4)
+        .with_leaf_group_size(group_size)
+        .with_wbuf_entries(4);
+    let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
+    let model = |keys: &[u16]| -> Vec<(K::Owned, u64)> {
+        keys.iter().map(|&k| (mk(k), k as u64)).collect()
+    };
+    let (before, after) = (model(&[1, 2, 3, 4, 5]), model(&[1, 3, 4, 5]));
+    for fuse in 0.. {
+        assert!(fuse < 200, "the remove never finished");
+        let pool =
+            Arc::new(PmemPool::create(PoolOptions::tracked(4 << 20).with_checker()).expect("pool"));
+        let mut t = SingleTree::<K>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        // Slots {1, 2, 3} (removing the buffered 9 folds them), then the
+        // buffer [4, 5].
+        for k in [1, 2, 3, 9, 4, 5] {
+            assert!(t.insert(&mk(k), k as u64));
+            if k == 9 {
+                assert!(t.remove(&mk(9)));
+            }
+        }
+        let leaf = Leaf::new(&pool, &layout, t.leaf_offsets()[0]);
+        assert_eq!((leaf.count(), leaf.wbuf_count()), (3, 2));
+        pool.set_crash_fuse(Some(fuse));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.remove(&mk(2))));
+        pool.set_crash_fuse(None);
+        let finished = match r {
+            Ok(removed) => {
+                assert!(removed);
+                assert_eq!(leaf.wbuf_count(), 2, "the remove left the buffer alone");
+                true
+            }
+            Err(e) => {
+                assert!(crash_is_injected(e.as_ref()), "non-injected panic escaped");
+                false
+            }
+        };
+        pool.assert_durability_clean();
+        for seed in 0..8 {
+            let opts = PoolOptions::tracked(0).with_checker();
+            let image = Arc::new(PmemPool::reopen(pool.crash_image(seed), opts).expect("reopen"));
+            let r = SingleTree::<K>::open(Arc::clone(&image), ROOT_SLOT).expect("recover");
+            r.check_consistency().expect("recovered tree consistent");
+            audit_leaks::<K>(&image, &r);
+            image.assert_durability_clean();
+            let got: Vec<(K::Owned, u64)> = r.scan(..).collect();
+            assert!(
+                got == after || (!finished && got == before),
+                "fuse {fuse}, seed {seed}: recovered {} keys",
+                got.len()
+            );
+            assert_eq!(r.len(), got.len());
+        }
+        if finished {
+            return;
+        }
+    }
+}
+
+#[test]
+fn no_fold_remove_commit_point_is_atomic() {
+    for groups in [0, 4] {
+        no_fold_remove_sweep::<FixedKey>(|k| k as u64, groups);
+        no_fold_remove_sweep::<VarKey>(|k| format!("key:{k:05}").into_bytes(), groups);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 

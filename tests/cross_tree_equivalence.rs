@@ -959,7 +959,8 @@ fn assert_crashed_fold_is_finished<K: KeyKind>(
         .with_wbuf_entries(4);
     let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
     // Slots {1, 2, 3}, then a buffer of [4] or [4, 1'] (only fixed-size
-    // keys buffer updates); removing 2 folds the buffer first.
+    // keys buffer updates); removing the buffered key 4 folds the buffer
+    // first (removing a slot key would leave the buffer alone).
     let prefix = |t: &mut SingleTree<K>| {
         for k in 1..=3 {
             assert!(t.insert(&key(k), k));
@@ -994,7 +995,7 @@ fn assert_crashed_fold_is_finished<K: KeyKind>(
         prefix(&mut t);
         let off = t.leaf_offsets()[0];
         pool.set_crash_fuse(Some(fuse));
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.remove(&key(2))));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.remove(&key(4))));
         pool.set_crash_fuse(None);
         match r {
             Ok(_) => panic!("the remove finished before its fold reached that state"),
