@@ -1,7 +1,14 @@
 //! Drives the real `fptree` binary: construction failures fed by user input
-//! must exit with the typed error, never a panic.
+//! must exit with the typed error, never a panic; shell and one-shot
+//! sessions must round-trip through the pool files they leave behind.
 
-use std::process::Command;
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::sync::Arc;
+
+use fptree_core::{FPTreeVar, TreeConfig};
+use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
 
 #[test]
 fn oversharded_pool_reports_pool_full_instead_of_panicking() {
@@ -22,4 +29,197 @@ fn oversharded_pool_reports_pool_full_instead_of_panicking() {
     let msg = "fptree: creating tree: pool of shard 0 is full: need ";
     assert!(stderr.contains(msg), "stderr: {stderr}");
     assert!(stderr.contains(" bytes, "), "stderr: {stderr}");
+}
+
+/// A fresh scratch directory per test (tests run in parallel).
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fptree-cli-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Runs the binary with `args`, feeding `stdin`; returns stdout after
+/// asserting a clean exit.
+fn fptree(args: &[&str], base: &Path, command: &[&str], stdin: &str) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fptree"))
+        .args(args)
+        .arg(base)
+        .args(command)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Feed stdin from a thread so a long session cannot fill the stdout
+    // pipe while its input is still being written.
+    let mut input = child.stdin.take().unwrap();
+    let stdin = stdin.to_owned();
+    let writer = std::thread::spawn(move || input.write_all(stdin.as_bytes()));
+    let out = child.wait_with_output().unwrap();
+    writer.join().unwrap().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// One-shot mode: `fptree <base> <command...>`.
+fn one_shot(base: &Path, command: &str) -> String {
+    let words: Vec<&str> = command.split_whitespace().collect();
+    fptree(&[], base, &words, "")
+}
+
+/// Shell mode over stdin; `quit` saves.
+fn shell(args: &[&str], base: &Path, lines: &[&str]) -> String {
+    fptree(args, base, &[], &(lines.join("\n") + "\nquit\n"))
+}
+
+/// The `SCM in use` byte counts `stats` prints, one per shard.
+fn scm_in_use(stats: &str) -> Vec<u64> {
+    stats
+        .lines()
+        .filter_map(|l| l.split("SCM in use: ").nth(1))
+        .map(|s| s.split(' ').next().unwrap().parse().unwrap())
+        .collect()
+}
+
+fn assert_check_is_clean(base: &Path) {
+    assert_eq!(one_shot(base, "check"), "consistent\nleak-free\n");
+}
+
+fn round_trip(args: &[&str], dir: &Path) {
+    let base = dir.join("kv.pool");
+    let out = shell(
+        args,
+        &base,
+        &[
+            "put a 1",
+            "put b 2",
+            "put c 3",
+            "put a 10",
+            "update b 20",
+            "update zz 5",
+            "del c",
+            "del c",
+            "get a",
+        ],
+    );
+    for answer in [
+        "inserted",
+        "updated",
+        "(key not found)",
+        "deleted",
+        "(not found)",
+        "a -> 10",
+        "saved 2 keys",
+    ] {
+        assert!(out.contains(answer), "missing {answer:?} in:\n{out}");
+    }
+
+    // Reopen in fresh processes: every answer comes back from recovery.
+    assert_eq!(one_shot(&base, "get a"), "a -> 10\n");
+    assert_eq!(one_shot(&base, "get b"), "b -> 20\n");
+    assert_eq!(one_shot(&base, "get c"), "(not found)\n");
+    assert_eq!(one_shot(&base, "put d 4"), "inserted\n");
+    assert_eq!(one_shot(&base, "update d 40"), "updated\n");
+    assert_eq!(one_shot(&base, "range a c"), "a -> 10\nb -> 20\n");
+    assert_eq!(one_shot(&base, "range b"), "b -> 20\nd -> 40\n");
+    assert_eq!(one_shot(&base, "scan 2"), "a -> 10\nb -> 20\n");
+    assert_eq!(one_shot(&base, "scan b 5"), "b -> 20\nd -> 40\n");
+    assert_eq!(one_shot(&base, "del a"), "deleted\n");
+    assert_eq!(one_shot(&base, "scan"), "b -> 20\nd -> 40\n");
+    assert_check_is_clean(&base);
+}
+
+#[test]
+fn one_pool_round_trips_through_the_plain_file() {
+    let dir = temp_dir("one");
+    round_trip(&[], &dir);
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["kv.pool"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn three_shards_round_trip_through_the_shard_family() {
+    let dir = temp_dir("three");
+    round_trip(&["--shards", "3"], &dir);
+    let base = dir.join("kv.pool");
+    assert!(!base.exists());
+    assert_eq!(fptree_pmem::shard_file_count(&base), 3);
+    assert_eq!(scm_in_use(&one_shot(&base, "stats")).len(), 3);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn overwrites_reuse_their_space_and_leak_nothing() {
+    let dir = temp_dir("overwrite");
+    let base = dir.join("hot.pool");
+    let puts = |range: std::ops::Range<u32>| -> Vec<String> {
+        range.map(|i| format!("put hot {i}")).collect()
+    };
+    let mut lines = puts(0..10);
+    lines.push("stats".into());
+    lines.extend(puts(10..2000));
+    lines.push("stats".into());
+    lines.push("check".into());
+    let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
+    let out = shell(&[], &base, &lines);
+    let scm = scm_in_use(&out);
+    assert_eq!(scm.len(), 2, "{out}");
+    assert_eq!(scm[0], scm[1], "SCM grew under overwrites:\n{out}");
+    assert!(out.contains("consistent\nleak-free\n"), "{out}");
+    assert_eq!(one_shot(&base, "get hot"), "hot -> 1999\n");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn single_tree_pool_file_opens_and_answers() {
+    let dir = temp_dir("legacy");
+    let base = dir.join("legacy.pool");
+    {
+        let pool = Arc::new(PmemPool::create(PoolOptions::direct(8 << 20)).unwrap());
+        let mut tree = FPTreeVar::create(Arc::clone(&pool), TreeConfig::fptree_var(), ROOT_SLOT);
+        for k in 0..300u64 {
+            tree.insert(&format!("key{k:03}").into_bytes(), k * 3);
+        }
+        pool.save(&base).unwrap();
+    }
+    assert_eq!(one_shot(&base, "get key123"), "key123 -> 369\n");
+    assert_eq!(one_shot(&base, "get key300"), "(not found)\n");
+    assert_check_is_clean(&base);
+    assert_eq!(one_shot(&base, "put key000 7"), "updated\n");
+    assert_eq!(one_shot(&base, "get key000"), "key000 -> 7\n");
+    assert!(base.exists() && fptree_pmem::shard_file_count(&base) == 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn non_numeric_value_is_rejected_and_the_session_goes_on() {
+    let dir = temp_dir("badvalue");
+    let base = dir.join("v.pool");
+    let out = shell(
+        &[],
+        &base,
+        &[
+            "put k 1",
+            "put k notanumber",
+            "update k -3",
+            "put j 18446744073709551616",
+            "put j",
+            "get k",
+            "get j",
+        ],
+    );
+    assert_eq!(out.matches("error:").count(), 4, "{out}");
+    assert!(out.contains("k -> 1\n"), "{out}");
+    assert!(out.contains("(not found)\n"), "{out}");
+    assert_eq!(one_shot(&base, "put k x").lines().count(), 1);
+    assert_eq!(one_shot(&base, "scan"), "k -> 1\n");
+    std::fs::remove_dir_all(&dir).ok();
 }

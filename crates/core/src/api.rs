@@ -58,8 +58,6 @@ pub enum Error {
     },
     /// The underlying pool file failed or holds an incompatible image.
     Io(std::io::Error),
-    /// A lock guarding an index was poisoned by a panicking holder.
-    Poisoned,
     /// The persistent image is inconsistent: a pointer, count, or metadata
     /// word read during recovery fails validation. The tree refuses to
     /// recover rather than follow corrupt state.
@@ -134,7 +132,6 @@ impl fmt::Display for Error {
                 write!(f, "key of {len} bytes exceeds the {max}-byte limit")
             }
             Error::Io(e) => write!(f, "pool I/O error: {e}"),
-            Error::Poisoned => write!(f, "index lock poisoned by a panicking holder"),
             Error::Corrupt { what, offset } => {
                 if *offset == 0 {
                     write!(f, "corrupt tree image: {what}")
@@ -173,12 +170,6 @@ impl From<AllocError> for Error {
             }
             other => Error::Io(std::io::Error::other(other.to_string())),
         }
-    }
-}
-
-impl<T> From<std::sync::PoisonError<T>> for Error {
-    fn from(_: std::sync::PoisonError<T>) -> Error {
-        Error::Poisoned
     }
 }
 
@@ -254,9 +245,5 @@ mod tests {
             "pool of shard 3 is full: need 100 bytes, 50 available"
         );
         assert_eq!(e.shard(), Some(3));
-        assert_eq!(
-            Error::Poisoned.to_string(),
-            "index lock poisoned by a panicking holder"
-        );
     }
 }

@@ -23,13 +23,14 @@
 //!   sorted and duplicate-free) with a monotonic emission filter, so
 //!   [`Sharded::scan`] output is bit-identical to a single tree holding
 //!   the union of the shards;
-//! * [`Sharded::open_with`] recovers shards *concurrently*, each shard
-//!   running the phase-parallel recovery pipeline on its slice of the
-//!   worker budget;
+//! * [`Sharded::open_with`] recovers shards *concurrently*, at most
+//!   `threads` at a time, each shard running the phase-parallel recovery
+//!   pipeline on its slice of the worker budget;
 //! * `insert_batch` / `remove_batch` split into per-shard sub-batches
 //!   committed in parallel on scoped worker threads, keeping the one
 //!   coalesced-flush-per-leaf-run amortization within each shard.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use fptree_pmem::{PmemPool, USER_BASE};
@@ -173,10 +174,12 @@ where
         Self::open_with(pools, owner_slot, crate::config::default_recovery_threads())
     }
 
-    /// Opens (recovers) every shard **concurrently**: one recovery runs per
-    /// shard at the same time, each using its share of the `threads` worker
-    /// budget for the phase-parallel pipeline within the shard. A failed
-    /// shard aborts the open with its error annotated by shard index.
+    /// Opens (recovers) every shard **concurrently**: `min(threads, n)`
+    /// workers claim shard indices from a shared counter, so at most
+    /// `threads` recoveries run at once, each using its share of the
+    /// `threads` worker budget for the phase-parallel pipeline within the
+    /// shard. A failed shard aborts the open with its error annotated by
+    /// shard index.
     pub fn open_with(
         pools: Vec<Arc<PmemPool>>,
         owner_slot: u64,
@@ -188,22 +191,33 @@ where
             ));
         }
         let n = pools.len();
-        let per_shard = (threads.max(1) / n).max(1);
-        let results: Vec<Result<ConcurrentTree<K>, Error>> = std::thread::scope(|s| {
-            let handles: Vec<_> = pools
-                .iter()
-                .map(|pool| {
-                    let pool = Arc::clone(pool);
-                    s.spawn(move || ConcurrentTree::<K>::open_with(pool, owner_slot, per_shard))
+        let threads = threads.max(1);
+        let per_shard = (threads / n).max(1);
+        let next = AtomicUsize::new(0);
+        let mut results: Vec<(usize, Result<ConcurrentTree<K>, Error>)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads.min(n))
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(pool) = pools.get(i) else {
+                                return done;
+                            };
+                            let pool = Arc::clone(pool);
+                            done.push((i, ConcurrentTree::open_with(pool, owner_slot, per_shard)));
+                        }
+                    })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("shard recovery thread panicked"))
+                .flat_map(|h| h.join().expect("shard recovery thread panicked"))
                 .collect()
         });
+        results.sort_unstable_by_key(|(i, _)| *i);
         let mut shards = Vec::with_capacity(n);
-        for (i, r) in results.into_iter().enumerate() {
+        for (i, r) in results {
             shards.push(r.map_err(|e| e.with_shard(i))?);
         }
         Ok(Sharded { shards })

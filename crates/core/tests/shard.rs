@@ -193,6 +193,35 @@ fn save_load_recover_roundtrip_via_shard_files() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// More shards than recovery workers: `open_with` runs the recoveries on a
+/// bounded worker pool (here 2 workers for 12 shards) and every shard
+/// still comes back with its own contents, in shard order.
+#[test]
+fn open_with_fewer_workers_than_shards_recovers_every_shard() {
+    let ps = pools(12, 2);
+    let expected = {
+        let t = ShardedTree::create(ps.clone(), small_cfg(), ROOT_SLOT);
+        for k in 0..3000u64 {
+            t.insert(&(k * 13), k);
+        }
+        for k in (0..3000u64).step_by(5) {
+            t.remove(&(k * 13));
+        }
+        t.scan(..).collect::<Vec<_>>()
+    };
+    for threads in [1, 2] {
+        let t = ShardedTree::open_with(ps.clone(), ROOT_SLOT, threads).unwrap();
+        assert_eq!(t.shard_count(), 12);
+        assert_eq!(t.len(), expected.len());
+        assert_eq!(t.scan(..).collect::<Vec<_>>(), expected);
+        for (i, shard) in t.shards().iter().enumerate() {
+            assert!(Arc::ptr_eq(shard.pool(), &ps[i]), "shard {i} out of order");
+        }
+        t.check_consistency().unwrap();
+        t.leak_audit().unwrap();
+    }
+}
+
 /// Concurrent writers spread across shards: the end state must be exactly
 /// the union of all writes, and every shard internally consistent.
 #[test]

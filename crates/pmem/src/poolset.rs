@@ -5,7 +5,10 @@
 //! durability domain. This module provides the pool-level plumbing: create
 //! N pools with distinct file ids, round-trip them through a family of
 //! shard files (`base.shard0`, `base.shard1`, ...), and rediscover the
-//! shard count from the files on disk at open time.
+//! shard count from the files on disk at open time. A family of one pool
+//! is the plain file `base`, so an unsharded tree and a one-shard tree
+//! persist alike; where both a plain file and shard files exist, the
+//! shard files win.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -52,30 +55,45 @@ pub fn create_pools(n: usize, opts: PoolOptions) -> Result<Vec<Arc<PmemPool>>, A
         .collect()
 }
 
-/// Saves every pool to its shard file under `base` (see [`shard_path`]).
+/// Saves every pool under `base`: one pool to the plain file `base`,
+/// several to their shard files (see [`shard_path`]). One pool goes to
+/// `base.shard0` instead when shard files already exist under `base`
+/// (a one-pool family an older save wrote), because [`load_pools`] reads
+/// those first.
 pub fn save_pools(pools: &[Arc<PmemPool>], base: impl AsRef<Path>) -> std::io::Result<()> {
+    let base = base.as_ref();
+    if let [pool] = pools {
+        if shard_file_count(base) == 0 {
+            return pool.save(base);
+        }
+    }
     for (i, pool) in pools.iter().enumerate() {
-        pool.save(shard_path(base.as_ref(), i))?;
+        pool.save(shard_path(base, i))?;
     }
     Ok(())
 }
 
-/// Loads the full family of shard files under `base`, probing from
-/// `base.shard0` upward. Fails with `NotFound` if no shard file exists;
-/// each pool keeps the mode/latency from `opts` (size comes from the file).
+/// Loads the pools saved under `base`: the full family of shard files,
+/// probing from `base.shard0` upward, or else the plain file `base` as a
+/// family of one. Fails with `NotFound` if neither exists; each pool keeps
+/// the mode/latency from `opts` (size comes from the file).
 pub fn load_pools(
     base: impl AsRef<Path>,
     opts: PoolOptions,
 ) -> std::io::Result<Vec<Arc<PmemPool>>> {
-    let n = shard_file_count(base.as_ref());
+    let base = base.as_ref();
+    let n = shard_file_count(base);
     if n == 0 {
+        if base.exists() {
+            return Ok(vec![Arc::new(PmemPool::load(base, opts)?)]);
+        }
         return Err(std::io::Error::new(
             std::io::ErrorKind::NotFound,
-            format!("no shard files under {}", base.as_ref().display()),
+            format!("no pool file or shard files under {}", base.display()),
         ));
     }
     (0..n)
-        .map(|i| PmemPool::load(shard_path(base.as_ref(), i), opts).map(Arc::new))
+        .map(|i| PmemPool::load(shard_path(base, i), opts).map(Arc::new))
         .collect()
 }
 
@@ -121,5 +139,76 @@ mod tests {
         assert_eq!(loaded[1].file_id(), 2);
         std::fs::remove_dir_all(&dir).ok();
         assert!(load_pools(&base, PoolOptions::direct(0)).is_err());
+    }
+
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("fptree-poolset-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn one_pool_roundtrips_as_the_plain_file() {
+        let dir = temp_dir("one");
+        let base = dir.join("one.pool");
+        let pools = create_pools(1, PoolOptions::direct(1 << 20)).unwrap();
+        pools[0].set_root(333);
+        save_pools(&pools, &base).unwrap();
+        assert!(base.is_file());
+        assert_eq!(shard_file_count(&base), 0);
+        let loaded = load_pools(&base, PoolOptions::direct(0)).unwrap();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded[0].root(), 333);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn plain_file_loads_as_one_pool_with_its_file_id() {
+        let dir = temp_dir("plain");
+        let base = dir.join("plain.pool");
+        let pool = PmemPool::create(PoolOptions {
+            file_id: 7,
+            ..PoolOptions::direct(1 << 20)
+        })
+        .unwrap();
+        pool.save(&base).unwrap();
+        let loaded = load_pools(&base, PoolOptions::direct(0)).unwrap();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded[0].file_id(), 7);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn family_wins_over_plain_file() {
+        let dir = temp_dir("both");
+        let base = dir.join("both.pool");
+        let plain = create_pools(1, PoolOptions::direct(1 << 20)).unwrap();
+        plain[0].set_root(1);
+        plain[0].save(&base).unwrap();
+        let family = create_pools(2, PoolOptions::direct(1 << 20)).unwrap();
+        family[0].set_root(10);
+        family[1].set_root(20);
+        save_pools(&family, &base).unwrap();
+        let loaded = load_pools(&base, PoolOptions::direct(0)).unwrap();
+        let roots: Vec<u64> = loaded.iter().map(|p| p.root()).collect();
+        assert_eq!(roots, vec![10, 20]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn one_pool_saves_over_an_existing_one_pool_family() {
+        let dir = temp_dir("stale");
+        let base = dir.join("stale.pool");
+        let pools = create_pools(1, PoolOptions::direct(1 << 20)).unwrap();
+        pools[0].save(shard_path(&base, 0)).unwrap();
+        pools[0].set_root(44);
+        save_pools(&pools, &base).unwrap();
+        assert!(!base.exists());
+        assert_eq!(
+            load_pools(&base, PoolOptions::direct(0)).unwrap()[0].root(),
+            44
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
