@@ -1,6 +1,7 @@
 //! The FPTree protocol lints.
 //!
-//! Six lints, mirroring the disciplines PAPER.md §4–5 demand:
+//! Seven lints, six mirroring the disciplines PAPER.md §4–5 demand and one
+//! keeping the threading model:
 //!
 //! * `pmem-store-outside-checked-op` — a raw pool store primitive reachable
 //!   from outside every `begin_checked_op` RAII window (interprocedural
@@ -20,6 +21,11 @@
 //!   *transient* leaf word (lock, buffer digest): those live outside the
 //!   persistence domain and are written through `atomic_u64` only, never
 //!   staged, published or flushed.
+//! * `thread-start` — a `thread::scope`, `thread::spawn` or
+//!   `thread::Builder` call in library code. A request runs on the thread
+//!   that owns its connection, and library fan-outs go through
+//!   `fptree_core::config::par_map`; the helper and the server's reactor
+//!   start are the reasoned exceptions.
 
 use std::collections::{HashMap, HashSet};
 
@@ -32,17 +38,19 @@ pub const LINT_FLUSH_ORDER: &str = "flush-order";
 pub const LINT_LOCK: &str = "lock-discipline";
 pub const LINT_UNSAFE: &str = "unsafe-without-safety";
 pub const LINT_TRANSIENT: &str = "transient-store";
+pub const LINT_THREAD_START: &str = "thread-start";
 /// Suppression-hygiene error: an `analyzer:allow` with no written reason.
 pub const LINT_BAD_ALLOW: &str = "bad-allow";
 
 /// All suppressible lint ids.
-pub const ALL_LINTS: [&str; 6] = [
+pub const ALL_LINTS: [&str; 7] = [
     LINT_CHECKED_OP,
     LINT_RAW_PUBLISH,
     LINT_FLUSH_ORDER,
     LINT_LOCK,
     LINT_UNSAFE,
     LINT_TRANSIENT,
+    LINT_THREAD_START,
 ];
 
 /// Severity of a finding.
@@ -248,6 +256,33 @@ pub fn lint_transient_store(file: &ParsedFile, scope: FileScope, out: &mut Vec<F
                 c.name, kw, f.name
             ),
         ));
+    }
+}
+
+/// Lint 7: a thread started in library code.
+pub fn lint_thread_start(file: &ParsedFile, scope: FileScope, out: &mut Vec<Finding>) {
+    if !scope.protocol {
+        return;
+    }
+    for f in file.fns.iter().filter(|f| !f.is_test) {
+        for c in &f.calls {
+            let starts = c.path.ends_with("thread::Builder")
+                || ((c.path == "thread" || c.path.ends_with("::thread"))
+                    && (c.name == "scope" || c.name == "spawn"));
+            if starts {
+                out.push(Finding::err(
+                    LINT_THREAD_START,
+                    &file.rel,
+                    c.line,
+                    format!(
+                        "`{}::{}` starts a thread in `{}`; requests run on the \
+                         caller's thread and fan-outs go through \
+                         fptree_core::config::par_map",
+                        c.path, c.name, f.name
+                    ),
+                ));
+            }
+        }
     }
 }
 
@@ -523,6 +558,7 @@ pub fn run_all(files: &[(ParsedFile, FileScope)]) -> Vec<Finding> {
         lint_flush_order(file, *scope, &mut out);
         lint_lock_discipline(file, *scope, &mut out);
         lint_unsafe_safety(file, &mut out);
+        lint_thread_start(file, *scope, &mut out);
     }
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.lint).cmp(&(b.file.as_str(), b.line, b.lint)));
     out

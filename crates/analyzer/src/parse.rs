@@ -26,6 +26,10 @@ pub struct Call {
     pub name: String,
     pub line: u32,
     pub recv: Recv,
+    /// Path qualifier of a path call, `::`-joined: `std::thread` for
+    /// `std::thread::scope(..)`, `thread::Builder` for
+    /// `thread::Builder::new()`; empty for a method or bare call.
+    pub path: String,
     /// Text of the first argument (blanked source, trimmed, capped).
     pub arg0: String,
 }
@@ -252,6 +256,7 @@ pub fn parse_file(rel: &str, src: &str) -> ParsedFile {
                             name: name.clone(),
                             line: t.line,
                             recv,
+                            path: path_of(&toks, i),
                             arg0,
                         });
                     }
@@ -319,6 +324,22 @@ pub fn parse_file(rel: &str, src: &str) -> ParsedFile {
     }
 }
 
+/// Path qualifier of the call whose name token is at `idx`: the
+/// `ident ::` pairs directly before it, `::`-joined.
+fn path_of(toks: &[Token], idx: usize) -> String {
+    let mut segs: Vec<&str> = Vec::new();
+    let mut j = idx;
+    while j >= 3 && toks[j - 1].is(b':') && toks[j - 2].is(b':') {
+        let Some(seg) = toks[j - 3].ident() else {
+            break;
+        };
+        segs.push(seg);
+        j -= 3;
+    }
+    segs.reverse();
+    segs.join("::")
+}
+
 /// Receiver of the call whose name token is at `idx`.
 fn receiver_of(toks: &[Token], idx: usize) -> Recv {
     if idx < 1 || !toks[idx - 1].is(b'.') {
@@ -381,6 +402,20 @@ fn beta() { helper(); }
         assert_eq!(alpha.calls[0].recv, Recv::Field("pool".into()));
         assert_eq!(alpha.calls[0].line, 4);
         assert_eq!(alpha.calls[0].arg0, "8");
+    }
+
+    #[test]
+    fn path_calls_record_their_qualifier() {
+        let src = "fn f() { std::thread::scope(|s| s.spawn(g)); thread::Builder::new(); h(); }";
+        let f = parse_file("x.rs", src);
+        let path = |name: &str| {
+            let c = f.fns[0].calls.iter().find(|c| c.name == name).unwrap();
+            c.path.clone()
+        };
+        assert_eq!(path("scope"), "std::thread");
+        assert_eq!(path("spawn"), "");
+        assert_eq!(path("new"), "thread::Builder");
+        assert_eq!(path("h"), "");
     }
 
     #[test]

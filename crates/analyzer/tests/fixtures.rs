@@ -75,6 +75,20 @@ fn transient_store_clean() {
 }
 
 #[test]
+fn thread_start_seeded_violations() {
+    expect("thread_start_bad1.rs", &[("thread-start", 4)]);
+    expect(
+        "thread_start_bad2.rs",
+        &[("thread-start", 6), ("thread-start", 7)],
+    );
+}
+
+#[test]
+fn thread_start_clean() {
+    expect("thread_start_good.rs", &[]);
+}
+
+#[test]
 fn flush_order_seeded_violations() {
     expect("flush_order_bad1.rs", &[("flush-order", 6)]);
     expect("flush_order_bad2.rs", &[("flush-order", 7)]);

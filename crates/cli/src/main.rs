@@ -69,11 +69,14 @@ fn main() {
         save_pools(&tree.pools(), &path).unwrap_or_else(|e| fail(&format!("saving pool: {e}")))
     };
 
-    // One-shot mode: `fptree pool.img get foo`.
+    // One-shot mode: `fptree pool.img get foo`. A rejected command exits 2
+    // with the tree untouched, so a script can tell it from a done one.
     let rest: Vec<String> = positional.collect();
     if !rest.is_empty() {
-        if execute(&tree, &rest.join(" "), &path) {
-            save(&tree);
+        match execute(&tree, &rest.join(" "), &path) {
+            Outcome::Wrote => save(&tree),
+            Outcome::Read => {}
+            Outcome::Rejected => std::process::exit(2),
         }
         return;
     }
@@ -130,8 +133,19 @@ fn open_or_create(path: &str, shards: usize) -> ShardedTreeVar {
     }
 }
 
-/// Runs one command; returns true if it may have mutated the tree.
-fn execute(tree: &ShardedTreeVar, line: &str, path: &str) -> bool {
+/// What one command did.
+enum Outcome {
+    /// Answered without touching the tree (a miss is an answer too).
+    Read,
+    /// May have mutated the tree: one-shot mode saves.
+    Wrote,
+    /// Refused: an unknown verb, a missing argument or a value that does
+    /// not parse. The tree is untouched.
+    Rejected,
+}
+
+/// Runs one command.
+fn execute(tree: &ShardedTreeVar, line: &str, path: &str) -> Outcome {
     let mut parts = line.split_whitespace();
     let verb = parts.next().unwrap_or("");
     let arg1 = parts.next();
@@ -140,7 +154,7 @@ fn execute(tree: &ShardedTreeVar, line: &str, path: &str) -> bool {
     match (verb, arg1.map(|k| k.as_bytes().to_vec())) {
         ("put", Some(k)) => {
             let Some(value) = parse_value(&rest) else {
-                return false;
+                return Outcome::Rejected;
             };
             if tree.insert(&k, value) {
                 say!("inserted");
@@ -148,25 +162,25 @@ fn execute(tree: &ShardedTreeVar, line: &str, path: &str) -> bool {
                 tree.update(&k, value);
                 say!("updated");
             }
-            true
+            Outcome::Wrote
         }
         ("update", Some(k)) => {
             let Some(value) = parse_value(&rest) else {
-                return false;
+                return Outcome::Rejected;
             };
             if tree.update(&k, value) {
                 say!("updated");
             } else {
                 say!("(key not found)");
             }
-            true
+            Outcome::Wrote
         }
         ("get", Some(k)) => {
             match tree.get(&k) {
                 Some(v) => print((k, v)),
                 None => say!("(not found)"),
             }
-            false
+            Outcome::Read
         }
         ("del", Some(k)) => {
             if tree.remove(&k) {
@@ -174,7 +188,7 @@ fn execute(tree: &ShardedTreeVar, line: &str, path: &str) -> bool {
             } else {
                 say!("(not found)");
             }
-            true
+            Outcome::Wrote
         }
         ("range", Some(lo)) => {
             // Stream through the scan iterator: entries print as the leaf
@@ -183,7 +197,7 @@ fn execute(tree: &ShardedTreeVar, line: &str, path: &str) -> bool {
                 Some(hi) => tree.scan(lo..=hi.as_bytes().to_vec()).for_each(print),
                 None => tree.scan(lo..).for_each(print),
             }
-            false
+            Outcome::Read
         }
         ("scan", _) => {
             // `scan <key> [n]` starts at a key; `scan [n]` from the head.
@@ -199,11 +213,11 @@ fn execute(tree: &ShardedTreeVar, line: &str, path: &str) -> bool {
                     .for_each(print),
                 None => tree.scan(..).take(limit).for_each(print),
             }
-            false
+            Outcome::Read
         }
         ("stats", _) => {
             print_stats(tree, path);
-            false
+            Outcome::Read
         }
         ("check", _) => {
             match tree.check_consistency() {
@@ -214,14 +228,14 @@ fn execute(tree: &ShardedTreeVar, line: &str, path: &str) -> bool {
                 Ok(()) => say!("leak-free"),
                 Err(e) => say!("LEAKED: {e}"),
             }
-            false
+            Outcome::Read
         }
         ("save", _) => {
             match save_pools(&tree.pools(), path) {
                 Ok(()) => say!("saved to {path}"),
                 Err(e) => say!("save failed: {e}"),
             }
-            false
+            Outcome::Read
         }
         ("help", _) => {
             say!("put <k> <u64>     insert or overwrite");
@@ -234,11 +248,11 @@ fn execute(tree: &ShardedTreeVar, line: &str, path: &str) -> bool {
             say!("check             structural consistency check and leak audit");
             say!("save              write the pool file(s) now");
             say!("quit              save and exit");
-            false
+            Outcome::Read
         }
         _ => {
             say!("unknown command (try `help`)");
-            false
+            Outcome::Rejected
         }
     }
 }

@@ -42,6 +42,23 @@ fn temp_dir(name: &str) -> PathBuf {
 /// Runs the binary with `args`, feeding `stdin`; returns stdout after
 /// asserting a clean exit.
 fn fptree(args: &[&str], base: &Path, command: &[&str], stdin: &str) -> String {
+    let (code, stdout, stderr) = run(args, base, command, stdin);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    stdout
+}
+
+/// One-shot mode for a command the shell must refuse: exit code 2, no
+/// panic; returns stdout.
+fn rejected(base: &Path, command: &str) -> String {
+    let words: Vec<&str> = command.split_whitespace().collect();
+    let (code, stdout, _) = run(&[], base, &words, "");
+    assert_eq!(code, Some(2), "`{command}` must be rejected: {stdout}");
+    stdout
+}
+
+/// Runs the binary with `args`, feeding `stdin`; returns the exit code,
+/// stdout and stderr after asserting that nothing panicked.
+fn run(args: &[&str], base: &Path, command: &[&str], stdin: &str) -> (Option<i32>, String, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_fptree"))
         .args(args)
         .arg(base)
@@ -58,10 +75,13 @@ fn fptree(args: &[&str], base: &Path, command: &[&str], stdin: &str) -> String {
     let writer = std::thread::spawn(move || input.write_all(stdin.as_bytes()));
     let out = child.wait_with_output().unwrap();
     writer.join().unwrap().unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "stderr: {stderr}");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-    String::from_utf8(out.stdout).unwrap()
+    (
+        out.status.code(),
+        String::from_utf8(out.stdout).unwrap(),
+        stderr,
+    )
 }
 
 /// One-shot mode: `fptree <base> <command...>`.
@@ -219,7 +239,36 @@ fn non_numeric_value_is_rejected_and_the_session_goes_on() {
     assert_eq!(out.matches("error:").count(), 4, "{out}");
     assert!(out.contains("k -> 1\n"), "{out}");
     assert!(out.contains("(not found)\n"), "{out}");
-    assert_eq!(one_shot(&base, "put k x").lines().count(), 1);
+    assert_eq!(rejected(&base, "put k x").lines().count(), 1);
     assert_eq!(one_shot(&base, "scan"), "k -> 1\n");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn one_shot_rejections_exit_non_zero_and_misses_do_not() {
+    let dir = temp_dir("exitcode");
+    let base = dir.join("v.pool");
+    assert_eq!(one_shot(&base, "put k 1"), "inserted\n");
+    assert!(rejected(&base, "frobnicate k").contains("unknown command"));
+    assert!(rejected(&base, "put").contains("unknown command"));
+    assert!(rejected(&base, "update k -1").contains("error:"));
+    assert_eq!(one_shot(&base, "get nope"), "(not found)\n");
+    assert_eq!(one_shot(&base, "del nope"), "(not found)\n");
+    assert_eq!(one_shot(&base, "update nope 3"), "(key not found)\n");
+    assert_eq!(one_shot(&base, "scan"), "k -> 1\n");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_one_key_pool_file_is_small_and_reopens_at_full_capacity() {
+    let dir = temp_dir("small");
+    let base = dir.join("v.pool");
+    assert_eq!(one_shot(&base, "put alpha 7"), "inserted\n");
+    let bytes = std::fs::metadata(&base).unwrap().len();
+    assert!(bytes < 1 << 20, "a one-key pool file is {bytes} bytes");
+    let pool = PmemPool::load(&base, PoolOptions::direct(0)).unwrap();
+    assert_eq!(pool.capacity(), 256 << 20);
+    assert_eq!(one_shot(&base, "get alpha"), "alpha -> 7\n");
+    assert_check_is_clean(&base);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -479,29 +479,17 @@ impl<K: KeyKind> ConcurrentTree<K> {
     }
 
     /// Packs one level's `(max_key, child_enc)` pairs into parent nodes
-    /// across the worker pool. Segments split only at `fanout` boundaries,
-    /// so the logical structure matches the serial chunking exactly.
+    /// across the worker pool ([`crate::config::par_map`], one segment per
+    /// worker). Segments split only at `fanout` boundaries, so the logical
+    /// structure matches the serial chunking exactly.
     fn build_level(&self, level: &[(K::Owned, u64)], threads: usize) -> Vec<(K::Owned, u64)> {
         let fanout = self.ctx.cfg.inner_fanout;
-        let n_chunks = level.len().div_ceil(fanout);
-        let workers = threads.min(n_chunks).max(1);
-        if workers <= 1 {
-            return self.pack_chunks(level);
-        }
-        let per = n_chunks.div_ceil(workers) * fanout;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = level
-                .chunks(per)
-                .map(|seg| s.spawn(move || self.pack_chunks(seg)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(p) => std::panic::resume_unwind(p),
-                })
-                .collect()
-        })
+        let per = level.len().div_ceil(fanout).div_ceil(threads.max(1)) * fanout;
+        let segments: Vec<_> = level.chunks(per).collect();
+        crate::config::par_map(&segments, threads, |seg| self.pack_chunks(seg))
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Serial kernel of [`Self::build_level`]: one parent node per `fanout`

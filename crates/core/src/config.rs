@@ -1,4 +1,5 @@
-//! Tree configuration: node sizes and feature toggles.
+//! Tree configuration: node sizes and feature toggles, plus the worker
+//! budget of recovery and [`par_map`], the library's one fan-out.
 //!
 //! The paper tunes node sizes per tree (Table 1) and evaluates payload-size
 //! sensitivity (Appendix A), so leaf layout must be runtime-parameterized.
@@ -6,6 +7,8 @@
 //! FPTree minus fingerprints (plus split key/value arrays for scan locality),
 //! and leaf-group amortization is used by the single-threaded presets only
 //! (§5: groups are a central synchronization point and hinder scalability).
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Maximum number of entries per leaf: the validity bitmap must fit in one
 /// 8-byte word so it can be committed p-atomically.
@@ -17,6 +20,58 @@ pub const MAX_LEAF_CAPACITY: usize = 64;
 /// resets), which scale with cores up to SCM bandwidth.
 pub fn default_recovery_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Maps `f` over `items` on `min(threads, items.len()).max(1)` scoped
+/// workers and returns the results in item order.
+///
+/// Workers claim items one at a time, so items of unequal cost balance
+/// across them. A single worker runs inline on the calling thread and
+/// starts none. A worker's panic is re-raised on the caller with its own
+/// payload, so an injected crash (`fptree_pmem::CrashPanic`) reaches the
+/// caller unchanged. This is the library's one fan-out: recovery, the
+/// index build and sharded `open` go through it, and no request path
+/// starts a thread.
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.min(items.len()).max(1);
+    if workers == 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let (f, next) = (&f, &next);
+    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    // analyzer:allow(thread-start) — the one fan-out helper; every other
+    // library fan-out calls it.
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // The counter publishes no data: results reach the
+                        // caller through `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return done;
+                        };
+                        done.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            match h.join() {
+                Ok(done) => done.into_iter().for_each(|(i, r)| out[i] = Some(r)),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+    // Every index below `items.len()` was claimed exactly once.
+    out.into_iter().flatten().collect()
 }
 
 /// Configuration of a persistent tree instance.
@@ -183,6 +238,68 @@ impl TreeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn par_map_returns_results_in_item_order() {
+        let items: Vec<u64> = (0..64).collect();
+        for threads in [0, 1, 2, 3, 8] {
+            let out = par_map(&items, threads, |&i| {
+                // Uneven cost, so workers finish out of item order.
+                std::thread::sleep(std::time::Duration::from_micros((i * 37) % 200));
+                i * 2
+            });
+            assert_eq!(out, items.iter().map(|i| i * 2).collect::<Vec<_>>());
+        }
+        assert!(par_map(&[] as &[u64], 4, |&i| i).is_empty());
+    }
+
+    #[test]
+    fn one_worker_runs_inline_on_the_caller() {
+        let caller = std::thread::current().id();
+        let on_caller = |_: &u8| std::thread::current().id() == caller;
+        assert!(par_map(&[1u8, 2, 3], 1, on_caller).into_iter().all(|b| b));
+        assert!(par_map(&[1u8], 4, on_caller).into_iter().all(|b| b));
+        assert!(par_map(&[1u8, 2], 0, on_caller).into_iter().all(|b| b));
+        assert!(!par_map(&[1u8, 2], 2, on_caller).into_iter().any(|b| b));
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_payload() {
+        #[derive(Debug, PartialEq)]
+        struct Marker(u32);
+        let items: Vec<u32> = (0..8).collect();
+        let r = std::panic::catch_unwind(|| {
+            par_map(&items, 3, |&i| {
+                if i == 5 {
+                    std::panic::panic_any(Marker(i));
+                }
+                i
+            })
+        });
+        let payload = r.expect_err("the panic must propagate");
+        assert_eq!(payload.downcast_ref::<Marker>(), Some(&Marker(5)));
+    }
+
+    #[test]
+    fn no_more_than_threads_closures_run_at_once() {
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..24).collect();
+        for threads in [1, 2, 3] {
+            peak.store(0, Ordering::SeqCst);
+            par_map(&items, threads, |_| {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                running.fetch_sub(1, Ordering::SeqCst);
+            });
+            let seen = peak.load(Ordering::SeqCst);
+            assert!(
+                (1..=threads).contains(&seen),
+                "{seen} closures at once on {threads} workers"
+            );
+        }
+    }
 
     #[test]
     fn presets_match_paper_table1() {

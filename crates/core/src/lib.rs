@@ -33,7 +33,7 @@
 //! | Module | Paper section |
 //! |---|---|
 //! | [`fingerprint`] | §4.2 Fingerprints (+ Figure 4 analysis) |
-//! | [`config`] / [`layout`] | Table 1 node sizing, Figure 2 leaf layout |
+//! | [`config`] / [`layout`] | Table 1 node sizing, Figure 2 leaf layout; [`config::par_map`], the one worker fan-out (recovery, index build, sharded `open`) |
 //! | [`keys`] | Appendix C variable-size keys |
 //! | [`meta`] | §5 micro-logs |
 //! | `leafops` (private) | §5 base operations inside one leaf — the mutation kernel — plus micro-logged split/unlink and the leak audits |

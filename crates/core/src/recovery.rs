@@ -15,6 +15,7 @@ use std::time::Instant;
 use fptree_pmem::{PmemPool, RawPPtr};
 
 use crate::api::Error;
+use crate::config::par_map;
 use crate::groups::GroupMgr;
 use crate::keys::KeyKind;
 use crate::layout::LeafLayout;
@@ -206,10 +207,11 @@ fn reinitialize(ctx: &Ctx, groups: &mut GroupMgr) -> Result<u64, Error> {
     Ok(meta.head(pool).offset)
 }
 
-/// Maps `f` over contiguous chunks of `items` on up to `threads` scoped
-/// workers, returning the per-chunk results in order. A single worker runs
-/// inline under the caller's checked operation; spawned workers open their
-/// own `worker_op` (durability-checker attribution is per-thread).
+/// Maps `f` over contiguous chunks of `items` through
+/// [`crate::config::par_map`], one chunk per worker, returning the
+/// per-chunk results in order. Inline work stays under the caller's
+/// checked operation; work on a spawned worker opens its own `worker_op`
+/// (durability-checker attribution is per-thread).
 fn par_chunks<T: Sync, R: Send>(
     ctx: &Ctx,
     items: &[T],
@@ -217,31 +219,16 @@ fn par_chunks<T: Sync, R: Send>(
     worker_op: Option<&'static str>,
     f: impl Fn(&[T]) -> R + Sync,
 ) -> Vec<R> {
-    let workers = threads.min(items.len()).max(1);
-    if workers <= 1 {
-        return vec![f(items)];
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(items.len().div_ceil(workers))
-            .map(|part| {
-                s.spawn(move || {
-                    let _op = worker_op.map(|label| ctx.pool.begin_checked_op(label));
-                    f(part)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // A worker panic is a crash-fuse (or a real bug), never a
-                // recoverable error: re-raise it so the payload reaches the
-                // caller unchanged.
-                Err(p) => std::panic::resume_unwind(p),
-            })
-            .collect()
+    let chunks: Vec<&[T]> = items
+        .chunks(items.len().div_ceil(threads.max(1)).max(1))
+        .collect();
+    let caller = std::thread::current().id();
+    par_map(&chunks, threads, |part| {
+        let spawned = std::thread::current().id() != caller;
+        let _op = worker_op
+            .filter(|_| spawned)
+            .map(|label| ctx.pool.begin_checked_op(label));
+        f(part)
     })
 }
 

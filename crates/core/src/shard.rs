@@ -27,10 +27,10 @@
 //!   `threads` at a time, each shard running the phase-parallel recovery
 //!   pipeline on its slice of the worker budget;
 //! * `insert_batch` / `remove_batch` split into per-shard sub-batches
-//!   committed in parallel on scoped worker threads, keeping the one
-//!   coalesced-flush-per-leaf-run amortization within each shard.
+//!   committed in shard order on the caller's thread, keeping the one
+//!   coalesced-flush-per-leaf-run amortization within each shard. A batch
+//!   starts no thread: the caller is a request path (DESIGN.md §5.10).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use fptree_pmem::{PmemPool, USER_BASE};
@@ -175,8 +175,8 @@ where
     }
 
     /// Opens (recovers) every shard **concurrently**: `min(threads, n)`
-    /// workers claim shard indices from a shared counter, so at most
-    /// `threads` recoveries run at once, each using its share of the
+    /// workers ([`crate::config::par_map`]) claim shards one at a time, so
+    /// at most `threads` recoveries run at once, each using its share of the
     /// `threads` worker budget for the phase-parallel pipeline within the
     /// shard. A failed shard aborts the open with its error annotated by
     /// shard index.
@@ -190,36 +190,14 @@ where
                 "sharded tree needs at least one pool".into(),
             ));
         }
-        let n = pools.len();
-        let threads = threads.max(1);
-        let per_shard = (threads / n).max(1);
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<(usize, Result<ConcurrentTree<K>, Error>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads.min(n))
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(pool) = pools.get(i) else {
-                                return done;
-                            };
-                            let pool = Arc::clone(pool);
-                            done.push((i, ConcurrentTree::open_with(pool, owner_slot, per_shard)));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard recovery thread panicked"))
-                .collect()
-        });
-        results.sort_unstable_by_key(|(i, _)| *i);
-        let mut shards = Vec::with_capacity(n);
-        for (i, r) in results {
-            shards.push(r.map_err(|e| e.with_shard(i))?);
-        }
+        let per_shard = (threads / pools.len()).max(1);
+        let shards = crate::config::par_map(&pools, threads, |pool| {
+            ConcurrentTree::open_with(Arc::clone(pool), owner_slot, per_shard)
+        })
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| r.map_err(|e| e.with_shard(i)))
+        .collect::<Result<_, _>>()?;
         Ok(Sharded { shards })
     }
 
@@ -307,30 +285,21 @@ where
         parts
     }
 
-    /// Batched insert: splits into per-shard sub-batches and commits them
-    /// **in parallel** (one scoped worker per non-empty shard), each
-    /// sub-batch going through the shard tree's amortized-persistence batch
-    /// path. Returns the number of newly inserted keys.
+    /// Batched insert: splits into per-shard sub-batches and commits the
+    /// non-empty ones in shard order on the calling thread, each through
+    /// the shard tree's amortized-persistence batch path. Returns the
+    /// number of newly inserted keys.
     pub fn insert_batch(&self, entries: &[(K::Owned, u64)]) -> usize {
         if self.shards.len() == 1 {
             return self.shards[0].insert_batch(entries);
         }
         let parts = self.partition(entries, |(k, _)| self.shard_for(k));
-        std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .enumerate()
-                .filter(|(_, part)| !part.is_empty())
-                .map(|(i, part)| {
-                    let shard = &self.shards[i];
-                    s.spawn(move || shard.insert_batch(&part))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard batch worker panicked"))
-                .sum()
-        })
+        self.shards
+            .iter()
+            .zip(parts)
+            .filter(|(_, part)| !part.is_empty())
+            .map(|(shard, part)| shard.insert_batch(&part))
+            .sum()
     }
 
     /// Batched remove, split and committed per shard like
@@ -340,21 +309,12 @@ where
             return self.shards[0].remove_batch(keys);
         }
         let parts = self.partition(keys, |k| self.shard_for(k));
-        std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .enumerate()
-                .filter(|(_, part)| !part.is_empty())
-                .map(|(i, part)| {
-                    let shard = &self.shards[i];
-                    s.spawn(move || shard.remove_batch(&part))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard batch worker panicked"))
-                .sum()
-        })
+        self.shards
+            .iter()
+            .zip(parts)
+            .filter(|(_, part)| !part.is_empty())
+            .map(|(shard, part)| shard.remove_batch(&part))
+            .sum()
     }
 
     /// Ordered scan over the whole keyspace: a k-way merge of the per-shard

@@ -222,6 +222,51 @@ fn open_with_fewer_workers_than_shards_recovers_every_shard() {
     }
 }
 
+/// A shard whose recovery must persist crashes again inside
+/// `open_with(.., 2)`: the injected panic reaches the caller with its own
+/// payload, whichever worker ran that shard. The image is the first one
+/// (by fuse) whose recovery writes at all — a crash inside a split leaves
+/// a micro-log for `open` to replay.
+#[test]
+fn a_crash_inside_a_shard_recovery_reaches_the_caller() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let cfg = small_cfg().with_wbuf_entries(0);
+    for fuse in 1..400u64 {
+        let ps = create_pools(2, PoolOptions::tracked(4 << 20)).unwrap();
+        let t = ShardedTree::create(ps.clone(), cfg, ROOT_SLOT);
+        ps[1].set_crash_fuse(Some(fuse));
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            for k in 0..200u64 {
+                t.insert(&k, k);
+            }
+        }))
+        .is_err();
+        ps[1].set_crash_fuse(None);
+        if !crashed {
+            continue;
+        }
+        let images: Vec<Arc<PmemPool>> = ps
+            .iter()
+            .map(|p| {
+                Arc::new(PmemPool::reopen(p.crash_image(fuse), PoolOptions::tracked(0)).unwrap())
+            })
+            .collect();
+        images[1].set_crash_fuse(Some(0));
+        let opened = catch_unwind(AssertUnwindSafe(|| {
+            ShardedTree::open_with(images.clone(), ROOT_SLOT, 2)
+        }));
+        images[1].set_crash_fuse(None);
+        if let Err(payload) = opened {
+            assert!(
+                fptree_pmem::crash_is_injected(payload.as_ref()),
+                "the caller must see the injected crash, not a replacement panic"
+            );
+            return;
+        }
+    }
+    panic!("no crash image in the sweep needed a persist to recover");
+}
+
 /// Concurrent writers spread across shards: the end state must be exactly
 /// the union of all writes, and every shard internally consistent.
 #[test]

@@ -546,7 +546,8 @@ mod tests {
         assert!(c.get(b"k0").is_none());
     }
 
-    /// ROADMAP item 1: a `get` that loses the race with a `set` of its key
+    /// The stale-handle race, closed by generation-tagged item-store
+    /// handles: a `get` that loses the race with a `set` of its key
     /// holds a handle whose item was just freed — and whose slot the next
     /// `put`, of any key, reuses. Every value written to a key starts with
     /// that key and no key is ever deleted, so any other bytes are a

@@ -190,6 +190,8 @@ impl ServerBuilder {
                 free: Vec::new(),
                 runq: VecDeque::new(),
             };
+            // analyzer:allow(thread-start) — the reactors are the server's
+            // one thread role, started once here; requests never start one.
             let join = std::thread::Builder::new()
                 .name(format!("kvcache-reactor-{id}"))
                 .spawn(move || reactor.run())?;

@@ -13,8 +13,10 @@
 //! Cross-shard semantics:
 //!
 //! * point commands (SET/GET/DELETE) touch exactly one shard;
-//! * `set_batch` splits into per-shard sub-batches committed in parallel
-//!   (each through its shard index's amortized batched write path);
+//! * `set_batch` splits into per-shard sub-batches committed in shard order
+//!   on the caller's thread (each through its shard index's amortized
+//!   batched write path) — the caller is a reactor turn, which starts no
+//!   thread;
 //! * `scan` merges the per-shard ordered scans into one sorted,
 //!   duplicate-free result (shards hold disjoint keys);
 //! * capacity is divided across shards, so eviction pressure is local — a
@@ -130,9 +132,6 @@ impl Cache for ShardedCache {
     }
 
     fn set_batch(&self, items: Vec<(Vec<u8>, u32, Vec<u8>)>) {
-        if self.shards.len() == 1 {
-            return self.shards[0].set_batch(items);
-        }
         type Batch = Vec<(Vec<u8>, u32, Vec<u8>)>;
         let mut parts: Vec<Batch> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         for item in items {
@@ -141,20 +140,11 @@ impl Cache for ShardedCache {
             // land in the same shard).
             parts[self.shard_for(&item.0)].push(item);
         }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .enumerate()
-                .filter(|(_, part)| !part.is_empty())
-                .map(|(i, part)| {
-                    let shard = &self.shards[i];
-                    s.spawn(move || shard.set_batch(part))
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("shard set_batch worker panicked");
+        for (shard, part) in self.shards.iter().zip(parts) {
+            if !part.is_empty() {
+                shard.set_batch(part);
             }
-        })
+        }
     }
 
     fn get(&self, key: &[u8]) -> Option<(u32, Vec<u8>)> {

@@ -145,6 +145,24 @@ impl AllocHeader {
         pool.persist(OFF_FREE_HEADS, NCLASS * 8);
     }
 
+    /// End of the heap the allocator vouches for, read through `word` (the
+    /// 8-byte words of a pool or of its image): the bump cursor, or the end
+    /// of the block an in-flight allocation names if that lies further (its
+    /// bump advance may not have happened yet). A pool this allocator built
+    /// holds nothing it placed past this offset.
+    pub(crate) fn durable_end(word: impl Fn(u64) -> u64) -> u64 {
+        let logged = match word(LOG_OP) {
+            OP_ALLOC => {
+                let block = word(LOG_BLOCK) & !SRC_BUMP_FLAG;
+                class_for(word(LOG_SIZE) as usize).map_or(0, |class| {
+                    block.saturating_add(BLOCK_HEADER_SIZE + class_size(class))
+                })
+            }
+            _ => 0,
+        };
+        word(OFF_BUMP).max(logged)
+    }
+
     /// Completes or rolls back an in-flight alloc/free after a crash.
     ///
     /// Every step of the protocols below is idempotent given the redo log,

@@ -220,16 +220,38 @@ impl PmemPool {
 
     /// Reopens a pool from a durable image (e.g. one produced by
     /// [`crash_image`](Self::crash_image)), running allocator recovery.
-    pub fn reopen(image: Vec<u8>, opts: PoolOptions) -> Result<PmemPool, AllocError> {
-        if image.len() < 2 * USER_BASE as usize {
+    ///
+    /// The capacity is the one the header recorded at `create`. An image
+    /// shorter than that (a [`save`](Self::save)d file stops where its data
+    /// does) is zero-extended to it, unless it stops short of the
+    /// allocator's heap — a file cut short; an image longer than its
+    /// header says is rejected too ([`AllocError::BadImage`] both).
+    pub fn reopen(mut image: Vec<u8>, opts: PoolOptions) -> Result<PmemPool, AllocError> {
+        if image.len() < USER_BASE as usize {
             return Err(AllocError::PoolTooSmall);
         }
-        let mut opts = opts;
-        opts.size = image.len();
-        let mut pool = Self::from_bytes(image, opts);
-        if pool.read_word(OFF_MAGIC) != MAGIC || pool.read_word(OFF_INIT) != INIT_DONE {
+        let word = |off: u64| header_word(&image, off);
+        if word(OFF_MAGIC) != MAGIC || word(OFF_INIT) != INIT_DONE {
             return Err(AllocError::BadImage);
         }
+        let capacity = usize::try_from(word(OFF_LEN)).map_err(|_| AllocError::BadImage)?;
+        if capacity < image.len() {
+            return Err(AllocError::BadImage);
+        }
+        if capacity < 2 * USER_BASE as usize {
+            return Err(AllocError::PoolTooSmall);
+        }
+        if capacity > image.len() {
+            if AllocHeader::durable_end(word) > image.len() as u64 {
+                return Err(AllocError::BadImage);
+            }
+            let mut full = zeroed(capacity).ok_or(AllocError::BadImage)?;
+            full[..image.len()].copy_from_slice(&image);
+            image = full;
+        }
+        let mut opts = opts;
+        opts.size = capacity;
+        let mut pool = Self::from_bytes(image, opts);
         // The image records its own file id; pointers inside it refer to it.
         pool.file_id = pool.read_word(OFF_FILE_ID);
         {
@@ -744,12 +766,26 @@ impl PmemPool {
     /// simulated "disk"). Together with [`load`](Self::load) this gives the
     /// library real cross-process persistence: the simulated SCM becomes an
     /// ordinary file between runs.
+    ///
+    /// The file stops at the allocator's durable end or the image's last
+    /// non-zero byte, whichever is further (never inside the header page):
+    /// the tail past both is zero, and [`load`](Self::load) zero-extends to
+    /// the capacity the header records, so a pool holding one key is a file
+    /// of a few pages.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.clean_image())
+        let mut image = self.clean_image();
+        let heap_end = AllocHeader::durable_end(|off| header_word(&image, off));
+        let end = usize::try_from(heap_end)
+            .unwrap_or(usize::MAX)
+            .max(nonzero_len(&image))
+            .max(USER_BASE as usize);
+        image.truncate(end);
+        std::fs::write(path, image)
     }
 
     /// Loads a pool previously [`save`](Self::save)d, running allocator
-    /// recovery (equivalent to [`reopen`](Self::reopen) from a file).
+    /// recovery (equivalent to [`reopen`](Self::reopen) from a file; a
+    /// full-length file loads as it is).
     pub fn load(path: impl AsRef<std::path::Path>, opts: PoolOptions) -> std::io::Result<PmemPool> {
         let bytes = std::fs::read(path)?;
         Self::reopen(bytes, opts).map_err(std::io::Error::other)
@@ -823,6 +859,39 @@ impl PmemPool {
     pub fn dirty_lines(&self) -> usize {
         self.overlay.lock().lines.len()
     }
+}
+
+/// The 8-byte word at `off` of the header page of `image`.
+fn header_word(image: &[u8], off: u64) -> u64 {
+    let at = off as usize;
+    u64::from_ne_bytes(image[at..at + 8].try_into().expect("an 8-byte header word"))
+}
+
+/// Length of `bytes` without its trailing zero bytes. Whole pages are
+/// compared against a zero page first (one `memcmp` each), so a mostly
+/// empty pool costs one pass at memory bandwidth.
+fn nonzero_len(bytes: &[u8]) -> usize {
+    const PAGE: usize = 4096;
+    static ZEROS: [u8; PAGE] = [0; PAGE];
+    let Some(page) = bytes.chunks(PAGE).rposition(|c| c != &ZEROS[..c.len()]) else {
+        return 0;
+    };
+    let last = bytes.chunks(PAGE).nth(page).unwrap_or_default();
+    page * PAGE + last.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1)
+}
+
+/// `len` zero bytes, or `None` if the allocator refuses. Like `create`'s
+/// buffer, the pages stay untouched until written.
+fn zeroed(len: usize) -> Option<Vec<u8>> {
+    if len == 0 {
+        return Some(Vec::new());
+    }
+    let layout = std::alloc::Layout::array::<u8>(len).ok()?;
+    // SAFETY: the layout has a non-zero size (`len > 0` above).
+    let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
+    // SAFETY: a non-null `ptr` is a fresh, zero-initialised allocation of
+    // exactly `len` bytes with `u8`'s alignment from the global allocator.
+    (!ptr.is_null()).then(|| unsafe { Vec::from_raw_parts(ptr, len, len) })
 }
 
 impl std::fmt::Debug for PmemPool {
@@ -970,6 +1039,56 @@ mod tests {
         assert_eq!(pool2.read_at::<u64>(USER_BASE + 72), 0xBAD);
         std::fs::remove_file(&path).unwrap();
         assert!(PmemPool::load(&path, PoolOptions::tracked(0)).is_err());
+    }
+
+    #[test]
+    fn save_stops_where_the_data_does_and_load_restores_the_capacity() {
+        let pool = tracked_pool();
+        let off = pool.allocate(ROOT_SLOT, 64).unwrap();
+        pool.write_at(off, &u64::MAX);
+        pool.persist(off, 8);
+        let path = std::env::temp_dir().join(format!("fpt-short-{}.img", std::process::id()));
+        let saved = |pool: &PmemPool| {
+            pool.save(&path).unwrap();
+            let loaded = PmemPool::load(&path, PoolOptions::tracked(0)).unwrap();
+            assert_eq!(loaded.capacity(), pool.capacity());
+            assert_eq!(loaded.clean_image(), pool.clean_image());
+            std::fs::metadata(&path).unwrap().len()
+        };
+        // The heap ends with the block, whose tail is zero.
+        assert_eq!(saved(&pool), off + 64);
+        // A byte past the heap is data too.
+        pool.write_at(off + 1000, &1u8);
+        assert_eq!(saved(&pool), off + 1001);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_file_cut_short_of_the_heap_is_rejected() {
+        let pool = tracked_pool();
+        let off = pool.allocate(ROOT_SLOT, 4096).unwrap();
+        pool.write_at(off, &u64::MAX);
+        pool.persist(off, 8);
+        // The block's tail is zero, yet the file keeps the whole heap.
+        let path = std::env::temp_dir().join(format!("fpt-cut-{}.img", std::process::id()));
+        pool.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), off as usize + 4096);
+        assert!(
+            PmemPool::reopen(bytes[..off as usize + 8].to_vec(), PoolOptions::tracked(0))
+                .is_err_and(|e| e == AllocError::BadImage)
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_image_longer_than_its_header_length_is_rejected() {
+        let mut image = tracked_pool().clean_image();
+        image.extend_from_slice(&[0u8; 64]);
+        assert!(matches!(
+            PmemPool::reopen(image, PoolOptions::tracked(0)),
+            Err(AllocError::BadImage)
+        ));
     }
 
     #[test]

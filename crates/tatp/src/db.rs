@@ -10,9 +10,7 @@
 //! preserving the paper's fixed-size-key requirement for dictionary
 //! indexes.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use fptree_core::config::default_recovery_threads;
+use fptree_core::config::{default_recovery_threads, par_map};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -198,21 +196,11 @@ impl TatpDb {
     /// data), leaving the dictionary indexes untouched. Index-side recovery
     /// time is measured separately by reopening the trees from their pool.
     ///
-    /// The dictionaries are independent, so scoped workers — as many as
-    /// tree recovery uses — claim them one at a time.
+    /// The dictionaries are independent and differ in size, so workers —
+    /// as many as tree recovery uses — claim them one at a time.
     pub fn rebuild_decodes(&self) {
         let dicts: Vec<_> = self.columns().map(|c| &c.dict).collect();
-        let next = AtomicUsize::new(0);
-        let workers = default_recovery_threads().min(dicts.len());
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    while let Some(d) = dicts.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        d.rebuild_decode();
-                    }
-                });
-            }
-        });
+        par_map(&dicts, default_recovery_threads(), |d| d.rebuild_decode());
     }
 }
 

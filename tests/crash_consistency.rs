@@ -326,21 +326,44 @@ fn batch_crash_check<K: KeyKind>(
     pool2.assert_durability_clean();
 }
 
+/// A schedule step for the sharded crash sweep: a point op or a batch.
+#[derive(Debug, Clone)]
+enum ShardStep {
+    Point(Op),
+    Batch(BatchOp),
+}
+
+fn shard_step_strategy() -> impl Strategy<Value = ShardStep> {
+    prop_oneof![
+        1 => op_strategy().prop_map(ShardStep::Point),
+        1 => batch_op_strategy().prop_map(ShardStep::Batch),
+    ]
+}
+
 /// Crash sweep over the keyspace-sharded tree. Each shard is its own pool
 /// and durability domain; the fuse is armed on one proptest-chosen shard,
 /// so the crash fires mid-operation on that shard while the others hold
-/// only completed ops. A power failure hits the whole machine: every
+/// only completed ops. A batch commits its per-shard sub-batches in shard
+/// order on the caller's thread, so the crash reaches the caller as the
+/// injected panic itself. A power failure hits the whole machine: every
 /// pool's crash image drops its own unflushed lines (per-pool survival
 /// seeds). Recovery reopens all shards concurrently; afterwards every
-/// completed op (any shard) must be durable, the in-flight key atomic, and
-/// the k-way merged scan strictly sorted.
-fn sharded_crash_check(ops: &[Op], shards: usize, crash_shard: usize, fuse: u64, seed: u64) {
+/// completed op or batch (any shard) must be durable, the keys of the
+/// interrupted step are exempt (each may or may not have committed), and
+/// the k-way merged scan is strictly sorted.
+fn sharded_crash_check(
+    steps: &[ShardStep],
+    shards: usize,
+    crash_shard: usize,
+    fuse: u64,
+    seed: u64,
+) {
     use fptree_suite::core::ShardedTree;
     use fptree_suite::pmem::create_pools;
 
     let pools = create_pools(shards, PoolOptions::tracked(64 << 20).with_checker()).expect("pools");
     let completed = std::sync::Mutex::new(BTreeMap::<u16, u64>::new());
-    let in_flight = std::sync::Mutex::new(None::<u16>);
+    let in_flight = std::sync::Mutex::new(Vec::<u16>::new());
 
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let cfg = TreeConfig::fptree_concurrent()
@@ -348,24 +371,51 @@ fn sharded_crash_check(ops: &[Op], shards: usize, crash_shard: usize, fuse: u64,
             .with_inner_fanout(4);
         let tree = ShardedTree::create(pools.clone(), cfg, ROOT_SLOT);
         pools[crash_shard % shards].set_crash_fuse(Some(fuse));
-        for op in ops {
-            *in_flight.lock().expect("in-flight") = Some(match op {
-                Op::Insert(k, _) | Op::Update(k, _) | Op::Remove(k) => *k,
-            });
-            match op {
-                Op::Insert(k, v) => {
+        for step in steps {
+            *in_flight.lock().expect("in-flight") = match step {
+                ShardStep::Point(Op::Insert(k, _) | Op::Update(k, _) | Op::Remove(k)) => {
+                    vec![*k]
+                }
+                ShardStep::Batch(BatchOp::InsertBatch(entries)) => {
+                    entries.iter().map(|(k, _)| *k).collect()
+                }
+                ShardStep::Batch(BatchOp::RemoveBatch(keys)) => keys.clone(),
+            };
+            match step {
+                ShardStep::Point(Op::Insert(k, v)) => {
                     if tree.insert(&(*k as u64), *v as u64) {
                         completed.lock().expect("model").insert(*k, *v as u64);
                     }
                 }
-                Op::Update(k, v) => {
+                ShardStep::Point(Op::Update(k, v)) => {
                     if tree.update(&(*k as u64), *v as u64) {
                         completed.lock().expect("model").insert(*k, *v as u64);
                     }
                 }
-                Op::Remove(k) => {
+                ShardStep::Point(Op::Remove(k)) => {
                     if tree.remove(&(*k as u64)) {
                         completed.lock().expect("model").remove(k);
+                    }
+                }
+                ShardStep::Batch(BatchOp::InsertBatch(entries)) => {
+                    let batch: Vec<(u64, u64)> = entries
+                        .iter()
+                        .map(|(k, v)| (*k as u64, *v as u64))
+                        .collect();
+                    tree.insert_batch(&batch);
+                    // First occurrence of a duplicated key wins; keys
+                    // already present keep their old value.
+                    let mut model = completed.lock().expect("model");
+                    for (k, v) in entries {
+                        model.entry(*k).or_insert(*v as u64);
+                    }
+                }
+                ShardStep::Batch(BatchOp::RemoveBatch(keys)) => {
+                    let batch: Vec<u64> = keys.iter().map(|k| *k as u64).collect();
+                    tree.remove_batch(&batch);
+                    let mut model = completed.lock().expect("model");
+                    for k in keys {
+                        model.remove(k);
                     }
                 }
             }
@@ -402,10 +452,10 @@ fn sharded_crash_check(ops: &[Op], shards: usize, crash_shard: usize, fuse: u64,
     tree.check_consistency().expect("recovered tree consistent");
 
     let model = completed.lock().expect("model");
-    let interrupted = *in_flight.lock().expect("in-flight");
+    let interrupted = in_flight.lock().expect("in-flight");
     if crashed {
         for (k, v) in model.iter() {
-            if Some(*k) == interrupted {
+            if interrupted.contains(k) {
                 continue;
             }
             assert_eq!(
@@ -431,9 +481,13 @@ fn sharded_crash_check(ops: &[Op], shards: usize, crash_shard: usize, fuse: u64,
     assert_eq!(scanned.len(), tree.len(), "scan disagrees with len");
     for (k, v) in &scanned {
         assert_eq!(tree.get(k), Some(*v), "scan entry invisible to get");
-        let wrote_it = ops.iter().any(|op| match op {
-            Op::Insert(ok, ov) | Op::Update(ok, ov) => *ok as u64 == *k && *ov as u64 == *v,
-            Op::Remove(_) => false,
+        let wrote = |ok: u16, ov: u16| ok as u64 == *k && ov as u64 == *v;
+        let wrote_it = steps.iter().any(|step| match step {
+            ShardStep::Point(Op::Insert(ok, ov) | Op::Update(ok, ov)) => wrote(*ok, *ov),
+            ShardStep::Batch(BatchOp::InsertBatch(entries)) => {
+                entries.iter().any(|(ok, ov)| wrote(*ok, *ov))
+            }
+            ShardStep::Point(Op::Remove(_)) | ShardStep::Batch(BatchOp::RemoveBatch(_)) => false,
         });
         assert!(wrote_it, "phantom entry {k}={v} after sharded crash");
     }
@@ -700,7 +754,23 @@ proptest! {
         fuse in 50u64..1500,
         seed in any::<u64>(),
     ) {
-        sharded_crash_check(&ops, shards, crash_shard, fuse, seed);
+        let steps: Vec<ShardStep> = ops.into_iter().map(ShardStep::Point).collect();
+        sharded_crash_check(&steps, shards, crash_shard, fuse, seed);
+    }
+
+    /// Point ops and batches over the sharded tree. A batch's sub-batches
+    /// commit on the caller's thread, so a crash inside one shard's
+    /// sub-batch reaches the caller as the injected panic, and the shards
+    /// after it in the batch never start.
+    #[test]
+    fn sharded_batches(
+        steps in proptest::collection::vec(shard_step_strategy(), 4..40),
+        shards in 2usize..=4,
+        crash_shard in 0usize..4,
+        fuse in 50u64..1500,
+        seed in any::<u64>(),
+    ) {
+        sharded_crash_check(&steps, shards, crash_shard, fuse, seed);
     }
 
     #[test]

@@ -316,7 +316,8 @@ fn incremental_parsing_matches_oneshot() {
     }
 }
 
-/// ROADMAP item 1 over the wire: two connections (one per reactor) read and
+/// The stale-handle race (a `get` holding the handle of an item a `set`
+/// just freed) over the wire: two connections (one per reactor) read and
 /// overwrite the *same* sixteen keys. Every value ever written to a key
 /// starts with that key and no key is deleted, so each `VALUE` block must
 /// carry a requested key, bytes that start with it, and nothing may miss.
