@@ -182,7 +182,8 @@ pub fn run_connscale(addr: SocketAddr, cfg: &ConnScaleConfig) -> io::Result<Conn
         let start = Instant::now();
         let counts = handles
             .into_iter()
-            .map(|h| h.join().expect("driver thread panicked"))
+            // A client's own panic, not a new one that hides it.
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect::<io::Result<Vec<u64>>>();
         elapsed = start.elapsed();
         counts

@@ -77,6 +77,7 @@ fn main() {
             Outcome::Wrote => save(&tree),
             Outcome::Read => {}
             Outcome::Rejected => std::process::exit(2),
+            Outcome::Failed => std::process::exit(1),
         }
         return;
     }
@@ -142,6 +143,8 @@ enum Outcome {
     /// Refused: an unknown verb, a missing argument or a value that does
     /// not parse. The tree is untouched.
     Rejected,
+    /// Ran, and reported damage it found in a pool (one-shot mode exits 1).
+    Failed,
 }
 
 /// Runs one command.
@@ -216,8 +219,11 @@ fn execute(tree: &ShardedTreeVar, line: &str, path: &str) -> Outcome {
             Outcome::Read
         }
         ("stats", _) => {
-            print_stats(tree, path);
-            Outcome::Read
+            if print_stats(tree, path) {
+                Outcome::Read
+            } else {
+                Outcome::Failed
+            }
         }
         ("check", _) => {
             match tree.check_consistency() {
@@ -272,11 +278,21 @@ fn parse_value(rest: &[&str]) -> Option<u64> {
     value
 }
 
-fn print_stats(tree: &ShardedTreeVar, path: &str) {
+/// Prints the tree's and each shard's figures; false if a shard's heap
+/// walk failed (its error is printed in the shard's place).
+fn print_stats(tree: &ShardedTreeVar, path: &str) -> bool {
     say!("keys:         {}", tree.len());
+    let mut intact = true;
     for (i, shard) in tree.shards().iter().enumerate() {
         let mu = shard.memory_usage();
-        let alloc = shard.pool().alloc_stats().expect("heap walk");
+        let alloc = match shard.pool().alloc_stats() {
+            Ok(alloc) => alloc,
+            Err(e) => {
+                say!("shard {i}:      error: heap walk failed: {e:?}");
+                intact = false;
+                continue;
+            }
+        };
         say!(
             "shard {i}:      {} keys, height {}, {} leaves, {} inner nodes ({} B DRAM), \
              SCM in use: {} B across {} blocks",
@@ -294,6 +310,7 @@ fn print_stats(tree: &ShardedTreeVar, path: &str) {
         tree.shard_count(),
         tree.shards()[0].pool().capacity()
     );
+    intact
 }
 
 fn fail(msg: &str) -> ! {

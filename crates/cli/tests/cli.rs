@@ -272,3 +272,43 @@ fn a_one_key_pool_file_is_small_and_reopens_at_full_capacity() {
     assert_check_is_clean(&base);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `stats` on a pool file whose length is intact but one of whose block
+/// headers is damaged reports that shard's heap-walk error in its place,
+/// still reports the healthy shard, and exits 1 in one-shot mode.
+#[test]
+fn stats_reports_a_damaged_block_header_instead_of_panicking() {
+    let dir = temp_dir("damaged");
+    let base = dir.join("v.pool");
+    fptree(&["--shards", "2"], &base, &["put", "alpha", "7"], "");
+    let shard0 = dir.join("v.pool.shard0");
+    let mut image = std::fs::read(&shard0).unwrap();
+    // The tag word of the heap's first block header (`USER_BASE`).
+    let tag = fptree_pmem::USER_BASE as usize;
+    assert_ne!(
+        image[tag..tag + 8],
+        [0; 8],
+        "a block header at the heap start"
+    );
+    image[tag..tag + 8].fill(0);
+    std::fs::write(&shard0, &image).unwrap();
+    assert_eq!(one_shot(&base, "get alpha"), "alpha -> 7\n");
+    let (code, stdout, _) = run(&[], &base, &["stats"], "");
+    assert_eq!(code, Some(1), "stdout: {stdout}");
+    assert!(
+        stdout.contains("shard 0:      error: heap walk failed"),
+        "{stdout}"
+    );
+    assert_eq!(
+        scm_in_use(&stdout).len(),
+        1,
+        "shard 1 still reports: {stdout}"
+    );
+    // The interactive shell prints the same and goes on.
+    let out = shell(&[], &base, &["stats", "get alpha"]);
+    assert!(
+        out.contains("heap walk failed") && out.contains("alpha -> 7"),
+        "{out}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -36,7 +36,8 @@
 //!   but every individual word is a valid encoding, and the global
 //!   validation rejects the traversal whenever a structural writer
 //!   overlapped it;
-//! * inner-node memory and interned variable keys are freed only when the
+//! * inner-node memory — headers, chunks, and a variable-key node's prefix
+//!   and tie bytes — is reused only by writers and freed only when the
 //!   tree drops, so optimistic readers can always dereference what they
 //!   loaded.
 
@@ -51,7 +52,7 @@ use parking_lot::Mutex;
 use crate::api::{check_create, Error};
 use crate::config::TreeConfig;
 use crate::groups::{fill_group_block, GroupMgr};
-use crate::keys::{FixedKey, Interner, KeyKind, VarKey};
+use crate::keys::{FixedKey, KeyKind, VarKey};
 use crate::layout::LeafLayout;
 use crate::leafops::{Ctx, WriteMode};
 use crate::meta::{TreeMeta, STATUS_READY};
@@ -101,8 +102,8 @@ fn enc_leaf_off(enc: u64) -> u64 {
 pub struct MemoryUsage {
     /// Bytes in SCM: leaves (or their groups), key blobs, metadata block.
     pub scm_bytes: u64,
-    /// Bytes in DRAM: inner nodes, free ones included, and interned
-    /// variable-size discriminators.
+    /// Bytes in DRAM: inner nodes with their prefixes and tie bytes, free
+    /// ones included.
     pub dram_bytes: u64,
     /// Number of leaves linked in the tree.
     pub leaf_count: usize,
@@ -143,8 +144,7 @@ pub struct ConcurrentTree<K: KeyKind> {
     pub(crate) ctx: Ctx,
     pub(crate) lock: SpecLock,
     root: AtomicU64,
-    nodes: Nodes,
-    intern: Interner,
+    nodes: Nodes<K>,
     /// Leaf groups (inert when the tree has none).
     groups: Mutex<GroupMgr>,
     /// Free micro-log indices: bit `i` set means log `i` is free.
@@ -451,7 +451,6 @@ impl<K: KeyKind> ConcurrentTree<K> {
             ctx,
             lock: SpecLock::new(),
             root: AtomicU64::new(0),
-            intern: Interner::default(),
             groups: Mutex::new(groups),
             free_logs: AtomicU64::new(free_logs),
             len: AtomicUsize::new(0),
@@ -497,15 +496,7 @@ impl<K: KeyKind> ConcurrentTree<K> {
     fn pack_chunks(&self, seg: &[(K::Owned, u64)]) -> Vec<(K::Owned, u64)> {
         seg.chunks(self.ctx.cfg.inner_fanout)
             .map(|chunk| {
-                let enc = self.nodes.alloc(chunk.len(), |i| {
-                    let (k, child) = &chunk[i];
-                    let key = if i + 1 < chunk.len() {
-                        K::encode(k, &self.intern)
-                    } else {
-                        0
-                    };
-                    (key, *child)
-                });
+                let enc = self.nodes.alloc(chunk);
                 (chunk.last().expect("chunk nonempty").0.clone(), enc)
             })
             .collect()
@@ -528,7 +519,7 @@ impl<K: KeyKind> ConcurrentTree<K> {
             // SAFETY: non-zero and even, loaded from the root or a child
             // word, which hold only leaf encodings (odd), 0, and node
             // encodings of `self.nodes`.
-            enc = unsafe { self.nodes.get(enc) }.route::<K>(key);
+            enc = unsafe { self.nodes.get(enc) }.route(key);
         }
         Err(Abort)
     }
@@ -554,7 +545,7 @@ impl<K: KeyKind> ConcurrentTree<K> {
             // word, which hold only leaf encodings (odd), 0, and node
             // encodings of `self.nodes`.
             let node = unsafe { self.nodes.get(enc) };
-            let idx = node.child_index::<K>(key);
+            let idx = node.child_index(key);
             if idx > 0 {
                 left = Some(node.child(idx - 1));
             }
@@ -868,44 +859,42 @@ impl<K: KeyKind> ConcurrentTree<K> {
     /// `split_key`.
     pub(crate) fn publish_split(&self, split_key: &K::Owned, old_off: u64, new_off: u64) {
         let _g = self.lock.write_lock();
-        let key_enc = K::encode(split_key, &self.intern);
         let (old_enc, new_enc) = (leaf_enc(old_off), leaf_enc(new_off));
         let root = self.root.load(Ordering::Relaxed);
         let pushed = if root == old_enc {
-            Some((key_enc, new_enc))
+            Some((split_key.clone(), new_enc))
         } else {
             // SAFETY: the root is not a leaf here, and we hold the
             // exclusive lock.
             let node = unsafe { self.nodes.get(root) };
-            self.insert_rec(node, split_key, key_enc, old_enc, new_enc)
+            self.insert_rec(node, split_key, old_enc, new_enc)
         };
         if let Some((up, right)) = pushed {
-            let grown = self
-                .nodes
-                .alloc(2, |i| if i == 0 { (up, root) } else { (0, right) });
+            let grown = self.nodes.alloc(&[(up.clone(), root), (up, right)]);
             self.root.store(grown, Ordering::Release);
         }
     }
 
-    /// Inserts `(key_enc, new_enc)` after the child `old_enc` below `node`,
+    /// Inserts `(nav, new_enc)` after the child `old_enc` below `node`,
     /// navigating by `nav`; returns the entry to push up when `node` splits.
     fn insert_rec(
         &self,
-        node: Node<'_>,
+        node: Node<'_, K>,
         nav: &K::Owned,
-        key_enc: u64,
         old_enc: u64,
         new_enc: u64,
-    ) -> Option<(u64, u64)> {
-        let idx = node.child_index::<K>(nav);
+    ) -> Option<(K::Owned, u64)> {
+        let idx = node.child_index(nav);
         let child = node.child(idx);
+        let pushed;
         let (key, right) = if child == old_enc {
-            (key_enc, new_enc)
+            (nav, new_enc)
         } else {
             assert!(!enc_is_leaf(child), "split target vanished from the index");
             // SAFETY: a non-leaf child word, under the exclusive lock.
             let below = unsafe { self.nodes.get(child) };
-            self.insert_rec(below, nav, key_enc, old_enc, new_enc)?
+            pushed = self.insert_rec(below, nav, old_enc, new_enc)?;
+            (&pushed.0, pushed.1)
         };
         let pushed = self.nodes.insert_after(node, idx, key, right);
         if pushed.is_some() {
@@ -938,8 +927,8 @@ impl<K: KeyKind> ConcurrentTree<K> {
 
     /// Removes the child `leaf` below `node`; returns true if `node` became
     /// empty (its parent removes and retires it).
-    fn remove_rec(&self, node: Node<'_>, nav: &K::Owned, leaf: u64) -> bool {
-        let idx = node.child_index::<K>(nav);
+    fn remove_rec(&self, node: Node<'_, K>, nav: &K::Owned, leaf: u64) -> bool {
+        let idx = node.child_index(nav);
         let child = node.child(idx);
         let remove = child == leaf
             || !enc_is_leaf(child) && {
@@ -1029,10 +1018,10 @@ impl<K: KeyKind> ConcurrentTree<K> {
             .with_pool(&self.ctx.pool)
     }
 
-    /// DRAM bytes held by the volatile index: every inner-node header and
-    /// chunk allocated (free ones included) plus interned discriminators.
+    /// DRAM bytes held by the volatile index: every inner-node header,
+    /// chunk, tie array and key blob allocated, free ones included.
     pub fn dram_bytes(&self) -> usize {
-        self.nodes.dram_bytes() + self.intern.bytes()
+        self.nodes.dram_bytes()
     }
 
     /// SCM/DRAM footprint (Figure 8).
@@ -1215,6 +1204,63 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Shuffled `key:%012d` inserts into the variable-key preset, its
+    /// leaves stood in for by a model that splits them at the preset's
+    /// capacity the way the tree does (lower half left, its maximum
+    /// published): every search reads at most one prefix or full key per
+    /// inner level.
+    #[test]
+    fn var_key_searches_read_at_most_one_key_per_inner_level() {
+        use crate::node::KEY_READS;
+        use std::collections::BTreeMap;
+        let n = 1_000_000u64;
+        let pool = Arc::new(PmemPool::create(PoolOptions::direct(1 << 20)).unwrap());
+        let t = ConcurrentFPTreeVar::create(pool, TreeConfig::fptree_concurrent_var(), ROOT_SLOT);
+        let cap = t.config().leaf_capacity;
+        let key = |id: u64| format!("key:{id:012}").into_bytes();
+        let mut ids: Vec<u64> = (0..n).collect();
+        let mut state = 42u64;
+        for i in (1..ids.len()).rev() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ids.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        // Stand-in leaves by upper bound: offset and ids.
+        let mut leaves: BTreeMap<u64, (u64, Vec<u64>)> = BTreeMap::new();
+        leaves.insert(u64::MAX, (t.leaf_offsets()[0], Vec::new()));
+        let mut next_off = 1u64 << 40;
+        for id in ids {
+            let (&bound, leaf) = leaves.range_mut(id..).next().unwrap();
+            leaf.1.push(id);
+            if leaf.1.len() > cap {
+                let (off, mut lower) = leaves.remove(&bound).unwrap();
+                lower.sort_unstable();
+                let upper = lower.split_off(lower.len() / 2);
+                let split = *lower.last().unwrap();
+                t.publish_split(&key(split), off, next_off);
+                leaves.insert(split, (off, lower));
+                leaves.insert(bound, (next_off, upper));
+                next_off += 8;
+            }
+        }
+        KEY_READS.with(|c| c.set(0));
+        for (off, ids) in leaves.values() {
+            for &id in ids {
+                assert_eq!(t.traverse(&key(id)), Ok(*off), "key {id}");
+            }
+        }
+        let reads = KEY_READS.with(|c| c.get());
+        let levels = t.height() as u64;
+        assert!(levels >= 3, "height {levels}");
+        assert!(reads > 0, "no key read counted");
+        assert!(
+            reads <= levels * n,
+            "{:.3} key reads per search over {levels} inner levels",
+            reads as f64 / n as f64
+        );
     }
 
     fn group_count(t: &ConcurrentFPTree) -> usize {

@@ -14,12 +14,13 @@
 //!   blob ownership moved to another slot);
 //! * probing a variable-size key costs an extra SCM cache miss to
 //!   dereference the blob — the reason fingerprints pay off even more for
-//!   string keys (§6.2).
-
-use std::cmp::Ordering;
+//!   string keys (§6.2);
+//! * a DRAM inner node stores a fixed key as its own word, and a byte
+//!   string as one order-preserving word past the prefix the node keeps
+//!   ([`var_word`]), so its search compares integers either way
+//!   (`crate::node`).
 
 use fptree_pmem::{PmemPool, RawPPtr};
-use parking_lot::Mutex;
 
 use crate::fingerprint::{fingerprint_bytes, fingerprint_u64};
 
@@ -32,7 +33,8 @@ pub trait KeyKind: 'static {
     const SLOT_SIZE: usize;
 
     /// Whether this kind stores keys out-of-line (drives the recovery-time
-    /// leak audit of Algorithm 17).
+    /// leak audit of Algorithm 17). Inner nodes of such keys also keep a
+    /// prefix, and the full bytes of discriminators whose words may tie.
     const IS_VAR: bool;
 
     /// One-byte fingerprint.
@@ -77,38 +79,44 @@ pub trait KeyKind: 'static {
     /// return null.
     fn slot_ref(pool: &PmemPool, slot_off: u64) -> RawPPtr;
 
-    /// Encodes `key` into one inner-node word. Fixed keys are stored
-    /// directly; variable keys are interned in `intern` and stored as a
-    /// pointer that stays dereferenceable until the tree drops, so a stale
-    /// word read by an optimistic traversal is always safe to compare.
-    fn encode(key: &Self::Owned, intern: &Interner) -> u64;
+    /// Encodes `key` into one inner-node word, read past the first `skip`
+    /// bytes: the prefix its inner node keeps. A fixed key is its own word
+    /// (its nodes keep no prefix, so `skip` is 0); a byte string is
+    /// [`var_word`] of its bytes past the prefix.
+    fn encode(key: &Self::Owned, skip: usize) -> u64;
 
-    /// Compares an inner-node key word with a search key.
-    fn cmp_encoded(enc: u64, key: &Self::Owned) -> Ordering;
+    /// The key's bytes: what an inner node of byte-string keys compares
+    /// with its prefix and keeps whole for ties. Empty for fixed keys,
+    /// whose nodes need neither.
+    fn bytes(key: &Self::Owned) -> &[u8];
+
+    /// The key an inner node hands back for a discriminator: a fixed key's
+    /// `word`, or the byte string `bytes` the node rebuilt.
+    fn decode(word: u64, bytes: Vec<u8>) -> Self::Owned;
 }
 
-/// DRAM arena of interned variable-size discriminator keys.
-#[derive(Default)]
-pub struct Interner {
-    // The outer Box pins each (fat) `Box<[u8]>` at a stable heap address
-    // that encodes into one u64; do not "simplify" the nesting.
-    #[allow(clippy::vec_box)]
-    bufs: Mutex<Vec<Box<Box<[u8]>>>>,
-}
+/// Low byte of a byte-string word whose key runs more than 7 bytes past
+/// its node's prefix. Two such words with the same first 7 bytes tie.
+pub(crate) const WORD_LONG: u64 = 8;
 
-impl Interner {
-    /// Copies `key` into the arena, returning a stable pointer encoding.
-    pub fn intern(&self, key: &[u8]) -> u64 {
-        let boxed: Box<Box<[u8]>> = Box::new(key.to_vec().into_boxed_slice());
-        let ptr = &*boxed as *const Box<[u8]> as u64;
-        self.bufs.lock().push(boxed);
-        ptr
-    }
-
-    /// Bytes held: each key plus its two boxes' headers.
-    pub(crate) fn bytes(&self) -> usize {
-        self.bufs.lock().iter().map(|b| b.len() + 48).sum()
-    }
+/// The inner-node word of `rest`, a byte-string key's bytes past its
+/// node's prefix: the first 7 bytes big-endian and zero-padded, then one
+/// byte `min(rest.len(), 8)`.
+///
+/// Integer order is key order. Where the 7-byte windows differ, the first
+/// differing byte decides, or the zero padding of the shorter key, which
+/// is below every byte the longer key holds there unless that byte is 0
+/// too. Where they agree, the length byte decides: a shorter key is then a
+/// prefix of the longer one. Equal words therefore stand for equal keys,
+/// except when both end in [`WORD_LONG`]: both keys run past the window,
+/// and only their full bytes can order them.
+#[inline]
+pub(crate) fn var_word(rest: &[u8]) -> u64 {
+    let mut b = [0u8; 8];
+    let n = rest.len().min(7);
+    b[..n].copy_from_slice(&rest[..n]);
+    b[7] = rest.len().min(WORD_LONG as usize) as u8;
+    u64::from_be_bytes(b)
 }
 
 /// Fixed-size 8-byte integer keys, stored inline.
@@ -120,13 +128,18 @@ impl KeyKind for FixedKey {
     const IS_VAR: bool = false;
 
     #[inline]
-    fn encode(key: &u64, _intern: &Interner) -> u64 {
+    fn encode(key: &u64, _skip: usize) -> u64 {
         *key
     }
 
     #[inline]
-    fn cmp_encoded(enc: u64, key: &u64) -> Ordering {
-        enc.cmp(key)
+    fn bytes(_key: &u64) -> &[u8] {
+        &[]
+    }
+
+    #[inline]
+    fn decode(word: u64, _bytes: Vec<u8>) -> u64 {
+        word
     }
 
     #[inline]
@@ -219,21 +232,19 @@ impl KeyKind for VarKey {
     const SLOT_SIZE: usize = 16;
     const IS_VAR: bool = true;
 
-    fn encode(key: &Vec<u8>, intern: &Interner) -> u64 {
-        intern.intern(key)
+    #[inline]
+    fn encode(key: &Vec<u8>, skip: usize) -> u64 {
+        var_word(&key[skip..])
     }
 
     #[inline]
-    fn cmp_encoded(enc: u64, key: &Vec<u8>) -> Ordering {
-        if enc == 0 {
-            // Empty-slot sentinel: acts as +∞ so searches stop before it.
-            return Ordering::Greater;
-        }
-        // SAFETY: non-zero encodings in inner-key words are only ever
-        // produced by `Interner::intern`, and interned buffers are not
-        // freed until the tree drops.
-        let buf = unsafe { &*(enc as *const Box<[u8]>) };
-        (**buf).cmp(key.as_slice())
+    fn bytes(key: &Vec<u8>) -> &[u8] {
+        key
+    }
+
+    #[inline]
+    fn decode(_word: u64, bytes: Vec<u8>) -> Vec<u8> {
+        bytes
     }
 
     #[inline]
@@ -378,6 +389,50 @@ mod tests {
         p.write_at(slot2, &r);
         assert_eq!(VarKey::slot_ref(&p, slot2), r);
         assert_eq!(FixedKey::slot_ref(&p, slot), RawPPtr::NULL);
+    }
+
+    /// Word order is byte order over adversarial pairs: the zero-padding
+    /// trap (`ab` < `ab\0`), keys that are prefixes of each other, the
+    /// empty key, and 7- and 8-byte windows that tie.
+    #[test]
+    fn var_words_preserve_order_and_tie_only_past_the_window() {
+        let keys: Vec<&[u8]> = vec![
+            b"",
+            b"\0",
+            b"\0\0",
+            b"a",
+            b"ab",
+            b"ab\0",
+            b"ab\0\0\0\0\0",
+            b"ab\0\0\0\0\0\0",
+            b"ab\0\0\0\0\0\0\0",
+            b"ab\x01",
+            b"abcdefg",
+            b"abcdefg\0",
+            b"abcdefgh",
+            b"abcdefghi",
+            b"abcdefgz",
+            b"abcdefh",
+            b"\xff\xff\xff\xff\xff\xff\xff",
+            b"\xff\xff\xff\xff\xff\xff\xff\xff\xff",
+        ];
+        for a in &keys {
+            for b in &keys {
+                let (wa, wb) = (var_word(a), var_word(b));
+                let long = wa & 0xff == WORD_LONG && wb & 0xff == WORD_LONG;
+                if wa == wb && long {
+                    assert_eq!(a[..7], b[..7], "{a:?} {b:?}");
+                } else {
+                    assert_eq!(wa.cmp(&wb), a.cmp(b), "{a:?} vs {b:?}");
+                }
+            }
+        }
+        let skip = b"key:0000".len();
+        assert_eq!(
+            VarKey::encode(&b"key:00001234".to_vec(), skip),
+            var_word(b"1234")
+        );
+        assert_eq!(FixedKey::encode(&7, 0), 7);
     }
 
     #[test]

@@ -70,9 +70,11 @@ pub(crate) struct WbufCensus<K: KeyKind> {
     /// Distinct buffered keys without a valid slot — how many slots a
     /// fold of the current buffer would consume.
     pub fresh: usize,
-    /// Some distinct key's newest entry already sits, byte for byte, in a
+    /// Every distinct key's newest entry already sits, byte for byte, in a
     /// valid slot: a fold committed its bitmap and crashed before its
-    /// generation bump.
+    /// generation bump. (A buffer of nothing but updates that rewrote
+    /// their slots' own values looks the same; finishing its fold is
+    /// harmless.)
     pub crashed_fold: bool,
     /// The largest buffered key.
     pub max: Option<K::Owned>,
@@ -958,6 +960,8 @@ impl<'a> Leaf<'a> {
         }
         let head = self.read_head();
         let mut winners = 0u64;
+        // A fold that crashed after its bitmap commit staged every winner.
+        let mut all_staged = true;
         for i in (0..live).rev() {
             let k = K::read_slot(self.pool, self.wbuf_key_off(i));
             if self.entries_hold::<K>(winners, &k) {
@@ -966,12 +970,13 @@ impl<'a> Leaf<'a> {
             winners |= 1 << i;
             match self.find_slot_in::<K>(&head, &k) {
                 None => census.fresh += 1,
-                Some(s) => census.crashed_fold |= self.slot_holds_entry(s, i),
+                Some(s) => all_staged &= self.slot_holds_entry(s, i),
             }
             if census.max.as_ref().is_none_or(|m| k > *m) {
                 census.max = Some(k);
             }
         }
+        census.crashed_fold = census.fresh == 0 && all_staged;
         census
     }
 

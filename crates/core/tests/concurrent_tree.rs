@@ -615,3 +615,168 @@ fn update_if_appends_like_update_and_guards_on_the_buffered_value() {
     t.check_consistency().unwrap();
     t.leak_audit().unwrap();
 }
+
+/// Rounds of inserts and removes that split and unlink leaves give the
+/// index's memory back: after the first round, `dram_bytes` stays at the
+/// first round's high-water mark. The keys run past the 7-byte window
+/// behind a long shared stem, so inner nodes keep prefixes and tie bytes,
+/// and those come back with the nodes.
+#[test]
+fn var_key_index_memory_is_reused_across_churn_rounds() {
+    let cfg = TreeConfig::fptree_concurrent_var()
+        .with_leaf_capacity(8)
+        .with_inner_fanout(8);
+    let t = ConcurrentFPTreeVar::create(pool(64), cfg, ROOT_SLOT);
+    let key = |i: u64| format!("churn/shared-stem/{:05}/past-the-window", (i * 7919) % 3000);
+    let mut peaks = Vec::new();
+    for round in 0..4u64 {
+        for i in 0..3000u64 {
+            assert!(t.insert(&key(i).into_bytes(), i), "round {round} key {i}");
+        }
+        let full = t.dram_bytes();
+        assert!(t.height() >= 3, "round {round}: height {}", t.height());
+        for i in 0..3000u64 {
+            assert!(t.remove(&key(i).into_bytes()), "round {round} key {i}");
+        }
+        peaks.push(full.max(t.dram_bytes()));
+        t.check_consistency().unwrap();
+        t.leak_audit().unwrap();
+    }
+    assert!(
+        peaks[1..].iter().all(|&p| p <= peaks[0]),
+        "index memory grew: {peaks:?}"
+    );
+}
+
+/// Adversarial byte-string keys for inner nodes that keep a prefix and
+/// compare 7-byte windows past it: the empty key, [`MAX_KEY_BYTES`] keys,
+/// long shared stems cut anywhere, keys that are prefixes of each other,
+/// keys that differ only by trailing zero bytes, and keys whose 7- and
+/// 8-byte windows past a stem tie.
+fn adversarial_keys(seed: u64, n: usize) -> Vec<Vec<u8>> {
+    use fptree_core::MAX_KEY_BYTES;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let long: Vec<u8> = (0..MAX_KEY_BYTES).map(|i| b'a' + (i % 3) as u8).collect();
+    let stems: [&[u8]; 5] = [b"", b"k", b"key:0000", b"key:0000000000000000/stem", &long];
+    let mut keys = std::collections::BTreeSet::new();
+    keys.insert(Vec::new());
+    keys.insert(long.clone());
+    keys.insert(vec![0xff; MAX_KEY_BYTES]);
+    keys.insert(vec![0; MAX_KEY_BYTES]);
+    while keys.len() < n {
+        let stem = stems[rng.gen_range(0..stems.len())];
+        let mut k = stem[..rng.gen_range(0..=stem.len())].to_vec();
+        match rng.gen_range(0..4) {
+            // A window that ties over 7 or 8 bytes, then differs.
+            0 => k.extend_from_slice(&b"WINDOWS!"[..rng.gen_range(7..=8)]),
+            // Trailing zeros.
+            1 => k.resize(k.len() + rng.gen_range(1..9), 0),
+            _ => {}
+        }
+        for _ in 0..rng.gen_range(0..6) {
+            k.push([0u8, 1, b'0', b'a', 0xff][rng.gen_range(0..5)]);
+        }
+        k.truncate(MAX_KEY_BYTES);
+        // Keys that are prefixes of this one.
+        for cut in [k.len() / 2, k.len().saturating_sub(1)] {
+            keys.insert(k[..cut].to_vec());
+        }
+        keys.insert(k);
+    }
+    let mut keys: Vec<Vec<u8>> = keys.into_iter().collect();
+    keys.shuffle(&mut rng);
+    keys.truncate(n);
+    keys
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig {
+        cases: 12,
+        ..proptest::test_runner::ProptestConfig::default()
+    })]
+
+    /// Three writers churn their own adversarial keys (splits, prefix
+    /// shrinks, unlinks) while two readers look up a stable third of the
+    /// keys, which must always read their values; afterwards the tree
+    /// holds exactly what a `BTreeMap` oracle holds.
+    #[test]
+    fn var_keys_match_a_btreemap_beside_concurrent_writers_and_readers(
+        seed in proptest::strategy::any::<u64>()
+    ) {
+        use std::collections::BTreeMap;
+        use std::sync::atomic::AtomicBool;
+        const WRITERS: usize = 3;
+        let keys = adversarial_keys(seed, 480);
+        let (stable, churn) = keys.split_at(keys.len() / 3);
+        let cfg = TreeConfig::fptree_concurrent_var()
+            .with_leaf_capacity(4)
+            .with_inner_fanout(4);
+        let t = ConcurrentFPTreeVar::create(pool(64), cfg, ROOT_SLOT);
+        for (i, k) in stable.iter().enumerate() {
+            assert!(t.insert(k, i as u64));
+        }
+        let done = AtomicBool::new(false);
+        let oracles: Vec<BTreeMap<Vec<u8>, u64>> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2u64)
+                .map(|r| {
+                    let (t, done) = (&t, &done);
+                    s.spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(seed ^ r);
+                        while !done.load(Ordering::Acquire) {
+                            let i = rng.gen_range(0..stable.len());
+                            assert_eq!(t.get(&stable[i]), Some(i as u64), "{:?}", stable[i]);
+                        }
+                    })
+                })
+                .collect();
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let t = &t;
+                    s.spawn(move || {
+                        let mine: Vec<&Vec<u8>> = churn.iter().skip(w).step_by(WRITERS).collect();
+                        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(w as u64 + 7));
+                        let mut model = BTreeMap::new();
+                        for op in 0..6 * mine.len() as u64 {
+                            let k = mine[rng.gen_range(0..mine.len())];
+                            match rng.gen_range(0..4) {
+                                0 | 1 => {
+                                    let fresh = !model.contains_key(k);
+                                    assert_eq!(t.insert(k, op), fresh, "insert {k:?}");
+                                    model.entry(k.clone()).or_insert(op);
+                                }
+                                2 => {
+                                    let present = model.contains_key(k);
+                                    assert_eq!(t.update(k, op), present, "update {k:?}");
+                                    if present {
+                                        model.insert(k.clone(), op);
+                                    }
+                                }
+                                _ => assert_eq!(t.remove(k), model.remove(k).is_some(), "remove {k:?}"),
+                            }
+                        }
+                        model
+                    })
+                })
+                .collect();
+            let oracles = writers.into_iter().map(|w| w.join().unwrap()).collect();
+            done.store(true, Ordering::Release);
+            for r in readers {
+                r.join().unwrap();
+            }
+            oracles
+        });
+        let mut want: BTreeMap<Vec<u8>, u64> =
+            stable.iter().enumerate().map(|(i, k)| (k.clone(), i as u64)).collect();
+        for o in oracles {
+            want.extend(o);
+        }
+        let got: Vec<(Vec<u8>, u64)> = t.iter().collect();
+        proptest::prop_assert_eq!(got, want.clone().into_iter().collect::<Vec<_>>());
+        for k in &keys {
+            proptest::prop_assert_eq!(t.get(k), want.get(k).copied());
+        }
+        proptest::prop_assert_eq!(t.len(), want.len());
+        t.check_consistency().unwrap();
+        t.leak_audit().unwrap();
+    }
+}

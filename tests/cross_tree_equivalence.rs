@@ -903,6 +903,48 @@ fn concurrent_clean_restart<K: KeyKind>(cfg: TreeConfig, key: impl Fn(u64) -> K:
     r.leak_audit().unwrap();
 }
 
+/// A buffer holding an update that rewrote its slot's own value, beside a
+/// changed value and a fresh insert, is not a fold that crashed after its
+/// bitmap commit: that fold leaves *every* newest entry in a slot. Its
+/// clean image restarts without a persist and keeps the buffer.
+fn same_value_update_restart() {
+    use fptree_suite::core::leaf::Leaf;
+    use fptree_suite::core::LeafLayout;
+    // One leaf: 8 slots and a 4-entry buffer.
+    let cfg = TreeConfig::fptree()
+        .with_leaf_capacity(8)
+        .with_inner_fanout(4)
+        .with_leaf_group_size(0)
+        .with_wbuf_entries(4);
+    let pool = Arc::new(PmemPool::create(PoolOptions::direct(16 << 20)).unwrap());
+    let mut t = SingleTree::<FixedKey>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+    for k in 1..=3 {
+        assert!(t.insert(&k, k));
+    }
+    assert!(t.insert(&9, 9) && t.remove(&9), "folds 1..=3");
+    assert!(t.update(&1, 1), "same value");
+    assert!(t.update(&2, 20));
+    assert!(t.insert(&4, 4));
+    let layout = LeafLayout::new(t.config(), FixedKey::SLOT_SIZE);
+    let off = t.leaf_offsets()[0];
+    assert_eq!(Leaf::new(&pool, &layout, off).wbuf_count(), 3);
+    let r = open_counted(&[pool], |p| {
+        SingleTree::<FixedKey>::open(Arc::clone(&p[0]), ROOT_SLOT)
+    });
+    let r = r.unwrap();
+    assert_eq!(
+        Leaf::new(r.pool(), &layout, off).wbuf_count(),
+        3,
+        "buffer kept"
+    );
+    assert_eq!(
+        r.scan(..).collect::<Vec<_>>(),
+        [(1, 1), (2, 20), (3, 3), (4, 4)]
+    );
+    r.check_consistency().unwrap();
+    r.leak_audit().unwrap();
+}
+
 /// Restarting a tree whose leaves carry live buffer entries from a clean
 /// image writes nothing: no persist, no flushed line. The reopened tree
 /// holds the same entries, keeps its buffers, and audits clean.
@@ -916,6 +958,7 @@ fn open_of_a_clean_image_persists_nothing() {
     single_clean_restart::<VarKey>(TreeConfig::fptree_var(), var, 3);
     concurrent_clean_restart::<FixedKey>(TreeConfig::fptree_concurrent(), |k| k, 4);
     concurrent_clean_restart::<VarKey>(TreeConfig::fptree_concurrent_var(), var, 5);
+    same_value_update_restart();
 
     let pools = create_pools(3, PoolOptions::direct(8 << 20)).unwrap();
     let cfg = small(TreeConfig::fptree_concurrent());
