@@ -775,18 +775,16 @@ impl<K: KeyKind> Nodes<K> {
     }
 
     /// Shrinks a byte-string node's prefix to one that `key` starts with,
-    /// re-encoding its discriminators, and returns the prefix's length.
-    /// Writer only.
-    fn cover(&self, node: Node<'_, K>, key: &[u8]) -> usize {
+    /// re-encoding discriminators `0..upto` (the rest are rewritten by the
+    /// caller), and returns the prefix's length. Writer only.
+    fn cover(&self, node: Node<'_, K>, key: &[u8], upto: usize) -> usize {
         let (len, words) = node.prefix();
         if key.len() >= len && cmp_blob(len, words, &key[..len]) == CmpOrdering::Equal {
             return len;
         }
         let prefix = blob_bytes(len, words);
         let keep = common_prefix(&prefix, key).len();
-        let discs: Vec<Vec<u8>> = (0..node.count().saturating_sub(1))
-            .map(|i| node.disc_bytes(i))
-            .collect();
+        let discs: Vec<Vec<u8>> = (0..upto).map(|i| node.disc_bytes(i)).collect();
         let fresh = if keep == 0 {
             0
         } else {
@@ -825,11 +823,6 @@ impl<K: KeyKind> Nodes<K> {
     ) -> Option<(K::Owned, u64)> {
         let n = node.count();
         debug_assert!(idx < n && n <= self.fanout);
-        let skip = if K::IS_VAR {
-            self.cover(node, K::bytes(key))
-        } else {
-            0
-        };
         if n == self.fanout {
             let mut all: Vec<(K::Owned, u64)> = (0..n)
                 .map(|i| {
@@ -840,6 +833,16 @@ impl<K: KeyKind> Nodes<K> {
             all.insert(idx + 1, (all[idx].0.clone(), child));
             all[idx].0 = key.clone();
             let mid = n / 2 + 1;
+            // The left half keeps `all[..mid - 1]`: its prefix shrinks only
+            // when `key` lands there, and the right half's comes from
+            // `alloc`.
+            let skip = if !K::IS_VAR {
+                0
+            } else if idx + 1 < mid {
+                self.cover(node, K::bytes(key), idx)
+            } else {
+                node.prefix().0
+            };
             // Rewrite from the first changed slot, or from the left half's
             // last, which becomes its unused one.
             let from = idx.min(mid - 1);
@@ -861,6 +864,11 @@ impl<K: KeyKind> Nodes<K> {
             let right = self.alloc(&all[mid..]);
             return Some((all.swap_remove(mid - 1).0, right));
         }
+        let skip = if K::IS_VAR {
+            self.cover(node, K::bytes(key), n - 1)
+        } else {
+            0
+        };
         let chunks = node.chunks();
         if n == chunks << self.shift {
             let fresh = self.fresh_chunk(&mut self.arena.lock());
@@ -950,6 +958,9 @@ mod tests {
     trait TestKey: KeyKind {
         /// The one discriminator of a fresh two-child model.
         fn seed() -> Self::Owned;
+        /// The least key, below every discriminator (for `VarKey` also
+        /// outside every non-empty prefix).
+        fn min() -> Self::Owned;
         /// A random probe or candidate key.
         fn random(rng: &mut Rng) -> Self::Owned;
         /// Probes at and around `k`.
@@ -966,6 +977,10 @@ mod tests {
     impl TestKey for FixedKey {
         fn seed() -> u64 {
             1 << 20
+        }
+
+        fn min() -> u64 {
+            0
         }
 
         fn random(rng: &mut Rng) -> u64 {
@@ -991,6 +1006,10 @@ mod tests {
     impl TestKey for VarKey {
         fn seed() -> Vec<u8> {
             STEM.to_vec()
+        }
+
+        fn min() -> Vec<u8> {
+            Vec::new()
         }
 
         fn random(rng: &mut Rng) -> Vec<u8> {
@@ -1127,6 +1146,7 @@ mod tests {
         }
         let mut probes: Vec<K::Owned> = m.keys.iter().flat_map(K::around).collect();
         probes.extend((0..8).map(|_| K::random(rng)));
+        probes.push(K::min());
         for x in probes {
             let idx = node.child_index(&x);
             assert_eq!(node.child(idx), m.route(&x), "routing {x:?}");
