@@ -53,7 +53,8 @@ impl BytesIndex for Locked<StxTree<Vec<u8>>> {
         self.0.lock().insert(&key.to_vec(), value)
     }
     fn remove_if(&self, key: &[u8], expected: u64) -> bool {
-        // One guard across compare and remove keeps eviction races out.
+        // One guard across compare and remove: a racing `set` of the key
+        // cannot slip between them (the kvcache `delete` relies on it).
         let mut tree = self.0.lock();
         match tree.get(&key.to_vec()) {
             Some(v) if v == expected => tree.remove(&key.to_vec()),

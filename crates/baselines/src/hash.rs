@@ -99,7 +99,7 @@ impl BytesIndex for HashIndex<Vec<u8>> {
     }
     fn remove_if(&self, key: &[u8], expected: u64) -> bool {
         // Compare and remove under one shard lock — the atomic form the
-        // kvcache eviction path requires.
+        // kvcache `delete` requires.
         let k = key.to_vec();
         let mut m = self.shard(&k).lock();
         match m.get(&k) {

@@ -140,8 +140,8 @@ enum Outcome {
     Read,
     /// May have mutated the tree: one-shot mode saves.
     Wrote,
-    /// Refused: an unknown verb, a missing argument or a value that does
-    /// not parse. The tree is untouched.
+    /// Refused: an unknown verb, a missing argument, a key too long for
+    /// the tree or a value that does not parse. The tree is untouched.
     Rejected,
     /// Ran, and reported damage it found in a pool (one-shot mode exits 1).
     Failed,
@@ -156,7 +156,7 @@ fn execute(tree: &ShardedTreeVar, line: &str, path: &str) -> Outcome {
     let print = |(k, v): (Vec<u8>, u64)| say!("{} -> {v}", String::from_utf8_lossy(&k));
     match (verb, arg1.map(|k| k.as_bytes().to_vec())) {
         ("put", Some(k)) => {
-            let Some(value) = parse_value(&rest) else {
+            let Some(value) = parse_write(&k, &rest) else {
                 return Outcome::Rejected;
             };
             if tree.insert(&k, value) {
@@ -168,7 +168,7 @@ fn execute(tree: &ShardedTreeVar, line: &str, path: &str) -> Outcome {
             Outcome::Wrote
         }
         ("update", Some(k)) => {
-            let Some(value) = parse_value(&rest) else {
+            let Some(value) = parse_write(&k, &rest) else {
                 return Outcome::Rejected;
             };
             if tree.update(&k, value) {
@@ -226,15 +226,21 @@ fn execute(tree: &ShardedTreeVar, line: &str, path: &str) -> Outcome {
             }
         }
         ("check", _) => {
-            match tree.check_consistency() {
+            let consistent = tree.check_consistency();
+            match &consistent {
                 Ok(()) => say!("consistent"),
                 Err(e) => say!("INCONSISTENT: {e}"),
             }
-            match tree.leak_audit() {
+            let leak_free = tree.leak_audit();
+            match &leak_free {
                 Ok(()) => say!("leak-free"),
                 Err(e) => say!("LEAKED: {e}"),
             }
-            Outcome::Read
+            if consistent.is_ok() && leak_free.is_ok() {
+                Outcome::Read
+            } else {
+                Outcome::Failed
+            }
         }
         ("save", _) => {
             match save_pools(&tree.pools(), path) {
@@ -263,8 +269,14 @@ fn execute(tree: &ShardedTreeVar, line: &str, path: &str) -> Outcome {
     }
 }
 
-/// The value of `put` / `update`: exactly one unsigned 64-bit word.
-fn parse_value(rest: &[&str]) -> Option<u64> {
+/// The value of `put` / `update`, after their key: the key must fit the
+/// tree's byte-string limit ([`fptree_core::MAX_KEY_BYTES`]), the value be
+/// exactly one unsigned 64-bit word.
+fn parse_write(key: &[u8], rest: &[&str]) -> Option<u64> {
+    if let Err(e) = fptree_core::api::check_key(key) {
+        say!("error: {e}");
+        return None;
+    }
     let value = match rest {
         [v] => v.parse().ok(),
         _ => None,

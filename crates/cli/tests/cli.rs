@@ -312,3 +312,53 @@ fn stats_reports_a_damaged_block_header_instead_of_panicking() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `put` and `update` take keys up to `MAX_KEY_BYTES` (what the wire
+/// protocol and every byte-string index seam accept) and refuse a longer
+/// one before it reaches the tree: one-shot mode exits 2 and the pool
+/// keeps only what was written before.
+#[test]
+fn put_and_update_refuse_keys_longer_than_the_limit() {
+    let dir = temp_dir("longkey");
+    let base = dir.join("v.pool");
+    let (fits, long) = ("a".repeat(250), "b".repeat(251));
+    assert_eq!(one_shot(&base, &format!("put {fits} 1")), "inserted\n");
+    assert_eq!(one_shot(&base, &format!("update {fits} 2")), "updated\n");
+    let refusal = "error: key of 251 bytes exceeds the 250-byte limit\n";
+    assert_eq!(rejected(&base, &format!("put {long} 3")), refusal);
+    assert_eq!(rejected(&base, &format!("update {long} 3")), refusal);
+    assert_eq!(one_shot(&base, &format!("get {long}")), "(not found)\n");
+    assert_eq!(one_shot(&base, "scan"), format!("{fits} -> 2\n"));
+    assert_check_is_clean(&base);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `check` over a pool holding a block the tree does not own prints
+/// `LEAKED` and exits 1 in one-shot mode; the shell prints the same and
+/// goes on.
+#[test]
+fn check_fails_on_a_leaked_block() {
+    let dir = temp_dir("leaked");
+    let base = dir.join("v.pool");
+    {
+        let pool = Arc::new(PmemPool::create(PoolOptions::direct(8 << 20)).unwrap());
+        // The tree's create overwrites the root slot's pointer to this
+        // block, so nothing reaches it any more.
+        pool.allocate(ROOT_SLOT, 64).unwrap();
+        let mut tree = FPTreeVar::create(Arc::clone(&pool), TreeConfig::fptree_var(), ROOT_SLOT);
+        tree.insert(&b"alpha".to_vec(), 7);
+        pool.save(&base).unwrap();
+    }
+    let (code, stdout, _) = run(&[], &base, &["check"], "");
+    assert_eq!(code, Some(1), "stdout: {stdout}");
+    assert!(
+        stdout.starts_with("consistent\nLEAKED: "),
+        "stdout: {stdout}"
+    );
+    let out = shell(&[], &base, &["check", "get alpha"]);
+    assert!(
+        out.contains("LEAKED: ") && out.contains("alpha -> 7"),
+        "{out}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

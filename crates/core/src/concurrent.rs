@@ -201,26 +201,6 @@ impl<K: KeyKind> Exclusive<K> {
         ConcurrentTree::try_create(pool, cfg, owner_slot).map(Exclusive)
     }
 
-    /// [`ConcurrentTree::bulk_load`].
-    pub fn bulk_load(
-        pool: Arc<PmemPool>,
-        cfg: TreeConfig,
-        owner_slot: u64,
-        entries: &[(K::Owned, u64)],
-    ) -> Self {
-        Exclusive(ConcurrentTree::bulk_load(pool, cfg, owner_slot, entries))
-    }
-
-    /// [`ConcurrentTree::try_bulk_load`].
-    pub fn try_bulk_load(
-        pool: Arc<PmemPool>,
-        cfg: TreeConfig,
-        owner_slot: u64,
-        entries: &[(K::Owned, u64)],
-    ) -> Result<Self, Error> {
-        ConcurrentTree::try_bulk_load(pool, cfg, owner_slot, entries).map(Exclusive)
-    }
-
     /// [`ConcurrentTree::open`].
     pub fn open(pool: Arc<PmemPool>, owner_slot: u64) -> Result<Self, Error> {
         ConcurrentTree::open(pool, owner_slot).map(Exclusive)
@@ -321,96 +301,6 @@ impl<K: KeyKind> ConcurrentTree<K> {
         meta.set_status(&ctx.pool, STATUS_READY);
         let t = Self::empty(ctx, groups);
         t.root.store(leaf_enc(head), Ordering::Release);
-        Ok(t)
-    }
-
-    /// Bulk-loads sorted, unique `(key, value)` entries at ~70% leaf fill —
-    /// how a warmed-up tree looks (Figure 8's fill factor), and much faster
-    /// than repeated inserts.
-    ///
-    /// All-or-nothing: the metadata stays in the INITIALIZING state until
-    /// the load completes, so a crash mid-load recovers to an empty tree
-    /// (partial leaves are reclaimed by the init-crash path of `open`).
-    /// Panics where [`Self::try_bulk_load`] errs.
-    pub fn bulk_load(
-        pool: Arc<PmemPool>,
-        cfg: TreeConfig,
-        owner_slot: u64,
-        entries: &[(K::Owned, u64)],
-    ) -> Self {
-        Self::try_bulk_load(pool, cfg, owner_slot, entries).expect("bulk-loading tree")
-    }
-
-    /// [`Self::bulk_load`], rejecting what [`Self::try_create`] rejects plus
-    /// unsorted or duplicated keys ([`Error::InvalidConfig`] — leaves built
-    /// from them would misroute) and over-long byte-string keys
-    /// ([`Error::KeyTooLarge`]), all before any persistent write.
-    pub fn try_bulk_load(
-        pool: Arc<PmemPool>,
-        cfg: TreeConfig,
-        owner_slot: u64,
-        entries: &[(K::Owned, u64)],
-    ) -> Result<Self, Error> {
-        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err(Error::InvalidConfig(
-                "bulk load requires sorted unique keys".into(),
-            ));
-        }
-        for (key, _) in entries {
-            K::check_len(key)?;
-        }
-        if entries.is_empty() {
-            return Self::try_create(pool, cfg, owner_slot);
-        }
-        let logs = n_logs(&cfg);
-        check_create::<K>(&cfg, &pool, logs)?;
-        let cfg = fill_group_block(cfg, K::SLOT_SIZE);
-        let checked = Arc::clone(&pool);
-        let _op = checked.begin_checked_op("bulk_load");
-        let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
-        let meta = TreeMeta::create(&pool, &cfg, K::SLOT_SIZE, K::IS_VAR, logs, owner_slot);
-        let ctx = Ctx::new(pool, cfg, layout, meta);
-        let mut groups = GroupMgr::with_sanitize(cfg.leaf_group_size, K::IS_VAR);
-
-        let per_leaf = (layout.m * 7 / 10).max(1);
-        let mut index_entries: Vec<(K::Owned, u64)> = Vec::new();
-        let mut prev: Option<u64> = None;
-        for chunk in entries.chunks(per_leaf) {
-            // The owner slot for each leaf is where its pointer will live:
-            // the list head for the first, the predecessor's next field for
-            // the rest — so the linked list forms as the allocator runs.
-            let dest = match prev {
-                None => meta.head_slot(),
-                Some(p) => p + ctx.layout.off_next as u64,
-            };
-            ctx.metrics.inc(Counter::LeafAllocs);
-            let off = groups.get_leaf(&ctx.pool, &ctx.layout, &meta, dest);
-            ctx.zero_leaf(off);
-            let leaf = ctx.leaf(off);
-            for (slot, (k, v)) in chunk.iter().enumerate() {
-                K::write_slot(&ctx.pool, leaf.key_off(slot), k);
-                leaf.set_value(slot, *v);
-                if layout.fingerprints {
-                    leaf.set_fingerprint(slot, K::fingerprint(k));
-                }
-            }
-            let bm = if chunk.len() == 64 {
-                u64::MAX
-            } else {
-                (1u64 << chunk.len()) - 1
-            };
-            // analyzer:allow(raw-publish) — bulk-load leaves are unreachable
-            // until the final set_status(STATUS_READY) publish commits the
-            // whole tree; per-leaf bitmaps are plain initialization here.
-            ctx.pool.write_word(off + layout.off_bitmap as u64, bm);
-            ctx.pool.persist(off, layout.size);
-            index_entries.push((chunk.last().expect("chunk nonempty").0.clone(), off));
-            prev = Some(off);
-        }
-        meta.set_status(&ctx.pool, STATUS_READY);
-        let t = Self::empty(ctx, groups);
-        t.len.store(entries.len(), Ordering::Relaxed);
-        t.build_index(index_entries, 1);
         Ok(t)
     }
 
@@ -727,10 +617,11 @@ impl<K: KeyKind> ConcurrentTree<K> {
     }
 
     /// Removes `key` only if its current value equals `expected` — the
-    /// compare-and-remove an evictor needs: between deciding to evict and
-    /// removing, a concurrent `set` may have published a fresh value under
-    /// the same key, and unconditionally removing would drop that fresh
-    /// mapping. Returns false if the key is absent or its value changed.
+    /// compare-and-remove a cache `delete` needs: between reading the value
+    /// and removing, a concurrent `set` may have published a fresh value
+    /// under the same key, and unconditionally removing would drop that
+    /// fresh mapping. Returns false if the key is absent or its value
+    /// changed.
     pub fn remove_if(&self, key: &K::Owned, expected: u64) -> bool {
         self.remove_guarded(key, Some(expected))
     }
@@ -996,8 +887,8 @@ impl<K: KeyKind> ConcurrentTree<K> {
     }
 
     /// Per-phase timings of the recovery pipeline that produced this handle;
-    /// `None` for a freshly created (or bulk-loaded) tree and for the
-    /// re-initialization path of an interrupted `create`/`bulk_load`.
+    /// `None` for a freshly created tree and for the re-initialization
+    /// path of an interrupted `create`.
     pub fn recovery_stats(&self) -> Option<RecoveryStats> {
         self.recovery
     }

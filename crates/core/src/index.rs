@@ -68,7 +68,8 @@ pub trait BytesIndex: Send + Sync {
     /// Removes `key` only if it is still mapped to `expected`; false
     /// otherwise. The default is **not** atomic (a get/compare/remove
     /// sequence) — concurrent implementations must override it with a real
-    /// compare-and-remove, which the kvcache eviction path relies on.
+    /// compare-and-remove, which the kvcache `delete` relies on against a
+    /// racing `set`.
     fn remove_if(&self, key: &[u8], expected: u64) -> bool {
         match self.get(key) {
             Some(v) if v == expected => self.remove(key),

@@ -108,7 +108,7 @@ pub enum Counter {
     LeafSplits = 5,
     /// Transient inner-node splits.
     InnerSplits = 6,
-    /// Leaves allocated (splits, tree creation, bulk load).
+    /// Leaves allocated (splits, tree creation).
     LeafAllocs = 7,
     /// Leaves unlinked and freed (or returned to their group).
     LeafFrees = 8,
@@ -150,45 +150,43 @@ pub enum Counter {
     CacheHits = 25,
     /// Cache lookups that missed.
     CacheMisses = 26,
-    /// Items evicted by the LRU.
-    CacheEvictions = 27,
     /// Bytes read from client connections.
-    BytesRead = 28,
+    BytesRead = 27,
     /// Bytes written to client connections.
-    BytesWritten = 29,
+    BytesWritten = 28,
     /// Client connections accepted.
-    ConnOpened = 30,
+    ConnOpened = 29,
     /// Client connections closed.
-    ConnClosed = 31,
+    ConnClosed = 30,
     /// Client connections rejected because the server was at its
     /// concurrent-connection cap.
-    ConnRejected = 32,
+    ConnRejected = 31,
     // ----- batched write path
     /// Leaf runs applied by `insert_batch` (one commit per run).
-    InsertBatchRuns = 33,
+    InsertBatchRuns = 32,
     /// Keys newly inserted through the batched write path.
-    InsertBatchKeys = 34,
+    InsertBatchKeys = 33,
     /// Leaf runs cleared by `remove_batch` (one commit per run).
-    RemoveBatchRuns = 35,
+    RemoveBatchRuns = 34,
     /// Keys removed through the batched write path.
-    RemoveBatchKeys = 36,
+    RemoveBatchKeys = 35,
     // ----- event-loop serving
     /// Readiness wake-ups delivered to the server's poll loop (one per
     /// `poll` return carrying at least one event).
-    EvloopWakeups = 37,
+    EvloopWakeups = 36,
     /// Response flushes that could not drain a connection's write queue in
     /// one pass (socket buffer full; the rest waits for writability).
-    EvloopPartialWrites = 38,
+    EvloopPartialWrites = 37,
     /// Times a connection's write queue crossed its cap and the server
     /// paused reading from that connection until the queue drained
     /// (backpressure).
-    EvloopQueueStalls = 39,
+    EvloopQueueStalls = 38,
     /// Connections reaped by the server's idle timeout.
-    ConnIdleClosed = 40,
+    ConnIdleClosed = 39,
 }
 
 /// Number of [`Counter`] variants.
-pub const N_COUNTERS: usize = 41;
+pub const N_COUNTERS: usize = 40;
 
 impl Counter {
     /// Every variant, in field order.
@@ -220,7 +218,6 @@ impl Counter {
         Counter::CmdBad,
         Counter::CacheHits,
         Counter::CacheMisses,
-        Counter::CacheEvictions,
         Counter::BytesRead,
         Counter::BytesWritten,
         Counter::ConnOpened,
@@ -266,7 +263,6 @@ impl Counter {
             Counter::CmdBad => "cmd_bad",
             Counter::CacheHits => "cache_hits",
             Counter::CacheMisses => "cache_misses",
-            Counter::CacheEvictions => "cache_evictions",
             Counter::BytesRead => "bytes_read",
             Counter::BytesWritten => "bytes_written",
             Counter::ConnOpened => "conn_opened",

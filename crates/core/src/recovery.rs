@@ -38,8 +38,7 @@ pub(crate) struct Recovered<K: KeyKind> {
     /// Resolved worker count for the caller's index build.
     pub threads: usize,
     /// Phase timings with `build_us` still zero (see [`stamp_build`]);
-    /// `None` on the re-initialization path of an interrupted
-    /// `create`/`bulk_load`.
+    /// `None` on the re-initialization path of an interrupted `create`.
     pub stats: Option<RecoveryStats>,
 }
 
@@ -160,51 +159,26 @@ pub(crate) fn recover<K: KeyKind>(
     })
 }
 
-/// Crashed during initialization or bulk load (Algorithm 9 lines 1–2):
-/// reclaims any partially built leaf chain, re-initializes to an empty
-/// tree, and returns its head leaf.
+/// Crashed during initialization (Algorithm 9 lines 1–2): re-initializes
+/// to an empty tree and returns its head leaf.
+///
+/// An interrupted `create` leaves at most its head leaf. The head is zeroed
+/// and its `next` word is never followed: the block may be a recycled leaf
+/// of another tree whose stale `next` still points into that tree's chain.
 fn reinitialize(ctx: &Ctx, groups: &mut GroupMgr) -> Result<u64, Error> {
     let (pool, meta, layout) = (&ctx.pool, &ctx.meta, &ctx.layout);
     GroupMgr::recover_getleaf(pool, meta, layout, ctx.cfg.leaf_group_size)?;
-    if meta.head(pool).is_null() {
+    let head = meta.head(pool);
+    let head = if head.is_null() {
         groups.rebuild(pool, layout, meta, &HashSet::new())?;
-        let head = groups.try_get_leaf(pool, layout, meta, meta.head_slot())?;
-        ctx.zero_leaf(head);
+        groups.try_get_leaf(pool, layout, meta, meta.head_slot())?
     } else {
-        let head = meta.head(pool).offset;
-        ctx.check_leaf_ptr(head, "leaf-list head")?;
-        if ctx.cfg.leaf_group_size <= 1 {
-            // Without groups each chained leaf is an individual allocation;
-            // deallocate the tail of a partial bulk load through each
-            // predecessor's next field (which is its owner pointer).
-            let mut seen = HashSet::from([head]);
-            let mut cur = head;
-            loop {
-                let next_slot = cur + layout.off_next as u64;
-                let next: RawPPtr = pool.read_at(next_slot);
-                if next.is_null() {
-                    break;
-                }
-                ctx.check_leaf_ptr(next.offset, "partially initialized leaf chain")?;
-                if !seen.insert(next.offset) {
-                    return Err(Error::corrupt("leaf-list cycle", next.offset));
-                }
-                if !pool.looks_like_block(next) {
-                    return Err(Error::corrupt(
-                        "partially initialized leaf chain",
-                        next.offset,
-                    ));
-                }
-                cur = next.offset;
-                pool.deallocate(next_slot);
-            }
-        }
-        // Group-mode partial leaves stay inside their (linked) groups and
-        // are reclaimed as free by the group rebuild.
-        ctx.zero_leaf(head);
-    }
+        ctx.check_leaf_ptr(head.offset, "leaf-list head")?;
+        head.offset
+    };
+    ctx.zero_leaf(head);
     meta.set_status(pool, STATUS_READY);
-    Ok(meta.head(pool).offset)
+    Ok(head)
 }
 
 /// Maps `f` over contiguous chunks of `items` through

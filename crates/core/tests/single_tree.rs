@@ -6,7 +6,7 @@ use std::sync::Arc;
 use fptree_core::leaf::Leaf;
 use fptree_core::{
     ConcurrentFPTree, ConcurrentTree, Error, FPTree, FPTreeVar, FixedKey, LeafLayout, SingleTree,
-    TreeConfig, VarKey, MAX_KEY_BYTES,
+    TreeConfig, VarKey,
 };
 use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
 use rand::prelude::*;
@@ -601,92 +601,6 @@ fn height_grows_logarithmically() {
 }
 
 #[test]
-fn bulk_load_matches_incremental_build() {
-    for group in [0usize, 4] {
-        let entries: Vec<(u64, u64)> = (0..5000u64).map(|i| (i * 3, i)).collect();
-        let pool = direct_pool(64);
-        let cfg = TreeConfig::fptree()
-            .with_leaf_capacity(8)
-            .with_inner_fanout(8)
-            .with_leaf_group_size(group);
-        let t = FPTree::bulk_load(pool, cfg, ROOT_SLOT, &entries);
-        assert_eq!(t.len(), 5000);
-        t.check_consistency().unwrap();
-        for (k, v) in entries.iter().step_by(97) {
-            assert_eq!(t.get(k), Some(*v), "group {group} key {k}");
-        }
-        assert_eq!(t.get(&1), None);
-        assert_eq!(t.first_key_value(), Some((0, 0)));
-        assert_eq!(t.last_key_value(), Some((4999 * 3, 4999)));
-    }
-}
-
-#[test]
-fn bulk_load_survives_restart() {
-    let entries: Vec<(u64, u64)> = (0..2000u64).map(|i| (i, i + 7)).collect();
-    let pool = tracked_pool(64);
-    let cfg = TreeConfig::fptree()
-        .with_leaf_capacity(8)
-        .with_inner_fanout(8);
-    let t = FPTree::bulk_load(Arc::clone(&pool), cfg, ROOT_SLOT, &entries);
-    drop(t);
-    let img = pool.clean_image();
-    let pool2 = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).unwrap());
-    let t2 = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
-    assert_eq!(t2.len(), 2000);
-    for (k, v) in &entries {
-        assert_eq!(t2.get(k), Some(*v));
-    }
-    t2.check_consistency().unwrap();
-    // And the tree is fully mutable after a bulk load + restart.
-    let mut t2 = t2;
-    assert!(t2.insert(&999_999, 1));
-    assert!(t2.remove(&0));
-    t2.check_consistency().unwrap();
-}
-
-#[test]
-fn interrupted_bulk_load_recovers_empty_without_leaks() {
-    for group in [0usize, 4] {
-        for fuse in [30u64, 120, 400] {
-            let pool = tracked_pool(64);
-            let entries: Vec<(u64, u64)> = (0..1500u64).map(|i| (i, i)).collect();
-            let cfg = TreeConfig::fptree()
-                .with_leaf_capacity(8)
-                .with_inner_fanout(8)
-                .with_leaf_group_size(group);
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.set_crash_fuse(Some(fuse));
-                FPTree::bulk_load(Arc::clone(&pool), cfg, ROOT_SLOT, &entries)
-            }));
-            pool.set_crash_fuse(None);
-            if r.is_ok() {
-                continue; // load finished before the fuse
-            }
-            let img = pool.crash_image(fuse);
-            let pool2 = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).unwrap());
-            let t = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
-            assert!(
-                t.is_empty(),
-                "group {group} fuse {fuse}: partial load visible"
-            );
-            t.check_consistency().unwrap();
-            // Leak audit: only the metadata block, group blocks (group
-            // mode), or the single head leaf may be live.
-            let live = pool2.live_blocks().unwrap();
-            let mu = t.memory_usage();
-            let live_bytes: u64 = live.iter().map(|&(_, s)| s).sum();
-            assert!(
-                live_bytes <= mu.scm_bytes + 4096,
-                "group {group} fuse {fuse}: leaked {} vs accounted {}",
-                live_bytes,
-                mu.scm_bytes
-            );
-        }
-    }
-}
-
-#[test]
 fn iterator_streams_in_order() {
     let pool = direct_pool(32);
     let mut t = FPTree::create(pool, small_cfg(), ROOT_SLOT);
@@ -935,40 +849,6 @@ fn try_create_is_exact_at_every_pool_size() {
     }
     // The sweep straddles the boundary: both outcomes were exercised.
     assert!(0 < built && built < total, "{built} of {total} built");
-}
-
-#[test]
-fn try_bulk_load_rejects_bad_input_before_writing() {
-    let cfg = small_cfg();
-    let fresh = direct_pool(8).stats().snapshot().persist_calls;
-    let untouched = |pool: &PmemPool| {
-        assert!(pool.live_blocks().unwrap().is_empty(), "blocks leaked");
-        assert_eq!(pool.stats().snapshot().persist_calls, fresh);
-    };
-    // Release builds used to accept these silently (the guard was a
-    // debug_assert) and build leaves whose discriminators misroute.
-    for bad in [
-        vec![(30u64, 3u64), (10, 1), (20, 2)],
-        vec![(10, 1), (20, 2), (20, 99)],
-    ] {
-        let pool = direct_pool(8);
-        let err = FPTree::try_bulk_load(Arc::clone(&pool), cfg, ROOT_SLOT, &bad).err();
-        assert!(matches!(err, Some(Error::InvalidConfig(_))), "{err:?}");
-        untouched(&pool);
-    }
-    let pool = direct_pool(8);
-    let long = vec![(vec![b'a'; 10], 1), (vec![b'k'; MAX_KEY_BYTES + 1], 2)];
-    let err = FPTreeVar::try_bulk_load(Arc::clone(&pool), cfg, ROOT_SLOT, &long).err();
-    let too_large = matches!(err, Some(Error::KeyTooLarge { len: 251, max: 250 }));
-    assert!(too_large, "{err:?}");
-    untouched(&pool);
-
-    // Sorted unique input still loads, at the key-length limit included.
-    let ok = vec![(vec![b'a'; 10], 1), (vec![b'k'; MAX_KEY_BYTES], 2)];
-    let t = FPTreeVar::try_bulk_load(pool, cfg, ROOT_SLOT, &ok).unwrap();
-    assert_eq!(t.len(), 2);
-    assert_eq!(t.get(&ok[1].0), Some(2));
-    t.check_consistency().unwrap();
 }
 
 /// Drives the guarded ops on a single tree and a concurrent tree side by

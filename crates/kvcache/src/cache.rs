@@ -11,7 +11,6 @@ use std::sync::Arc;
 use fptree_core::index::BytesIndex;
 use fptree_core::metrics::{Counter, Metrics, Snapshot};
 
-use crate::lru::LruList;
 use crate::store::{Item, ItemStore};
 
 /// Index re-reads [`KvCache::get`] makes before it reports a miss for a key
@@ -22,7 +21,7 @@ const RESOLVE_RETRIES: usize = 8;
 pub type ScanItem = (Vec<u8>, u32, Vec<u8>);
 
 /// The serving seam between the protocol/server/bench layers and a cache
-/// implementation: [`KvCache`] (one index, one LRU) and
+/// implementation: [`KvCache`] (one index) and
 /// [`crate::ShardedCache`] (keyspace-partitioned independent caches) both
 /// implement it, so every front-end gets sharding for free via
 /// `Arc<dyn Cache>`.
@@ -73,26 +72,24 @@ pub trait Cache: Send + Sync {
     }
 }
 
-/// A memcached-style cache over a pluggable index, with memcached's
-/// globally locked LRU eviction when a capacity is set.
+/// A memcached-style cache over a pluggable index. It never evicts, like
+/// the cache of the paper's memcached runs (§6.4), which never fills.
 ///
 /// ```
 /// use std::sync::Arc;
 /// use fptree_kvcache::KvCache;
 /// use fptree_baselines::HashIndex;
 ///
-/// let cache = KvCache::with_capacity(Arc::new(HashIndex::<Vec<u8>>::new(8)), 2);
+/// let cache = KvCache::new(Arc::new(HashIndex::<Vec<u8>>::new(8)));
 /// cache.set(b"a", 0, b"1".to_vec());
-/// cache.set(b"b", 0, b"2".to_vec());
-/// cache.set(b"c", 0, b"3".to_vec()); // evicts the LRU key "a"
+/// cache.set(b"a", 7, b"2".to_vec()); // replaces the item
+/// assert_eq!(cache.get(b"a"), Some((7, b"2".to_vec())));
+/// assert!(cache.delete(b"a"));
 /// assert!(cache.get(b"a").is_none());
-/// assert_eq!(cache.get(b"c").unwrap().1, b"3");
 /// ```
 pub struct KvCache {
     index: Arc<dyn BytesIndex>,
     store: ItemStore,
-    lru: LruList,
-    max_items: Option<usize>,
     metrics: Arc<Metrics>,
 }
 
@@ -102,21 +99,6 @@ impl KvCache {
         KvCache {
             index,
             store: ItemStore::new(64),
-            lru: LruList::new(),
-            max_items: None,
-            metrics: Arc::new(Metrics::new()),
-        }
-    }
-
-    /// Builds a bounded cache: beyond `max_items`, SETs evict the least
-    /// recently used key (memcached semantics).
-    pub fn with_capacity(index: Arc<dyn BytesIndex>, max_items: usize) -> KvCache {
-        assert!(max_items > 0, "capacity must be positive");
-        KvCache {
-            index,
-            store: ItemStore::new(64),
-            lru: LruList::new(),
-            max_items: Some(max_items),
             metrics: Arc::new(Metrics::new()),
         }
     }
@@ -139,15 +121,13 @@ impl KvCache {
         snap
     }
 
-    /// SET: stores `key → (flags, data)`, replacing any existing value and
-    /// evicting the LRU tail when over capacity.
+    /// SET: stores `key → (flags, data)`, replacing any existing value.
     pub fn set(&self, key: &[u8], flags: u32, data: Vec<u8>) {
         let handle = self.store.put(Item { flags, data });
         // Fast path: update in place; fall back to insert for new keys.
         if let Some(old) = self.swap_handle(key, handle) {
             self.store.remove(old);
         }
-        self.maybe_evict(key);
     }
 
     /// Batched SET: the amortized-persistence counterpart of looping
@@ -198,47 +178,6 @@ impl KvCache {
                 }
             }
         }
-        for (key, _) in &by_key {
-            self.maybe_evict(key);
-        }
-    }
-
-    /// Refreshes `key`'s recency and evicts LRU victims while over
-    /// capacity. No-op on unbounded caches.
-    fn maybe_evict(&self, key: &[u8]) {
-        if let Some(cap) = self.max_items {
-            let tracked = self.lru.touch(key);
-            if tracked > cap {
-                // Evict strictly LRU keys until back at capacity; skip the
-                // key just written (it is at the front by construction).
-                while self.lru.len() > cap {
-                    let Some(victim) = self.lru.evict() else {
-                        break;
-                    };
-                    if self.delete_evicted(&victim) {
-                        // Only count an eviction when a mapping was actually
-                        // removed — a victim already deleted (or re-written
-                        // concurrently) is not an eviction.
-                        self.metrics.inc(Counter::CacheEvictions);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Removes an eviction victim, but only if its mapping is unchanged:
-    /// between reading the handle and removing the key, a concurrent `set`
-    /// can swap in a fresh handle, and an unconditional remove would drop
-    /// that fresh mapping while freeing the stale handle — leaking the
-    /// just-written item. The compare-and-remove backs off instead.
-    fn delete_evicted(&self, key: &[u8]) -> bool {
-        if let Some(handle) = self.index.get(key) {
-            if self.index.remove_if(key, handle) {
-                self.store.remove(handle);
-                return true;
-            }
-        }
-        false
     }
 
     /// Installs `handle` for `key`, returning the handle it displaced (the
@@ -284,24 +223,23 @@ impl KvCache {
         None
     }
 
-    /// GET: returns `(flags, data)` if present; refreshes LRU recency.
+    /// GET: returns `(flags, data)` if present.
     pub fn get(&self, key: &[u8]) -> Option<(u32, Vec<u8>)> {
         let item = self.resolve(key, self.index.get(key));
         if item.is_some() {
             self.metrics.inc(Counter::CacheHits);
-            if self.max_items.is_some() {
-                self.lru.touch(key);
-            }
         } else {
             self.metrics.inc(Counter::CacheMisses);
         }
         item
     }
 
-    /// DELETE: removes the key; true if it existed. Uses the same
-    /// compare-and-remove as eviction so a racing `set` never has its fresh
-    /// item freed under it; on a lost race the delete retries against the
-    /// new handle (the delete arrived after that set, so it must win).
+    /// DELETE: removes the key; true if it existed. Between reading the
+    /// handle and removing the key a racing `set` can swap in a fresh
+    /// handle, and an unconditional remove would drop that fresh mapping
+    /// while freeing the stale handle — leaking the just-written item. The
+    /// compare-and-remove retries against the new handle instead (the
+    /// delete arrived after that set, so it must win).
     pub fn delete(&self, key: &[u8]) -> bool {
         loop {
             let Some(handle) = self.index.get(key) else {
@@ -309,9 +247,6 @@ impl KvCache {
             };
             if self.index.remove_if(key, handle) {
                 self.store.remove(handle);
-                if self.max_items.is_some() {
-                    self.lru.remove(key);
-                }
                 return true;
             }
         }
@@ -320,7 +255,7 @@ impl KvCache {
     /// Multi-key GET: one result per requested key, in request order. The
     /// index lookups go through [`BytesIndex::get_batch`], so tree-backed
     /// caches answer the whole request under one traversal lock
-    /// acquisition; hits refresh LRU recency exactly like single GETs.
+    /// acquisition; hits and misses are counted like single GETs.
     pub fn get_many(&self, keys: &[Vec<u8>]) -> Vec<Option<(u32, Vec<u8>)>> {
         let handles = self.index.get_batch(keys);
         keys.iter()
@@ -329,9 +264,6 @@ impl KvCache {
                 let item = self.resolve(key, handle);
                 if item.is_some() {
                     self.metrics.inc(Counter::CacheHits);
-                    if self.max_items.is_some() {
-                        self.lru.touch(key);
-                    }
                 } else {
                     self.metrics.inc(Counter::CacheMisses);
                 }
@@ -342,9 +274,7 @@ impl KvCache {
 
     /// SCAN: up to `count` items with keys `>= start`, in key order, as
     /// `(key, flags, data)`. `None` when the index has no ordered scan
-    /// (hash). Scans do not refresh LRU recency: a range read is not a
-    /// per-key access signal (and would let one scan wipe the recency
-    /// ordering).
+    /// (hash).
     pub fn scan(&self, start: &[u8], count: usize) -> Option<Vec<ScanItem>> {
         let entries = self.index.scan_from(start, count)?;
         Some(
@@ -533,19 +463,6 @@ mod tests {
         assert_eq!(c.store.len(), 51);
     }
 
-    #[test]
-    fn set_batch_respects_capacity() {
-        let c = KvCache::with_capacity(Arc::new(HashIndex::<Vec<u8>>::new(4)), 3);
-        let items: Vec<(Vec<u8>, u32, Vec<u8>)> = (0..10u32)
-            .map(|i| (format!("k{i}").into_bytes(), 0, vec![i as u8]))
-            .collect();
-        c.set_batch(items);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.store.len(), 3);
-        assert!(c.get(b"k9").is_some());
-        assert!(c.get(b"k0").is_none());
-    }
-
     /// The stale-handle race, closed by generation-tagged item-store
     /// handles: a `get` that loses the race with a `set` of its key
     /// holds a handle whose item was just freed — and whose slot the next
@@ -635,98 +552,31 @@ mod tests {
         }
         assert_eq!(c.len(), 16_000);
     }
-}
 
-#[cfg(test)]
-mod lru_tests {
-    use super::*;
-    use fptree_baselines::HashIndex;
-
-    fn bounded(cap: usize) -> KvCache {
-        KvCache::with_capacity(Arc::new(HashIndex::<Vec<u8>>::new(4)), cap)
-    }
-
+    /// `delete`'s compare-and-remove against racing `set`s: writers set and
+    /// deleters delete the same 24 keys, so a delete constantly reads a
+    /// handle that a set is about to swap out — the window where an
+    /// unconditional remove would drop the fresh mapping and leak its item.
     #[test]
-    fn eviction_keeps_capacity() {
-        let c = bounded(3);
-        for i in 0..10u32 {
-            c.set(format!("k{i}").as_bytes(), 0, vec![i as u8]);
-        }
-        assert_eq!(c.len(), 3);
-        // The three most recent survive.
-        assert!(c.get(b"k9").is_some());
-        assert!(c.get(b"k8").is_some());
-        assert!(c.get(b"k7").is_some());
-        assert!(c.get(b"k0").is_none());
-        // The store freed evicted items too.
-        assert_eq!(c.store.len(), 3);
-    }
-
-    #[test]
-    fn get_refreshes_recency() {
-        let c = bounded(2);
-        c.set(b"a", 0, b"1".to_vec());
-        c.set(b"b", 0, b"2".to_vec());
-        assert!(c.get(b"a").is_some()); // a is now most recent
-        c.set(b"c", 0, b"3".to_vec()); // evicts b
-        assert!(c.get(b"a").is_some());
-        assert!(c.get(b"b").is_none());
-        assert!(c.get(b"c").is_some());
-    }
-
-    #[test]
-    fn overwrite_does_not_evict() {
-        let c = bounded(2);
-        c.set(b"a", 0, b"1".to_vec());
-        c.set(b"b", 0, b"2".to_vec());
-        c.set(b"a", 0, b"1b".to_vec()); // overwrite, still 2 keys
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.get(b"a").unwrap().1, b"1b".to_vec());
-        assert!(c.get(b"b").is_some());
-    }
-
-    #[test]
-    fn delete_untracks() {
-        let c = bounded(2);
-        c.set(b"a", 0, b"1".to_vec());
-        c.set(b"b", 0, b"2".to_vec());
-        assert!(c.delete(b"a"));
-        c.set(b"c", 0, b"3".to_vec()); // fits without eviction
-        assert_eq!(c.len(), 2);
-        assert!(c.get(b"b").is_some());
-        assert!(c.get(b"c").is_some());
-    }
-
-    #[test]
-    fn evictions_counted_only_on_actual_removal() {
-        let c = bounded(2);
-        for i in 0..5u32 {
-            c.set(format!("k{i}").as_bytes(), 0, vec![i as u8]);
-        }
-        if fptree_core::Metrics::enabled() {
-            // 5 sets into capacity 2: exactly 3 victims actually removed.
-            assert_eq!(c.stats_snapshot().get("cache_evictions"), Some(3));
-        }
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn concurrent_set_vs_evict_does_not_leak_items() {
+    fn concurrent_set_vs_delete_does_not_leak_items() {
         use fptree_core::{Locked, TreeConfig};
         use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
         let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
         let tree = fptree_core::FPTreeVar::create(pool, TreeConfig::fptree_var(), ROOT_SLOT);
-        let c = Arc::new(KvCache::with_capacity(Arc::new(Locked::new(tree)), 16));
-        // Writers hammer a small, shared key set so evictions of a key
-        // constantly race re-sets of that same key — the window where a
-        // stale-handle remove would free the fresh item.
+        let c = Arc::new(KvCache::new(Arc::new(Locked::new(tree))));
+        let start = Arc::new(std::sync::Barrier::new(4));
         let handles: Vec<_> = (0..4)
             .map(|t: u32| {
-                let c = Arc::clone(&c);
+                let (c, start) = (Arc::clone(&c), Arc::clone(&start));
                 std::thread::spawn(move || {
+                    start.wait();
                     for i in 0..3000u32 {
                         let key = format!("k{}", (t * 7 + i) % 24);
-                        c.set(key.as_bytes(), t, vec![(i % 251) as u8; 8]);
+                        if t.is_multiple_of(2) {
+                            c.set(key.as_bytes(), t, vec![(i % 251) as u8; 8]);
+                        } else {
+                            c.delete(key.as_bytes());
+                        }
                     }
                 })
             })
@@ -738,27 +588,11 @@ mod lru_tests {
         // pointed at a freed handle) ...
         for i in 0..24u32 {
             let key = format!("k{i}");
-            if c.get(key.as_bytes()).is_some() {
-                assert!(!c.get(key.as_bytes()).unwrap().1.is_empty());
+            if c.index.get(key.as_bytes()).is_some() {
+                assert_eq!(c.get(key.as_bytes()).unwrap().1.len(), 8);
             }
         }
         // ... and no item leaked: the store holds exactly the indexed keys.
         assert_eq!(c.store.len(), c.len(), "leaked or dangling store items");
-        assert!(c.len() <= 16);
-    }
-
-    #[test]
-    fn eviction_works_over_persistent_tree() {
-        use fptree_core::{Locked, TreeConfig};
-        use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
-        let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-        let tree = fptree_core::FPTreeVar::create(pool, TreeConfig::fptree_var(), ROOT_SLOT);
-        let c = KvCache::with_capacity(Arc::new(Locked::new(tree)), 50);
-        for i in 0..300u32 {
-            c.set(format!("key:{i:04}").as_bytes(), 0, vec![0u8; 8]);
-        }
-        assert_eq!(c.len(), 50);
-        assert!(c.get(b"key:0299").is_some());
-        assert!(c.get(b"key:0000").is_none());
     }
 }

@@ -7,10 +7,11 @@
 //! [`cache::KvCache`] core over any [`fptree_core::index::BytesIndex`], a
 //! memcached text-[`protocol`] implementation, the per-connection
 //! [`session`] state machine, and the TCP [`server`] front-end that moves
-//! bytes for it (see DESIGN.md §2 for the substitution argument).
+//! bytes for it (see DESIGN.md §2 for the substitution argument). Like
+//! the paper's runs, whose cache never fills, the cache is unbounded: it
+//! never evicts.
 
 pub mod cache;
-pub mod lru;
 pub mod protocol;
 pub mod server;
 pub mod session;
@@ -18,7 +19,6 @@ pub mod shard;
 pub mod store;
 
 pub use cache::{Cache, KvCache};
-pub use lru::LruList;
 pub use server::{Client, ServerBuilder, ServerHandle};
 pub use shard::ShardedCache;
 pub use store::{Item, ItemStore};

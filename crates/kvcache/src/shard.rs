@@ -1,14 +1,13 @@
 //! Keyspace-sharded cache: N independent [`KvCache`]s behind one
 //! [`Cache`] facade.
 //!
-//! A single [`KvCache`] funnels every SET through one globally locked LRU
-//! list and one index, so the serving layer inherits the index's
-//! contention wall *plus* the LRU lock. [`ShardedCache`] partitions the
-//! keyspace with the same byte-string hash the sharded tree uses
-//! ([`fptree_core::shard::bytes_shard`]), giving every shard its own
-//! index, item store, LRU list, and metrics registry — a cache shard and a
-//! tree shard always agree on key placement, so a shard's cache entries
-//! live in that shard's pool file.
+//! A single [`KvCache`] funnels every SET through one index, so the
+//! serving layer inherits that index's contention wall. [`ShardedCache`]
+//! partitions the keyspace with the same byte-string hash the sharded tree
+//! uses ([`fptree_core::shard::bytes_shard`]), giving every shard its own
+//! index, item store and metrics registry — a cache shard and a tree shard
+//! always agree on key placement, so a shard's cache entries live in that
+//! shard's pool file.
 //!
 //! Cross-shard semantics:
 //!
@@ -19,8 +18,6 @@
 //!   thread;
 //! * `scan` merges the per-shard ordered scans into one sorted,
 //!   duplicate-free result (shards hold disjoint keys);
-//! * capacity is divided across shards, so eviction pressure is local — a
-//!   hot shard evicts its own tail without touching cold shards;
 //! * `stats` aggregates shard snapshots via `Snapshot::merge`; the
 //!   per-shard breakdown stays behind the `stats shards` wire command.
 
@@ -50,26 +47,6 @@ impl ShardedCache {
         );
         ShardedCache {
             shards: indexes.into_iter().map(KvCache::new).collect(),
-            metrics: Arc::new(Metrics::new()),
-        }
-    }
-
-    /// Builds a bounded sharded cache: `max_items` is a *total* budget,
-    /// divided evenly across shards (rounded up, so the real ceiling is at
-    /// most `shards - 1` above the budget). Eviction is per shard — a hot
-    /// shard evicts its own LRU tail while cold shards keep theirs.
-    pub fn with_capacity(indexes: Vec<Arc<dyn BytesIndex>>, max_items: usize) -> ShardedCache {
-        assert!(
-            !indexes.is_empty(),
-            "sharded cache needs at least one index"
-        );
-        assert!(max_items > 0, "capacity must be positive");
-        let per_shard = max_items.div_ceil(indexes.len());
-        ShardedCache {
-            shards: indexes
-                .into_iter()
-                .map(|idx| KvCache::with_capacity(idx, per_shard))
-                .collect(),
             metrics: Arc::new(Metrics::new()),
         }
     }
@@ -312,20 +289,6 @@ mod tests {
                 Some((1, b"A".to_vec())),
             ]
         );
-    }
-
-    #[test]
-    fn capacity_is_divided_and_evicts_locally() {
-        let c = ShardedCache::with_capacity(hash_indexes(4), 40);
-        for i in 0..400u32 {
-            c.set(format!("k{i}").as_bytes(), 0, vec![i as u8]);
-        }
-        // Per-shard ceiling is ceil(40/4)=10, so the total sits in
-        // [capacity, capacity + shards - 1] even under skew.
-        assert!(c.len() <= 40 + 3, "len {} exceeds ceiling", c.len());
-        for shard in c.shards() {
-            assert!(shard.len() <= 10);
-        }
     }
 
     #[test]

@@ -773,13 +773,30 @@ impl PmemPool {
     /// the capacity the header records, so a pool holding one key is a file
     /// of a few pages.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let mut image = self.clean_image();
+        // Past the buffer's last non-zero byte and the overlay's last dirty
+        // line the durable image is zero, so only the prefix up to there is
+        // copied (not the whole capacity).
+        // SAFETY: `base` points at `len` initialised bytes that live as long
+        // as `self`. A save is a clean shutdown: no write, atomic or not,
+        // overlaps it — the condition `clean_image`'s copy relies on too.
+        let buf = unsafe { std::slice::from_raw_parts(self.base() as *const u8, self.len) };
+        let dirty_end = self
+            .overlay
+            .lock()
+            .lines
+            .keys()
+            .map(|&line| line as usize + CACHE_LINE)
+            .max()
+            .unwrap_or(0);
+        let data_end = nonzero_len(buf).max(dirty_end).max(USER_BASE as usize);
+        let mut image = self.clean_prefix(data_end.min(self.len));
         let heap_end = AllocHeader::durable_end(|off| header_word(&image, off));
         let end = usize::try_from(heap_end)
             .unwrap_or(usize::MAX)
             .max(nonzero_len(&image))
-            .max(USER_BASE as usize);
-        image.truncate(end);
+            .max(USER_BASE as usize)
+            .min(self.len);
+        image.resize(end, 0);
         std::fs::write(path, image)
     }
 
@@ -836,18 +853,24 @@ impl PmemPool {
 
     /// Durable image with *all* pending data flushed (a clean shutdown).
     pub fn clean_image(&self) -> Vec<u8> {
-        let mut image = vec![0u8; self.len];
-        // SAFETY: both buffers are exactly `len` bytes and cannot overlap
-        // (`image` is freshly allocated).
+        self.clean_prefix(self.len)
+    }
+
+    /// The first `end` (at most `len`) bytes of [`clean_image`](Self::clean_image).
+    fn clean_prefix(&self, end: usize) -> Vec<u8> {
+        let mut image = vec![0u8; end];
+        // SAFETY: `end <= len` bytes are copied out of the buffer into a
+        // freshly allocated one of `end` bytes; the two cannot overlap.
         unsafe {
-            std::ptr::copy_nonoverlapping(self.base() as *const u8, image.as_mut_ptr(), self.len);
+            std::ptr::copy_nonoverlapping(self.base() as *const u8, image.as_mut_ptr(), end);
         }
         if self.mode == PoolMode::Tracked {
             let ov = self.overlay.lock();
             for (&line_off, line) in ov.lines.iter() {
                 for i in 0..CACHE_LINE {
-                    if line.dirty & (1 << i) != 0 {
-                        image[line_off as usize + i] = line.data[i];
+                    let at = line_off as usize + i;
+                    if line.dirty & (1 << i) != 0 && at < end {
+                        image[at] = line.data[i];
                     }
                 }
             }
@@ -1060,6 +1083,35 @@ mod tests {
         // A byte past the heap is data too.
         pool.write_at(off + 1000, &1u8);
         assert_eq!(saved(&pool), off + 1001);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `save` copies only a prefix of the capacity, yet writes exactly the
+    /// clean image up to where its data ends: through a dirty line past the
+    /// heap end, and short of a flushed byte that an unflushed write zeroed
+    /// again.
+    #[test]
+    fn save_writes_the_clean_image_up_to_its_last_data_byte() {
+        let path = std::env::temp_dir().join(format!("fpt-prefix-{}.img", std::process::id()));
+        for pool in [direct_pool(), tracked_pool()] {
+            let off = pool.allocate(ROOT_SLOT, 64).unwrap();
+            pool.write_at(off, &u64::MAX);
+            pool.persist(off, 8);
+            let (dirty, zeroed) = (off + 2000, off + 5000);
+            pool.write_at(zeroed, &0x77u8);
+            pool.persist(zeroed, 1);
+            pool.write_at(zeroed, &0u8);
+            pool.write_at(dirty, &0xA5u8);
+            if pool.mode == PoolMode::Tracked {
+                assert_eq!(pool.dirty_lines(), 2);
+            }
+            pool.save(&path).unwrap();
+            let file = std::fs::read(&path).unwrap();
+            assert_eq!(file.len() as u64, dirty + 1);
+            let image = pool.clean_image();
+            assert_eq!(file[..], image[..file.len()]);
+            assert!(image[file.len()..].iter().all(|&b| b == 0));
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use fptree_suite::core::keys::{FixedKey, KeyKind, VarKey};
 use fptree_suite::core::leaf::Leaf;
-use fptree_suite::core::{LeafLayout, SingleTree, TreeConfig};
+use fptree_suite::core::{ConcurrentTree, Error, LeafLayout, SingleTree, TreeConfig};
 use fptree_suite::pmem::{crash_is_injected, PmemPool, PoolOptions, RawPPtr, ROOT_SLOT};
 use proptest::prelude::*;
 
@@ -630,6 +630,94 @@ fn no_fold_remove_commit_point_is_atomic() {
     for groups in [0, 4] {
         no_fold_remove_sweep::<FixedKey>(|k| k as u64, groups);
         no_fold_remove_sweep::<VarKey>(|k| format!("key:{k:05}").into_bytes(), groups);
+    }
+}
+
+/// Two trees share a pool through a directory block at `ROOT_SLOT`. Tree A
+/// holds keys 200..400 after 0..200 were removed, so its emptied leaves went
+/// back to the allocator, and tree B's `create` recycles one of them as its
+/// head leaf — a block whose `next` word still points into A's chain. A
+/// crash at each persistence event of that `create`, recovered from four
+/// images each, must leave A whole (every key, every leaf live, consistent)
+/// and B either empty and consistent or refused as corrupt.
+fn interrupted_create_sweep<K: KeyKind>(mk: impl Fn(u16) -> K::Owned, cfg: TreeConfig) {
+    for fuse in 0.. {
+        assert!(fuse < 200, "the create never finished");
+        let pool = Arc::new(PmemPool::create(PoolOptions::tracked(4 << 20)).expect("pool"));
+        let dir = pool.allocate(ROOT_SLOT, 64).expect("owner directory");
+        pool.write_bytes(dir, &[0; 64]);
+        pool.persist(dir, 64);
+        let (slot_a, slot_b) = (dir, dir + 16);
+        let a = ConcurrentTree::<K>::create(Arc::clone(&pool), cfg, slot_a);
+        for k in 0..400 {
+            assert!(a.insert(&mk(k), k as u64));
+        }
+        for k in 0..200 {
+            assert!(a.remove(&mk(k)));
+        }
+        let kept: Vec<(K::Owned, u64)> = a.scan(..).collect();
+        pool.set_crash_fuse(Some(fuse));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ConcurrentTree::<K>::create(Arc::clone(&pool), cfg, slot_b)
+        }));
+        pool.set_crash_fuse(None);
+        let finished = match r {
+            Ok(_) => true,
+            Err(e) => {
+                assert!(crash_is_injected(e.as_ref()), "non-injected panic escaped");
+                false
+            }
+        };
+        for seed in 0..4 {
+            let opts = PoolOptions::tracked(0);
+            let image = Arc::new(PmemPool::reopen(pool.crash_image(seed), opts).expect("reopen"));
+            match ConcurrentTree::<K>::open(Arc::clone(&image), slot_b) {
+                Ok(b) => {
+                    assert!(b.is_empty(), "fuse {fuse}, seed {seed}: B holds keys");
+                    b.check_consistency().expect("B consistent");
+                }
+                Err(e) => assert!(
+                    !finished && matches!(e, Error::Corrupt { .. }),
+                    "fuse {fuse}, seed {seed}: B refused with {e}"
+                ),
+            }
+            let a = ConcurrentTree::<K>::open(Arc::clone(&image), slot_a).expect("A opens");
+            a.check_consistency().expect("A consistent");
+            let got: Vec<(K::Owned, u64)> = a.scan(..).collect();
+            assert!(
+                got == kept,
+                "fuse {fuse}, seed {seed}: A kept {} of its {} keys",
+                got.len(),
+                kept.len()
+            );
+            let live = image.live_blocks().expect("heap walk");
+            for leaf in a.leaf_offsets() {
+                assert!(
+                    live.iter()
+                        .any(|&(off, size)| off <= leaf && leaf < off + size),
+                    "fuse {fuse}, seed {seed}: A's leaf {leaf:#x} was freed"
+                );
+            }
+        }
+        if finished {
+            return;
+        }
+    }
+}
+
+#[test]
+fn an_interrupted_create_leaves_its_neighbour_intact() {
+    for groups in [0, 4] {
+        let small = |cfg: TreeConfig| {
+            cfg.with_leaf_capacity(8)
+                .with_inner_fanout(8)
+                .with_leaf_group_size(groups)
+        };
+        interrupted_create_sweep::<FixedKey>(|k| k as u64, small(TreeConfig::fptree_concurrent()));
+        interrupted_create_sweep::<VarKey>(
+            |k| format!("key:{k:05}").into_bytes(),
+            small(TreeConfig::fptree_concurrent_var()),
+        );
     }
 }
 

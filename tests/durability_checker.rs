@@ -87,28 +87,6 @@ fn var_key_grouped_tree_workload_is_clean() {
 }
 
 #[test]
-fn bulk_load_and_reopen_are_clean() {
-    let pool = checked_pool(32 << 20);
-    let cfg = TreeConfig::fptree()
-        .with_leaf_capacity(8)
-        .with_inner_fanout(4);
-    let entries: Vec<(u64, u64)> = (0..500u64).map(|k| (k, k * 7)).collect();
-    {
-        let _tree = FPTree::bulk_load(Arc::clone(&pool), cfg, ROOT_SLOT, &entries);
-    }
-    pool.assert_durability_clean();
-
-    // A clean image reopened under the checker: recovery (allocator log
-    // replay + tree open + rebuild) must itself be clean.
-    let image = pool.clean_image();
-    let pool2 =
-        Arc::new(PmemPool::reopen(image, PoolOptions::tracked(0).with_checker()).expect("reopen"));
-    let tree = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
-    assert_eq!(tree.len(), 500);
-    pool2.assert_durability_clean();
-}
-
-#[test]
 fn concurrent_tree_workload_is_clean() {
     let pool = checked_pool(32 << 20);
     let cfg = TreeConfig::fptree_concurrent()
