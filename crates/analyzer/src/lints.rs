@@ -94,19 +94,18 @@ const PUBLISH_RAW: [&str; 3] = [
 /// Typed store wrappers that stage data without flushing.
 const STORE_WRAP: [&str; 3] = ["set_value", "set_fingerprint", "write_slot"];
 /// Flush primitives/wrappers (fence + CLFLUSH + fence semantics).
-const PERSIST: [&str; 7] = [
+const PERSIST: [&str; 4] = [
     "persist",
-    "persist_slot",
-    "persist_slot_span",
     "persist_slots",
-    "persist_fingerprint",
     "persist_fingerprints",
     "persist_merged",
 ];
 /// Wrappers that publish *and* persist internally (safe combos).
 /// `wbuf_append` commits a buffer entry with one publish + persist;
-/// `wbuf_fold` ends with the p-atomic generation bump + persist (§5.12).
-const COMBO: [&str; 8] = [
+/// `wbuf_fold` ends with the p-atomic generation bump + persist (§5.12);
+/// `commit_slots` is the leaf's one slot commit ([`SLOT_COMMIT`]).
+const COMBO: [&str; 9] = [
+    "commit_slots",
     "commit_bitmap",
     "set_next",
     "set_status",
@@ -116,6 +115,9 @@ const COMBO: [&str; 8] = [
     "wbuf_append",
     "wbuf_fold",
 ];
+/// The combo that persists the staged slot stores before its own
+/// publish: stores ahead of it are its operands, not unflushed ones.
+const SLOT_COMMIT: &str = "commit_slots";
 /// Leaf-lock acquire entry points.
 const ACQUIRE: [&str; 2] = ["try_lock_version", "lock_leaf_for_write"];
 /// Leaf-lock release entry points (`reset_lock` is the recovery clobber).
@@ -312,6 +314,9 @@ pub fn lint_flush_order(file: &ParsedFile, scope: FileScope, out: &mut Vec<Findi
                             f.name
                         ),
                     ));
+                }
+                if c.name == SLOT_COMMIT {
+                    pending_store = None;
                 }
                 if let Some(line) = pending_store.take() {
                     out.push(Finding::err(

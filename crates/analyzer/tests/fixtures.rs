@@ -111,6 +111,16 @@ fn wbuf_commit_clean() {
 }
 
 #[test]
+fn slot_commit_seeded_violation() {
+    expect("slot_commit_bad1.rs", &[("flush-order", 7)]);
+}
+
+#[test]
+fn slot_commit_clean() {
+    expect("slot_commit_good.rs", &[]);
+}
+
+#[test]
 fn lock_discipline_seeded_violations() {
     expect("lock_bad1.rs", &[("lock-discipline", 4)]);
     expect("lock_bad2.rs", &[("lock-discipline", 4)]);

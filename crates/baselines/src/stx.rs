@@ -309,58 +309,6 @@ impl<K: Ord + Clone> StxTree<K> {
         }
     }
 
-    /// Bulk-builds from sorted unique `(key, value)` pairs — the "full
-    /// rebuild after restart" baseline of the recovery experiments.
-    pub fn bulk_load(entries: Vec<(K, u64)>, leaf_cap: usize, inner_cap: usize) -> Self {
-        let len = entries.len();
-        if entries.is_empty() {
-            return Self::with_capacities(leaf_cap, inner_cap);
-        }
-        // Fill leaves to ~70% like a warmed-up tree.
-        let per_leaf = (leaf_cap * 7 / 10).max(1);
-        let mut level: Vec<(K, Node<K>)> = entries
-            .chunks(per_leaf)
-            .map(|chunk| {
-                let keys: Vec<K> = chunk.iter().map(|(k, _)| k.clone()).collect();
-                let vals: Vec<u64> = chunk.iter().map(|(_, v)| *v).collect();
-                (
-                    keys.last().expect("chunk nonempty").clone(),
-                    Node::Leaf { keys, vals },
-                )
-            })
-            .collect();
-        while level.len() > 1 {
-            level = level
-                .chunks_mut(inner_cap)
-                .map(|chunk| {
-                    let mut keys: Vec<K> = chunk.iter().map(|(k, _)| k.clone()).collect();
-                    keys.pop();
-                    let max = chunk.last().expect("chunk nonempty").0.clone();
-                    let children: Vec<Node<K>> = chunk
-                        .iter_mut()
-                        .map(|(_, n)| {
-                            std::mem::replace(
-                                n,
-                                Node::Leaf {
-                                    keys: vec![],
-                                    vals: vec![],
-                                },
-                            )
-                        })
-                        .collect();
-                    (max, Node::Inner { keys, children })
-                })
-                .collect();
-        }
-        let root = level.pop().expect("one root").1;
-        StxTree {
-            root,
-            leaf_cap,
-            inner_cap,
-            len,
-        }
-    }
-
     /// Approximate DRAM footprint in bytes.
     pub fn memory_bytes(&self, key_bytes: usize) -> usize {
         fn rec<K>(node: &Node<K>, key_bytes: usize) -> usize {
@@ -446,18 +394,6 @@ mod tests {
         assert_eq!(t.get(&b"k00500".to_vec()), Some(500));
         assert!(t.remove(&b"k00500".to_vec()));
         assert_eq!(t.get(&b"k00500".to_vec()), None);
-    }
-
-    #[test]
-    fn bulk_load_matches_inserts() {
-        let entries: Vec<(u64, u64)> = (0..10_000).map(|i| (i, i * 3)).collect();
-        let t = StxTree::bulk_load(entries, 16, 16);
-        assert_eq!(t.len(), 10_000);
-        for i in (0..10_000).step_by(97) {
-            assert_eq!(t.get(&i), Some(i * 3));
-        }
-        let r = t.range(&100, &110);
-        assert_eq!(r.len(), 11);
     }
 
     #[test]

@@ -891,34 +891,6 @@ impl<K: KeyKind> WBTree<K> {
         n
     }
 
-    /// Debug rendering of the node structure (routers and leaf keys).
-    pub fn dump(&self) -> String
-    where
-        K::Owned: std::fmt::Debug,
-    {
-        fn rec<K: KeyKind>(t: &WBTree<K>, off: u64, depth: usize, out: &mut String)
-        where
-            K::Owned: std::fmt::Debug,
-        {
-            let node = t.node(off);
-            let entries = node.sorted_entries::<K>();
-            let pad = "  ".repeat(depth);
-            if node.is_leaf() {
-                let keys: Vec<_> = entries.iter().map(|(_, k)| k).collect();
-                out.push_str(&format!("{pad}leaf@{off:#x} {keys:?}\n"));
-            } else {
-                let routers: Vec<_> = entries.iter().map(|(_, k)| k).collect();
-                out.push_str(&format!("{pad}inner@{off:#x} routers {routers:?}\n"));
-                for (slot, _) in &entries {
-                    rec(t, node.value(*slot), depth + 1, out);
-                }
-            }
-        }
-        let mut out = String::new();
-        rec(self, self.root_off(), 0, &mut out);
-        out
-    }
-
     /// Structural consistency check (tests).
     pub fn check_consistency(&self) -> Result<(), String> {
         let mut prev: Option<K::Owned> = None;

@@ -64,10 +64,6 @@ pub trait KeyKind: 'static {
     /// update old slot, split dead slots). Persists. No-op for fixed keys.
     fn reset_slot(pool: &PmemPool, slot_off: u64);
 
-    /// Leak audit: true if an invalid slot still references a key blob.
-    /// Always false for fixed keys.
-    fn slot_nonnull(pool: &PmemPool, slot_off: u64) -> bool;
-
     /// Raw persistent reference held by the slot, for cross-slot identity
     /// checks during the audit (Algorithm 17's `KeyExists`). Fixed keys
     /// return null.
@@ -168,11 +164,6 @@ impl KeyKind for FixedKey {
     fn reset_slot(_pool: &PmemPool, _slot_off: u64) {}
 
     #[inline]
-    fn slot_nonnull(_pool: &PmemPool, _slot_off: u64) -> bool {
-        false
-    }
-
-    #[inline]
     fn slot_ref(_pool: &PmemPool, _slot_off: u64) -> RawPPtr {
         RawPPtr::NULL
     }
@@ -187,6 +178,10 @@ impl VarKey {
     /// optimistic read racing a writer (the caller's validation rejects the
     /// whole operation afterwards).
     const MAX_KEY_LEN: usize = 1 << 16;
+
+    /// Bytes [`KeyKind::slot_matches`] compares per read: keys up to this
+    /// long compare in one read, longer ones chunk by chunk.
+    const MATCH_CHUNK: usize = 64;
 
     /// Blob length if the pointer and length are plausible.
     ///
@@ -269,9 +264,15 @@ impl KeyKind for VarKey {
         if len != key.len() {
             return false;
         }
-        let mut buf = vec![0u8; len];
-        pool.read_bytes(p.offset + 8, &mut buf);
-        buf == *key
+        // Compared in place through a stack chunk: no allocation per probe.
+        let mut chunk = [0u8; Self::MATCH_CHUNK];
+        let mut at = p.offset + 8;
+        key.chunks(Self::MATCH_CHUNK).all(|want| {
+            let got = &mut chunk[..want.len()];
+            pool.read_bytes(at, got);
+            at += want.len() as u64;
+            got == want
+        })
     }
 
     #[inline]
@@ -289,11 +290,6 @@ impl KeyKind for VarKey {
     fn reset_slot(pool: &PmemPool, slot_off: u64) {
         pool.write_publish_at(slot_off, &RawPPtr::NULL);
         pool.persist(slot_off, 16);
-    }
-
-    fn slot_nonnull(pool: &PmemPool, slot_off: u64) -> bool {
-        let p: RawPPtr = pool.read_at(slot_off);
-        !p.is_null()
     }
 
     fn slot_ref(pool: &PmemPool, slot_off: u64) -> RawPPtr {
@@ -318,7 +314,7 @@ mod tests {
         assert_eq!(FixedKey::read_slot(&p, slot), 12345);
         assert!(FixedKey::slot_matches(&p, slot, &12345));
         assert!(!FixedKey::slot_matches(&p, slot, &12346));
-        assert!(!FixedKey::slot_nonnull(&p, slot));
+        assert!(FixedKey::slot_ref(&p, slot).is_null());
     }
 
     #[test]
@@ -331,7 +327,7 @@ mod tests {
         let slot = block;
         let key = b"hello world, this is a longish key".to_vec();
         VarKey::write_slot(&p, slot, &key);
-        assert!(VarKey::slot_nonnull(&p, slot));
+        assert!(!VarKey::slot_ref(&p, slot).is_null());
         assert_eq!(VarKey::read_slot(&p, slot), key);
         assert!(VarKey::slot_matches(&p, slot, &key));
         assert!(!VarKey::slot_matches(&p, slot, &b"hello".to_vec()));
@@ -347,7 +343,7 @@ mod tests {
         let slot = p.allocate(holder, 64).unwrap();
         VarKey::write_slot(&p, slot, &b"k".to_vec());
         VarKey::release_slot(&p, slot);
-        assert!(!VarKey::slot_nonnull(&p, slot));
+        assert!(VarKey::slot_ref(&p, slot).is_null());
         assert_eq!(p.live_blocks().unwrap().len(), 1); // only the holder
     }
 
@@ -363,7 +359,7 @@ mod tests {
         p.write_at(slot2, &r);
         p.persist(slot2, 16);
         VarKey::reset_slot(&p, slot);
-        assert!(!VarKey::slot_nonnull(&p, slot));
+        assert!(VarKey::slot_ref(&p, slot).is_null());
         assert_eq!(VarKey::read_slot(&p, slot2), b"moved".to_vec());
         assert_eq!(p.live_blocks().unwrap().len(), 2); // holder + blob
     }
@@ -433,5 +429,43 @@ mod tests {
         VarKey::write_slot(&p, slot, &Vec::new());
         assert_eq!(VarKey::read_slot(&p, slot), Vec::<u8>::new());
         assert!(VarKey::slot_matches(&p, slot, &Vec::new()));
+    }
+
+    /// The in-place compare against a tracked pool: it sees bytes not yet
+    /// flushed (a CPU reads its own cache), compares keys longer than one
+    /// chunk to their last byte, rejects a length mismatch before reading
+    /// the bytes, and matches the empty key; and it charges no line.
+    #[test]
+    fn var_key_compares_in_place_on_a_tracked_pool() {
+        let p = PmemPool::create(PoolOptions::tracked(1 << 20)).unwrap();
+        let slot = p.allocate(USER_BASE + 16, 64).unwrap();
+        let long: Vec<u8> = (0..VarKey::MATCH_CHUNK * 3 + 5).map(|i| i as u8).collect();
+        for key in [b"short".to_vec(), long, Vec::new()] {
+            VarKey::write_slot(&p, slot, &key);
+            let reads = p.stats().snapshot().read_lines;
+            assert!(VarKey::slot_matches(&p, slot, &key), "len {}", key.len());
+            let mut longer = key.clone();
+            longer.push(0);
+            assert!(!VarKey::slot_matches(&p, slot, &longer), "length mismatch");
+            if let Some(last) = key.len().checked_sub(1) {
+                let mut other = key.clone();
+                other[last] ^= 1;
+                assert!(!VarKey::slot_matches(&p, slot, &other), "last byte");
+                assert!(!VarKey::slot_matches(&p, slot, &key[..last].to_vec()));
+            }
+            assert_eq!(
+                p.stats().snapshot().read_lines,
+                reads,
+                "compares charge nothing"
+            );
+            VarKey::release_slot(&p, slot);
+        }
+        // An unflushed rewrite of the blob's bytes is what the compare sees.
+        VarKey::write_slot(&p, slot, &b"cached".to_vec());
+        let blob = VarKey::slot_ref(&p, slot).offset;
+        p.write_bytes(blob + 8, b"CACHED");
+        assert!(VarKey::slot_matches(&p, slot, &b"CACHED".to_vec()));
+        assert!(!VarKey::slot_matches(&p, slot, &b"cached".to_vec()));
+        assert_eq!(p.dirty_lines(), 1, "the rewrite is still unflushed");
     }
 }

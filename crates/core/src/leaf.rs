@@ -64,20 +64,36 @@ pub(crate) struct Head {
     fps: [u8; MAX_LEAF_CAPACITY],
 }
 
-/// What [`Leaf::wbuf_census`] learns about the live buffer.
-#[derive(Debug)]
+/// The one classification pass over a leaf's live buffer
+/// ([`Leaf::wbuf_census`]): the fold stages from it, and recovery reads
+/// its verdict from it. Entry masks are indexed by buffer entry.
 pub(crate) struct WbufCensus<K: KeyKind> {
-    /// Distinct buffered keys without a valid slot — how many slots a
-    /// fold of the current buffer would consume.
+    /// The newest entry of each distinct key.
+    winners: u64,
+    /// Older entries of a key a newer entry holds: a fold only releases
+    /// their resources.
+    shadowed: u64,
+    /// Winners not yet sitting byte for byte in a valid slot: what a fold
+    /// stages. A winner outside it was staged by a fold that committed its
+    /// bitmap and crashed before its generation bump.
+    stage: u64,
+    /// `slot[e]`: the valid slot holding winner `e`'s key, if any — the
+    /// slot a fold of `e` retires.
+    slot: [Option<u8>; MAX_LEAF_CAPACITY],
+    /// Winners without a valid slot — how many slots a fold consumes.
     pub fresh: usize,
-    /// Every distinct key's newest entry already sits, byte for byte, in a
-    /// valid slot: a fold committed its bitmap and crashed before its
-    /// generation bump. (A buffer of nothing but updates that rewrote
-    /// their slots' own values looks the same; finishing its fold is
-    /// harmless.)
-    pub crashed_fold: bool,
     /// The largest buffered key.
     pub max: Option<K::Owned>,
+}
+
+impl<K: KeyKind> WbufCensus<K> {
+    /// A live buffer whose fold would stage nothing: a fold committed its
+    /// bitmap and crashed before its generation bump. (A buffer of nothing
+    /// but updates that rewrote their slots' own values looks the same;
+    /// finishing its fold is harmless.)
+    pub fn crashed_fold(&self) -> bool {
+        self.winners != 0 && self.stage == 0
+    }
 }
 
 /// A view over one leaf node in persistent memory.
@@ -128,15 +144,10 @@ impl<'a> Leaf<'a> {
         self.bitmap() == self.layout.full_bitmap()
     }
 
-    /// Index of the first free slot, if any.
+    /// The free slots, as a mask.
     #[inline]
-    pub fn first_zero_slot(&self) -> Option<usize> {
-        let free = !self.bitmap() & self.layout.full_bitmap();
-        if free == 0 {
-            None
-        } else {
-            Some(free.trailing_zeros() as usize)
-        }
+    pub fn free_slots(&self) -> u64 {
+        !self.bitmap() & self.layout.full_bitmap()
     }
 
     // -------------------------------------------------------- fingerprints
@@ -155,13 +166,6 @@ impl<'a> Leaf<'a> {
         debug_assert!(self.layout.fingerprints);
         self.pool
             .write_at(self.off + (self.layout.off_fps + slot) as u64, &fp);
-    }
-
-    /// Persists the fingerprint byte of `slot`.
-    #[inline]
-    pub fn persist_fingerprint(&self, slot: usize) {
-        self.pool
-            .persist(self.off + (self.layout.off_fps + slot) as u64, 1);
     }
 
     /// Copies the whole fingerprint array into `buf` (length ≥ m).
@@ -292,40 +296,6 @@ impl<'a> Leaf<'a> {
         }
     }
 
-    /// Persists slot `i`'s key+value region.
-    #[inline]
-    pub fn persist_slot(&self, slot: usize) {
-        if self.layout.split_arrays {
-            self.pool.persist(self.key_off(slot), self.layout.key_slot);
-            self.pool
-                .persist(self.val_off(slot), self.layout.value_size);
-        } else {
-            self.pool.persist(
-                self.key_off(slot),
-                self.layout.key_slot + self.layout.value_size,
-            );
-        }
-    }
-
-    /// Persists the key+value regions of the contiguous slot range
-    /// `[lo, hi]` with one flush span per region — the amortized form of
-    /// [`Leaf::persist_slot`] used by the batched write path.
-    pub fn persist_slot_span(&self, lo: usize, hi: usize) {
-        debug_assert!(lo <= hi && hi < self.layout.m);
-        let n = hi - lo + 1;
-        if self.layout.split_arrays {
-            self.pool
-                .persist(self.key_off(lo), n * self.layout.key_slot);
-            self.pool
-                .persist(self.val_off(lo), n * self.layout.value_size);
-        } else {
-            self.pool.persist(
-                self.key_off(lo),
-                n * (self.layout.key_slot + self.layout.value_size),
-            );
-        }
-    }
-
     /// Issues one persist per byte range, first merging ranges whose
     /// line-rounded spans touch: two nearby slot runs that share a cache
     /// line would otherwise flush that line twice. Merging may cover gap
@@ -359,7 +329,7 @@ impl<'a> Leaf<'a> {
     /// share a cache line — into single flush spans. Staged slots of one
     /// batch run or fold are usually adjacent, so this typically issues one
     /// or two flush calls for the whole run.
-    pub fn persist_slots(&self, slots: u64) {
+    fn persist_slots(&self, slots: u64) {
         let mut ranges = Ranges::default();
         for (lo, n) in slot_runs(slots) {
             if self.layout.split_arrays {
@@ -378,13 +348,69 @@ impl<'a> Leaf<'a> {
     /// Persists the fingerprint bytes of the slots set in `slots`,
     /// coalescing contiguous slot indexes — and runs sharing a cache line —
     /// into single flush spans.
-    pub fn persist_fingerprints(&self, slots: u64) {
+    fn persist_fingerprints(&self, slots: u64) {
         debug_assert!(self.layout.fingerprints);
         let mut ranges = Ranges::default();
         for (lo, n) in slot_runs(slots) {
             ranges.push(self.off + (self.layout.off_fps + lo) as u64, n);
         }
         self.persist_merged(ranges.as_mut_slice());
+    }
+
+    // -------------------------------------------------------- slot commit
+    //
+    // Every change to the slots commits one way (Algorithms 2, 8, 14 and
+    // 16): stage whole slots outside the bitmap, persist them and their
+    // fingerprints, then ONE p-atomic bitmap write publishes the staged
+    // slots and retires the slots they replace. A single insert or update,
+    // a batch run, a fold and a remove differ only in what they stage.
+
+    /// Stages `key` and `value`, with the key's fingerprint, into the
+    /// lowest slot of `free` and takes it out of `free`; returns the slot's
+    /// bit. For variable-size keys this allocates the key blob. A plain
+    /// store: [`Leaf::commit_slots`] persists and publishes it.
+    pub(crate) fn stage_key<K: KeyKind>(&self, free: &mut u64, key: &K::Owned, value: u64) -> u64 {
+        let s = take_lowest(free);
+        K::write_slot(self.pool, self.key_off(s), key);
+        self.stage_rest(s, value, K::fingerprint(key))
+    }
+
+    /// Stages a copy of the key slot at `from` — for variable-size keys
+    /// the blob pointer, not the blob — with `value` and fingerprint `fp`
+    /// into the lowest slot of `free`, as [`Leaf::stage_key`] does.
+    pub(crate) fn stage_copy(&self, free: &mut u64, from: u64, value: u64, fp: u8) -> u64 {
+        let s = take_lowest(free);
+        let to = self.key_off(s);
+        for w in 0..self.layout.key_slot as u64 / 8 {
+            self.pool
+                .write_word(to + 8 * w, self.pool.read_word(from + 8 * w));
+        }
+        self.stage_rest(s, value, fp)
+    }
+
+    /// The value and fingerprint half of staging slot `s`.
+    fn stage_rest(&self, s: usize, value: u64, fp: u8) -> u64 {
+        self.set_value(s, value);
+        if self.layout.fingerprints {
+            self.set_fingerprint(s, fp);
+        }
+        1 << s
+    }
+
+    /// The commit point of every slot change: persists the `staged` slots
+    /// and their fingerprints with coalesced flushes, then p-atomically
+    /// writes the bitmap with `staged` set and `retired` cleared. Returns
+    /// the committed bitmap. The caller holds the leaf exclusively.
+    pub fn commit_slots(&self, staged: u64, retired: u64) -> u64 {
+        if staged != 0 {
+            self.persist_slots(staged);
+            if self.layout.fingerprints {
+                self.persist_fingerprints(staged);
+            }
+        }
+        let bm = (self.bitmap() & !retired) | staged;
+        self.commit_bitmap(bm);
+        bm
     }
 
     // ---------------------------------------------------------- latencies
@@ -932,8 +958,7 @@ impl<'a> Leaf<'a> {
     }
 
     /// True when one of the entries in the mask `entries` holds `key`.
-    /// Charges nothing: the fold and the census compare against entries
-    /// they read themselves.
+    /// Charges nothing: the census compares against entries it read itself.
     fn entries_hold<K: KeyKind>(&self, mut entries: u64, key: &K::Owned) -> bool {
         while entries != 0 {
             let j = entries.trailing_zeros() as usize;
@@ -945,38 +970,42 @@ impl<'a> Leaf<'a> {
         false
     }
 
-    /// One pass over the first `live` buffer entries, newest first, probing
-    /// each distinct key against one read of the head (the fold probes the
-    /// same way). Charges the head once and the slots those probes inspect;
-    /// an empty buffer charges nothing.
+    /// The one pass over the first `live` buffer entries, newest first:
+    /// each distinct key's newest entry wins and shadows older ones, and
+    /// each winner probes one read of the head for its slot and whether
+    /// that slot already holds it. Charges the head once and the slots
+    /// those probes inspect; an empty buffer charges nothing.
     pub(crate) fn wbuf_census<K: KeyKind>(&self, live: usize) -> WbufCensus<K> {
         let mut census = WbufCensus {
+            winners: 0,
+            shadowed: 0,
+            stage: 0,
+            slot: [None; MAX_LEAF_CAPACITY],
             fresh: 0,
-            crashed_fold: false,
             max: None,
         };
         if live == 0 {
             return census;
         }
         let head = self.read_head();
-        let mut winners = 0u64;
-        // A fold that crashed after its bitmap commit staged every winner.
-        let mut all_staged = true;
-        for i in (0..live).rev() {
-            let k = K::read_slot(self.pool, self.wbuf_key_off(i));
-            if self.entries_hold::<K>(winners, &k) {
-                continue; // shadowed by a newer entry
+        for e in (0..live).rev() {
+            let key = K::read_slot(self.pool, self.wbuf_key_off(e));
+            if self.entries_hold::<K>(census.winners, &key) {
+                census.shadowed |= 1 << e;
+                continue;
             }
-            winners |= 1 << i;
-            match self.find_slot_in::<K>(&head, &k) {
+            census.winners |= 1 << e;
+            match self.find_slot_in::<K>(&head, &key) {
                 None => census.fresh += 1,
-                Some(s) => all_staged &= self.slot_holds_entry(s, i),
+                Some(s) => census.slot[e] = Some(s as u8),
             }
-            if census.max.as_ref().is_none_or(|m| k > *m) {
-                census.max = Some(k);
+            if census.slot[e].is_none_or(|s| !self.slot_holds_entry(s as usize, e)) {
+                census.stage |= 1 << e;
+            }
+            if census.max.as_ref().is_none_or(|m| key > *m) {
+                census.max = Some(key);
             }
         }
-        census.crashed_fold = census.fresh == 0 && all_staged;
         census
     }
 
@@ -990,28 +1019,18 @@ impl<'a> Leaf<'a> {
                 .all(|w| self.pool.read_word(so + 8 * w) == self.pool.read_word(eo + 8 * w))
     }
 
-    /// Copies the key slot at `from` to `to` word by word — for
-    /// variable-size keys that moves the blob pointer, not the blob. A
-    /// plain store: the caller persists and commits it.
-    pub(crate) fn copy_key_slot(&self, from: u64, to: u64) {
-        for w in 0..self.layout.key_slot as u64 / 8 {
-            self.pool
-                .write_word(to + 8 * w, self.pool.read_word(from + 8 * w));
-        }
-    }
-
-    /// Folds the live buffer into regular slots (compaction): stages each
-    /// distinct key's newest value into a free slot (or retires the key's
-    /// old slot), persists the staged slots + fingerprints coalesced,
-    /// commits ONE bitmap word, then p-atomically bumps the generation
-    /// word — which invalidates every buffer entry at once — and finally
-    /// releases superseded resources. Idempotent across a crash at any
-    /// point: re-folding skips entries whose bytes already sit in a slot,
-    /// and the recovery audits resolve every partially-staged state.
+    /// Folds the live buffer into regular slots (compaction): stages what
+    /// the census says — each distinct key's newest value, into a free slot
+    /// — and commits it through [`Leaf::commit_slots`], retiring the keys'
+    /// old slots; then p-atomically bumps the generation word, which
+    /// invalidates every buffer entry at once, and finally releases
+    /// superseded resources. Idempotent across a crash at any point:
+    /// re-folding skips entries whose bytes already sit in a slot, and the
+    /// recovery audits resolve every partially-staged state.
     ///
-    /// Every distinct key probes one read of the head, so a fold charges
-    /// the head once plus the slots its fingerprint hits inspect. Staging
-    /// works in `u64` masks (W ≤ 64, m ≤ 64) and touches no heap.
+    /// The census charges the head once plus the slots its fingerprint
+    /// hits inspect. Staging works in `u64` masks (W ≤ 64, m ≤ 64) and
+    /// touches no heap.
     ///
     /// The caller must hold the leaf lock (or be recovery's exclusive
     /// owner) and must have ensured `count + live <= m` — the append
@@ -1022,52 +1041,22 @@ impl<'a> Leaf<'a> {
             return;
         }
         let l = self.layout;
-        let head = self.read_head();
-        let mut free = !head.bitmap & l.full_bitmap();
-        // Entry masks: the newest entry of each distinct key wins; older
-        // same-key entries are shadowed and only their resources are
-        // released.
-        let (mut winners, mut shadowed) = (0u64, 0u64);
-        // Slot masks: where winners are staged, and the old slots they
-        // retire (also listed in retire order, newest winner first).
-        let (mut staged, mut retired) = (0u64, 0u64);
-        let (mut retire_order, mut n_retired) = ([0usize; MAX_LEAF_CAPACITY], 0);
-        for e in (0..live).rev() {
-            let key = K::read_slot(self.pool, self.wbuf_key_off(e));
-            if self.entries_hold::<K>(winners, &key) {
-                shadowed |= 1 << e;
-                continue;
-            }
-            winners |= 1 << e;
-            if let Some(s) = self.find_slot_in::<K>(&head, &key) {
-                if self.slot_holds_entry(s, e) {
-                    // Crash-redo duplicate: a previous fold already staged
-                    // this exact entry (the slot owns the key blob). Only
-                    // the generation bump below is still needed.
-                    continue;
-                }
+        let census = self.wbuf_census::<K>(live);
+        // Newest winner first into the lowest free slot.
+        let (mut free, mut staged, mut retired) = (self.free_slots(), 0u64, 0u64);
+        for e in bits_newest_first(census.stage) {
+            if let Some(s) = census.slot[e] {
                 retired |= 1 << s;
-                retire_order[n_retired] = s;
-                n_retired += 1;
             }
-            debug_assert!(free != 0, "append invariant: fold always has room");
-            let s = free.trailing_zeros() as usize;
-            free &= free - 1;
-            // Raw move of the key slot: for variable-size keys the blob
-            // pointer transfers to the slot without reallocating.
-            self.copy_key_slot(self.wbuf_key_off(e), self.key_off(s));
-            self.set_value(s, self.wbuf_value(e));
-            if l.fingerprints {
-                self.set_fingerprint(s, self.wbuf_fp(e));
-            }
-            staged |= 1 << s;
+            staged |= self.stage_copy(
+                &mut free,
+                self.wbuf_key_off(e),
+                self.wbuf_value(e),
+                self.wbuf_fp(e),
+            );
         }
         if staged != 0 {
-            self.persist_slots(staged);
-            if l.fingerprints {
-                self.persist_fingerprints(staged);
-            }
-            self.commit_bitmap((head.bitmap & !retired) | staged);
+            self.commit_slots(staged, retired);
         }
         // Invalidate the whole buffer p-atomically: every entry checksum
         // embeds the old generation.
@@ -1079,13 +1068,13 @@ impl<'a> Leaf<'a> {
         // Release what the fold made unreachable. Updated keys' old slots
         // hold a *different* blob than the staged copy, so release (the
         // allocator nulls the owner word persistently); same for shadowed
-        // entries' blobs, newest first.
-        for &s in &retire_order[..n_retired] {
-            K::release_slot(self.pool, self.key_off(s));
+        // entries' blobs. Both newest first.
+        for e in bits_newest_first(census.stage) {
+            if let Some(s) = census.slot[e] {
+                K::release_slot(self.pool, self.key_off(s as usize));
+            }
         }
-        while shadowed != 0 {
-            let e = 63 - shadowed.leading_zeros() as usize;
-            shadowed &= !(1 << e);
+        for e in bits_newest_first(census.shadowed) {
             K::release_slot(self.pool, self.wbuf_key_off(e));
         }
         // Every winner's key field now duplicates its slot's pointer; zero
@@ -1095,9 +1084,7 @@ impl<'a> Leaf<'a> {
         // dead-entry audit (the pointers still duplicate live slots).
         if K::IS_VAR {
             let mut ranges = Ranges::default();
-            while winners != 0 {
-                let e = winners.trailing_zeros() as usize;
-                winners &= winners - 1;
+            for e in bits_newest_first(census.winners) {
                 let koff = self.wbuf_key_off(e);
                 for w in 0..l.key_slot / 8 {
                     self.pool.write_word(koff + 8 * w as u64, 0);
@@ -1107,6 +1094,26 @@ impl<'a> Leaf<'a> {
             self.persist_merged(ranges.as_mut_slice());
         }
     }
+}
+
+/// Takes the lowest set bit out of `free` and returns its index.
+fn take_lowest(free: &mut u64) -> usize {
+    assert!(*free != 0, "no free slot to stage into");
+    let s = free.trailing_zeros() as usize;
+    *free &= *free - 1;
+    s
+}
+
+/// The set bits of `mask`, highest first: buffer entries newest first.
+fn bits_newest_first(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let i = 63 - mask.leading_zeros() as usize;
+        mask &= !(1 << i);
+        Some(i)
+    })
 }
 
 /// The contiguous runs of set bits in `mask`, lowest first, as
@@ -1169,14 +1176,12 @@ mod tests {
         (pool, layout, off)
     }
 
+    /// Commits `key` into `slot`, which must be the lowest free one.
     fn insert_fixed(leaf: &Leaf<'_>, slot: usize, key: u64, val: u64) {
-        use crate::keys::KeyKind;
-        FixedKey::write_slot(leaf.pool, leaf.key_off(slot), &key);
-        leaf.set_value(slot, val);
-        leaf.set_fingerprint(slot, FixedKey::fingerprint(&key));
-        leaf.persist_slot(slot);
-        leaf.persist_fingerprint(slot);
-        leaf.commit_bitmap(leaf.bitmap() | (1 << slot));
+        let mut free = leaf.free_slots();
+        let staged = leaf.stage_key::<FixedKey>(&mut free, &key, val);
+        assert_eq!(staged, 1 << slot);
+        leaf.commit_slots(staged, 0);
     }
 
     #[test]
@@ -1188,11 +1193,11 @@ mod tests {
         leaf.commit_bitmap(0b1011);
         assert_eq!(leaf.bitmap(), 0b1011);
         assert_eq!(leaf.count(), 3);
-        assert_eq!(leaf.first_zero_slot(), Some(2));
+        assert_eq!(leaf.free_slots().trailing_zeros(), 2);
         assert!(!leaf.is_full());
         leaf.commit_bitmap(layout.full_bitmap());
         assert!(leaf.is_full());
-        assert_eq!(leaf.first_zero_slot(), None);
+        assert_eq!(leaf.free_slots(), 0);
     }
 
     #[test]
@@ -1219,12 +1224,8 @@ mod tests {
         let off = pool.allocate(ROOT_SLOT, layout.size).unwrap();
         pool.write_bytes(off, &vec![0u8; layout.size]);
         let leaf = Leaf::new(&pool, &layout, off);
-        use crate::keys::KeyKind;
         for (i, k) in [5u64, 3, 8].iter().enumerate() {
-            FixedKey::write_slot(&pool, leaf.key_off(i), k);
-            leaf.set_value(i, k + 100);
-            leaf.persist_slot(i);
-            leaf.commit_bitmap(leaf.bitmap() | (1 << i));
+            insert_fixed(&leaf, i, *k, k + 100);
         }
         assert_eq!(leaf.find_slot::<FixedKey>(&3), Some(1));
         assert_eq!(leaf.find_slot::<FixedKey>(&9), None);
@@ -1480,6 +1481,61 @@ mod tests {
     }
 
     #[test]
+    fn crashed_fold_is_a_live_census_that_stages_nothing() {
+        let (pool, layout, off) = setup();
+        let leaf = Leaf::new(&pool, &layout, off);
+        assert!(!leaf.wbuf_census::<FixedKey>(0).crashed_fold());
+        insert_fixed(&leaf, 0, 7, 70);
+        for (i, (k, v)) in [(42u64, 420u64), (7, 71), (42, 421)]
+            .into_iter()
+            .enumerate()
+        {
+            leaf.wbuf_append::<FixedKey>(i, &k, v);
+        }
+        let census = leaf.wbuf_census::<FixedKey>(3);
+        assert_eq!(
+            (census.winners, census.shadowed, census.stage),
+            (0b110, 0b001, 0b110)
+        );
+        assert_eq!((census.slot[1], census.slot[2]), (Some(0), None));
+        assert_eq!((census.fresh, census.max), (1, Some(42)));
+        assert!(!census.crashed_fold());
+        // A fold that crashed after its bitmap commit staged every winner
+        // (here in two commits, checking the census in between) and never
+        // bumped the generation.
+        let stage = |e: usize, retired: u64| {
+            let from = leaf.wbuf_key_off(e);
+            let staged = leaf.stage_copy(
+                &mut leaf.free_slots(),
+                from,
+                leaf.wbuf_value(e),
+                leaf.wbuf_fp(e),
+            );
+            leaf.commit_slots(staged, retired);
+        };
+        stage(2, 0);
+        let census = leaf.wbuf_census::<FixedKey>(3);
+        assert_eq!(
+            (census.stage, census.slot[2], census.fresh),
+            (0b010, Some(1), 0)
+        );
+        assert!(!census.crashed_fold(), "entry 1 still stages");
+        stage(1, 1 << 0);
+        let census = leaf.wbuf_census::<FixedKey>(3);
+        assert_eq!((census.stage, census.fresh), (0, 0));
+        assert!(census.crashed_fold());
+        // Finishing it stages nothing more: the generation bump ends it.
+        let gen = leaf.wbuf_gen();
+        leaf.wbuf_fold::<FixedKey>();
+        assert_eq!(
+            (leaf.wbuf_gen(), leaf.wbuf_count(), leaf.count()),
+            (gen + 1, 0, 2)
+        );
+        assert_eq!(leaf.find_merged_value::<FixedKey>(&7), Some(71));
+        assert_eq!(leaf.find_merged_value::<FixedKey>(&42), Some(421));
+    }
+
+    #[test]
     fn linear_probe_charges_the_scan_once() {
         // Split arrays (PTree): a hit adds only the value region beyond
         // the scanned key array — the old code re-charged the key bytes.
@@ -1488,12 +1544,8 @@ mod tests {
         let off = pool.allocate(ROOT_SLOT, layout.size).unwrap();
         pool.write_bytes(off, &vec![0u8; layout.size]);
         let leaf = Leaf::new(&pool, &layout, off);
-        use crate::keys::KeyKind;
         for (i, k) in [5u64, 3, 8].iter().enumerate() {
-            FixedKey::write_slot(&pool, leaf.key_off(i), k);
-            leaf.set_value(i, k + 100);
-            leaf.persist_slot(i);
-            leaf.commit_bitmap(leaf.bitmap() | (1 << i));
+            insert_fixed(&leaf, i, *k, k + 100);
         }
         pool.stats().reset();
         assert_eq!(leaf.find_slot::<FixedKey>(&9), None);
@@ -1514,10 +1566,7 @@ mod tests {
         let off2 = pool2.allocate(ROOT_SLOT, layout2.size).unwrap();
         pool2.write_bytes(off2, &vec![0u8; layout2.size]);
         let leaf2 = Leaf::new(&pool2, &layout2, off2);
-        FixedKey::write_slot(&pool2, leaf2.key_off(0), &7);
-        leaf2.set_value(0, 70);
-        leaf2.persist_slot(0);
-        leaf2.commit_bitmap(1);
+        insert_fixed(&leaf2, 0, 7, 70);
         pool2.stats().reset();
         assert_eq!(leaf2.find_slot::<FixedKey>(&8), None);
         let miss2 = pool2.stats().snapshot().read_lines;
@@ -1654,7 +1703,7 @@ mod tests {
         // One head line for all four keys, plus the two slots hit.
         let want = head + slot_lines(0) + slot_lines(1);
         let (census, lines) = lines_of(&pool, || leaf.wbuf_census::<FixedKey>(4));
-        assert_eq!((census.fresh, census.crashed_fold), (3, false));
+        assert_eq!((census.fresh, census.crashed_fold()), (3, false));
         assert_eq!(lines, want, "census");
         let ((), lines) = lines_of(&pool, || leaf.wbuf_fold::<FixedKey>());
         assert_eq!(lines, want, "fold");

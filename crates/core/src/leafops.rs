@@ -83,50 +83,19 @@ impl Ctx {
         Ok(())
     }
 
-    /// Writes one KV into a leaf with a free slot and p-atomically commits
-    /// it (the non-split insert path of Algorithm 2 / 14).
-    fn insert_into_leaf<K: KeyKind>(&self, off: u64, key: &K::Owned, value: u64) {
+    /// In-place update of `key` in `old_slot` (Algorithms 8 / 16): stage
+    /// a copy of the key slot with the new value in a free slot — fixed keys
+    /// copy the key itself, variable keys the persistent pointer (no
+    /// realloc) — then one bitmap commit retires the old slot and publishes
+    /// the new one.
+    fn update_in_leaf<K: KeyKind>(&self, off: u64, old_slot: usize, key: &K::Owned, value: u64) {
         let leaf = self.leaf(off);
-        let slot = leaf
-            .first_zero_slot()
-            .expect("insert_into_leaf requires a free slot");
-        K::write_slot(&self.pool, leaf.key_off(slot), key);
-        leaf.set_value(slot, value);
-        if self.layout.fingerprints {
-            leaf.set_fingerprint(slot, K::fingerprint(key));
-        }
-        leaf.persist_slot(slot);
-        if self.layout.fingerprints {
-            leaf.persist_fingerprint(slot);
-        }
-        // Commit point: before this p-atomic write the entry is invisible.
-        leaf.commit_bitmap(leaf.bitmap() | (1 << slot));
-    }
-
-    /// In-place update (Algorithms 8 / 16): stage the new record in a free
-    /// slot, then one p-atomic bitmap write retires the old slot and
-    /// publishes the new one.
-    fn update_in_leaf<K: KeyKind>(&self, off: u64, old_slot: usize, value: u64) {
-        let leaf = self.leaf(off);
-        let new_slot = leaf
-            .first_zero_slot()
-            .expect("update_in_leaf requires a free slot");
-        // The key moves by copying the slot bytes: fixed keys copy the key
-        // itself, variable keys copy the persistent pointer (no realloc).
-        leaf.copy_key_slot(leaf.key_off(old_slot), leaf.key_off(new_slot));
-        leaf.set_value(new_slot, value);
-        if self.layout.fingerprints {
-            leaf.set_fingerprint(new_slot, leaf.fingerprint(old_slot));
-        }
-        leaf.persist_slot(new_slot);
-        if self.layout.fingerprints {
-            leaf.persist_fingerprint(new_slot);
-        }
-        let bm = (leaf.bitmap() & !(1 << old_slot)) | (1 << new_slot);
-        leaf.commit_bitmap(bm);
+        let old = leaf.key_off(old_slot);
+        let staged = leaf.stage_copy(&mut leaf.free_slots(), old, value, K::fingerprint(key));
+        leaf.commit_slots(staged, 1 << old_slot);
         // The old slot no longer owns the key blob (Algorithm 16 line 16);
         // until this reset, recovery's audit resolves the shared reference.
-        K::reset_slot(&self.pool, leaf.key_off(old_slot));
+        K::reset_slot(&self.pool, old);
     }
 
     /// Splits a full leaf (Algorithm 3 + leaf groups), returning the split
@@ -343,10 +312,10 @@ impl Ctx {
     ) -> Result<(), Error> {
         let owned = self.owned_key_refs::<K>(off, live);
         for key_off in fields {
-            if !K::slot_nonnull(&self.pool, key_off) {
+            let r = K::slot_ref(&self.pool, key_off);
+            if r.is_null() {
                 continue;
             }
-            let r = K::slot_ref(&self.pool, key_off);
             if owned.contains(&r) {
                 K::reset_slot(&self.pool, key_off);
             } else if self.pool.looks_like_block(r) {
@@ -448,7 +417,9 @@ impl Ctx {
     }
 
     /// Structural consistency check behind the tree's `check_consistency`
-    /// (quiescent state only): no leaf left locked or empty-but-linked,
+    /// (quiescent state only): every chained leaf lies inside a live
+    /// allocation (its own block, or a live group block), no leaf is left
+    /// locked or empty-but-linked,
     /// slots hold distinct keys whose fingerprints agree, the buffer never
     /// overcommits the slot array and its digest (where one verifies)
     /// counts what the checksum walk counts, the chain is sorted, no dead
@@ -461,9 +432,17 @@ impl Ctx {
         routes_to: impl Fn(&K::Owned, u64) -> bool,
     ) -> Result<(), String> {
         let offs = self.leaf_offsets();
+        // `(user offset, size)` in address order.
+        let blocks = self.pool.live_blocks().map_err(|e| e.to_string())?;
         let mut prev_max: Option<K::Owned> = None;
         let mut total = 0usize;
         for (i, &off) in offs.iter().enumerate() {
+            let at = blocks.partition_point(|&(b, _)| b <= off);
+            if at == 0 || off + self.layout.size as u64 > blocks[at - 1].0 + blocks[at - 1].1 {
+                return Err(format!(
+                    "leaf {i} at {off:#x} lies outside every live allocation"
+                ));
+            }
             let leaf = self.leaf(off);
             if leaf.version().is_none() {
                 return Err(format!("leaf {i} left locked"));
@@ -514,12 +493,14 @@ impl Ctx {
             if K::IS_VAR {
                 let bm = leaf.bitmap();
                 for slot in 0..self.layout.m {
-                    if bm & (1 << slot) == 0 && K::slot_nonnull(&self.pool, leaf.key_off(slot)) {
+                    if bm & (1 << slot) == 0
+                        && !K::slot_ref(&self.pool, leaf.key_off(slot)).is_null()
+                    {
                         return Err(format!("leaf {i} slot {slot}: dead slot references a key"));
                     }
                 }
                 for e in live..self.layout.wbuf_entries {
-                    if K::slot_nonnull(&self.pool, leaf.wbuf_key_off(e)) {
+                    if !K::slot_ref(&self.pool, leaf.wbuf_key_off(e)).is_null() {
                         return Err(format!(
                             "leaf {i} entry {e}: dead buffer entry references a key"
                         ));
@@ -683,7 +664,7 @@ impl Ctx {
             WriteMode::Insert if self.layout.wbuf_entries > 0 => {
                 self.leaf(target).wbuf_append::<K>(0, key, value)
             }
-            WriteMode::Insert => self.insert_into_leaf::<K>(target, key, value),
+            WriteMode::Insert => self.stage_run::<K>(target, [(key, value)]),
             WriteMode::Update { .. } => {
                 // The probe's slot stands unless a fold or a split moved it.
                 let slot = match found {
@@ -693,7 +674,7 @@ impl Ctx {
                         .find_slot::<K>(key)
                         .expect("a folded key occupies a slot and survives its leaf's split"),
                 };
-                self.update_in_leaf::<K>(target, slot, value);
+                self.update_in_leaf::<K>(target, slot, key, value);
             }
         }
         Written {
@@ -735,8 +716,7 @@ impl Ctx {
                 (s, 0)
             }
         };
-        let bm = leaf.bitmap() & !(1 << slot);
-        leaf.commit_bitmap(bm);
+        let bm = leaf.commit_slots(0, 1 << slot);
         K::release_slot(&self.pool, leaf.key_off(slot));
         Removed {
             removed: true,
@@ -744,39 +724,24 @@ impl Ctx {
         }
     }
 
-    /// Stages `run` — sorted unique keys, none currently in the leaf, all
-    /// fitting its free slots — and commits the whole run with **one**
-    /// p-atomic bitmap write. Staged slot/fingerprint spans are flushed
-    /// with coalesced `persist` calls before the commit, so the checker
-    /// sees the canonical store → flush → publish → flush pattern.
-    fn stage_run<K: KeyKind>(&self, off: u64, run: &[(K::Owned, u64)]) {
-        if run.is_empty() {
-            return;
-        }
+    /// Stages `run` — keys none of which is in the leaf, all fitting its
+    /// free slots — and commits the whole run with **one** bitmap write
+    /// (Algorithms 2 / 14 for a run of one): before it no key of the run
+    /// is visible, after it every one is. An empty run commits nothing.
+    fn stage_run<'k, K: KeyKind>(
+        &self,
+        off: u64,
+        run: impl IntoIterator<Item = (&'k K::Owned, u64)>,
+    ) {
         let leaf = self.leaf(off);
-        let mut bm = leaf.bitmap();
-        let mut free = !bm & self.layout.full_bitmap();
-        debug_assert!(run.len() <= free.count_ones() as usize);
-        let mut slots = 0u64;
+        let mut free = leaf.free_slots();
+        let mut staged = 0u64;
         for (key, value) in run {
-            let slot = free.trailing_zeros() as usize;
-            free &= free - 1;
-            K::write_slot(&self.pool, leaf.key_off(slot), key);
-            leaf.set_value(slot, *value);
-            if self.layout.fingerprints {
-                leaf.set_fingerprint(slot, K::fingerprint(key));
-            }
-            bm |= 1 << slot;
-            slots |= 1 << slot;
+            staged |= leaf.stage_key::<K>(&mut free, key, value);
         }
-        leaf.persist_slots(slots);
-        if self.layout.fingerprints {
-            leaf.persist_fingerprints(slots);
+        if staged != 0 {
+            leaf.commit_slots(staged, 0);
         }
-        // Commit point: every staged entry becomes valid at once.
-        leaf.commit_bitmap(bm);
-        self.metrics.inc(Counter::InsertBatchRuns);
-        self.metrics.add(Counter::InsertBatchKeys, run.len() as u64);
     }
 
     /// Applies `run` — sorted unique entries all routing to this leaf —
@@ -832,9 +797,17 @@ impl Ctx {
             consumed > 0,
             "insert_batch: split produced no free slot (leaf capacity 1)"
         );
-        self.stage_run::<K>(off, &take[0]);
+        let stage = |off: u64, take: &[(K::Owned, u64)]| {
+            if !take.is_empty() {
+                self.stage_run::<K>(off, take.iter().map(|(k, v)| (k, *v)));
+                self.metrics.inc(Counter::InsertBatchRuns);
+                self.metrics
+                    .add(Counter::InsertBatchKeys, take.len() as u64);
+            }
+        };
+        stage(off, &take[0]);
         if let Some((_, new_off)) = &halves {
-            self.stage_run::<K>(*new_off, &take[1]);
+            stage(*new_off, &take[1]);
         }
         let inserted = take[0].len() + take[1].len();
         self.metrics
@@ -873,12 +846,8 @@ impl Ctx {
         if live == 0 && found.len() == head.bitmap.count_ones() as usize {
             held_back = found.pop().map(|(i, _)| i);
         }
-        let mut bm = head.bitmap;
         if !found.is_empty() {
-            for &(_, slot) in &found {
-                bm &= !(1 << slot);
-            }
-            leaf.commit_bitmap(bm);
+            leaf.commit_slots(0, found.iter().fold(0, |m, &(_, slot)| m | 1 << slot));
             for &(_, slot) in &found {
                 K::release_slot(&self.pool, leaf.key_off(slot));
             }

@@ -301,7 +301,7 @@ fn audit_leaves<K: KeyKind>(
         // recovery bit-identical to serial.
         ctx.audit_leaf::<K>(off, live)?;
         let census = leaf.wbuf_census::<K>(live);
-        let (fresh, live) = if census.crashed_fold {
+        let (fresh, live) = if census.crashed_fold() {
             leaf.wbuf_fold::<K>();
             (0, 0)
         } else {

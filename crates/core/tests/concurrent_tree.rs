@@ -528,13 +528,11 @@ fn check_consistency_rejects_duplicate_slots_and_dead_slot_key_refs() {
     t.check_consistency().unwrap();
     let layout = LeafLayout::new(t.config(), FixedKey::SLOT_SIZE);
     let leaf = Leaf::new(t.pool(), &layout, t.leaf_offsets()[0]);
-    let dup = leaf.first_zero_slot().unwrap();
+    let dup = leaf.free_slots().trailing_zeros() as usize;
     FixedKey::write_slot(t.pool(), leaf.key_off(dup), &1);
     leaf.set_value(dup, 10);
     leaf.set_fingerprint(dup, FixedKey::fingerprint(&1));
-    leaf.persist_slot(dup);
-    leaf.persist_fingerprint(dup);
-    leaf.commit_bitmap(leaf.bitmap() | (1 << dup));
+    leaf.commit_slots(1 << dup, 0);
     let err = t.check_consistency().unwrap_err();
     assert!(err.contains("duplicate keys"), "{err}");
 
@@ -549,11 +547,42 @@ fn check_consistency_rejects_duplicate_slots_and_dead_slot_key_refs() {
     let leaf = Leaf::new(t.pool(), &layout, t.leaf_offsets()[0]);
     let live = leaf.bitmap().trailing_zeros() as usize;
     let blob: RawPPtr = t.pool().read_at(leaf.key_off(live));
-    let dead = leaf.first_zero_slot().unwrap();
+    let dead = leaf.free_slots().trailing_zeros() as usize;
     t.pool().write_at(leaf.key_off(dead), &blob);
     t.pool().persist(leaf.key_off(dead), VarKey::SLOT_SIZE);
     let err = t.check_consistency().unwrap_err();
     assert!(err.contains("dead slot references a key"), "{err}");
+}
+
+/// A chain that runs through freed memory is inconsistent even when every
+/// key in it still routes and counts: here the middle leaf's block is freed
+/// behind the tree's back and the tree reopened over it, as recovery of a
+/// neighbouring tree in the same pool once did.
+#[test]
+fn check_consistency_rejects_a_chained_leaf_in_a_freed_block() {
+    let pool = pool(8);
+    let dir = pool.allocate(ROOT_SLOT, 64).unwrap();
+    pool.write_bytes(dir, &[0; 64]);
+    pool.persist(dir, 64);
+    let cfg = small_cfg().with_leaf_group_size(0);
+    let t = ConcurrentFPTree::create(Arc::clone(&pool), cfg, dir);
+    for k in 0..40u64 {
+        t.insert(&k, k);
+    }
+    let leaves = t.leaf_offsets();
+    assert!(leaves.len() >= 3, "{} leaves", leaves.len());
+    t.check_consistency().unwrap();
+    drop(t);
+    // A second owner word takes over the middle leaf's block and frees it.
+    let holder = dir + 16;
+    pool.write_at(holder, &RawPPtr::new(pool.file_id(), leaves[1]));
+    pool.persist(holder, 16);
+    pool.deallocate(holder);
+    let t = ConcurrentFPTree::open(Arc::clone(&pool), dir).expect("opens");
+    assert_eq!(t.leaf_offsets(), leaves, "the chain still runs through it");
+    assert_eq!(t.len(), 40);
+    let err = t.check_consistency().unwrap_err();
+    assert!(err.contains("outside every live allocation"), "{err}");
 }
 
 /// The expected-value guard compares against the merged newest value, so
